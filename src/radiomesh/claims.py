@@ -8,8 +8,12 @@ exact span search, or exact rational evaluation), and issues a verdict:
 * ``Mismatch``    - they differ; for span bounds this includes the case
                     where a concrete valid labeling undercuts the claimed
                     bound, refuting it.
-* ``Unverifiable``- the oracle ran out of budget or the claim's
-                    preconditions fail at this instance.
+* ``Unverifiable``- no oracle settled the claim: the exact search ran
+                    out of budget, or the instance is above the exact-search
+                    size limit and no valid labeling refutes the claim.
+
+A failure inside a claim is a programming error and propagates; it is
+never recorded as a verdict.
 
 Verdict rows are pure data and sort deterministically, so a re-run with
 the same configuration reproduces the same table byte for byte (minus
@@ -235,12 +239,8 @@ def example_claims() -> list[ClaimVerdict]:
     return rows
 
 
-def _unverifiable(claim_id: str, m: int, n: int, indexing: str) -> ClaimVerdict:
-    return ClaimVerdict(claim_id, m, n, indexing, Fraction(0), None, Verdict.UNVERIFIABLE)
-
-
 def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict]:
-    """Adjudicate the whole grid; per-claim failures become Unverifiable rows."""
+    """Adjudicate the whole grid; an error in any claim propagates."""
     rows: list[ClaimVerdict] = []
     budget = config.budget()
     for m in sorted(config.even_m + config.odd_m):
@@ -248,32 +248,17 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict
             params = ProductParams(m, n)
             pg = build_product_graph(params, CellIndexing.ROW_MAJOR)
             dm = all_pairs_distances(pg.graph)
-            try:
-                rows.append(diameter_claim(params, dm))
-            except Exception:
-                rows.append(_unverifiable("Cor3.Diameter", m, n, "-"))
+            rows.append(diameter_claim(params, dm))
             for indexing in config.indexings:
-                try:
-                    rows.extend(distance_claims(params, indexing, dm))
-                except Exception:
-                    prefix = "Eq2" if m % 2 == 0 else "Eq13"
-                    rows.append(_unverifiable(f"{prefix}.Cases", m, n, indexing.value))
-            try:
-                rows.append(pair_bound_claim(params, CellIndexing.ROW_MAJOR, dm, budget))
-            except Exception:
-                claim_id = "Cor5.PairBound" if m % 2 == 0 else "Cor8.PairBound"
-                rows.append(_unverifiable(claim_id, m, n, CellIndexing.ROW_MAJOR.value))
-            try:
-                rows.append(full_bound_claim(pg, dm, config))
-            except Exception:
-                claim_id = "Thm6.Bound" if m % 2 == 0 else "Thm18.Bound"
-                rows.append(_unverifiable(claim_id, m, n, CellIndexing.ROW_MAJOR.value))
+                rows.extend(distance_claims(params, indexing, dm))
+            rows.append(pair_bound_claim(params, CellIndexing.ROW_MAJOR, dm, budget))
+            rows.append(full_bound_claim(pg, dm, config))
     rows.extend(example_claims())
     rows.sort(key=ClaimVerdict.sort_key)
     return rows
 
 
-def _render_fraction(value: Fraction | None) -> str:
+def render_fraction(value: Fraction | None) -> str:
     if value is None:
         return "unavailable"
     if value.denominator == 1:
@@ -294,7 +279,7 @@ def verdicts_to_csv(rows: Iterable[ClaimVerdict], timestamp: bool = True) -> str
         lines.append(
             f"{row.claim_id},{row.m},{row.n},{row.indexing},"
             f"{row.expected.numerator},{row.expected.denominator},"
-            f"{_render_fraction(row.observed)},{row.verdict.value}"
+            f"{render_fraction(row.observed)},{row.verdict.value}"
         )
     return "\n".join(lines) + "\n"
 
@@ -306,8 +291,8 @@ def verdicts_to_text(rows: Iterable[ClaimVerdict]) -> str:
         counts[row.verdict] += 1
         lines.append(
             f"{row.claim_id:<18} m={row.m} n={row.n} indexing={row.indexing:<10} "
-            f"expected={_render_fraction(row.expected):>8} "
-            f"observed={_render_fraction(row.observed):>12} {row.verdict.value}"
+            f"expected={render_fraction(row.expected):>8} "
+            f"observed={render_fraction(row.observed):>12} {row.verdict.value}"
         )
     lines.append(
         f"total: {counts[Verdict.MATCH]} match, {counts[Verdict.MISMATCH]} mismatch, "

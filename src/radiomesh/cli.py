@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import claims, formulas
 from .formats import (
@@ -45,10 +44,6 @@ def _emit(args, text: str) -> None:
 
 def _budget(args) -> SearchBudget:
     return SearchBudget(time_limit_s=args.budget_ms / 1000.0)
-
-
-def _fraction_str(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 def cmd_gen(args) -> int:
@@ -112,7 +107,7 @@ def cmd_bound(args) -> int:
     if args.format == "csv":
         _emit(args, formulas.bounds_table_csv(formulas.bounds_table(params)))
         return 0
-    _emit(args, f"combined span bound for m={args.m} n={args.n}: {_fraction_str(value)}\n")
+    _emit(args, f"combined span bound for m={args.m} n={args.n}: {claims.render_fraction(value)}\n")
     return 0
 
 
@@ -127,14 +122,14 @@ def cmd_label(args) -> int:
         f"greedy span: {built.greedy_span} (valid)",
         f"consecutive-only span: {built.consecutive_span} "
         f"({'valid' if built.consecutive_valid else 'invalid'})",
-        f"claimed bound: {_fraction_str(bound)}",
+        f"claimed bound: {claims.render_fraction(bound)}",
     ]
     if args.format == "csv":
         sys.stdout.write(
             "m,n,indexing,greedy_span,consecutive_span,consecutive_valid,bound\n"
             f"{args.m},{args.n},{args.indexing.value},{built.greedy_span},"
             f"{built.consecutive_span},{str(built.consecutive_valid).lower()},"
-            f"{_fraction_str(bound)}\n"
+            f"{claims.render_fraction(bound)}\n"
         )
     else:
         sys.stdout.write("\n".join(lines) + "\n")
@@ -301,10 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidParameterError, LabelingContractError) as exc:
         print(f"radiomesh: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"radiomesh: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"radiomesh: {exc}", file=sys.stderr)
         return 1
 

@@ -38,10 +38,18 @@ def format_product_graph(pg: ProductGraph) -> str:
     return format_graph(pg.graph, coords)
 
 
+def _ints(fields: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise FormatError(f"line {lineno}: expected integers, got {' '.join(fields)!r}") from None
+
+
 def parse_graph(text: str) -> tuple[Graph, dict[int, VertexCoord] | None]:
     """Parse a graph file; returns the graph and coordinates when present."""
     num_vertices: int | None = None
     coords: dict[int, VertexCoord] = {}
+    coord_lines: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -52,23 +60,27 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexCoord] | None]:
             if fields[:1] == ["coord"]:
                 if len(fields) != 5:
                     raise FormatError(f"line {lineno}: malformed coord comment")
-                vid, row, col, star = (int(x) for x in fields[1:])
+                vid, row, col, star = _ints(fields[1:], lineno)
                 coords[vid] = VertexCoord(row, col, star)
+                coord_lines[vid] = lineno
             continue
         fields = line.split()
         if num_vertices is None:
             if len(fields) != 2 or fields[0] != "vertices":
                 raise FormatError(f"line {lineno}: expected 'vertices N' header")
-            num_vertices = int(fields[1])
+            (num_vertices,) = _ints(fields[1:], lineno)
             continue
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected 'u v' edge line")
-        u, v = int(fields[0]), int(fields[1])
+        u, v = _ints(fields, lineno)
         if u >= v:
             raise FormatError(f"line {lineno}: edges must satisfy u < v")
         edges.append((u, v))
     if num_vertices is None:
         raise FormatError("missing 'vertices N' header")
+    for vid, lineno in coord_lines.items():
+        if not 0 <= vid < num_vertices:
+            raise FormatError(f"line {lineno}: coord id {vid} outside 0..{num_vertices - 1}")
     graph = Graph.from_edges(num_vertices, edges)
     return graph, (coords or None)
 
@@ -92,14 +104,16 @@ def parse_labeling(text: str) -> Labeling:
             if fields[:1] == ["span"]:
                 if len(fields) != 2:
                     raise FormatError(f"line {lineno}: malformed span comment")
-                declared_span = int(fields[1])
+                (declared_span,) = _ints(fields[1:], lineno)
             continue
         fields = line.split()
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected '<vertex_id> <label>'")
-        vid, label = int(fields[0]), int(fields[1])
+        vid, label = _ints(fields, lineno)
         if vid in entries:
             raise FormatError(f"line {lineno}: duplicate vertex id {vid}")
+        if label < 0:
+            raise FormatError(f"line {lineno}: negative label {label}")
         entries[vid] = label
     if not entries:
         raise FormatError("empty labeling file")

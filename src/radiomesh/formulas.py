@@ -93,14 +93,10 @@ def diam_formula(params: ProductParams) -> int:
     return 2 * params.m
 
 
-def even_pair_distance(
-    m: int, u_is_center: bool, v_is_center: bool, same_leaf: bool = False
-) -> DistanceCasePrediction:
+def even_pair_distance(m: int, u_is_center: bool, v_is_center: bool) -> DistanceCasePrediction:
     """Claimed distance across an even-order fiber pair (t(j), t(j + m*m/2)).
 
-    The catalog does not split the no-centers case by leaf identity, so
-    ``same_leaf`` does not change the prediction; it is accepted so case
-    enumerations can carry it through to the BFS adjudication.
+    The catalog does not split the no-centers case by leaf identity.
     """
     _require_even(m)
     case = _case_of(u_is_center, v_is_center)
@@ -113,9 +109,7 @@ def even_pair_distance(
     return DistanceCasePrediction(case, value, value)
 
 
-def odd_pair_distance(
-    m: int, u_is_center: bool, v_is_center: bool, same_leaf: bool = False
-) -> DistanceCasePrediction:
+def odd_pair_distance(m: int, u_is_center: bool, v_is_center: bool) -> DistanceCasePrediction:
     """Claimed distance across an odd-order fiber pair (t(x), t(x + m*(m-1)/2)).
 
     The cataloged case table reads m/2 - 1 and m/2 + 1 for the hub cases,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .graphs import DistanceMatrix, Graph, InvalidParameterError
 
@@ -24,7 +24,6 @@ class LabelingContractError(ValueError):
 class OrderingProvenance(Enum):
     EVEN_PAIR_WALK = "even-pair-walk"
     ODD_THREE_PHASE = "odd-three-phase"
-    SEARCH_NODE = "search-node"
     EXTERNAL = "external"
 
 
@@ -82,6 +81,42 @@ class ValidityReport:
     violations: tuple[Violation, ...]
 
 
+def gap_row(dm: DistanceMatrix, u: int, diam: int | None = None) -> list[int]:
+    """Required label gaps ``diam + 1 - d(u, v)`` from ``u`` to every vertex v.
+
+    ``diam`` defaults to the matrix diameter; an induced subset posed
+    under a host graph's metric passes the host diameter instead.
+    """
+    if diam is None:
+        diam = dm.diameter
+    return (diam + 1 - dm.row(u)).tolist()
+
+
+def _forced_label(labels: list[int], placed: Sequence[int], row: Sequence[int]) -> int:
+    """Smallest label meeting gap ``row`` against every placed vertex."""
+    value = 0
+    for u in placed:
+        candidate = labels[u] + row[u]
+        if candidate > value:
+            value = candidate
+    return value
+
+
+def _greedy_labels(order: Sequence[int], gap_row_of: Callable[[int], Sequence[int]]) -> list[int]:
+    """Greedy realisation of ``order``: each vertex takes its forced label.
+
+    ``gap_row_of(v)`` returns the gap requirements from v, indexed by
+    vertex id, so the same kernel serves a distance matrix and an
+    explicit gap-requirement matrix.
+    """
+    labels = [0] * len(order)
+    placed = [order[0]]
+    for v in order[1:]:
+        labels[v] = _forced_label(labels, placed, gap_row_of(v))
+        placed.append(v)
+    return labels
+
+
 def _check_fit(g: Graph, labeling: Labeling) -> None:
     if labeling.graph is not None and labeling.graph != g:
         raise LabelingContractError("labeling was built for a different graph")
@@ -98,14 +133,13 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
     exactly which constraints broke rather than just a boolean.
     """
     _check_fit(g, labeling)
-    base = dm.diameter + 1
     labels = labeling.labels
     violations = []
     for u in range(g.num_vertices):
-        row = dm.row(u).tolist()
+        row = gap_row(dm, u)
         lu = labels[u]
         for v in range(u + 1, g.num_vertices):
-            required = base - row[v]
+            required = row[v]
             actual = abs(lu - labels[v])
             if actual < required:
                 violations.append(Violation(u, v, required, actual))
@@ -123,18 +157,7 @@ def greedy_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:
     seq = plan.sequence
     if len(seq) != g.num_vertices:
         raise InvalidParameterError("plan does not cover the graph")
-    base = dm.diameter + 1
-    labels = [0] * g.num_vertices
-    placed = [seq[0]]
-    for v in seq[1:]:
-        row = dm.row(v).tolist()
-        value = 0
-        for u in placed:
-            candidate = labels[u] + base - row[u]
-            if candidate > value:
-                value = candidate
-        labels[v] = value
-        placed.append(v)
+    labels = _greedy_labels(seq, lambda v: gap_row(dm, v))
     return Labeling(tuple(labels), graph=g)
 
 

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Sequence
 
 from .graphs import DistanceMatrix, Graph, InvalidParameterError, all_pairs_distances
-from .labeling import Labeling
+from .labeling import Labeling, _forced_label, _greedy_labels, gap_row
 
 ORACLE_MAX_VERTICES = 9
 
@@ -62,32 +62,14 @@ def gap_matrix(
     with the host graph's diameter poses the induced problem under the
     host metric, which is how the per-pair bound claims are adjudicated.
     """
-    if diam is None:
-        diam = dm.diameter
     if vertices is None:
         vertices = range(dm.num_vertices)
-    base = diam + 1
     verts = list(vertices)
     rows = []
     for u in verts:
-        full = dm.row(u).tolist()
-        rows.append([base - full[v] for v in verts])
+        full = gap_row(dm, u, diam)
+        rows.append([full[v] for v in verts])
     return rows
-
-
-def _greedy_over(req: list[list[int]], order: Sequence[int]) -> list[int]:
-    labels = [0] * len(req)
-    placed = [order[0]]
-    for v in order[1:]:
-        row = req[v]
-        value = 0
-        for u in placed:
-            candidate = labels[u] + row[u]
-            if candidate > value:
-                value = candidate
-        labels[v] = value
-        placed.append(v)
-    return labels
 
 
 def _chain_labels(req: list[list[int]], start: int) -> list[int]:
@@ -100,12 +82,7 @@ def _chain_labels(req: list[list[int]], start: int) -> list[int]:
         pick = None
         pick_label = None
         for v in unplaced:
-            row = req[v]
-            value = 0
-            for u in placed:
-                candidate = labels[u] + row[u]
-                if candidate > value:
-                    value = candidate
+            value = _forced_label(labels, placed, req[v])
             if pick_label is None or value < pick_label:
                 pick_label = value
                 pick = v
@@ -122,7 +99,7 @@ def _heuristic_hint(req: list[list[int]]) -> tuple[int, list[int]]:
     beyond the search's intended size.
     """
     nv = len(req)
-    best = _greedy_over(req, range(nv))
+    best = _greedy_labels(range(nv), req.__getitem__)
     starts = range(nv) if nv <= 16 else range(8)
     for start in starts:
         candidate = _chain_labels(req, start)

@@ -1,8 +1,10 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import radiomesh.claims
 from radiomesh import CellIndexing, ProductParams, all_pairs_distances, build_product_graph
 from radiomesh.claims import (
     VERDICT_CSV_HEADER,
@@ -18,6 +20,8 @@ from radiomesh.claims import (
     verdicts_to_csv,
     verdicts_to_text,
 )
+
+REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_verdicts.csv"
 
 SMALL = VerifyConfig(even_m=(2,), odd_m=(3,), ns=(1, 2), exact_vertex_limit=8)
 
@@ -152,3 +156,24 @@ def test_csv_rendering(small_rows):
 def test_text_rendering_has_summary(small_rows):
     text = verdicts_to_text(small_rows)
     assert "total:" in text.splitlines()[-1]
+
+
+def test_claim_error_propagates_instead_of_becoming_a_row(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in a claim")
+
+    monkeypatch.setattr(radiomesh.claims, "distance_claims", broken)
+    with pytest.raises(RuntimeError, match="bug in a claim"):
+        run_verification(VerifyConfig(even_m=(2,), odd_m=(), ns=(1,)))
+
+
+def test_csv_matches_reference_rows_byte_for_byte():
+    # the reference table covers the default grid; n in {1, 3} skips the
+    # (2,2) exact search, which dominates the full run
+    reference = REFERENCE_CSV.read_text(encoding="utf-8").splitlines(keepends=True)
+    expected = [reference[0]] + [
+        line for line in reference[1:]
+        if line.split(",")[2] in ("1", "3") or line.startswith("Ex")
+    ]
+    rows = run_verification(VerifyConfig(ns=(1, 3)))
+    assert verdicts_to_csv(rows, timestamp=False) == "".join(expected)

@@ -85,6 +85,14 @@ def test_validate_rejects_broken_labeling(tmp_path, capsys):
     assert "INVALID" in out
 
 
+def test_validate_malformed_labeling_file_exits_1(tmp_path, capsys):
+    lab = tmp_path / "neg.txt"
+    lab.write_text("0 0\n1 -3\n")
+    code, _, err = run(capsys, "validate", "--m", "2", "--n", "1", "--labeling", str(lab))
+    assert code == 1
+    assert "line 2" in err
+
+
 def test_validate_usage_error_without_graph(tmp_path, capsys):
     lab = tmp_path / "lab.txt"
     lab.write_text("0 0\n1 2\n")

@@ -68,3 +68,34 @@ def test_labeling_rejects_gaps_and_duplicates():
         parse_labeling("0 0\n0 1\n")
     with pytest.raises(FormatError):
         parse_labeling("# span 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("vertices x\n", 1),
+        ("vertices 2\n0 a\n", 2),
+        ("vertices 2\n# coord 1 2 x 0\n0 1\n", 2),
+    ],
+)
+def test_graph_parser_reports_non_integer_fields_with_line(text, line):
+    with pytest.raises(FormatError, match=f"line {line}: expected integers"):
+        parse_graph(text)
+
+
+def test_labeling_parser_reports_non_integer_fields_with_line():
+    with pytest.raises(FormatError, match="line 2: expected integers"):
+        parse_labeling("0 0\n1 x\n")
+    with pytest.raises(FormatError, match="line 3: expected integers"):
+        parse_labeling("0 0\n1 4\n# span x\n")
+
+
+def test_graph_parser_rejects_coord_id_outside_graph():
+    # the coord comment precedes the header, so the check runs after parsing
+    with pytest.raises(FormatError, match="line 1: coord id 99"):
+        parse_graph("# coord 99 0 0 0\nvertices 3\n0 1\n1 2\n")
+
+
+def test_labeling_parser_rejects_negative_label():
+    with pytest.raises(FormatError, match="line 2: negative label -3"):
+        parse_labeling("0 0\n1 -3\n")

@@ -50,6 +50,25 @@ def test_greedy_assign_is_always_valid(case):
 
 
 @settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (2, 2), (3, 1)])
+    .map(lambda mn: build_product_graph(ProductParams(*mn)).graph)
+    .flatmap(lambda g: st.tuples(st.just(g), st.permutations(range(g.num_vertices))))
+)
+def test_greedy_assign_matches_naive_max_over_placed(case):
+    g, order = case
+    dm = all_pairs_distances(g)
+    base = dm.diameter + 1
+    expected = {order[0]: 0}
+    for i in range(1, len(order)):
+        v = order[i]
+        expected[v] = max(expected[u] + base - dm[u, v] for u in order[:i])
+    labeling = greedy_assign(g, dm, OrderingPlan(tuple(order)))
+    assert labeling.labels == tuple(expected[v] for v in range(g.num_vertices))
+    assert validate(g, dm, labeling).valid
+
+
+@settings(max_examples=60, deadline=None)
 @given(graph_with_order())
 def test_consecutive_final_label_telescopes(case):
     g, plan = case
