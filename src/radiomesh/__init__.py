@@ -54,11 +54,11 @@ from .product import (
     vertex_id,
 )
 from .search import (
+    DEFAULT_NODE_LIMIT,
     ORACLE_MAX_VERTICES,
     OracleSizeError,
     RnResult,
     RnStatus,
-    SearchBudget,
     exact_rn,
     gap_matrix,
     minimize_span,
@@ -106,11 +106,11 @@ __all__ = [
     "index_of",
     "vertex_coord",
     "vertex_id",
+    "DEFAULT_NODE_LIMIT",
     "ORACLE_MAX_VERTICES",
     "OracleSizeError",
     "RnResult",
     "RnStatus",
-    "SearchBudget",
     "exact_rn",
     "gap_matrix",
     "minimize_span",

@@ -28,7 +28,7 @@ from .graphs import (
 from .labeling import LabelingContractError, validate
 from .orderings import build_construction_labeling
 from .product import CellIndexing, ProductParams, build_product_graph
-from .search import RnStatus, SearchBudget, exact_rn
+from .search import DEFAULT_NODE_LIMIT, RnStatus, exact_rn
 
 
 def _indexing(value: str) -> CellIndexing:
@@ -40,10 +40,6 @@ def _emit(args, text: str) -> None:
         write_text(args.out, text)
     else:
         sys.stdout.write(text)
-
-
-def _budget(args) -> SearchBudget:
-    return SearchBudget(time_limit_s=args.budget_ms / 1000.0)
 
 
 def cmd_gen(args) -> int:
@@ -92,7 +88,7 @@ def cmd_rn_exact(args) -> int:
         name = args.infile
     else:
         graph, name = _family_graph(args)
-    result = exact_rn(graph, budget=_budget(args))
+    result = exact_rn(graph, node_limit=args.node_limit)
     if args.format == "csv":
         _emit(args, f"graph,value,status,nodes\n{name},{result.value},{result.status.value},{result.nodes}\n")
     else:
@@ -176,7 +172,6 @@ def cmd_verify(args) -> int:
         odd_m=_int_list(args.odd_m),
         ns=_int_list(args.ns),
         indexings=tuple(CellIndexing(s) for s in args.schemes.split(",")),
-        budget_ms=args.budget_ms,
     )
     rows = claims.run_verification(config)
     if args.format == "csv":
@@ -207,7 +202,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_common(parser, m=False, n=False, indexing=False, out=False, fmt=False, budget=False):
+def _add_common(parser, m=False, n=False, indexing=False, out=False, fmt=False):
     if m:
         parser.add_argument("--m", type=int, required=True, help="mesh order (>= 2)")
     if n:
@@ -224,8 +219,6 @@ def _add_common(parser, m=False, n=False, indexing=False, out=False, fmt=False, 
         parser.add_argument("--out", default=None, help="output path (default: stdout)")
     if fmt:
         parser.add_argument("--format", choices=("text", "csv"), default="text")
-    if budget:
-        parser.add_argument("--budget-ms", type=int, default=60_000, dest="budget_ms")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--in", dest="infile", default=None, help="graph file instead of a family")
-    _add_common(p, indexing=True, out=True, fmt=True, budget=True)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT, help="search node budget")
+    _add_common(p, indexing=True, out=True, fmt=True)
     p.set_defaults(func=cmd_rn_exact)
 
     p = sub.add_parser("bound", help="closed-form span bound(s) at (m, n)")
@@ -275,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--schemes", default="row-major,col-major,serpentine", help="comma-separated schemes"
     )
-    _add_common(p, out=True, fmt=True, budget=True)
+    _add_common(p, out=True, fmt=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="vertex-count comparison table")

@@ -7,6 +7,9 @@ u < v, sorted lexicographically. Product graphs additionally carry one
 
 Labeling files: one ``<vertex_id> <label>`` line per vertex, sorted by
 id, plus a trailing ``# span <S>`` comment that is re-checked on parse.
+
+A file that breaks these rules raises :class:`FormatError`, naming the
+offending line when there is one.
 """
 from __future__ import annotations
 
@@ -46,11 +49,15 @@ def _ints(fields: list[str], lineno: int) -> list[int]:
 
 
 def parse_graph(text: str) -> tuple[Graph, dict[int, VertexCoord] | None]:
-    """Parse a graph file; returns the graph and coordinates when present."""
+    """Parse a graph file; returns the graph and coordinates when present.
+
+    Coordinates are all-or-nothing: either every vertex has exactly one
+    coord comment or none has.
+    """
     num_vertices: int | None = None
     coords: dict[int, VertexCoord] = {}
     coord_lines: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -61,6 +68,8 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexCoord] | None]:
                 if len(fields) != 5:
                     raise FormatError(f"line {lineno}: malformed coord comment")
                 vid, row, col, star = _ints(fields[1:], lineno)
+                if vid in coords:
+                    raise FormatError(f"line {lineno}: second coord comment for vertex {vid}")
                 coords[vid] = VertexCoord(row, col, star)
                 coord_lines[vid] = lineno
             continue
@@ -69,18 +78,26 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexCoord] | None]:
             if len(fields) != 2 or fields[0] != "vertices":
                 raise FormatError(f"line {lineno}: expected 'vertices N' header")
             (num_vertices,) = _ints(fields[1:], lineno)
+            if num_vertices < 1:
+                raise FormatError(f"line {lineno}: vertex count must be >= 1, got {num_vertices}")
             continue
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected 'u v' edge line")
         u, v = _ints(fields, lineno)
         if u >= v:
             raise FormatError(f"line {lineno}: edges must satisfy u < v")
-        edges.append((u, v))
+        if u < 0 or v >= num_vertices:
+            raise FormatError(f"line {lineno}: edge ({u}, {v}) outside 0..{num_vertices - 1}")
+        if (u, v) in edges:
+            raise FormatError(f"line {lineno}: duplicate edge ({u}, {v})")
+        edges.add((u, v))
     if num_vertices is None:
         raise FormatError("missing 'vertices N' header")
     for vid, lineno in coord_lines.items():
         if not 0 <= vid < num_vertices:
             raise FormatError(f"line {lineno}: coord id {vid} outside 0..{num_vertices - 1}")
+    if coords and len(coords) != num_vertices:
+        raise FormatError(f"coord comments cover {len(coords)} of {num_vertices} vertices")
     graph = Graph.from_edges(num_vertices, edges)
     return graph, (coords or None)
 

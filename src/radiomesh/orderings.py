@@ -32,6 +32,7 @@ from .product import (
     ProductParams,
     build_product_graph,
     fiber_vertex_id,
+    pair_offset,
 )
 
 
@@ -74,7 +75,7 @@ def even_pair_ordering(
     """Visit order for even mesh order: zigzag the pairs (t(j), t(j + m*m/2))."""
     if params.m % 2:
         raise ParityError(f"even pair ordering needs even mesh order, got m={params.m}")
-    half = params.m * params.m // 2
+    half = pair_offset(params)
     side_a, side_b = _zigzag_sides(params.n)
     sequence: list[int] = []
     for j in range(1, half + 1):
@@ -102,7 +103,7 @@ def odd_three_phase_ordering(
         raise ParityError(f"three-phase ordering needs odd mesh order, got m={m}")
     sequence: list[int] = []
 
-    half = m * (m - 1) // 2
+    half = pair_offset(params)
     side_a, side_b = _zigzag_sides(n)
     for x in range(1, half + 1):
         sequence += _pair_walk(params, indexing, x, x + half, side_a, side_b)

@@ -109,6 +109,16 @@ def vertex_coord(params: ProductParams, vid: int) -> VertexCoord:
     return VertexCoord(row, col, star)
 
 
+def pair_offset(params: ProductParams) -> int:
+    """t-index offset between the two fibers of a construction pair.
+
+    Even m pairs t(j) with t(j + m*m/2); odd m pairs t(x) with
+    t(x + m*(m-1)/2) over the first m*(m-1) cells.
+    """
+    m = params.m
+    return m * m // 2 if m % 2 == 0 else m * (m - 1) // 2
+
+
 def fiber_vertex_id(params: ProductParams, indexing: CellIndexing, t_index: int, position: int) -> int:
     """Flat id of fiber ``t_index``'s vertex at 1-based ``position``.
 

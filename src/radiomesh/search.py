@@ -14,7 +14,6 @@ graph's metric (see :func:`gap_matrix`).
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -24,6 +23,11 @@ from .labeling import Labeling, _forced_label, _greedy_labels, gap_row
 
 ORACLE_MAX_VERTICES = 9
 
+# Three times the largest search on the default verify grid (6,444,838
+# nodes for the 12-vertex (2,2) product), so verdicts on that grid never
+# depend on the budget.
+DEFAULT_NODE_LIMIT = 20_000_000
+
 
 class OracleSizeError(InvalidParameterError):
     """The brute-force oracle refuses graphs above its size ceiling."""
@@ -32,15 +36,6 @@ class OracleSizeError(InvalidParameterError):
 class RnStatus(Enum):
     EXACT = "exact"
     UPPER_BOUND_ONLY = "upper-bound-only"
-    TIMED_OUT = "timed-out"
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Limits for one search run; ``None`` disables a limit."""
-
-    time_limit_s: float | None = 60.0
-    node_limit: int | None = None
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,9 @@ def _heuristic_hint(req: list[list[int]]) -> tuple[int, list[int]]:
     return max(best), best
 
 
-def minimize_span(req: list[list[int]], budget: SearchBudget = SearchBudget()) -> tuple[int, list[int], RnStatus, int]:
+def minimize_span(
+    req: list[list[int]], node_limit: int | None = DEFAULT_NODE_LIMIT
+) -> tuple[int, list[int], RnStatus, int]:
     """Branch-and-bound minimum span for a gap-requirement matrix.
 
     Branches over which vertex is placed next (ascending id) and assigns
@@ -127,9 +124,10 @@ def minimize_span(req: list[list[int]], budget: SearchBudget = SearchBudget()) -
     always completes, and both the value and the reported witness are
     the same as for an unprimed search.
 
-    Node limits give bit-reproducible truncation; time limits do not.
-    When the budget aborts the search before any branch completes, the
-    greedy hint serves as the witness.
+    ``node_limit`` caps the nodes explored (``None`` means unlimited), so
+    a truncated search is bit-reproducible on any machine. When the
+    budget aborts the search before any branch completes, the greedy hint
+    serves as the witness.
 
     Returns (value, labels_by_vertex, status, nodes_explored).
     """
@@ -138,11 +136,6 @@ def minimize_span(req: list[list[int]], budget: SearchBudget = SearchBudget()) -
         raise InvalidParameterError("empty constraint system")
     if nv == 1:
         return 0, [0], RnStatus.EXACT, 1
-
-    deadline = None
-    if budget.time_limit_s is not None:
-        deadline = time.monotonic() + budget.time_limit_s
-    node_limit = budget.node_limit
 
     hint_value, hint_labels = _heuristic_hint(req)
     threshold = hint_value + 1
@@ -153,10 +146,9 @@ def minimize_span(req: list[list[int]], budget: SearchBudget = SearchBudget()) -
     earliest = [0] * nv
     placed = [False] * nv
     nodes = 0
-    status = RnStatus.EXACT
 
     def dfs(depth: int, current: int) -> bool:
-        nonlocal best_val, best_labels, nodes, status
+        nonlocal best_val, best_labels, nodes
         if depth == nv:
             if (
                 best_val is None
@@ -167,10 +159,6 @@ def minimize_span(req: list[list[int]], budget: SearchBudget = SearchBudget()) -
                 best_labels = labels.copy()
             return True
         if node_limit is not None and nodes >= node_limit:
-            status = RnStatus.UPPER_BOUND_ONLY
-            return False
-        if deadline is not None and (nodes & 255) == 0 and time.monotonic() > deadline:
-            status = RnStatus.TIMED_OUT
             return False
         cutoff = threshold if best_val is None else best_val
         remaining = [earliest[x] for x in range(nv) if not placed[x]]
@@ -206,9 +194,7 @@ def minimize_span(req: list[list[int]], budget: SearchBudget = SearchBudget()) -
                 return False
         return True
 
-    completed = dfs(0, 0)
-    if completed:
-        status = RnStatus.EXACT
+    status = RnStatus.EXACT if dfs(0, 0) else RnStatus.UPPER_BOUND_ONLY
     if best_val is None:
         # budget expired before any completion; the hint is still a
         # valid labeling and upper-bounds the optimum
@@ -216,17 +202,19 @@ def minimize_span(req: list[list[int]], budget: SearchBudget = SearchBudget()) -
     return best_val, best_labels, status, nodes
 
 
-def exact_rn(g: Graph, dm: DistanceMatrix | None = None, budget: SearchBudget = SearchBudget()) -> RnResult:
+def exact_rn(
+    g: Graph, dm: DistanceMatrix | None = None, node_limit: int | None = DEFAULT_NODE_LIMIT
+) -> RnResult:
     """Radio number of ``g`` by branch-and-bound; exact when the search finishes.
 
-    Deterministic for a node-limited budget: children are explored in
-    ascending vertex id and ties resolve to the lexicographically
-    smallest label vector.
+    Deterministic: children are explored in ascending vertex id, ties
+    resolve to the lexicographically smallest label vector, and the
+    budget counts nodes, not time.
     """
     if dm is None:
         dm = all_pairs_distances(g)
     req = gap_matrix(dm)  # raises DisconnectedGraphError via the diameter
-    value, labels, status, nodes = minimize_span(req, budget)
+    value, labels, status, nodes = minimize_span(req, node_limit)
     return RnResult(value, status, Labeling(tuple(labels), graph=g), nodes)
 
 

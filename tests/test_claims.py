@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,7 +94,7 @@ def test_pair_bound_claim_against_inline_enumeration():
         span = max(labels.values())
         best = span if best is None else min(best, span)
 
-    row = pair_bound_claim(params, CellIndexing.ROW_MAJOR, dm, SMALL.budget())
+    row = pair_bound_claim(params, CellIndexing.ROW_MAJOR, dm)
     assert row.claim_id == "Cor5.PairBound"
     assert row.observed == best
     assert row.expected == 8
@@ -165,6 +166,15 @@ def test_claim_error_propagates_instead_of_becoming_a_row(monkeypatch):
     monkeypatch.setattr(radiomesh.claims, "distance_claims", broken)
     with pytest.raises(RuntimeError, match="bug in a claim"):
         run_verification(VerifyConfig(even_m=(2,), odd_m=(), ns=(1,)))
+
+
+def test_verdicts_never_read_a_clock(small_rows, monkeypatch):
+    def no_clock():
+        raise AssertionError("the verdict path read a clock")
+
+    monkeypatch.setattr(time, "monotonic", no_clock)
+    monkeypatch.setattr(time, "perf_counter", no_clock)
+    assert run_verification(SMALL) == small_rows
 
 
 def test_csv_matches_reference_rows_byte_for_byte():

@@ -52,6 +52,12 @@ def test_rn_exact_from_file(tmp_path, capsys):
     assert "= 10" in text
 
 
+def test_rn_exact_node_limit_reports_best_found(capsys):
+    code, out, _ = run(capsys, "rn-exact", "--family", "path", "--m", "8", "--node-limit", "50")
+    assert code == 0
+    assert "(upper-bound-only, best found)" in out
+
+
 def test_bound_prints_combined_value(capsys):
     code, out, _ = run(capsys, "bound", "--m", "5", "--n", "5")
     assert code == 0
@@ -93,6 +99,16 @@ def test_validate_malformed_labeling_file_exits_1(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_validate_malformed_graph_file_exits_1(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("vertices 3\n0 1\n0 5\n")
+    lab = tmp_path / "lab.txt"
+    lab.write_text("0 0\n1 2\n2 4\n")
+    code, _, err = run(capsys, "validate", "--graph", str(graph), "--labeling", str(lab))
+    assert code == 1
+    assert "line 3" in err
+
+
 def test_validate_usage_error_without_graph(tmp_path, capsys):
     lab = tmp_path / "lab.txt"
     lab.write_text("0 0\n1 2\n")
@@ -117,7 +133,7 @@ def test_verify_small_grid_csv(capsys):
     code, out, _ = run(
         capsys,
         "verify", "--even-m", "2", "--odd-m", "", "--ns", "1",
-        "--format", "csv", "--budget-ms", "10000",
+        "--format", "csv",
     )
     assert code == 0
     lines = out.splitlines()

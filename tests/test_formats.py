@@ -96,6 +96,32 @@ def test_graph_parser_rejects_coord_id_outside_graph():
         parse_graph("# coord 99 0 0 0\nvertices 3\n0 1\n1 2\n")
 
 
+def test_graph_parser_rejects_duplicate_coord_at_second_comment():
+    text = "vertices 2\n# coord 0 0 0 0\n# coord 1 0 0 1\n# coord 0 0 0 1\n0 1\n"
+    with pytest.raises(FormatError, match="line 4: second coord comment for vertex 0"):
+        parse_graph(text)
+
+
+def test_graph_parser_rejects_partial_coords():
+    with pytest.raises(FormatError, match="cover 1 of 2 vertices"):
+        parse_graph("vertices 2\n# coord 0 0 0 0\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertices 3\n0 5\n", "line 2: edge \\(0, 5\\) outside 0..2"),
+        ("vertices 3\n-1 2\n", "line 2: edge \\(-1, 2\\) outside 0..2"),
+        ("vertices 3\n0 1\n1 2\n0 1\n", "line 4: duplicate edge \\(0, 1\\)"),
+        ("vertices 0\n", "line 1: vertex count must be >= 1"),
+        ("# header next\nvertices -2\n", "line 2: vertex count must be >= 1"),
+    ],
+)
+def test_graph_parser_rejects_bad_edges_and_counts_with_line(text, message):
+    with pytest.raises(FormatError, match=message):
+        parse_graph(text)
+
+
 def test_labeling_parser_rejects_negative_label():
     with pytest.raises(FormatError, match="line 2: negative label -3"):
         parse_labeling("0 0\n1 -3\n")

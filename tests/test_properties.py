@@ -21,6 +21,7 @@ from radiomesh import (
     vertex_coord,
     vertex_id,
 )
+from radiomesh.formats import FormatError, format_labeling, parse_graph, parse_labeling
 
 # connected family graphs with at most 12 vertices
 corpus = st.one_of(
@@ -113,3 +114,50 @@ def test_coordinate_bijections_roundtrip(m, n, scheme, data):
     t_index = data.draw(st.integers(1, m * m))
     row, col = cell_of(t_index, params, scheme)
     assert index_of(row, col, params, scheme) == t_index
+
+
+# Lines assembled from the graph and labeling grammars' own tokens, so
+# inputs reach the structural checks and not only the integer parsing.
+# Vertex counts stay small because a header allocates one adjacency set
+# per declared vertex.
+_number = st.integers(-3, 12).map(str)
+_token = st.one_of(
+    st.sampled_from(["vertices", "#", "coord", "span", "x", "-", "0x1", "1.5"]), _number
+)
+_grammar_line = st.one_of(
+    st.tuples(st.just("vertices"), _number),
+    st.tuples(_number, _number),
+    st.tuples(st.just("# coord"), _number, _number, _number, _number),
+    st.tuples(st.just("# span"), _number),
+    st.lists(_token, max_size=6),
+).map(" ".join)
+_grammar_text = st.lists(_grammar_line, max_size=12).map("\n".join)
+_any_text = st.one_of(st.text(max_size=200), _grammar_text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_text)
+def test_graph_parser_raises_only_format_errors(text):
+    try:
+        graph, coords = parse_graph(text)
+    except FormatError:
+        return
+    assert graph.num_vertices >= 1
+    assert coords is None or sorted(coords) == list(range(graph.num_vertices))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_text)
+def test_labeling_parser_raises_only_format_errors(text):
+    try:
+        labeling = parse_labeling(text)
+    except FormatError:
+        return
+    assert min(labeling.labels) >= 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=30))
+def test_labeling_format_parse_roundtrip(labels):
+    labeling = Labeling(tuple(labels))
+    assert parse_labeling(format_labeling(labeling)) == labeling

@@ -8,7 +8,6 @@ from radiomesh import (
     OrderingPlan,
     ProductParams,
     RnStatus,
-    SearchBudget,
     all_pairs_distances,
     build_mesh,
     build_path,
@@ -105,11 +104,13 @@ def test_exact_rn_lower_bounds_any_greedy_span():
         assert rn <= greedy_assign(g, dm, OrderingPlan(seq)).span
 
 
-def test_time_budget_yields_timed_out_with_valid_witness():
+def test_node_budget_below_one_branch_keeps_hint_witness():
     g = build_product_graph(ProductParams(3, 2)).graph  # 27 vertices
     dm = all_pairs_distances(g)
-    result = exact_rn(g, dm, SearchBudget(time_limit_s=0.05))
-    assert result.status is RnStatus.TIMED_OUT
+    # a complete branch takes 27 nodes, so 10 cannot finish one
+    result = exact_rn(g, dm, node_limit=10)
+    assert result.status is RnStatus.UPPER_BOUND_ONLY
+    assert result.nodes == 10
     assert result.witness is not None
     assert validate(g, dm, result.witness).valid
     assert result.witness.span == result.value
@@ -118,11 +119,11 @@ def test_time_budget_yields_timed_out_with_valid_witness():
 def test_node_budget_yields_upper_bound_only():
     g = build_path(8)
     full = exact_rn(g)
-    truncated = exact_rn(g, budget=SearchBudget(time_limit_s=None, node_limit=50))
+    truncated = exact_rn(g, node_limit=50)
     assert truncated.status is RnStatus.UPPER_BOUND_ONLY
     assert truncated.value >= full.value
     # node-limited runs are reproducible
-    again = exact_rn(g, budget=SearchBudget(time_limit_s=None, node_limit=50))
+    again = exact_rn(g, node_limit=50)
     assert again.value == truncated.value
     assert again.witness.labels == truncated.witness.labels
 
