@@ -5,6 +5,8 @@ Constructs paths, stars, meshes, and mesh-by-star products, then checks
 the structural facts everything else relies on: vertex counts, degrees,
 BFS distances, and diameter additivity across product factors.
 """
+import sys
+
 from radiomesh import (
     ProductParams,
     all_pairs_distances,
@@ -26,14 +28,17 @@ for n in (1, 2, 4):
 print(f"mesh P(3,3): {build_mesh(3).num_vertices} vertices, diameter {diameter(build_mesh(3))}")
 
 print("\n== diameter additivity over products ==")
+broken = 0
 for pm in (2, 3, 4):
     for sn in (1, 2, 3):
         path, star = build_path(pm), build_star(sn)
         product = cartesian_product([path, star])
         total = diameter(path) + diameter(star)
+        additive = diameter(product) == total
+        broken += not additive
         print(
             f"P{pm} x star({sn}): diameter {diameter(product)}"
-            f" = {diameter(path)} + {diameter(star)} -> {'ok' if diameter(product) == total else 'BROKEN'}"
+            f" = {diameter(path)} + {diameter(star)} -> {'ok' if additive else 'BROKEN'}"
         )
 
 print("\n== mesh-by-star products ==")
@@ -53,3 +58,6 @@ row = bfs_distances(pg.graph, hub)
 for vid in range(pg.graph.num_vertices):
     c = pg.coord_of(vid)
     print(f"vertex {vid} = (row {c.row}, col {c.col}, star {c.star}), dist from hub {row[vid]}")
+
+if broken:
+    sys.exit(f"{broken} product diameters are not additive")

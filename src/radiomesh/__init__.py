@@ -14,6 +14,7 @@ from .graphs import (
     Graph,
     InvalidParameterError,
     all_pairs_distances,
+    bfs_all_pairs,
     bfs_distances,
     build_mesh,
     build_path,
@@ -74,6 +75,7 @@ __all__ = [
     "Graph",
     "InvalidParameterError",
     "all_pairs_distances",
+    "bfs_all_pairs",
     "bfs_distances",
     "build_mesh",
     "build_path",

@@ -27,8 +27,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from . import formulas
-from .graphs import DistanceMatrix, all_pairs_distances
+from .graphs import DistanceMatrix, all_pairs_distances, bfs_all_pairs
 from .labeling import OrderingPlan, greedy_assign
 from .orderings import construction_ordering
 from .product import (
@@ -223,16 +225,25 @@ def example_claims() -> list[ClaimVerdict]:
 
 
 def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict]:
-    """Adjudicate the whole grid; an error in any claim propagates."""
+    """Adjudicate the whole grid; an error in any claim propagates.
+
+    Each grid point's factored distance matrix must equal its BFS matrix
+    entry for entry, or the run raises.
+    """
     rows: list[ClaimVerdict] = []
     for m in sorted(config.even_m + config.odd_m):
         for n in config.ns:
             params = ProductParams(m, n)
             pg = build_product_graph(params, CellIndexing.ROW_MAJOR)
             dm = all_pairs_distances(pg.graph)
-            rows.append(diameter_claim(params, dm))
+            # distance and diameter claims are observed by whole-graph BFS,
+            # never by the factored metric the bounds use
+            bfs = bfs_all_pairs(pg.graph)
+            if not np.array_equal(dm.matrix, bfs.matrix):
+                raise RuntimeError(f"factored distances differ from BFS at m={m} n={n}")
+            rows.append(diameter_claim(params, bfs))
             for indexing in config.indexings:
-                rows.extend(distance_claims(params, indexing, dm))
+                rows.extend(distance_claims(params, indexing, bfs))
             rows.append(pair_bound_claim(params, CellIndexing.ROW_MAJOR, dm))
             rows.append(full_bound_claim(pg, dm, config))
     rows.extend(example_claims())

@@ -19,11 +19,13 @@ from .formats import (
     write_text,
 )
 from .graphs import (
+    DisconnectedGraphError,
     InvalidParameterError,
     all_pairs_distances,
     build_mesh,
     build_path,
     build_star,
+    diameter,
 )
 from .labeling import LabelingContractError, validate
 from .orderings import build_construction_labeling
@@ -50,9 +52,7 @@ def cmd_gen(args) -> int:
 
 def cmd_diam(args) -> int:
     params = ProductParams(args.m, args.n)
-    pg = build_product_graph(params)
-    dm = all_pairs_distances(pg.graph)
-    observed = dm.diameter
+    observed = diameter(build_product_graph(params).graph)
     claimed = 2 * params.m
     if args.format == "csv":
         _emit(args, f"m,n,bfs_diameter,claimed\n{args.m},{args.n},{observed},{claimed}\n")
@@ -290,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidParameterError, LabelingContractError) as exc:
         print(f"radiomesh: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, DisconnectedGraphError) as exc:
         print(f"radiomesh: {exc}", file=sys.stderr)
         return 1
 

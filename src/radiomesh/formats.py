@@ -52,11 +52,15 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexCoord] | None]:
     """Parse a graph file; returns the graph and coordinates when present.
 
     Coordinates are all-or-nothing: either every vertex has exactly one
-    coord comment or none has.
+    coord comment or none has. Coordinates are non-negative and distinct.
+    Every consumer needs a connected graph, so a file with fewer than
+    N - 1 edges is rejected.
     """
     num_vertices: int | None = None
+    header_line = 0
     coords: dict[int, VertexCoord] = {}
     coord_lines: dict[int, int] = {}
+    coord_owner: dict[VertexCoord, int] = {}
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -70,8 +74,17 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexCoord] | None]:
                 vid, row, col, star = _ints(fields[1:], lineno)
                 if vid in coords:
                     raise FormatError(f"line {lineno}: second coord comment for vertex {vid}")
-                coords[vid] = VertexCoord(row, col, star)
+                if min(row, col, star) < 0:
+                    raise FormatError(f"line {lineno}: negative coordinate ({row}, {col}, {star})")
+                coord = VertexCoord(row, col, star)
+                if coord in coord_owner:
+                    raise FormatError(
+                        f"line {lineno}: coordinate ({row}, {col}, {star}) "
+                        f"already belongs to vertex {coord_owner[coord]}"
+                    )
+                coords[vid] = coord
                 coord_lines[vid] = lineno
+                coord_owner[coord] = vid
             continue
         fields = line.split()
         if num_vertices is None:
@@ -80,6 +93,7 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexCoord] | None]:
             (num_vertices,) = _ints(fields[1:], lineno)
             if num_vertices < 1:
                 raise FormatError(f"line {lineno}: vertex count must be >= 1, got {num_vertices}")
+            header_line = lineno
             continue
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected 'u v' edge line")
@@ -93,6 +107,13 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexCoord] | None]:
         edges.add((u, v))
     if num_vertices is None:
         raise FormatError("missing 'vertices N' header")
+    # checked before anything is allocated per vertex: a header alone
+    # cannot make the program reserve memory for N vertices
+    if num_vertices > len(edges) + 1:
+        raise FormatError(
+            f"line {header_line}: {num_vertices} vertices but {len(edges)} edges; "
+            "a connected graph needs at least N - 1"
+        )
     for vid, lineno in coord_lines.items():
         if not 0 <= vid < num_vertices:
             raise FormatError(f"line {lineno}: coord id {vid} outside 0..{num_vertices - 1}")

@@ -1,15 +1,22 @@
-"""Immutable graphs, family generators, and exact BFS distances.
+"""Immutable graphs, family generators, and exact hop distances.
 
-Everything downstream (labeling validation, span search, claim verdicts)
-treats the breadth-first distances computed here as ground truth, so
-construction is strict: simple undirected graphs only, validated on
+Two exact routes give all-pairs distances. :func:`bfs_all_pairs` runs
+breadth-first search from every vertex of the whole graph; claims that
+observe a distance or a diameter use it as their ground truth.
+:func:`all_pairs_distances` serves search, construction, validation and
+bounds: for a Cartesian product it adds the factors' matrices, since
+product distance is the sum of the factor distances (Kchikech, Khennoufa
+& Togni, DMGT 28, 2008), and otherwise it falls back to BFS.
+
+Construction is strict: simple undirected graphs only, validated on
 creation, and frozen afterwards.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import reduce
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,10 +38,19 @@ class Graph:
 
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v``. Instances
     are immutable and safe to share between threads.
+
+    ``factors`` is set on a Cartesian product to its two factors, whose
+    vertex ids combine in mixed radix; it takes no part in equality, so
+    a product equals the same graph parsed from its edge list.
     """
 
     num_vertices: int
     adjacency: tuple[tuple[int, ...], ...]
+    factors: tuple["Graph", ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        if self.factors and prod(f.num_vertices for f in self.factors) != self.num_vertices:
+            raise InvalidParameterError("factor orders do not multiply to the vertex count")
 
     @staticmethod
     def from_edges(num_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -107,7 +123,7 @@ def _binary_product(a: Graph, b: Graph) -> Graph:
             for x in b.adjacency[v]:
                 if x > v:
                     edges.append((base, u * nb + x))
-    return Graph.from_edges(a.num_vertices * nb, edges)
+    return replace(Graph.from_edges(a.num_vertices * nb, edges), factors=(a, b))
 
 
 def build_mesh(m: int) -> Graph:
@@ -137,7 +153,7 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
 
 
 class DistanceMatrix:
-    """All-pairs BFS hop counts for one graph, with the diameter cached.
+    """All-pairs hop counts for one graph, with the diameter cached.
 
     Entries equal to UNREACHABLE mark pairs in different components; the
     ``diameter`` property refuses to summarize such a matrix.
@@ -169,10 +185,45 @@ class DistanceMatrix:
         return self._diameter
 
 
+def _distance_dtype(num_vertices: int) -> type:
+    """Smallest integer type holding every hop count (at most N - 1) and UNREACHABLE."""
+    return np.int16 if num_vertices <= np.iinfo(np.int16).max else np.int32
+
+
+def bfs_all_pairs(g: Graph) -> DistanceMatrix:
+    """BFS from every source of the whole graph, one matrix row each."""
+    nv = g.num_vertices
+    matrix = np.empty((nv, nv), dtype=_distance_dtype(nv))
+    for s in range(nv):
+        matrix[s] = bfs_distances(g, s)
+    return DistanceMatrix(matrix)
+
+
+def _distance_matrix(g: Graph) -> np.ndarray:
+    if not g.factors:
+        return bfs_all_pairs(g).matrix
+    a, b = g.factors
+    dtype = _distance_dtype(g.num_vertices)
+    da = _distance_matrix(a).astype(dtype, copy=False)
+    db = _distance_matrix(b).astype(dtype, copy=False)
+    na, nb = len(da), len(db)
+    # d((u, v), (w, x)) = d_a(u, w) + d_b(v, x), written straight into
+    # the output so no N x N temporary is ever allocated
+    out = np.empty((na, nb, na, nb), dtype=dtype)
+    np.add(da[:, None, :, None], db[None, :, None, :], out=out)
+    u, w = np.nonzero(da == UNREACHABLE)
+    out[u, :, w, :] = UNREACHABLE
+    v, x = np.nonzero(db == UNREACHABLE)
+    out[:, v, :, x] = UNREACHABLE
+    return out.reshape(g.num_vertices, g.num_vertices)
+
+
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every source, stacked into one symmetric matrix."""
-    rows = [bfs_distances(g, s) for s in range(g.num_vertices)]
-    return DistanceMatrix(np.stack(rows))
+    """Exact all-pairs hop counts; a product sums its factors' matrices.
+
+    Equal entry for entry to :func:`bfs_all_pairs`, UNREACHABLE included.
+    """
+    return DistanceMatrix(_distance_matrix(g))
 
 
 def is_connected(g: Graph) -> bool:
@@ -181,4 +232,4 @@ def is_connected(g: Graph) -> bool:
 
 def diameter(g: Graph) -> int:
     """Exact diameter by all-pairs BFS; raises on disconnected input."""
-    return all_pairs_distances(g).diameter
+    return bfs_all_pairs(g).diameter

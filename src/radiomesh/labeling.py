@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .graphs import DistanceMatrix, Graph, InvalidParameterError
+
+
+# Rows of the distance matrix checked per numpy block in validate, so its
+# temporaries stay a few MB at thousands of vertices.
+_VALIDATE_BLOCK = 256
 
 
 class LabelingContractError(ValueError):
@@ -81,15 +88,20 @@ class ValidityReport:
     violations: tuple[Violation, ...]
 
 
+def _gap_block(dm: DistanceMatrix, rows: int | slice, diam: int | None = None) -> np.ndarray:
+    """Required label gaps ``diam + 1 - d(u, v)`` for the matrix rows ``rows``."""
+    if diam is None:
+        diam = dm.diameter
+    return diam + 1 - dm.matrix[rows]
+
+
 def gap_row(dm: DistanceMatrix, u: int, diam: int | None = None) -> list[int]:
     """Required label gaps ``diam + 1 - d(u, v)`` from ``u`` to every vertex v.
 
     ``diam`` defaults to the matrix diameter; an induced subset posed
     under a host graph's metric passes the host diameter instead.
     """
-    if diam is None:
-        diam = dm.diameter
-    return (diam + 1 - dm.row(u)).tolist()
+    return _gap_block(dm, u, diam).tolist()
 
 
 def _forced_label(labels: list[int], placed: Sequence[int], row: Sequence[int]) -> int:
@@ -129,20 +141,30 @@ def _check_fit(g: Graph, labeling: Labeling) -> None:
 def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport:
     """Check every vertex pair against the gap requirement.
 
-    Returns the full list of violating pairs, so a failed report shows
-    exactly which constraints broke rather than just a boolean.
+    Returns the full list of violating pairs, ordered by u then v, so a
+    failed report shows exactly which constraints broke rather than just
+    a boolean.
     """
     _check_fit(g, labeling)
-    labels = labeling.labels
+    nv = g.num_vertices
+    # spans exceed the distance matrix's small integer type; labels beyond
+    # int64 (possible in a labeling file) fall back to Python integers
+    dtype = np.int64 if max(labeling.labels) <= np.iinfo(np.int64).max else object
+    labels = np.array(labeling.labels, dtype=dtype)
     violations = []
-    for u in range(g.num_vertices):
-        row = gap_row(dm, u)
-        lu = labels[u]
-        for v in range(u + 1, g.num_vertices):
-            required = row[v]
-            actual = abs(lu - labels[v])
-            if actual < required:
-                violations.append(Violation(u, v, required, actual))
+    for lo in range(0, nv, _VALIDATE_BLOCK):
+        block = slice(lo, lo + _VALIDATE_BLOCK)
+        required = _gap_block(dm, block)
+        actual = np.abs(labels[block, None] - labels[None, :])
+        rows, vs = np.nonzero(actual < required)
+        keep = vs > rows + lo
+        rows, vs = rows[keep], vs[keep]
+        violations.extend(
+            Violation(lo + r, v, req, act)
+            for r, v, req, act in zip(
+                rows.tolist(), vs.tolist(), required[rows, vs].tolist(), actual[rows, vs].tolist()
+            )
+        )
     return ValidityReport(not violations, tuple(violations))
 
 

@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 
 import radiomesh.claims
-from radiomesh import CellIndexing, ProductParams, all_pairs_distances, build_product_graph
+from radiomesh import (
+    CellIndexing,
+    DistanceMatrix,
+    ProductParams,
+    all_pairs_distances,
+    bfs_all_pairs,
+    build_product_graph,
+)
 from radiomesh.claims import (
     VERDICT_CSV_HEADER,
     ClaimVerdict,
@@ -47,19 +54,19 @@ def test_match_means_exact_equality(small_rows):
 
 def test_diameter_claim_flags_single_leaf_deviation():
     params = ProductParams(3, 1)
-    dm = all_pairs_distances(build_product_graph(params).graph)
+    dm = bfs_all_pairs(build_product_graph(params).graph)
     row = diameter_claim(params, dm)
     assert row.expected == 6 and row.observed == 5
     assert row.verdict is Verdict.MISMATCH
 
     params = ProductParams(3, 2)
-    dm = all_pairs_distances(build_product_graph(params).graph)
+    dm = bfs_all_pairs(build_product_graph(params).graph)
     assert diameter_claim(params, dm).verdict is Verdict.MATCH
 
 
 def test_even_distance_claims_row_major_m4():
     params = ProductParams(4, 2)
-    dm = all_pairs_distances(build_product_graph(params).graph)
+    dm = bfs_all_pairs(build_product_graph(params).graph)
     rows = {r.claim_id: r for r in distance_claims(params, CellIndexing.ROW_MAJOR, dm)}
     # hub-to-hub across the pair is exactly m/2 mesh hops under row-major
     assert rows["Eq2.BothCenters"].verdict is Verdict.MATCH
@@ -69,7 +76,7 @@ def test_even_distance_claims_row_major_m4():
 
 def test_odd_literal_cases_auto_mismatch_on_fractions():
     params = ProductParams(5, 2)
-    dm = all_pairs_distances(build_product_graph(params).graph)
+    dm = bfs_all_pairs(build_product_graph(params).graph)
     rows = {r.claim_id: r for r in distance_claims(params, CellIndexing.ROW_MAJOR, dm)}
     literal = rows["Eq13.BothCenters"]
     assert literal.expected == Fraction(3, 2)
@@ -165,6 +172,17 @@ def test_claim_error_propagates_instead_of_becoming_a_row(monkeypatch):
 
     monkeypatch.setattr(radiomesh.claims, "distance_claims", broken)
     with pytest.raises(RuntimeError, match="bug in a claim"):
+        run_verification(VerifyConfig(even_m=(2,), odd_m=(), ns=(1,)))
+
+
+def test_factored_distances_disagreeing_with_bfs_raise(monkeypatch):
+    def perturbed(graph):
+        matrix = all_pairs_distances(graph).matrix.copy()
+        matrix[0, 1] += 1
+        return DistanceMatrix(matrix)
+
+    monkeypatch.setattr(radiomesh.claims, "all_pairs_distances", perturbed)
+    with pytest.raises(RuntimeError, match="differ from BFS at m=2 n=1"):
         run_verification(VerifyConfig(even_m=(2,), odd_m=(), ns=(1,)))
 
 

@@ -109,6 +109,29 @@ def test_validate_malformed_graph_file_exits_1(tmp_path, capsys):
     assert "line 3" in err
 
 
+# a triangle plus an isolated vertex: enough edges to pass the parser's
+# edge-count check, yet disconnected
+DISCONNECTED = "vertices 4\n0 1\n0 2\n1 2\n"
+
+
+def test_validate_disconnected_graph_file_exits_1(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text(DISCONNECTED)
+    lab = tmp_path / "lab.txt"
+    lab.write_text("0 0\n1 2\n2 4\n3 6\n")
+    code, _, err = run(capsys, "validate", "--graph", str(graph), "--labeling", str(lab))
+    assert code == 1
+    assert err.startswith("radiomesh: graph is disconnected")
+
+
+def test_rn_exact_disconnected_graph_file_exits_1(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text(DISCONNECTED)
+    code, _, err = run(capsys, "rn-exact", "--in", str(graph))
+    assert code == 1
+    assert err.startswith("radiomesh: graph is disconnected")
+
+
 def test_validate_usage_error_without_graph(tmp_path, capsys):
     lab = tmp_path / "lab.txt"
     lab.write_text("0 0\n1 2\n")

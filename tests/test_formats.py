@@ -102,6 +102,22 @@ def test_graph_parser_rejects_duplicate_coord_at_second_comment():
         parse_graph(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertices 2\n# coord 0 -1 7 99\n# coord 1 0 0 1\n0 1\n", "line 2: negative coordinate"),
+        ("vertices 2\n# coord 0 0 0 0\n# coord 1 0 0 -1\n0 1\n", "line 3: negative coordinate"),
+        (
+            "vertices 2\n# coord 0 1 7 99\n# coord 1 1 7 99\n0 1\n",
+            "line 3: coordinate \\(1, 7, 99\\) already belongs to vertex 0",
+        ),
+    ],
+)
+def test_graph_parser_rejects_impossible_coords(text, message):
+    with pytest.raises(FormatError, match=message):
+        parse_graph(text)
+
+
 def test_graph_parser_rejects_partial_coords():
     with pytest.raises(FormatError, match="cover 1 of 2 vertices"):
         parse_graph("vertices 2\n# coord 0 0 0 0\n0 1\n")
@@ -115,6 +131,8 @@ def test_graph_parser_rejects_partial_coords():
         ("vertices 3\n0 1\n1 2\n0 1\n", "line 4: duplicate edge \\(0, 1\\)"),
         ("vertices 0\n", "line 1: vertex count must be >= 1"),
         ("# header next\nvertices -2\n", "line 2: vertex count must be >= 1"),
+        ("# big\nvertices 1000000\n", "line 2: 1000000 vertices but 0 edges"),
+        ("vertices 4\n0 1\n2 3\n", "line 1: 4 vertices but 2 edges"),
     ],
 )
 def test_graph_parser_rejects_bad_edges_and_counts_with_line(text, message):

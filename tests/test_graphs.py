@@ -138,3 +138,13 @@ def test_from_edges_validation():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(InvalidParameterError):
         Graph.from_edges(3, [(0, 5)])
+
+
+def test_product_records_factors_outside_equality():
+    path, star = build_path(3), build_star(2)
+    product = cartesian_product([path, star])
+    assert product.factors == (path, star)
+    plain = Graph.from_edges(product.num_vertices, product.edges())
+    assert plain == product and hash(plain) == hash(product)
+    with pytest.raises(InvalidParameterError, match="factor orders"):
+        Graph(product.num_vertices, product.adjacency, factors=(path, build_path(2)))

@@ -1,18 +1,23 @@
 """Property-based checks over the small-graph corpus."""
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiomesh import (
     CellIndexing,
+    Graph,
     Labeling,
     OrderingPlan,
     ProductParams,
     all_pairs_distances,
+    bfs_all_pairs,
     build_mesh,
     build_path,
     build_product_graph,
     build_star,
+    cartesian_product,
     cell_of,
     consecutive_only_assign,
     greedy_assign,
@@ -98,6 +103,70 @@ def test_bfs_distances_are_symmetric(g):
     assert np.array_equal(dm.matrix, dm.matrix.T)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 5), st.sampled_from(list(CellIndexing)))
+def test_factored_product_distances_equal_bfs(m, n, scheme):
+    g = build_product_graph(ProductParams(m, n), scheme).graph
+    factored = all_pairs_distances(g).matrix
+    assert factored.dtype == np.int16
+    assert np.array_equal(factored, bfs_all_pairs(g).matrix)
+
+
+# small simple graphs, connected or not, so UNREACHABLE entries occur
+small_graphs = st.integers(1, 5).flatmap(
+    lambda nv: st.sets(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)))
+    .map(lambda pairs: Graph.from_edges(nv, {(min(p), max(p)) for p in pairs if p[0] != p[1]}))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_graphs, min_size=2, max_size=3))
+def test_factored_distances_equal_bfs_on_random_products(factors):
+    g = cartesian_product(factors)
+    assert np.array_equal(all_pairs_distances(g).matrix, bfs_all_pairs(g).matrix)
+
+
+def _naive_violations(dm, labels):
+    base = dm.diameter + 1
+    found = []
+    for u in range(len(labels)):
+        for v in range(u + 1, len(labels)):
+            required = base - dm[u, v]
+            actual = abs(labels[u] - labels[v])
+            if actual < required:
+                found.append((u, v, required, actual))
+    return tuple(found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)])
+    .map(lambda mn: build_product_graph(ProductParams(*mn)).graph)
+    .flatmap(
+        lambda g: st.tuples(
+            st.just(g),
+            st.permutations(range(g.num_vertices)),
+            st.lists(
+                st.tuples(
+                    st.integers(0, g.num_vertices - 1),
+                    st.one_of(st.integers(0, 60), st.just(10**30)),
+                ),
+                max_size=4,
+            ),
+        )
+    )
+)
+def test_validate_matches_naive_double_loop(case):
+    g, order, corruptions = case
+    dm = all_pairs_distances(g)
+    labels = list(greedy_assign(g, dm, OrderingPlan(tuple(order))).labels)
+    for v, label in corruptions:
+        labels[v] = label
+    report = validate(g, dm, Labeling(tuple(labels)))
+    assert report.violations == _naive_violations(dm, labels)
+    assert report.valid == (not report.violations)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(2, 8),
@@ -118,9 +187,11 @@ def test_coordinate_bijections_roundtrip(m, n, scheme, data):
 
 # Lines assembled from the graph and labeling grammars' own tokens, so
 # inputs reach the structural checks and not only the integer parsing.
-# Vertex counts stay small because a header allocates one adjacency set
-# per declared vertex.
-_number = st.integers(-3, 12).map(str)
+# Large numbers make headers such as ``vertices 1000000``, which the
+# parser must reject before allocating anything per vertex; the graph
+# parser test bounds its traced allocation to prove it. They stop at
+# 10**6 so that a regression costs a few hundred MB, not all memory.
+_number = st.one_of(st.integers(-3, 12), st.integers(13, 10**6)).map(str)
 _token = st.one_of(
     st.sampled_from(["vertices", "#", "coord", "span", "x", "-", "0x1", "1.5"]), _number
 )
@@ -138,10 +209,16 @@ _any_text = st.one_of(st.text(max_size=200), _grammar_text)
 @settings(max_examples=300, deadline=None)
 @given(_any_text)
 def test_graph_parser_raises_only_format_errors(text):
+    tracemalloc.start()
     try:
         graph, coords = parse_graph(text)
     except FormatError:
         return
+    finally:
+        _size, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # a text under a few kB yields a graph of a few dozen vertices
+        assert peak < 1_000_000
     assert graph.num_vertices >= 1
     assert coords is None or sorted(coords) == list(range(graph.num_vertices))
 
