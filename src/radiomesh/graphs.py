@@ -231,5 +231,11 @@ def is_connected(g: Graph) -> bool:
 
 
 def diameter(g: Graph) -> int:
-    """Exact diameter by all-pairs BFS; raises on disconnected input."""
-    return bfs_all_pairs(g).diameter
+    """Exact diameter by BFS from every vertex; raises on disconnected input.
+
+    Keeps only the largest eccentricity, so memory stays O(N); the time
+    is still N pure-Python BFS runs.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraphError("graph is disconnected; diameter undefined")
+    return max(int(bfs_distances(g, s).max()) for s in range(g.num_vertices))

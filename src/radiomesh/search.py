@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .graphs import DistanceMatrix, Graph, InvalidParameterError, all_pairs_distances
-from .labeling import Labeling, _forced_label, _greedy_labels, gap_row
+from .labeling import Labeling, _gap_block, _greedy_labels, _place
 
 ORACLE_MAX_VERTICES = 9
 
@@ -57,47 +59,40 @@ def gap_matrix(
     with the host graph's diameter poses the induced problem under the
     host metric, which is how the per-pair bound claims are adjudicated.
     """
-    if vertices is None:
-        vertices = range(dm.num_vertices)
-    verts = list(vertices)
-    rows = []
-    for u in verts:
-        full = gap_row(dm, u, diam)
-        rows.append([full[v] for v in verts])
-    return rows
+    index = slice(None) if vertices is None else np.ix_(vertices, vertices)
+    return _gap_block(dm, index, diam).tolist()
 
 
-def _chain_labels(req: list[list[int]], start: int) -> list[int]:
-    """Greedy chain: repeatedly place the vertex with the cheapest forced label."""
-    nv = len(req)
+def _chain_labels(gaps: np.ndarray, start: int) -> list[int]:
+    """Greedy chain: repeatedly place the vertex with the cheapest forced label.
+
+    Ties go to the lowest vertex id. A placed vertex's floor is pinned
+    at the int64 maximum, which later raises keep, so it is never the
+    cheapest again.
+    """
+    nv = len(gaps)
+    floor = np.zeros(nv, dtype=np.int64)
     labels = [0] * nv
-    placed = [start]
-    unplaced = [v for v in range(nv) if v != start]
-    while unplaced:
-        pick = None
-        pick_label = None
-        for v in unplaced:
-            value = _forced_label(labels, placed, req[v])
-            if pick_label is None or value < pick_label:
-                pick_label = value
-                pick = v
-        labels[pick] = pick_label
-        placed.append(pick)
-        unplaced.remove(pick)
+    v = start
+    for _ in range(nv):
+        labels[v] = _place(floor, v, gaps[v])
+        floor[v] = np.iinfo(np.int64).max
+        v = int(np.argmin(floor))
     return labels
 
 
 def _heuristic_hint(req: list[list[int]]) -> tuple[int, list[int]]:
     """Best deterministic greedy span over the identity order and chain starts.
 
-    Chain construction is cubic per start, so starts are capped on inputs
-    beyond the search's intended size.
+    Each chain is N placements of O(N) numpy work; starts are capped on
+    inputs beyond the search's intended size.
     """
-    nv = len(req)
-    best = _greedy_labels(range(nv), req.__getitem__)
+    gaps = np.array(req, dtype=np.int64)
+    nv = len(gaps)
+    best = _greedy_labels(range(nv), gaps.__getitem__)
     starts = range(nv) if nv <= 16 else range(8)
     for start in starts:
-        candidate = _chain_labels(req, start)
+        candidate = _chain_labels(gaps, start)
         if max(candidate) < max(best):
             best = candidate
     return max(best), best

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from radiomesh import (
@@ -5,13 +8,16 @@ from radiomesh import (
     Labeling,
     LabelingContractError,
     OrderingPlan,
+    ProductParams,
     all_pairs_distances,
     build_path,
+    build_product_graph,
     build_star,
     consecutive_only_assign,
     greedy_assign,
     validate,
 )
+from radiomesh.labeling import _VALIDATE_BLOCK
 
 
 @pytest.fixture
@@ -125,3 +131,47 @@ def test_validate_is_shift_invariant(p3):
     shifted = Labeling(tuple(x + 7 for x in labeling.labels), graph=g)
     assert validate(g, dm, labeling).valid
     assert validate(g, dm, shifted).valid
+
+
+@pytest.mark.parametrize("kind", ["identity", "reversed", "shuffled"])
+def test_greedy_labels_pass_int16(kind):
+    g = build_path(300)  # diameter 299, so spans pass the int16 distances
+    dm = all_pairs_distances(g)
+    seq = list(range(g.num_vertices))
+    if kind == "reversed":
+        seq.reverse()
+    elif kind == "shuffled":
+        random.Random(5).shuffle(seq)
+    base = dm.diameter + 1
+    dist = dm.matrix.tolist()
+    expected = [0] * g.num_vertices
+    for i in range(1, len(seq)):
+        v = seq[i]
+        expected[v] = max(expected[u] + base - dist[u][v] for u in seq[:i])
+    labeling = greedy_assign(g, dm, OrderingPlan(tuple(seq)))
+    assert labeling.span > np.iinfo(np.int16).max
+    assert labeling.labels == tuple(expected)
+    assert validate(g, dm, labeling).valid
+
+
+def test_validate_across_block_boundaries():
+    g = build_product_graph(ProductParams(12, 4)).graph  # 720 vertices
+    assert g.num_vertices > 2 * _VALIDATE_BLOCK
+    dm = all_pairs_distances(g)
+    labels = list(greedy_assign(g, dm, OrderingPlan(tuple(range(g.num_vertices)))).labels)
+    labels[700] = labels[10]  # a later block takes an earlier block's label
+    labels[5] = labels[300]  # and the first block a later one's
+    labels[650] = labels[400]  # a pair that starts past the first block
+    report = validate(g, dm, Labeling(tuple(labels)))
+
+    arr = np.array(labels)
+    required = dm.diameter + 1 - dm.matrix.astype(np.int64)
+    actual = np.abs(arr[:, None] - arr[None, :])
+    us, vs = np.nonzero(np.triu(actual < required, k=1))
+    expected = tuple(
+        zip(us.tolist(), vs.tolist(), required[us, vs].tolist(), actual[us, vs].tolist())
+    )
+    assert report.violations == expected
+    blocks = {(u // _VALIDATE_BLOCK, v // _VALIDATE_BLOCK) for u, v, _, _ in report.violations}
+    assert {(0, 1), (0, 2), (1, 2)} <= blocks
+    assert {(10, 700), (5, 300), (400, 650)} <= {(u, v) for u, v, _, _ in report.violations}

@@ -27,6 +27,7 @@ from radiomesh import (
     vertex_id,
 )
 from radiomesh.formats import FormatError, format_labeling, parse_graph, parse_labeling
+from radiomesh.search import _chain_labels
 
 # connected family graphs with at most 12 vertices
 corpus = st.one_of(
@@ -72,6 +73,30 @@ def test_greedy_assign_matches_naive_max_over_placed(case):
     labeling = greedy_assign(g, dm, OrderingPlan(tuple(order)))
     assert labeling.labels == tuple(expected[v] for v in range(g.num_vertices))
     assert validate(g, dm, labeling).valid
+
+
+@st.composite
+def gap_system_with_start(draw):
+    """A random symmetric gap-requirement matrix (entries >= 1) and a start."""
+    nv = draw(st.integers(1, 9))
+    upper = draw(st.lists(st.integers(1, 30), min_size=nv * nv, max_size=nv * nv))
+    req = [[upper[min(i, j) * nv + max(i, j)] for j in range(nv)] for i in range(nv)]
+    return req, draw(st.integers(0, nv - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gap_system_with_start())
+def test_chain_labels_match_cubic_reference(case):
+    req, start = case
+    labels = {start: 0}
+    while len(labels) < len(req):
+        forced = {
+            v: max(labels[u] + req[v][u] for u in labels) for v in range(len(req)) if v not in labels
+        }
+        pick = min(forced, key=lambda v: (forced[v], v))  # ties go to the lowest id
+        labels[pick] = forced[pick]
+    expected = [labels[v] for v in range(len(req))]
+    assert _chain_labels(np.array(req, dtype=np.int64), start) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 import pytest
 
 from radiomesh import (
+    CellIndexing,
     DisconnectedGraphError,
     Graph,
     InvalidParameterError,
@@ -14,6 +15,7 @@ from radiomesh import (
     build_product_graph,
     build_star,
     exact_rn,
+    fiber_vertex_id,
     gap_matrix,
     greedy_assign,
     minimize_span,
@@ -158,3 +160,21 @@ def test_pair_system_brute_force_agreement():
     value, _, status, _ = minimize_span(req)
     assert status is RnStatus.EXACT
     assert value == best
+
+
+# The greedy hint primes the search's pruning, so these node counts pin
+# the hint as well as the search order.
+def test_search_tree_of_c4_x_k11_is_frozen():
+    result = exact_rn(build_product_graph(ProductParams(2, 1)).graph)
+    assert (result.value, result.status, result.nodes) == (10, RnStatus.EXACT, 1879)
+
+
+def test_search_tree_of_row_major_pair_system_is_frozen():
+    params = ProductParams(2, 2)
+    dm = all_pairs_distances(build_product_graph(params).graph)
+    # the Cor5 pair t(1), t(1 + m*m/2): both hubs and their two leaves
+    vertices = [
+        fiber_vertex_id(params, CellIndexing.ROW_MAJOR, t, k) for t in (1, 3) for k in (1, 2, 3)
+    ]
+    value, _, status, nodes = minimize_span(gap_matrix(dm, diam=dm.diameter, vertices=vertices))
+    assert (value, status, nodes) == (13, RnStatus.EXACT, 589)
