@@ -14,6 +14,7 @@ graph's metric (see :func:`gap_matrix`).
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -29,6 +30,15 @@ ORACLE_MAX_VERTICES = 9
 # nodes for the 12-vertex (2,2) product), so verdicts on that grid never
 # depend on the budget.
 DEFAULT_NODE_LIMIT = 20_000_000
+
+# Slots of minimize_span's subtree-size table: 2**16 slots of an 8-byte
+# key and a 4-byte size, 768 KiB per call. The (2,2) search expands about
+# 93,000 distinct states; with 2**15 slots it took 1.4x as long, with
+# 2**17 0.6x as long for twice the memory.
+_CACHE_SLOTS = 1 << 16
+_FIB_MULTIPLIER = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, odd
+_U64 = (1 << 64) - 1
+_U32 = (1 << 32) - 1
 
 
 class OracleSizeError(InvalidParameterError):
@@ -117,7 +127,21 @@ def minimize_span(
     most the optimum, which stays strictly below the threshold and below
     any pre-optimal incumbent, so the first such branch in child order
     always completes, and both the value and the reported witness are
-    the same as for an unprimed search.
+    the same as for an unprimed search. Every completion is strictly
+    below the cutoff its parent's bound passed, so each one improves the
+    incumbent and the witness is the first optimal completion in child
+    order.
+
+    A subtree that completes no labeling keeps its cutoff fixed, so its
+    shape depends only on the placed set and on ``cutoff`` and the
+    unplaced ``earliest`` values shifted so the smallest is 0. A
+    direct-mapped table of ``_CACHE_SLOTS`` entries keeps the sizes of
+    such subtrees, and a later node in the same state adds the size
+    instead of walking the subtree again. The walk is skipped only when
+    it could not have met the budget, so values, witnesses, statuses,
+    truncation and the node count are those of the uncached tree:
+    ``nodes`` and ``node_limit`` count the nodes of that tree, not the
+    nodes actually visited.
 
     ``node_limit`` caps the nodes explored (``None`` means unlimited), so
     a truncated search is bit-reproducible on any machine. When the
@@ -142,16 +166,22 @@ def minimize_span(
     placed = [False] * nv
     nodes = 0
 
-    def dfs(depth: int, current: int) -> bool:
+    # A state key packs, from the top: cutoff - base, then one field of
+    # ``width`` bits per unplaced vertex in ascending id, then the placed
+    # mask. The mask fixes how many fields there are, so the packing is
+    # one-to-one; a state with a wider offset or above 64 bits is not cached.
+    full = (1 << nv) - 1
+    width = max(max(map(max, req)), 1).bit_length()
+    field = (1 << width) - 1
+    slot_shift = 64 - (_CACHE_SLOTS.bit_length() - 1)
+    cache_keys = array("Q", [0]) * _CACHE_SLOTS  # 0 marks an empty slot
+    cache_sizes = array("I", [0]) * _CACHE_SLOTS
+
+    def dfs(mask: int, current: int) -> bool:
         nonlocal best_val, best_labels, nodes
-        if depth == nv:
-            if (
-                best_val is None
-                or current < best_val
-                or (current == best_val and labels < best_labels)
-            ):
-                best_val = current
-                best_labels = labels.copy()
+        if mask == full:
+            best_val = current
+            best_labels = labels.copy()
             return True
         if node_limit is not None and nodes >= node_limit:
             return False
@@ -166,6 +196,26 @@ def minimize_span(
                 bound = candidate
         if bound >= cutoff:
             return True
+
+        key = 0
+        base = remaining[0]
+        if remaining[-1] - base <= field:
+            key = cutoff - base  # positive, so no key is 0
+            for x in range(nv):
+                if not placed[x]:
+                    key = key << width | (earliest[x] - base)
+            key = key << nv | mask
+            if key > _U64:
+                key = 0
+        if key:
+            slot = (key * _FIB_MULTIPLIER & _U64) >> slot_shift
+            if cache_keys[slot] == key:
+                size = cache_sizes[slot]
+                if node_limit is None or nodes + size < node_limit:
+                    nodes += size
+                    return True
+            start, incumbent = nodes, best_val
+
         for v in range(nv):
             if placed[v]:
                 continue
@@ -181,15 +231,23 @@ def minimize_span(
                     if candidate > earliest[x]:
                         undo.append((x, earliest[x]))
                         earliest[x] = candidate
-            keep_going = dfs(depth + 1, value)
+            keep_going = dfs(mask | 1 << v, value)
             for x, old in undo:
                 earliest[x] = old
             placed[v] = False
             if not keep_going:
                 return False
+
+        # every completion lowers best_val, so an equal one means none here
+        if key and best_val == incumbent:
+            size = nodes - start
+            if cache_sizes[slot] < size <= _U32:
+                cache_keys[slot] = key
+                cache_sizes[slot] = size
         return True
 
     status = RnStatus.EXACT if dfs(0, 0) else RnStatus.UPPER_BOUND_ONLY
+    del dfs  # the closure refers to itself; breaking the cycle frees the table now
     if best_val is None:
         # budget expired before any completion; the hint is still a
         # valid labeling and upper-bounds the optimum
@@ -202,8 +260,8 @@ def exact_rn(
 ) -> RnResult:
     """Radio number of ``g`` by branch-and-bound; exact when the search finishes.
 
-    Deterministic: children are explored in ascending vertex id, ties
-    resolve to the lexicographically smallest label vector, and the
+    Deterministic: children are explored in ascending vertex id, the
+    witness is the first optimal completion in that order, and the
     budget counts nodes, not time.
     """
     if dm is None:

@@ -1,7 +1,9 @@
 """Property-based checks over the small-graph corpus."""
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,14 +22,16 @@ from radiomesh import (
     cartesian_product,
     cell_of,
     consecutive_only_assign,
+    gap_matrix,
     greedy_assign,
     index_of,
     validate,
     vertex_coord,
     vertex_id,
 )
+from radiomesh import search
 from radiomesh.formats import FormatError, format_labeling, parse_graph, parse_labeling
-from radiomesh.search import _chain_labels
+from radiomesh.search import RnStatus, _chain_labels, _heuristic_hint, minimize_span
 
 # connected family graphs with at most 12 vertices
 corpus = st.one_of(
@@ -76,12 +80,18 @@ def test_greedy_assign_matches_naive_max_over_placed(case):
 
 
 @st.composite
+def gap_system(draw, gaps=(1, 30)):
+    """A random symmetric gap-requirement matrix with entries in the ``gaps`` range."""
+    nv = draw(st.integers(1, 9))
+    upper = draw(st.lists(st.integers(*gaps), min_size=nv * nv, max_size=nv * nv))
+    return [[upper[min(i, j) * nv + max(i, j)] for j in range(nv)] for i in range(nv)]
+
+
+@st.composite
 def gap_system_with_start(draw):
     """A random symmetric gap-requirement matrix (entries >= 1) and a start."""
-    nv = draw(st.integers(1, 9))
-    upper = draw(st.lists(st.integers(1, 30), min_size=nv * nv, max_size=nv * nv))
-    req = [[upper[min(i, j) * nv + max(i, j)] for j in range(nv)] for i in range(nv)]
-    return req, draw(st.integers(0, nv - 1))
+    req = draw(gap_system())
+    return req, draw(st.integers(0, len(req) - 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,6 +107,96 @@ def test_chain_labels_match_cubic_reference(case):
         labels[pick] = forced[pick]
     expected = [labels[v] for v in range(len(req))]
     assert _chain_labels(np.array(req, dtype=np.int64), start) == expected
+
+
+def _uncached_minimize_span(req, node_limit):
+    """The branch-and-bound without its subtree-size table, as a reference."""
+    nv = len(req)
+    if nv == 1:
+        return 0, [0], RnStatus.EXACT, 1
+    hint_value, hint_labels = _heuristic_hint(req)
+    threshold = hint_value + 1
+    best_val = best_labels = None
+    labels, earliest, placed = [0] * nv, [0] * nv, [False] * nv
+    nodes = 0
+
+    def dfs(depth, current):
+        nonlocal best_val, best_labels, nodes
+        if depth == nv:
+            if best_val is None or current < best_val or (
+                current == best_val and labels < best_labels
+            ):
+                best_val, best_labels = current, labels.copy()
+            return True
+        if node_limit is not None and nodes >= node_limit:
+            return False
+        cutoff = threshold if best_val is None else best_val
+        remaining = sorted(earliest[x] for x in range(nv) if not placed[x])
+        k = len(remaining)
+        if max(low + (k - 1 - j) for j, low in enumerate(remaining)) >= cutoff:
+            return True
+        for v in range(nv):
+            if placed[v]:
+                continue
+            nodes += 1
+            value = earliest[v]
+            placed[v], labels[v] = True, value
+            saved = earliest.copy()
+            for x in range(nv):
+                if not placed[x]:
+                    earliest[x] = max(earliest[x], value + req[v][x])
+            keep_going = dfs(depth + 1, value)
+            earliest[:] = saved
+            placed[v] = False
+            if not keep_going:
+                return False
+        return True
+
+    status = RnStatus.EXACT if dfs(0, 0) else RnStatus.UPPER_BOUND_ONLY
+    if best_val is None:
+        return hint_value, hint_labels, status, nodes
+    return best_val, best_labels, status, nodes
+
+
+# 1 and 8 slots force collisions and replacements in the subtree-size
+# table. Gaps up to 300 give keys above 64 bits; negative gaps (no graph
+# has them) give offsets wider than a key field.
+@pytest.mark.parametrize("slots", [None, 1, 8])
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(1, 2), (1, 5), (1, 300), (-4, 4)]).flatmap(gap_system),
+    st.one_of(st.none(), st.integers(0, 300)),
+)
+def test_minimize_span_matches_uncached_search(slots, req, node_limit):
+    expected = _uncached_minimize_span(req, node_limit)
+    with mock.patch.object(search, "_CACHE_SLOTS", slots or search._CACHE_SLOTS):
+        assert minimize_span(req, node_limit) == expected
+
+
+def test_minimize_span_matches_uncached_search_past_a_key_field():
+    # negative gaps let labels fall, so an offset outgrows its key field;
+    # packing it anyway makes two states share a key and miscounts nodes
+    req = [
+        [5, 3, 3, 3, -4, 7, -2, 5],
+        [3, -8, 3, 0, -2, 2, -8, 0],
+        [3, 3, -4, 4, 3, 2, 4, 7],
+        [3, 0, 4, 7, -4, -2, 4, 4],
+        [-4, -2, 3, -4, -6, 4, -8, -8],
+        [7, 2, 2, -2, 4, -5, -6, -1],
+        [-2, -8, 4, 4, -8, -6, -3, -6],
+        [5, 0, 7, 4, -8, -1, -6, -6],
+    ]
+    assert minimize_span(req, None) == _uncached_minimize_span(req, None)
+
+
+def test_minimize_span_matches_uncached_search_at_every_budget():
+    # a cached subtree that would end exactly on the budget must be walked
+    params = ProductParams(2, 2)
+    dm = all_pairs_distances(build_product_graph(params).graph)
+    req = gap_matrix(dm, diam=dm.diameter, vertices=[0, 1, 2, 3, 4, 5])
+    full = minimize_span(req, None)[3]
+    for node_limit in range(full + 2):
+        assert minimize_span(req, node_limit) == _uncached_minimize_span(req, node_limit)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from radiomesh import (
@@ -178,3 +181,25 @@ def test_search_tree_of_row_major_pair_system_is_frozen():
     ]
     value, _, status, nodes = minimize_span(gap_matrix(dm, diam=dm.diameter, vertices=vertices))
     assert (value, status, nodes) == (13, RnStatus.EXACT, 589)
+
+
+def test_search_tree_of_c4_x_k12_is_frozen():
+    result = exact_rn(build_product_graph(ProductParams(2, 2)).graph)
+    assert (result.value, result.status, result.nodes) == (22, RnStatus.EXACT, 6_444_838)
+
+
+def test_minimize_span_frees_its_table_on_return():
+    # the table is 768 KiB; a reference cycle through the search closure
+    # would keep it alive until the next garbage collection
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        result = minimize_span([[3, 1, 2], [1, 3, 1], [2, 1, 3]])
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert result[2] is RnStatus.EXACT
+    assert retained < 64 * 1024
