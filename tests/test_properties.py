@@ -190,9 +190,9 @@ def test_minimize_span_matches_uncached_search_past_a_key_field():
 
 
 def test_minimize_span_matches_uncached_search_at_every_budget():
-    # a cached subtree that would end exactly on the budget must be walked
-    params = ProductParams(2, 2)
-    dm = all_pairs_distances(build_product_graph(params).graph)
+    # a cached subtree that would end exactly on the budget must be walked;
+    # six vertices of the (2,2) product give a 589-node tree with hits
+    dm = all_pairs_distances(build_product_graph(ProductParams(2, 2)).graph)
     req = gap_matrix(dm, diam=dm.diameter, vertices=[0, 1, 2, 3, 4, 5])
     full = minimize_span(req, None)[3]
     for node_limit in range(full + 2):
