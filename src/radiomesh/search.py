@@ -32,13 +32,21 @@ ORACLE_MAX_VERTICES = 9
 DEFAULT_NODE_LIMIT = 20_000_000
 
 # Slots of minimize_span's subtree-size table: 2**16 slots of an 8-byte
-# key and a 4-byte size, 768 KiB per call. The (2,2) search expands about
-# 93,000 distinct states; with 2**15 slots it took 1.4x as long, with
-# 2**17 0.6x as long for twice the memory.
+# key and a 4-byte size, 768 KiB per call. The (2,2) search expands 7,775
+# distinct states up to its 16 automorphisms (93,258 without them); with
+# 2**15 slots it took 1.1x as long, with 2**17 0.97x as long for twice
+# the memory.
 _CACHE_SLOTS = 1 << 16
 _FIB_MULTIPLIER = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, odd
 _U64 = (1 << 64) - 1
 _U32 = (1 << 32) - 1
+
+# Caps on the automorphism enumeration of minimize_span: permutations kept
+# and candidate images tried. Any subset of the group keys the table
+# correctly, so a cap only costs hits. The default grid needs at most 48
+# (the 8-vertex (2,1) product).
+_GROUP_LIMIT = 64
+_GROUP_STEPS = 20_000
 
 
 class OracleSizeError(InvalidParameterError):
@@ -108,6 +116,55 @@ def _heuristic_hint(req: list[list[int]]) -> tuple[int, list[int]]:
     return max(best), best
 
 
+def _automorphisms(req: list[list[int]]) -> list[list[int]]:
+    """Permutations ``p`` with ``req[p[a]][p[b]] == req[a][b]`` for every ordered pair.
+
+    The pair ``(a, a)`` is included, so the diagonal is preserved too, and
+    ``req`` need not be symmetric. Backtracking fixes ``p[0], p[1], ...``
+    in turn, and ``a`` may only go to a vertex whose row holds the same
+    multiset of gaps. Each vertex tries itself first, so the identity
+    comes first. At most ``_GROUP_LIMIT`` permutations are kept and at
+    most ``_GROUP_STEPS`` candidate images tried, so on a large group the
+    result is a subset of it.
+    """
+    nv = len(req)
+    rows = [sorted(row) for row in req]
+    options = [[a] + [b for b in range(nv) if b != a and rows[b] == rows[a]] for a in range(nv)]
+    image = [0] * nv
+    taken = [False] * nv
+    found: list[list[int]] = []
+    steps = _GROUP_STEPS
+
+    def extend(a: int) -> bool:
+        nonlocal steps
+        if a == nv:
+            found.append(image.copy())
+            return len(found) < _GROUP_LIMIT
+        row = req[a]
+        for b in options[a]:
+            if taken[b]:
+                continue
+            if steps == 0:
+                return False
+            steps -= 1
+            image[a] = b
+            mapped = req[b]
+            for c in range(a + 1):
+                if mapped[image[c]] != row[c] or req[image[c]][b] != req[c][a]:
+                    break
+            else:
+                taken[b] = True
+                more = extend(a + 1)
+                taken[b] = False
+                if not more:
+                    return False
+        return True
+
+    extend(0)
+    del extend  # the closure refers to itself
+    return found
+
+
 def minimize_span(
     req: list[list[int]], node_limit: int | None = DEFAULT_NODE_LIMIT
 ) -> tuple[int, list[int], RnStatus, int]:
@@ -143,6 +200,19 @@ def minimize_span(
     ``nodes`` and ``node_limit`` count the nodes of that tree, not the
     nodes actually visited.
 
+    The table is keyed by a canonical state under automorphisms of
+    ``req`` (see :func:`_automorphisms`). An automorphism maps a state to
+    one whose children are the images of its children with the same
+    floors, so with the cutoff fixed the subtree size, the sum over the
+    children of 1 plus the size of each child that passes its bound,
+    is the same for both: it does not depend on child order, and the
+    bound depends only on the multiset of floors. The canonical key is
+    the packed key of one image chosen by a rule that sees only the set
+    of images, and the packing is one-to-one, so equal keys mean states
+    that are images of each other. That holds for any subset of the
+    automorphisms, so the enumeration's caps cost hits, never
+    correctness.
+
     ``node_limit`` caps the nodes explored (``None`` means unlimited), so
     a truncated search is bit-reproducible on any machine. When the
     budget aborts the search before any branch completes, the greedy hint
@@ -170,12 +240,29 @@ def minimize_span(
     # ``width`` bits per unplaced vertex in ascending id, then the placed
     # mask. The mask fixes how many fields there are, so the packing is
     # one-to-one; a state with a wider offset or above 64 bits is not cached.
+    # A node is keyed by its image, under the permutations in ``group``,
+    # with the smallest placed mask and, of those, the smallest fields.
     full = (1 << nv) - 1
     width = max(max(map(max, req)), 1).bit_length()
     field = (1 << width) - 1
     slot_shift = 64 - (_CACHE_SLOTS.bit_length() - 1)
     cache_keys = array("Q", [0]) * _CACHE_SLOTS  # 0 marks an empty slot
     cache_sizes = array("I", [0]) * _CACHE_SLOTS
+
+    group = _automorphisms(req) if nv < 64 else [list(range(nv))]  # no key fits above 63
+    inverses = [sorted(range(nv), key=p.__getitem__) for p in group]
+    # chunk_tables holds (shift, table): bits [i * nv, (i + 1) * nv) of
+    # table[byte] are the image under group[i] of the placed vertices
+    # shift + j for the set bits j of byte. One int per byte, not a tuple
+    # of images: the tuples added about 1 MB to verify's peak RSS.
+    offsets = range(0, nv * len(group), nv)
+    chunk_tables = []
+    for shift in range(0, nv, 8):
+        table = [0]
+        for a in range(shift, min(shift + 8, nv)):
+            bits = sum(1 << p[a] << at for p, at in zip(group, offsets))
+            table += [row | bits for row in table]
+        chunk_tables.append((shift, table))
 
     def dfs(mask: int, current: int) -> bool:
         nonlocal best_val, best_labels, nodes
@@ -200,11 +287,22 @@ def minimize_span(
         key = 0
         base = remaining[0]
         if remaining[-1] - base <= field:
+            packed = 0
+            for shift, table in chunk_tables:
+                packed |= table[mask >> shift & 255]
+            images = [packed >> at & full for at in offsets]
+            least = min(images)
+            # the image state keeps earliest[x] at the image of x
+            unplaced = [y for y in range(nv) if not least >> y & 1]
+            fields = min(
+                [earliest[source[y]] for y in unplaced]
+                for source, image in zip(inverses, images)
+                if image == least
+            )
             key = cutoff - base  # positive, so no key is 0
-            for x in range(nv):
-                if not placed[x]:
-                    key = key << width | (earliest[x] - base)
-            key = key << nv | mask
+            for low in fields:
+                key = key << width | (low - base)
+            key = key << nv | least
             if key > _U64:
                 key = 0
         if key:

@@ -196,12 +196,6 @@ def test_verdicts_never_read_a_clock(small_rows, monkeypatch):
 
 
 def test_csv_matches_reference_rows_byte_for_byte():
-    # the reference table covers the default grid; n in {1, 3} skips the
-    # (2,2) exact search, which dominates the full run
-    reference = REFERENCE_CSV.read_text(encoding="utf-8").splitlines(keepends=True)
-    expected = [reference[0]] + [
-        line for line in reference[1:]
-        if line.split(",")[2] in ("1", "3") or line.startswith("Ex")
-    ]
-    rows = run_verification(VerifyConfig(ns=(1, 3)))
-    assert verdicts_to_csv(rows, timestamp=False) == "".join(expected)
+    # the reference table covers the default grid
+    rows = run_verification(VerifyConfig())
+    assert verdicts_to_csv(rows, timestamp=False) == REFERENCE_CSV.read_text(encoding="utf-8")

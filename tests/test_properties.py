@@ -1,4 +1,5 @@
 """Property-based checks over the small-graph corpus."""
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -31,7 +32,13 @@ from radiomesh import (
 )
 from radiomesh import search
 from radiomesh.formats import FormatError, format_labeling, parse_graph, parse_labeling
-from radiomesh.search import RnStatus, _chain_labels, _heuristic_hint, minimize_span
+from radiomesh.search import (
+    RnStatus,
+    _automorphisms,
+    _chain_labels,
+    _heuristic_hint,
+    minimize_span,
+)
 
 # connected family graphs with at most 12 vertices
 corpus = st.one_of(
@@ -109,8 +116,12 @@ def test_chain_labels_match_cubic_reference(case):
     assert _chain_labels(np.array(req, dtype=np.int64), start) == expected
 
 
-def _uncached_minimize_span(req, node_limit):
-    """The branch-and-bound without its subtree-size table, as a reference."""
+def _uncached_minimize_span(req, node_limit, checks=None):
+    """The branch-and-bound without its subtree-size table, as a reference.
+
+    ``checks``, if given, receives (nodes, best value, best labels) at
+    every budget check.
+    """
     nv = len(req)
     if nv == 1:
         return 0, [0], RnStatus.EXACT, 1
@@ -128,6 +139,8 @@ def _uncached_minimize_span(req, node_limit):
             ):
                 best_val, best_labels = current, labels.copy()
             return True
+        if checks is not None:
+            checks.append((nodes, best_val, best_labels))
         if node_limit is not None and nodes >= node_limit:
             return False
         cutoff = threshold if best_val is None else best_val
@@ -197,6 +210,129 @@ def test_minimize_span_matches_uncached_search_at_every_budget():
     full = minimize_span(req, None)[3]
     for node_limit in range(full + 2):
         assert minimize_span(req, node_limit) == _uncached_minimize_span(req, node_limit)
+
+
+def _uncached_at_every_budget(req, budgets):
+    """The reference's result for each ``node_limit`` in ``budgets``, from one walk.
+
+    A budgeted walk is the unlimited one up to its first budget check
+    with nodes >= node_limit, where it stops with the incumbent (or the
+    hint) and the node count of that check.
+    """
+    checks = []
+    unlimited = _uncached_minimize_span(req, None, checks)
+    hint_value, hint_labels = _heuristic_hint(req)
+    results = []
+    for node_limit in budgets:
+        stop = next((check for check in checks if check[0] >= node_limit), None)
+        if stop is None:
+            results.append(unlimited)
+        else:
+            nodes, best_val, best_labels = stop
+            if best_val is None:
+                best_val, best_labels = hint_value, hint_labels
+            results.append((best_val, best_labels, RnStatus.UPPER_BOUND_ONLY, nodes))
+    return results
+
+
+@st.composite
+def connected_graph(draw, max_vertices):
+    """A random connected simple graph: a random spanning tree plus random edges."""
+    nv = draw(st.integers(1, max_vertices))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, nv)}
+    extra = draw(st.sets(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))))
+    edges |= {(min(p), max(p)) for p in extra if p[0] != p[1]}
+    return Graph.from_edges(nv, edges)
+
+
+# Gap matrices of graph metrics have automorphisms, the random matrices
+# above almost never do; products of small factors have many.
+symmetric_gap_system = st.one_of(
+    connected_graph(7),
+    st.lists(connected_graph(4), min_size=2, max_size=3)
+    .filter(lambda factors: np.prod([f.num_vertices for f in factors]) <= 9)
+    .map(cartesian_product),
+).map(lambda g: gap_matrix(all_pairs_distances(g)))
+
+
+@pytest.mark.parametrize("slots", [None, 1, 8])
+@settings(max_examples=60, deadline=None)
+@given(symmetric_gap_system, st.one_of(st.none(), st.integers(0, 300)))
+def test_minimize_span_matches_uncached_search_on_symmetric_systems(slots, req, node_limit):
+    expected = _uncached_minimize_span(req, node_limit)
+    with mock.patch.object(search, "_CACHE_SLOTS", slots or search._CACHE_SLOTS):
+        assert minimize_span(req, node_limit) == expected
+
+
+def test_minimize_span_matches_uncached_search_at_every_budget_of_a_symmetric_system():
+    # the (2,1) product is the cube Q3: 48 automorphisms, a 1879-node tree
+    req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(2, 1)).graph))
+    assert len(_automorphisms(req)) == 48
+    budgets = range(1881)
+    expected = _uncached_at_every_budget(req, budgets)
+    assert expected[-1][2:] == (RnStatus.EXACT, 1879)
+    for node_limit in budgets[::47]:
+        assert _uncached_minimize_span(req, node_limit) == expected[node_limit]
+    for node_limit in budgets:
+        assert minimize_span(req, node_limit) == expected[node_limit]
+
+
+@pytest.mark.parametrize("limit,steps,kept", [(1, None, 1), (2, None, 2), (None, 100, 5)])
+def test_capped_automorphisms_keep_the_search_exact(limit, steps, kept):
+    # a few elements of the cube's 48 are not a group; any subset keys
+    # the table correctly
+    req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(2, 1)).graph))
+    budgets = range(0, 1881, 47)
+    expected = _uncached_at_every_budget(req, budgets)
+    with mock.patch.multiple(
+        search,
+        _GROUP_LIMIT=limit or search._GROUP_LIMIT,
+        _GROUP_STEPS=steps or search._GROUP_STEPS,
+    ):
+        group = _automorphisms(req)
+        assert group[0] == list(range(8)) and len(group) == kept
+        for node_limit, result in zip(budgets, expected):
+            assert minimize_span(req, node_limit) == result
+
+
+@st.composite
+def system_with_automorphism(draw):
+    """A gap matrix, not always symmetric, kept by a random permutation.
+
+    Each orbit of ordered pairs, diagonal pairs included, under the
+    permutation gets one random value.
+    """
+    nv = draw(st.integers(1, 6))
+    sigma = draw(st.permutations(range(nv)))
+    top = draw(st.sampled_from([1, 3]))
+    req = [[None] * nv for _ in range(nv)]
+    for a, b in itertools.product(range(nv), repeat=2):
+        value = draw(st.integers(0, top))
+        x, y = a, b
+        while req[x][y] is None:
+            req[x][y] = value
+            x, y = sigma[x], sigma[y]
+    return req, list(sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system_with_automorphism())
+def test_automorphisms_match_brute_force(case):
+    req, sigma = case
+    nv = len(req)
+    expected = [
+        list(p)
+        for p in itertools.permutations(range(nv))
+        if all(req[p[a]][p[b]] == req[a][b] for a in range(nv) for b in range(nv))
+    ]
+    group = _automorphisms(req)
+    assert group[0] == list(range(nv))
+    if len(expected) <= search._GROUP_LIMIT:
+        assert sorted(group) == expected
+        assert sigma in group
+    else:
+        assert len(group) == search._GROUP_LIMIT
+        assert all(p in expected for p in group)
 
 
 @settings(max_examples=60, deadline=None)

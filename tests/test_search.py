@@ -1,5 +1,7 @@
 import gc
+import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -25,6 +27,8 @@ from radiomesh import (
     permutation_oracle,
     validate,
 )
+from radiomesh import search
+from radiomesh.search import _automorphisms
 
 # values computed with the brute-force oracle and frozen
 KNOWN_RN = {
@@ -203,3 +207,76 @@ def test_minimize_span_frees_its_table_on_return():
             gc.enable()
     assert result[2] is RnStatus.EXACT
     assert retained < 64 * 1024
+
+
+@pytest.mark.parametrize("mn,order", [((2, 1), 48), ((2, 2), 16), ((3, 1), 16)])
+def test_automorphism_group_orders(mn, order):
+    # (2,1) is the cube; (2,2) and (3,1) have the mesh's 8 symmetries
+    # times the 2 of the star's leaves
+    req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(*mn)).graph))
+    vertices = range(len(req))
+    group = _automorphisms(req)
+    assert len(group) == order
+    assert group[0] == list(vertices)
+    assert len(set(map(tuple, group))) == order
+    for p in group:
+        assert sorted(p) == list(vertices)
+        assert all(req[p[a]][p[b]] == req[a][b] for a in vertices for b in vertices)
+
+
+_DIRECTED_5_CYCLE = [
+    [4 if a == b else 1 if b == (a + 1) % 5 else 3 if a == (b + 1) % 5 else 2 for b in range(5)]
+    for a in range(5)
+]
+
+
+@pytest.mark.parametrize(
+    "req,group",
+    [
+        # gap 1 forward, 3 backward and 2 across: the rotations keep it,
+        # the reflections swap forward and backward
+        (_DIRECTED_5_CYCLE, [[(a + s) % 5 for a in range(5)] for s in range(5)]),
+        # every row holds one 1 and two 0s, so the row multisets tell no
+        # vertex apart; checking only the pairs (a, c) with c <= a, or
+        # only those with c >= a, would accept a transposition
+        ([[0, 1, 0], [1, 0, 0], [1, 0, 0]], [[0, 1, 2]]),
+    ],
+)
+def test_automorphisms_of_asymmetric_systems(req, group):
+    assert sorted(_automorphisms(req)) == group
+
+
+def test_automorphisms_keep_the_diagonal():
+    # the 4-cycle's gaps with a larger diagonal entry at vertex 0: only
+    # the identity and the reflection through 0 and 2 fix it
+    req = [[3, 2, 1, 2], [2, 3, 2, 1], [1, 2, 3, 2], [2, 1, 2, 3]]
+    assert len(_automorphisms(req)) == 8
+    req[0][0] = 5
+    assert _automorphisms(req) == [[0, 1, 2, 3], [0, 3, 2, 1]]
+
+
+
+def _visits(req):
+    """Calls of the search's inner dfs during one unlimited minimize_span."""
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "dfs":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        minimize_span(req, None)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_symmetric_states_share_one_walk():
+    # the cube's 48 automorphisms cut the nodes visited (1579 with the
+    # identity alone, 160 with the group) while the counted tree stays put
+    req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(2, 1)).graph))
+    with mock.patch.object(search, "_GROUP_LIMIT", 1):
+        plain = _visits(req)
+    assert _visits(req) * 5 < plain
