@@ -19,11 +19,6 @@ import numpy as np
 from .graphs import DistanceMatrix, Graph, InvalidParameterError
 
 
-# Rows of the distance matrix checked per numpy block in validate, so its
-# temporaries stay a few MB at thousands of vertices.
-_VALIDATE_BLOCK = 256
-
-
 class LabelingContractError(ValueError):
     """A labeling does not fit the graph it is being checked against."""
 
@@ -139,31 +134,45 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
 
     Returns the full list of violating pairs, ordered by u then v, so a
     failed report shows exactly which constraints broke rather than just
-    a boolean. Each block of rows is compared only with the columns from
-    its own first row on, so about half the N x N pairs are computed.
+    a boolean.
+
+    Only pairs inside a label window are looked up. Distinct vertices
+    are at distance at least 1, so no pair needs a gap above diam, and a
+    pair whose labels differ by diam or more cannot break. With the
+    labels sorted, offset k pairs each vertex with the one k places
+    later; a gap at offset k is at least the gap at offset k - 1 from
+    the same start, so the first offset with no gap below diam ends the
+    scan. When only neighbours in label order lie within diam, as in
+    the construction labelings, that is one sort and two passes over
+    the labels; all labels equal is still every pair.
     """
     _check_fit(g, labeling)
-    nv = g.num_vertices
+    diam = dm.diameter
     # spans exceed the distance matrix's small integer type; labels beyond
     # int64 (possible in a labeling file) fall back to Python integers
     dtype = np.int64 if max(labeling.labels) <= np.iinfo(np.int64).max else object
     labels = np.array(labeling.labels, dtype=dtype)
-    violations = []
-    for lo in range(0, nv, _VALIDATE_BLOCK):
-        block = slice(lo, lo + _VALIDATE_BLOCK)
-        required = _gap_block(dm, (block, slice(lo, None)))
-        actual = np.abs(labels[block, None] - labels[None, lo:])
-        rows, cols = np.nonzero(actual < required)
-        keep = cols > rows
-        rows, cols = rows[keep], cols[keep]
-        violations.extend(
-            Violation(lo + r, lo + c, req, act)
-            for r, c, req, act in zip(
-                rows.tolist(), cols.tolist(),
-                required[rows, cols].tolist(), actual[rows, cols].tolist(),
-            )
-        )
-    return ValidityReport(not violations, tuple(violations))
+    order = np.argsort(labels)
+    ranked = labels[order]
+    found = []
+    for k in range(1, len(ranked)):
+        gaps = ranked[k:] - ranked[:-k]
+        close = np.flatnonzero(gaps < diam)
+        if close.size == 0:
+            break
+        u, v = order[close], order[close + k]
+        required = _gap_block(dm, (u, v), diam)
+        actual = gaps[close]
+        bad = np.flatnonzero(actual < required)
+        if bad.size:
+            found.append((u[bad], v[bad], required[bad], actual[bad]))
+    if not found:
+        return ValidityReport(True, ())
+    u, v, required, actual = (np.concatenate(parts) for parts in zip(*found))
+    u, v = np.minimum(u, v), np.maximum(u, v)
+    by_pair = np.lexsort((v, u))
+    columns = (a[by_pair].tolist() for a in (u, v, required, actual))
+    return ValidityReport(False, tuple(map(Violation._make, zip(*columns))))
 
 
 def greedy_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:

@@ -17,7 +17,6 @@ from radiomesh import (
     greedy_assign,
     validate,
 )
-from radiomesh.labeling import _VALIDATE_BLOCK
 
 
 @pytest.fixture
@@ -154,24 +153,38 @@ def test_greedy_labels_pass_int16(kind):
     assert validate(g, dm, labeling).valid
 
 
-def test_validate_across_block_boundaries():
+def test_validate_label_window():
     g = build_product_graph(ProductParams(12, 4)).graph  # 720 vertices
-    assert g.num_vertices > 2 * _VALIDATE_BLOCK
     dm = all_pairs_distances(g)
+    diam = dm.diameter
     labels = list(greedy_assign(g, dm, OrderingPlan(tuple(range(g.num_vertices)))).labels)
-    labels[700] = labels[10]  # a later block takes an earlier block's label
-    labels[5] = labels[300]  # and the first block a later one's
-    labels[650] = labels[400]  # a pair that starts past the first block
+    labels[700] = labels[10]  # a late vertex takes an early vertex's label
+    labels[5] = labels[300]  # and an early one a later one's
+    labels[650] = labels[400]
+    # adjacent pairs (requirement diam) planted far above every greedy
+    # label: a gap of diam - 1 breaks, a gap of diam does not
+    short, exact, apart = (
+        (a, int(np.flatnonzero(dm.matrix[a] == 1)[0])) for a in (100, 200, 500)
+    )
+    top = max(labels) + 10 * diam
+    labels[short[0]], labels[short[1]] = top, top + diam - 1
+    labels[exact[0]], labels[exact[1]] = top + 10 * diam, top + 11 * diam
+    # an adjacent pair two places apart in label order, with vertex 600
+    # between them, so only offset 2 reaches it
+    last = top + 20 * diam
+    labels[apart[0]], labels[600], labels[apart[1]] = last, last + 1, last + 2
     report = validate(g, dm, Labeling(tuple(labels)))
 
     arr = np.array(labels)
-    required = dm.diameter + 1 - dm.matrix.astype(np.int64)
+    required = diam + 1 - dm.matrix.astype(np.int64)
     actual = np.abs(arr[:, None] - arr[None, :])
     us, vs = np.nonzero(np.triu(actual < required, k=1))
     expected = tuple(
         zip(us.tolist(), vs.tolist(), required[us, vs].tolist(), actual[us, vs].tolist())
     )
     assert report.violations == expected
-    blocks = {(u // _VALIDATE_BLOCK, v // _VALIDATE_BLOCK) for u, v, _, _ in report.violations}
-    assert {(0, 1), (0, 2), (1, 2)} <= blocks
-    assert {(10, 700), (5, 300), (400, 650)} <= {(u, v) for u, v, _, _ in report.violations}
+    reported = {(u, v): (req, act) for u, v, req, act in report.violations}
+    assert {(10, 700), (5, 300), (400, 650)} <= reported.keys()
+    assert reported[tuple(sorted(short))] == (diam, diam - 1)
+    assert tuple(sorted(exact)) not in reported
+    assert reported[tuple(sorted(apart))] == (diam, 2)

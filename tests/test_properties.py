@@ -399,30 +399,64 @@ def _naive_violations(dm, labels):
     return tuple(found)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)])
-    .map(lambda mn: build_product_graph(ProductParams(*mn)).graph)
-    .flatmap(
-        lambda g: st.tuples(
-            st.just(g),
-            st.permutations(range(g.num_vertices)),
-            st.lists(
-                st.tuples(
-                    st.integers(0, g.num_vertices - 1),
-                    st.one_of(st.integers(0, 60), st.just(10**30)),
-                ),
-                max_size=4,
-            ),
-        )
-    )
+# products, random connected graphs, and paths, whose diameter is large
+# against their vertex count
+validate_graphs = st.one_of(
+    st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)]).map(
+        lambda mn: build_product_graph(ProductParams(*mn)).graph
+    ),
+    connected_graph(10),
+    st.integers(1, 12).map(build_path),
 )
-def test_validate_matches_naive_double_loop(case):
-    g, order, corruptions = case
+# corrupted labels, including values at and past the int64 limit
+_corruption = st.one_of(st.integers(0, 60), st.sampled_from([2**63 - 1, 2**63, 10**30]))
+
+
+@st.composite
+def labeled_graph(draw):
+    """A graph, its distances and a labeling that is often invalid.
+
+    Besides greedy labelings, labels are random in [0, 3N], drawn from
+    three values, all equal, or spaced diam - 1, diam or diam + 1 apart
+    in a random order, so pairs sit on both sides of the label window.
+    A shift may then move the largest label to the int64 limit, just
+    past it, or to 10**30.
+    """
+    g = draw(validate_graphs)
+    nv = g.num_vertices
     dm = all_pairs_distances(g)
-    labels = list(greedy_assign(g, dm, OrderingPlan(tuple(order))).labels)
-    for v, label in corruptions:
+    diam = dm.diameter
+    kind = draw(st.sampled_from(["greedy", "random", "few values", "equal", "window edges"]))
+    if kind == "greedy":
+        order = draw(st.permutations(range(nv)))
+        labels = list(greedy_assign(g, dm, OrderingPlan(tuple(order))).labels)
+    elif kind == "random":
+        labels = draw(st.lists(st.integers(0, 3 * nv), min_size=nv, max_size=nv))
+    elif kind == "few values":
+        labels = draw(st.lists(st.integers(0, 2), min_size=nv, max_size=nv))
+    elif kind == "equal":
+        labels = [draw(st.integers(0, 5))] * nv
+    else:
+        order = draw(st.permutations(range(nv)))
+        gaps = draw(
+            st.lists(st.sampled_from([diam - 1, diam, diam + 1]), min_size=nv, max_size=nv)
+        )
+        labels = [0] * nv
+        total = 1  # the first gap is -1 on a single vertex
+        for v, gap in zip(order, gaps):
+            total += gap
+            labels[v] = total
+    for v, label in draw(st.lists(st.tuples(st.integers(0, nv - 1), _corruption), max_size=4)):
         labels[v] = label
+    top = max(labels)
+    shift = draw(st.sampled_from([0, max(0, 2**63 - 1 - top), max(0, 2**63 - top), 10**30]))
+    return g, dm, [x + shift for x in labels]
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_graph())
+def test_validate_matches_naive_double_loop(case):
+    g, dm, labels = case
     report = validate(g, dm, Labeling(tuple(labels)))
     assert report.violations == _naive_violations(dm, labels)
     assert report.valid == (not report.violations)
