@@ -148,6 +148,12 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
     """
     _check_fit(g, labeling)
     diam = dm.diameter
+    # the window reads dm only at the pairs it picks, so a matrix of
+    # another size would go unnoticed
+    if dm.num_vertices != g.num_vertices:
+        raise InvalidParameterError(
+            f"distance matrix covers {dm.num_vertices} vertices, graph has {g.num_vertices}"
+        )
     # spans exceed the distance matrix's small integer type; labels beyond
     # int64 (possible in a labeling file) fall back to Python integers
     dtype = np.int64 if max(labeling.labels) <= np.iinfo(np.int64).max else object

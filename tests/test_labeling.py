@@ -58,6 +58,13 @@ def test_validate_contract_errors(p3):
         validate(g, dm, Labeling((0, 1, 2), graph=other))
 
 
+@pytest.mark.parametrize("nv", [2, 5])
+def test_validate_rejects_distance_matrix_of_another_size(p3, nv):
+    g, _dm = p3
+    with pytest.raises(InvalidParameterError):
+        validate(g, all_pairs_distances(build_path(nv)), Labeling((0, 3, 1)))
+
+
 def test_labels_must_be_non_negative():
     with pytest.raises(InvalidParameterError):
         Labeling((0, -1))
