@@ -419,8 +419,8 @@ def labeled_graph(draw):
     Besides greedy labelings, labels are random in [0, 3N], drawn from
     three values, all equal, or spaced diam - 1, diam or diam + 1 apart
     in a random order, so pairs sit on both sides of the label window.
-    A shift may then move the largest label to the int64 limit, just
-    past it, or to 10**30.
+    A shift may then put the largest label at the int64 limit or just
+    past it, or add 10**30.
     """
     g = draw(validate_graphs)
     nv = g.num_vertices
