@@ -7,12 +7,16 @@ realizes the cheapest labeling consistent with a visit order, while
 ``consecutive_only_assign`` accumulates the gap requirement between
 consecutive visits only, the quantity that pair-walk span arguments add
 up, which need not be valid.
+
+Distinct vertices are at distance at least 1, so no pair needs a gap
+above diam. Both ``validate`` and ``greedy_assign`` use this to look up
+only the pairs whose labels lie within one diameter of each other.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,40 +96,21 @@ def _gap_block(
     return diam + 1 - dm.matrix[index]
 
 
-def _place(floor: np.ndarray, v: int, gaps: np.ndarray) -> int:
-    """Give ``v`` its forced label ``floor[v]``, then raise every floor past it.
-
-    ``floor[x]`` is the smallest label x can take against the vertices
-    placed so far: the max over placed u of ``label(u) + gap(u, x)``, or
-    0 before any. ``gaps`` is v's gap row, upcast here because spans
-    outgrow the distance matrix's int16.
-    """
-    label = int(floor[v])
-    np.maximum(floor, np.add(gaps, label, dtype=np.int64), out=floor)
-    return label
-
-
-def _greedy_labels(order: Sequence[int], gap_row_of: Callable[[int], np.ndarray]) -> list[int]:
-    """Greedy realisation of ``order``: each vertex takes its forced label.
-
-    ``gap_row_of(v)`` returns the (symmetric) gap requirements from v,
-    indexed by vertex id, so the same kernel serves a distance matrix and
-    an explicit gap-requirement matrix. One running floor array makes
-    each vertex O(N) numpy work.
-    """
-    floor = np.zeros(len(order), dtype=np.int64)
-    labels = [0] * len(order)
-    for v in order:
-        labels[v] = _place(floor, v, gap_row_of(v))
-    return labels
-
-
 def _check_fit(g: Graph, labeling: Labeling) -> None:
     if labeling.graph is not None and labeling.graph != g:
         raise LabelingContractError("labeling was built for a different graph")
     if len(labeling.labels) != g.num_vertices:
         raise LabelingContractError(
             f"labeling covers {len(labeling.labels)} vertices, graph has {g.num_vertices}"
+        )
+
+
+def _check_matrix(g: Graph, dm: DistanceMatrix) -> None:
+    # the label windows read dm only at the pairs they pick, so a matrix
+    # of another size would go unnoticed
+    if dm.num_vertices != g.num_vertices:
+        raise InvalidParameterError(
+            f"distance matrix covers {dm.num_vertices} vertices, graph has {g.num_vertices}"
         )
 
 
@@ -147,13 +132,8 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
     the labels; all labels equal is still every pair.
     """
     _check_fit(g, labeling)
+    _check_matrix(g, dm)
     diam = dm.diameter
-    # the window reads dm only at the pairs it picks, so a matrix of
-    # another size would go unnoticed
-    if dm.num_vertices != g.num_vertices:
-        raise InvalidParameterError(
-            f"distance matrix covers {dm.num_vertices} vertices, graph has {g.num_vertices}"
-        )
     # spans exceed the distance matrix's small integer type; labels beyond
     # int64 (possible in a labeling file) fall back to Python integers
     dtype = np.int64 if max(labeling.labels) <= np.iinfo(np.int64).max else object
@@ -187,13 +167,39 @@ def greedy_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:
     The first vertex gets 0; each later vertex gets the smallest value
     satisfying the gap requirement against every vertex already placed.
     Since the requirement is always at least 1, labels strictly increase
-    along the plan and the result is valid by construction. Costs O(N)
-    numpy work per vertex.
+    along the plan and the result is valid by construction.
+
+    Only predecessors inside a label window are looked up. Every gap
+    ``diam + 1 - d`` between distinct vertices lies in [1, diam], so the
+    new vertex needs at least ``L(prev) + 1`` (prev its predecessor in
+    the plan) and a placed u asks for at most ``L(u) + diam``; u with
+    ``L(u) + diam <= L(prev) + 1`` cannot bind. Labels rise along the
+    plan, so those u are a prefix of it, which one forward pointer
+    skips. prev itself is always looked up: at diam 1 the rule would
+    skip it too. Each vertex costs one lookup per predecessor in its
+    window, and the extra memory is O(N).
     """
     seq = plan.sequence
     if len(seq) != g.num_vertices:
         raise InvalidParameterError("plan does not cover the graph")
-    labels = _greedy_labels(seq, lambda v: _gap_block(dm, v))
+    _check_matrix(g, dm)
+    diam = dm.diameter
+    base = diam + 1
+    # .item gives Python ints, so spans may outgrow the matrix's int16
+    distance = dm.matrix.item
+    labels = [0] * len(seq)
+    placed = []  # labels along the plan
+    lo = 0  # first predecessor that can still bind
+    for i, v in enumerate(seq):
+        label = 0
+        for j in range(lo, i):
+            need = placed[j] + base - distance(seq[j], v)
+            if need > label:
+                label = need
+        placed.append(label)
+        labels[v] = label
+        while lo < i and placed[lo] + diam <= label + 1:
+            lo += 1
     return Labeling(tuple(labels), graph=g)
 
 

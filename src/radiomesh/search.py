@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import DistanceMatrix, Graph, InvalidParameterError, all_pairs_distances
-from .labeling import Labeling, _gap_block, _greedy_labels, _place
+from .labeling import Labeling, _gap_block
 
 ORACLE_MAX_VERTICES = 9
 
@@ -81,6 +81,18 @@ def gap_matrix(
     return _gap_block(dm, index, diam).tolist()
 
 
+def _place(floor: np.ndarray, v: int, gaps: np.ndarray) -> int:
+    """Give ``v`` its forced label ``floor[v]``, then raise every floor past it.
+
+    ``floor[x]`` is the smallest label x can take against the vertices
+    placed so far: the max over placed u of ``label(u) + gap(u, x)``, or
+    0 before any. ``gaps`` is v's row of an int64 gap matrix.
+    """
+    label = int(floor[v])
+    np.maximum(floor, gaps + label, out=floor)
+    return label
+
+
 def _chain_labels(gaps: np.ndarray, start: int) -> list[int]:
     """Greedy chain: repeatedly place the vertex with the cheapest forced label.
 
@@ -107,7 +119,8 @@ def _heuristic_hint(req: list[list[int]]) -> tuple[int, list[int]]:
     """
     gaps = np.array(req, dtype=np.int64)
     nv = len(gaps)
-    best = _greedy_labels(range(nv), gaps.__getitem__)
+    floor = np.zeros(nv, dtype=np.int64)
+    best = [_place(floor, v, gaps[v]) for v in range(nv)]  # the identity order
     starts = range(nv) if nv <= 16 else range(8)
     for start in starts:
         candidate = _chain_labels(gaps, start)

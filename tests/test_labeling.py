@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from radiomesh import (
+    DisconnectedGraphError,
+    DistanceMatrix,
+    Graph,
     InvalidParameterError,
     Labeling,
     LabelingContractError,
@@ -14,6 +17,7 @@ from radiomesh import (
     build_product_graph,
     build_star,
     consecutive_only_assign,
+    construction_ordering,
     greedy_assign,
     validate,
 )
@@ -111,6 +115,65 @@ def test_greedy_rejects_short_plan(p3):
         greedy_assign(g, dm, OrderingPlan((0, 1)))
 
 
+@pytest.mark.parametrize("nv", [2, 5])
+def test_greedy_rejects_distance_matrix_of_another_size(p3, nv):
+    g, _dm = p3
+    with pytest.raises(InvalidParameterError):
+        greedy_assign(g, all_pairs_distances(build_path(nv)), OrderingPlan((0, 2, 1)))
+
+
+def test_greedy_rejects_disconnected_matrix():
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(DisconnectedGraphError):
+        greedy_assign(g, all_pairs_distances(g), OrderingPlan((0, 1, 2, 3)))
+
+
+def _counting(dm):
+    """``dm`` with a matrix that records every single-entry lookup."""
+    lookups = []
+
+    class Counting(np.ndarray):
+        def item(self, *args):
+            lookups.append(args)
+            return super().item(*args)
+
+    return DistanceMatrix(dm.matrix.view(Counting)), lookups
+
+
+def _window_pairs(seq, labels, diam):
+    """(predecessor, vertex) pairs the label window must look up.
+
+    The plan predecessor always; an earlier u only when it could ask for
+    more than the predecessor's label + 1.
+    """
+    pairs = []
+    for i in range(1, len(seq)):
+        prev = labels[seq[i - 1]]
+        pairs += [(u, seq[i]) for u in seq[: i - 1] if labels[u] + diam > prev + 1]
+        pairs.append((seq[i - 1], seq[i]))
+    return sorted(pairs)
+
+
+def test_greedy_looks_up_only_the_label_window():
+    # star with the leaves first: each leaf's predecessor-but-one sits
+    # exactly diam - 1 below the predecessor, so it cannot bind
+    g = build_star(5)
+    dm, lookups = _counting(all_pairs_distances(g))
+    out = greedy_assign(g, dm, OrderingPlan((1, 2, 3, 4, 5, 0)))
+    assert out.labels == (6, 0, 1, 2, 3, 4)
+    assert lookups == [(1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+
+    g = build_product_graph(ProductParams(12, 4)).graph
+    plain = all_pairs_distances(g)
+    for seed in range(3):
+        seq = list(range(g.num_vertices))
+        random.Random(seed).shuffle(seq)
+        dm, lookups = _counting(plain)
+        labels = greedy_assign(g, dm, OrderingPlan(tuple(seq))).labels
+        assert sorted(lookups) == _window_pairs(seq, labels, plain.diameter)
+        assert len(lookups) < 4 * g.num_vertices
+
+
 def test_consecutive_only_on_p2():
     g = build_path(2)
     dm = all_pairs_distances(g)
@@ -158,6 +221,30 @@ def test_greedy_labels_pass_int16(kind):
     assert labeling.span > np.iinfo(np.int16).max
     assert labeling.labels == tuple(expected)
     assert validate(g, dm, labeling).valid
+
+
+def _floor_greedy(dm, seq):
+    """The running-floor greedy: each placement raises every vertex's floor."""
+    gaps = dm.diameter + 1 - dm.matrix.astype(np.int64)
+    floor = np.zeros(dm.num_vertices, dtype=np.int64)
+    labels = [0] * dm.num_vertices
+    for v in seq:
+        labels[v] = int(floor[v])
+        np.maximum(floor, gaps[v] + labels[v], out=floor)
+    return tuple(labels)
+
+
+def test_greedy_matches_floor_loop_at_12_4():
+    params = ProductParams(12, 4)
+    g = build_product_graph(params).graph  # 720 vertices
+    dm = all_pairs_distances(g)
+    orders = [list(construction_ordering(params).sequence)]
+    for seed in range(4):
+        seq = list(range(g.num_vertices))
+        random.Random(seed).shuffle(seq)
+        orders.append(seq)
+    for seq in orders:
+        assert greedy_assign(g, dm, OrderingPlan(tuple(seq))).labels == _floor_greedy(dm, seq)
 
 
 def test_validate_label_window():

@@ -40,6 +40,16 @@ from radiomesh.search import (
     minimize_span,
 )
 
+@st.composite
+def connected_graph(draw, max_vertices):
+    """A random connected simple graph: a random spanning tree plus random edges."""
+    nv = draw(st.integers(1, max_vertices))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, nv)}
+    extra = draw(st.sets(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))))
+    edges |= {(min(p), max(p)) for p in extra if p[0] != p[1]}
+    return Graph.from_edges(nv, edges)
+
+
 # connected family graphs with at most 12 vertices
 corpus = st.one_of(
     st.integers(1, 7).map(build_path),
@@ -67,12 +77,21 @@ def test_greedy_assign_is_always_valid(case):
     assert validate(g, dm, labeling).valid
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([(2, 1), (2, 2), (3, 1)])
-    .map(lambda mn: build_product_graph(ProductParams(*mn)).graph)
-    .flatmap(lambda g: st.tuples(st.just(g), st.permutations(range(g.num_vertices))))
+# products; paths, whose diameter is large against their vertex count;
+# stars; complete graphs (diameter 1, K_2 among them); random connected graphs
+greedy_graphs = st.one_of(
+    st.sampled_from([(2, 1), (2, 2), (3, 1)]).map(
+        lambda mn: build_product_graph(ProductParams(*mn)).graph
+    ),
+    st.integers(1, 12).map(build_path),
+    st.integers(1, 8).map(build_star),
+    st.integers(1, 8).map(lambda k: Graph.from_edges(k, itertools.combinations(range(k), 2))),
+    connected_graph(10),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(greedy_graphs.flatmap(lambda g: st.tuples(st.just(g), st.permutations(range(g.num_vertices)))))
 def test_greedy_assign_matches_naive_max_over_placed(case):
     g, order = case
     dm = all_pairs_distances(g)
@@ -233,16 +252,6 @@ def _uncached_at_every_budget(req, budgets):
                 best_val, best_labels = hint_value, hint_labels
             results.append((best_val, best_labels, RnStatus.UPPER_BOUND_ONLY, nodes))
     return results
-
-
-@st.composite
-def connected_graph(draw, max_vertices):
-    """A random connected simple graph: a random spanning tree plus random edges."""
-    nv = draw(st.integers(1, max_vertices))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, nv)}
-    extra = draw(st.sets(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))))
-    edges |= {(min(p), max(p)) for p in extra if p[0] != p[1]}
-    return Graph.from_edges(nv, edges)
 
 
 # Gap matrices of graph metrics have automorphisms, the random matrices
