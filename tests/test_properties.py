@@ -40,6 +40,7 @@ from radiomesh.search import (
     minimize_span,
 )
 
+
 @st.composite
 def connected_graph(draw, max_vertices):
     """A random connected simple graph: a random spanning tree plus random edges."""
@@ -91,7 +92,11 @@ greedy_graphs = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(greedy_graphs.flatmap(lambda g: st.tuples(st.just(g), st.permutations(range(g.num_vertices)))))
+@given(
+    greedy_graphs.flatmap(
+        lambda g: st.tuples(st.just(g), st.permutations(range(g.num_vertices)))
+    )
+)
 def test_greedy_assign_matches_naive_max_over_placed(case):
     g, order = case
     dm = all_pairs_distances(g)
