@@ -6,7 +6,9 @@ observe a distance or a diameter use it as their ground truth.
 :func:`all_pairs_distances` serves search, construction, validation and
 bounds: for a Cartesian product it adds the factors' matrices, since
 product distance is the sum of the factor distances (Kchikech, Khennoufa
-& Togni, DMGT 28, 2008), and otherwise it falls back to BFS.
+& Togni, DMGT 28, 2008), and otherwise it falls back to BFS. For the
+same reason a connected product's diameter is the sum of its factors'
+diameters, which that route records instead of scanning the matrix.
 
 Construction is strict: simple undirected graphs only, validated on
 creation, and frozen afterwards.
@@ -179,7 +181,8 @@ class DistanceMatrix:
     @property
     def diameter(self) -> int:
         if self._diameter is None:
-            if bool((self.matrix == UNREACHABLE).any()):
+            # min() instead of an == UNREACHABLE mask: no N x N temporary
+            if self.matrix.min() == UNREACHABLE:
                 raise DisconnectedGraphError("graph is disconnected; diameter undefined")
             self._diameter = int(self.matrix.max())
         return self._diameter
@@ -199,31 +202,41 @@ def bfs_all_pairs(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(matrix)
 
 
-def _distance_matrix(g: Graph) -> np.ndarray:
+def _summed_distances(g: Graph) -> DistanceMatrix:
     if not g.factors:
-        return bfs_all_pairs(g).matrix
-    a, b = g.factors
+        return bfs_all_pairs(g)
+    fa, fb = (_summed_distances(f) for f in g.factors)
     dtype = _distance_dtype(g.num_vertices)
-    da = _distance_matrix(a).astype(dtype, copy=False)
-    db = _distance_matrix(b).astype(dtype, copy=False)
+    da = fa.matrix.astype(dtype, copy=False)
+    db = fb.matrix.astype(dtype, copy=False)
     na, nb = len(da), len(db)
-    # d((u, v), (w, x)) = d_a(u, w) + d_b(v, x), written straight into
-    # the output so no N x N temporary is ever allocated
-    out = np.empty((na, nb, na, nb), dtype=dtype)
-    np.add(da[:, None, :, None], db[None, :, None, :], out=out)
+    nv = na * nb
+    # row (u, v) of the product is d_a(u, .) with each entry repeated nb
+    # times plus d_b(v, .) tiled na times, so each add runs over a whole
+    # N-entry row and the only temporary is the na x N repeated block
+    out = np.empty((na, nb, nv), dtype=dtype)
+    np.add(np.repeat(da, nb, axis=1)[:, None, :], np.tile(db, na)[None, :, :], out=out)
+    dm = DistanceMatrix(out.reshape(nv, nv))
     u, w = np.nonzero(da == UNREACHABLE)
-    out[u, :, w, :] = UNREACHABLE
     v, x = np.nonzero(db == UNREACHABLE)
-    out[:, v, :, x] = UNREACHABLE
-    return out.reshape(g.num_vertices, g.num_vertices)
+    if len(u) or len(v):
+        grid = out.reshape(na, nb, na, nb)
+        grid[u, :, w, :] = UNREACHABLE
+        grid[:, v, :, x] = UNREACHABLE
+    else:
+        # the farthest pair takes each coordinate's farthest pair at once
+        dm._diameter = fa.diameter + fb.diameter
+    return dm
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """Exact all-pairs hop counts; a product sums its factors' matrices.
 
     Equal entry for entry to :func:`bfs_all_pairs`, UNREACHABLE included.
+    A connected product's diameter is set to the sum of its factors'
+    diameters, so reading it never scans the N x N matrix.
     """
-    return DistanceMatrix(_distance_matrix(g))
+    return _summed_distances(g)
 
 
 def is_connected(g: Graph) -> bool:

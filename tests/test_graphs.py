@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from radiomesh import (
     Graph,
     InvalidParameterError,
     all_pairs_distances,
+    bfs_all_pairs,
     bfs_distances,
     build_mesh,
     build_path,
@@ -129,6 +132,35 @@ def test_distance_matrix_symmetry():
     dm = all_pairs_distances(g)
     assert np.array_equal(dm.matrix, dm.matrix.T)
     assert np.all(np.diag(dm.matrix) == 0)
+
+
+def _traced_peak(fn):
+    """Result of ``fn()`` and the most memory it held above the start."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_product_distances_allocate_little_beyond_the_matrix():
+    g = build_product_graph(ProductParams(12, 4)).graph
+    dm, build_peak = _traced_peak(lambda: all_pairs_distances(g))
+    # the matrix plus the na x N repeated block, a fifth of it at n = 4
+    assert build_peak < 1.4 * dm.matrix.nbytes
+    # the diameter is the factors' sum, recorded during the build
+    diam, diam_peak = _traced_peak(lambda: dm.diameter)
+    assert diam == 24 and diam_peak < 64 * 1024
+
+
+def test_dense_diameter_allocates_no_matrix_sized_temporary():
+    g = build_product_graph(ProductParams(12, 4)).graph
+    bfs = bfs_all_pairs(g)
+    diam, peak = _traced_peak(lambda: bfs.diameter)
+    # an N x N bool mask alone would be 506 KiB
+    assert diam == 24 and peak < 64 * 1024
 
 
 def test_from_edges_validation():

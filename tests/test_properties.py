@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiomesh import (
+    UNREACHABLE,
     CellIndexing,
+    DisconnectedGraphError,
     Graph,
     Labeling,
     OrderingPlan,
@@ -398,7 +400,15 @@ small_graphs = st.integers(1, 5).flatmap(
 @given(st.lists(small_graphs, min_size=2, max_size=3))
 def test_factored_distances_equal_bfs_on_random_products(factors):
     g = cartesian_product(factors)
-    assert np.array_equal(all_pairs_distances(g).matrix, bfs_all_pairs(g).matrix)
+    factored, bfs = all_pairs_distances(g), bfs_all_pairs(g)
+    assert np.array_equal(factored.matrix, bfs.matrix)
+    # the factored diameter is the factors' sum, BFS's is the matrix maximum
+    if bfs.matrix.min() == UNREACHABLE:
+        for dm in (factored, bfs):
+            with pytest.raises(DisconnectedGraphError):
+                dm.diameter
+    else:
+        assert factored.diameter == bfs.diameter
 
 
 def _naive_violations(dm, labels):
