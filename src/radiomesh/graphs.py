@@ -181,7 +181,7 @@ class DistanceMatrix:
     @property
     def diameter(self) -> int:
         if self._diameter is None:
-            # min() instead of an == UNREACHABLE mask: no N x N temporary
+            # min() allocates nothing; an == UNREACHABLE mask would be N x N
             if self.matrix.min() == UNREACHABLE:
                 raise DisconnectedGraphError("graph is disconnected; diameter undefined")
             self._diameter = int(self.matrix.max())
