@@ -172,7 +172,7 @@ def pair_bound_claim(
         for t in (1, 1 + pair_offset(params))
         for k in range(1, params.n + 2)
     ]
-    req = gap_matrix(dm, diam=dm.diameter, vertices=vertices)
+    req = gap_matrix(dm, vertices=vertices)
     value, _labels, status, _nodes = minimize_span(req)
     observed = Fraction(value) if status is RnStatus.EXACT else None
     return _row(claim_id, params, indexing.value, expected, observed)

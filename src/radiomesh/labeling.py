@@ -87,13 +87,9 @@ class ValidityReport:
     violations: tuple[Violation, ...]
 
 
-def _gap_block(
-    dm: DistanceMatrix, index: int | slice | tuple, diam: int | None = None
-) -> np.ndarray:
+def _gap_block(dm: DistanceMatrix, index: int | slice | tuple) -> np.ndarray:
     """Required label gaps ``diam + 1 - d(u, v)`` over ``dm.matrix[index]``."""
-    if diam is None:
-        diam = dm.diameter
-    return diam + 1 - dm.matrix[index]
+    return dm.diameter + 1 - dm.matrix[index]
 
 
 def _check_fit(g: Graph, labeling: Labeling) -> None:
@@ -147,7 +143,7 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
         if close.size == 0:
             break
         u, v = order[close], order[close + k]
-        required = _gap_block(dm, (u, v), diam)
+        required = _gap_block(dm, (u, v))
         actual = gaps[close]
         bad = np.flatnonzero(actual < required)
         if bad.size:

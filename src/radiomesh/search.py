@@ -14,7 +14,6 @@ graph's metric (see :func:`gap_matrix`).
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -31,15 +30,11 @@ ORACLE_MAX_VERTICES = 9
 # depend on the budget.
 DEFAULT_NODE_LIMIT = 20_000_000
 
-# Slots of minimize_span's subtree-size table: 2**16 slots of an 8-byte
-# key and a 4-byte size, 768 KiB per call. The (2,2) search expands 7,775
-# distinct states up to its 16 automorphisms (93,258 without them); with
-# 2**15 slots it took 1.1x as long, with 2**17 0.97x as long for twice
-# the memory.
+# Most states minimize_span's subtree-size table holds; a full table is
+# emptied before the next insert. The (2,2) search stores 7,763 states up
+# to its 16 automorphisms, so only budgeted searches far beyond the
+# verify grid fill it.
 _CACHE_SLOTS = 1 << 16
-_FIB_MULTIPLIER = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, odd
-_U64 = (1 << 64) - 1
-_U32 = (1 << 32) - 1
 
 # Caps on the automorphism enumeration of minimize_span: permutations kept
 # and candidate images tried. Any subset of the group keys the table
@@ -66,19 +61,15 @@ class RnResult:
     nodes: int = 0
 
 
-def gap_matrix(
-    dm: DistanceMatrix,
-    diam: int | None = None,
-    vertices: Sequence[int] | None = None,
-) -> list[list[int]]:
+def gap_matrix(dm: DistanceMatrix, vertices: Sequence[int] | None = None) -> list[list[int]]:
     """Required label gaps ``diam + 1 - d(u, v)`` for a vertex subset.
 
-    ``diam`` defaults to the matrix diameter. Passing a subset together
-    with the host graph's diameter poses the induced problem under the
-    host metric, which is how the per-pair bound claims are adjudicated.
+    ``diam`` is the diameter of the whole matrix, so a subset poses the
+    induced problem under the host metric, which is how the per-pair
+    bound claims are adjudicated.
     """
     index = slice(None) if vertices is None else np.ix_(vertices, vertices)
-    return _gap_block(dm, index, diam).tolist()
+    return _gap_block(dm, index).tolist()
 
 
 def _place(floor: np.ndarray, v: int, gaps: np.ndarray) -> int:
@@ -204,14 +195,14 @@ def minimize_span(
 
     A subtree that completes no labeling keeps its cutoff fixed, so its
     shape depends only on the placed set and on ``cutoff`` and the
-    unplaced ``earliest`` values shifted so the smallest is 0. A
-    direct-mapped table of ``_CACHE_SLOTS`` entries keeps the sizes of
-    such subtrees, and a later node in the same state adds the size
-    instead of walking the subtree again. The walk is skipped only when
-    it could not have met the budget, so values, witnesses, statuses,
-    truncation and the node count are those of the uncached tree:
-    ``nodes`` and ``node_limit`` count the nodes of that tree, not the
-    nodes actually visited.
+    unplaced ``earliest`` values shifted so the smallest is 0. A dict
+    of at most ``_CACHE_SLOTS`` states, emptied when full, keeps the
+    sizes of such subtrees, and a later node in the same state adds
+    the size instead of walking the subtree again. The walk is skipped
+    only when it could not have met the budget, so values, witnesses,
+    statuses, truncation and the node count are those of the uncached
+    tree: ``nodes`` and ``node_limit`` count the nodes of that tree, not
+    the nodes actually visited.
 
     The table is keyed by a canonical state under automorphisms of
     ``req`` (see :func:`_automorphisms`). An automorphism maps a state to
@@ -220,9 +211,9 @@ def minimize_span(
     children of 1 plus the size of each child that passes its bound,
     is the same for both: it does not depend on child order, and the
     bound depends only on the multiset of floors. The canonical key is
-    the packed key of one image chosen by a rule that sees only the set
-    of images, and the packing is one-to-one, so equal keys mean states
-    that are images of each other. That holds for any subset of the
+    the key of one image chosen by a rule that sees only the set of
+    images, and the key is one-to-one, so equal keys mean states that
+    are images of each other. That holds for any subset of the
     automorphisms, so the enumeration's caps cost hits, never
     correctness.
 
@@ -249,20 +240,15 @@ def minimize_span(
     placed = [False] * nv
     nodes = 0
 
-    # A state key packs, from the top: cutoff - base, then one field of
-    # ``width`` bits per unplaced vertex in ascending id, then the placed
-    # mask. The mask fixes how many fields there are, so the packing is
-    # one-to-one; a state with a wider offset or above 64 bits is not cached.
+    # A state key is the tuple (cutoff - base, placed mask, fields): one
+    # field, earliest minus base, per unplaced vertex in ascending id. The
+    # mask fixes how many fields there are, so the key is one-to-one.
     # A node is keyed by its image, under the permutations in ``group``,
     # with the smallest placed mask and, of those, the smallest fields.
     full = (1 << nv) - 1
-    width = max(max(map(max, req)), 1).bit_length()
-    field = (1 << width) - 1
-    slot_shift = 64 - (_CACHE_SLOTS.bit_length() - 1)
-    cache_keys = array("Q", [0]) * _CACHE_SLOTS  # 0 marks an empty slot
-    cache_sizes = array("I", [0]) * _CACHE_SLOTS
+    cache: dict[tuple[int, ...], int] = {}
 
-    group = _automorphisms(req) if nv < 64 else [list(range(nv))]  # no key fits above 63
+    group = _automorphisms(req)
     inverses = [sorted(range(nv), key=p.__getitem__) for p in group]
     # chunk_tables holds (shift, table): bits [i * nv, (i + 1) * nv) of
     # table[byte] are the image under group[i] of the placed vertices
@@ -297,35 +283,25 @@ def minimize_span(
         if bound >= cutoff:
             return True
 
-        key = 0
         base = remaining[0]
-        if remaining[-1] - base <= field:
-            packed = 0
-            for shift, table in chunk_tables:
-                packed |= table[mask >> shift & 255]
-            images = [packed >> at & full for at in offsets]
-            least = min(images)
-            # the image state keeps earliest[x] at the image of x
-            unplaced = [y for y in range(nv) if not least >> y & 1]
-            fields = min(
-                [earliest[source[y]] for y in unplaced]
-                for source, image in zip(inverses, images)
-                if image == least
-            )
-            key = cutoff - base  # positive, so no key is 0
-            for low in fields:
-                key = key << width | (low - base)
-            key = key << nv | least
-            if key > _U64:
-                key = 0
-        if key:
-            slot = (key * _FIB_MULTIPLIER & _U64) >> slot_shift
-            if cache_keys[slot] == key:
-                size = cache_sizes[slot]
-                if node_limit is None or nodes + size < node_limit:
-                    nodes += size
-                    return True
-            start, incumbent = nodes, best_val
+        packed = 0
+        for shift, table in chunk_tables:
+            packed |= table[mask >> shift & 255]
+        images = [packed >> at & full for at in offsets]
+        least = min(images)
+        # the image state keeps earliest[x] at the image of x
+        unplaced = [y for y in range(nv) if not least >> y & 1]
+        fields = min(
+            [earliest[source[y]] - base for y in unplaced]
+            for source, image in zip(inverses, images)
+            if image == least
+        )
+        key = (cutoff - base, least, *fields)
+        size = cache.get(key)
+        if size is not None and (node_limit is None or nodes + size < node_limit):
+            nodes += size
+            return True
+        start, incumbent = nodes, best_val
 
         for v in range(nv):
             if placed[v]:
@@ -350,11 +326,10 @@ def minimize_span(
                 return False
 
         # every completion lowers best_val, so an equal one means none here
-        if key and best_val == incumbent:
-            size = nodes - start
-            if cache_sizes[slot] < size <= _U32:
-                cache_keys[slot] = key
-                cache_sizes[slot] = size
+        if best_val == incumbent:
+            if len(cache) >= _CACHE_SLOTS:
+                cache.clear()
+            cache[key] = nodes - start
         return True
 
     status = RnStatus.EXACT if dfs(0, 0) else RnStatus.UPPER_BOUND_ONLY

@@ -197,9 +197,9 @@ def _uncached_minimize_span(req, node_limit, checks=None):
     return best_val, best_labels, status, nodes
 
 
-# 1 and 8 slots force collisions and replacements in the subtree-size
-# table. Gaps up to 300 give keys above 64 bits; negative gaps (no graph
-# has them) give offsets wider than a key field.
+# Tables of 1 and 8 states fill and are emptied again and again. Gaps
+# up to 300 give large offsets; negative gaps (no graph has them) let
+# labels fall.
 @pytest.mark.parametrize("slots", [None, 1, 8])
 @settings(max_examples=150, deadline=None)
 @given(
@@ -213,8 +213,9 @@ def test_minimize_span_matches_uncached_search(slots, req, node_limit):
 
 
 def test_minimize_span_matches_uncached_search_past_a_key_field():
-    # negative gaps let labels fall, so an offset outgrows its key field;
-    # packing it anyway makes two states share a key and miscounts nodes
+    # negative gaps let labels fall, so an offset outgrows every gap; a
+    # key that truncated it would make two states share a key and
+    # miscount nodes
     req = [
         [5, 3, 3, 3, -4, 7, -2, 5],
         [3, -8, 3, 0, -2, 2, -8, 0],
@@ -232,7 +233,7 @@ def test_minimize_span_matches_uncached_search_at_every_budget():
     # a cached subtree that would end exactly on the budget must be walked;
     # six vertices of the (2,2) product give a 589-node tree with hits
     dm = all_pairs_distances(build_product_graph(ProductParams(2, 2)).graph)
-    req = gap_matrix(dm, diam=dm.diameter, vertices=[0, 1, 2, 3, 4, 5])
+    req = gap_matrix(dm, vertices=[0, 1, 2, 3, 4, 5])
     full = minimize_span(req, None)[3]
     for node_limit in range(full + 2):
         assert minimize_span(req, node_limit) == _uncached_minimize_span(req, node_limit)

@@ -1,6 +1,5 @@
 import gc
 import sys
-import tracemalloc
 from unittest import mock
 
 import pytest
@@ -141,7 +140,7 @@ def test_gap_matrix_subset_keeps_host_metric():
     pg = build_product_graph(ProductParams(2, 1))
     dm = all_pairs_distances(pg.graph)
     subset = [pg.hub_of(1), pg.hub_of(3)]
-    req = gap_matrix(dm, diam=dm.diameter, vertices=subset)
+    req = gap_matrix(dm, vertices=subset)
     expected = dm.diameter + 1 - dm[subset[0], subset[1]]
     assert req[0][1] == req[1][0] == expected
     assert req[0][0] == dm.diameter + 1
@@ -155,7 +154,7 @@ def test_pair_system_brute_force_agreement():
     pg = build_product_graph(ProductParams(2, 1))
     dm = all_pairs_distances(pg.graph)
     vertices = [pg.fiber_vertex(1, 1), pg.fiber_vertex(1, 2), pg.fiber_vertex(3, 1), pg.fiber_vertex(3, 2)]
-    req = gap_matrix(dm, diam=dm.diameter, vertices=vertices)
+    req = gap_matrix(dm, vertices=vertices)
 
     best = None
     for perm in itertools.permutations(range(4)):
@@ -183,7 +182,7 @@ def test_search_tree_of_row_major_pair_system_is_frozen():
     vertices = [
         fiber_vertex_id(params, CellIndexing.ROW_MAJOR, t, k) for t in (1, 3) for k in (1, 2, 3)
     ]
-    value, _, status, nodes = minimize_span(gap_matrix(dm, diam=dm.diameter, vertices=vertices))
+    value, _, status, nodes = minimize_span(gap_matrix(dm, vertices=vertices))
     assert (value, status, nodes) == (13, RnStatus.EXACT, 589)
 
 
@@ -193,20 +192,20 @@ def test_search_tree_of_c4_x_k12_is_frozen():
 
 
 def test_minimize_span_frees_its_table_on_return():
-    # the table is 768 KiB; a reference cycle through the search closure
-    # would keep it alive until the next garbage collection
+    # the table can hold 65,536 states; a reference cycle through the
+    # search closure would keep it alive until the next garbage collection
+    req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(2, 1)).graph))
     was_enabled = gc.isenabled()
+    gc.collect()
     gc.disable()
-    tracemalloc.start()
     try:
-        result = minimize_span([[3, 1, 2], [1, 3, 1], [2, 1, 3]])
-        retained, _peak = tracemalloc.get_traced_memory()
+        result = minimize_span(req)
+        unreachable = gc.collect()
     finally:
-        tracemalloc.stop()
         if was_enabled:
             gc.enable()
     assert result[2] is RnStatus.EXACT
-    assert retained < 64 * 1024
+    assert unreachable == 0
 
 
 @pytest.mark.parametrize("mn,order", [((2, 1), 48), ((2, 2), 16), ((3, 1), 16)])
@@ -280,3 +279,15 @@ def test_symmetric_states_share_one_walk():
     with mock.patch.object(search, "_GROUP_LIMIT", 1):
         plain = _visits(req)
     assert _visits(req) * 5 < plain
+
+
+def test_huge_unread_gaps_keep_states_shared():
+    # the search never reads the diagonal, so gaps of 2**60 there change
+    # neither the group nor the tree; the state key has no width to outgrow
+    req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(2, 1)).graph))
+    huge = [row.copy() for row in req]
+    for v, row in enumerate(huge):
+        row[v] = 1 << 60
+    assert len(_automorphisms(huge)) == 48
+    assert minimize_span(huge, None) == minimize_span(req, None)
+    assert _visits(huge) == _visits(req) == 160
