@@ -4,20 +4,26 @@ Two exact routes give all-pairs distances. :func:`bfs_all_pairs` runs
 breadth-first search from every vertex of the whole graph; claims that
 observe a distance or a diameter use it as their ground truth.
 :func:`all_pairs_distances` serves search, construction, validation and
-bounds: for a Cartesian product it adds the factors' matrices, since
+bounds: for a Cartesian product it keeps two factor matrices, since
 product distance is the sum of the factor distances (Kchikech, Khennoufa
 & Togni, DMGT 28, 2008), and otherwise it falls back to BFS. For the
 same reason a connected product's diameter is the sum of its factors'
-diameters, which that route records instead of scanning the matrix.
+diameters. A :class:`DistanceMatrix` answers single and vectorised
+lookups from its factors, which is all that labeling and validation
+read; the dense N x N matrix is built from the factors only when
+``.matrix`` is first read, by the search, the gap matrices, the claims
+and the BFS cross-check.
 
 Construction is strict: simple undirected graphs only, validated on
-creation, and frozen afterwards.
+creation, and frozen afterwards. A Cartesian product is simple by
+construction, so its adjacency is laid out straight from the factors'.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from math import prod
 from typing import Iterable, Sequence
 
@@ -113,19 +119,44 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
     return reduce(_binary_product, factors)
 
 
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Degrees, then source, target and rank within the source of each arc."""
+    adjacency = g.adjacency
+    deg = np.fromiter(map(len, adjacency), np.int64, g.num_vertices)
+    targets = np.fromiter(chain.from_iterable(adjacency), np.int64, int(deg.sum()))
+    sources = np.repeat(np.arange(g.num_vertices), deg)
+    rank = np.arange(len(targets)) - np.repeat(np.cumsum(deg) - deg, deg)
+    return deg, sources, targets, rank
+
+
 def _binary_product(a: Graph, b: Graph) -> Graph:
-    nb = b.num_vertices
-    edges = []
-    for u in range(a.num_vertices):
-        for v in range(b.num_vertices):
-            base = u * nb + v
-            for w in a.adjacency[u]:
-                if w > u:
-                    edges.append((base, w * nb + v))
-            for x in b.adjacency[v]:
-                if x > v:
-                    edges.append((base, u * nb + x))
-    return replace(Graph.from_edges(a.num_vertices * nb, edges), factors=(a, b))
+    """Product adjacency laid out straight from the factors' adjacency.
+
+    Vertex (u, v) has id u * |B| + v, and its sorted neighbours are its
+    A-neighbours below u, then its B-neighbours, then its A-neighbours
+    above u. Both factors are simple, so the product is too, and each
+    arc is written once at its final position: no edge list, no sets and
+    no sorts.
+    """
+    na, nb = a.num_vertices, b.num_vertices
+    deg_a, au, aw, ak = _csr(a)
+    deg_b, bv, bx, bk = _csr(b)
+    below = np.bincount(au[aw < au], minlength=na)  # A-neighbours below each u
+    deg = (deg_a[:, None] + deg_b).ravel()
+    ends = np.cumsum(deg)
+    start = (ends - deg).reshape(na, nb)
+    flat = np.empty(int(ends[-1]), dtype=np.int64)
+    # arc u -> w of A, for every v: after v's B-neighbours when w > u
+    flat[start[au] + ak[:, None] + (aw > au)[:, None] * deg_b] = aw[:, None] * nb + np.arange(nb)
+    # arc v -> x of B, for every u: after u's A-neighbours below u
+    flat[start[:, bv] + below[:, None] + bk] = np.arange(na)[:, None] * nb + bx
+    flat = flat.tolist()
+    adjacency = []
+    begin = 0
+    for end in ends.tolist():
+        adjacency.append(tuple(flat[begin:end]))
+        begin = end
+    return Graph(na * nb, tuple(adjacency), factors=(a, b))
 
 
 def build_mesh(m: int) -> Graph:
@@ -154,37 +185,142 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     return dist
 
 
-class DistanceMatrix:
-    """All-pairs hop counts for one graph, with the diameter cached.
+def _sum_tables(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Distance matrix of the product of two graphs with matrices ``da``, ``db``.
 
-    Entries equal to UNREACHABLE mark pairs in different components; the
-    ``diameter`` property refuses to summarize such a matrix.
+    Entry ((u, v), (w, x)) is d_a(u, w) + d_b(v, x), or UNREACHABLE when
+    either term is. A one-vertex factor adds nothing, so the other
+    matrix comes back as it is.
+    """
+    if len(da) == 1:
+        return db
+    if len(db) == 1:
+        return da
+    na, nb = len(da), len(db)
+    nv = na * nb
+    # row (u, v) of the product is d_a(u, .) with each entry repeated nb
+    # times plus d_b(v, .) tiled na times, so each add runs over a whole
+    # N-entry row and the only temporary is the na x N repeated block
+    out = np.empty((na, nb, nv), dtype=da.dtype)
+    np.add(np.repeat(da, nb, axis=1)[:, None, :], np.tile(db, na)[None, :, :], out=out)
+    u, w = np.nonzero(da == UNREACHABLE)
+    v, x = np.nonzero(db == UNREACHABLE)
+    if len(u) or len(v):
+        grid = out.reshape(na, nb, na, nb)
+        grid[u, :, w, :] = UNREACHABLE
+        grid[:, v, :, x] = UNREACHABLE
+    return out.reshape(nv, nv)
+
+
+class DistanceMatrix:
+    """All-pairs hop counts for one graph, kept as two factor matrices A, B.
+
+    Vertex u is the pair (u div |B|, u mod |B|), and d(u, v) is the A
+    entry of the first coordinates plus the B entry of the second; a
+    pair in different components of either factor reads UNREACHABLE.
+    For the mesh-by-star product at (100, 10), N = 110,000, A and B are
+    100 x 100 and 1100 x 1100, where an N x N matrix would take 48 GB.
+    A dense matrix M is the one-factor case: ``DistanceMatrix(M)`` has
+    A = [[0]] and B = M.
+
+    ``dm[u, v]``, :meth:`pairs` and :attr:`factor_rows` read only the
+    factors; ``greedy_assign``, ``consecutive_only_assign`` and
+    ``validate`` use nothing else. :attr:`matrix` is the dense N x N
+    matrix, with UNREACHABLE entries, built from the factors on first
+    access and then kept; the search, the gap matrices, the claims and
+    the BFS cross-check read it. ``diameter`` is the sum of the
+    factors' diameters, and refuses to summarize a disconnected graph.
     """
 
-    __slots__ = ("matrix", "_diameter")
+    __slots__ = ("_a", "_b", "_matrix", "_diameter", "_rows", "_index")
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
+        self._a = np.zeros((1, 1), dtype=matrix.dtype)
+        self._b = matrix
+        self._matrix: np.ndarray | None = None
         self._diameter: int | None = None
+        self._rows: tuple[list, list, list, list] | None = None
+        self._index: tuple | None = None
+
+    @classmethod
+    def from_factors(cls, a: np.ndarray, b: np.ndarray) -> "DistanceMatrix":
+        """Distances of the product of graphs with matrices ``a`` and ``b`` (same dtype)."""
+        dm = cls(b)
+        dm._a = a
+        return dm
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _sum_tables(self._a, self._b)
+        return self._matrix
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         u, v = pair
-        return int(self.matrix[u, v])
+        nb = len(self._b)
+        a = self._a.item(u // nb, v // nb)
+        b = self._b.item(u % nb, v % nb)
+        return UNREACHABLE if UNREACHABLE in (a, b) else a + b
+
+    def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """``d(us[i], vs[i])`` for each i, in the matrix's dtype.
+
+        Each factor is read flat: u's row starts at offset ``oa[u]`` and
+        v is column ``ia[v]``. These per-vertex arrays, and whether a
+        factor holds UNREACHABLE, are worked out on the first call and
+        kept.
+        """
+        if self._index is None:
+            na, nb = len(self._a), len(self._b)
+            ia = np.repeat(np.arange(na), nb)
+            ib = np.tile(np.arange(nb), na)
+            disconnected = min(self._a.min(), self._b.min()) == UNREACHABLE
+            self._index = (self._a.ravel(), ia * na, ia, self._b.ravel(), ib * nb, ib, disconnected)
+        fa, oa, ia, fb, ob, ib, disconnected = self._index
+        a = fa.take(oa.take(us) + ia.take(vs))
+        b = fb.take(ob.take(us) + ib.take(vs))
+        out = a + b
+        if disconnected:
+            out[(a == UNREACHABLE) | (b == UNREACHABLE)] = UNREACHABLE
+        return out
+
+    @property
+    def factor_rows(self) -> tuple[list, list, list, list]:
+        """Per-vertex lists (ra, ca, rb, cb) with d(u, v) = ra[u][ca[v]] + rb[u][cb[v]].
+
+        ``ra[u]`` is u's row of A as a Python list, and ``ca[v]`` is v's
+        index into it; likewise for B. A lookup is four list subscripts
+        on Python ints. Built on first access and kept: O(N) references
+        plus each factor as nested lists. The sum does not carry
+        UNREACHABLE, so these serve connected graphs only.
+        """
+        if self._rows is None:
+            na, nb = len(self._a), len(self._b)
+            rows_a, rows_b = self._a.tolist(), self._b.tolist()
+            self._rows = (
+                [row for row in rows_a for _ in range(nb)],
+                [i for i in range(na) for _ in range(nb)],
+                rows_b * na,
+                list(range(nb)) * na,
+            )
+        return self._rows
 
     def row(self, u: int) -> np.ndarray:
         return self.matrix[u]
 
     @property
     def num_vertices(self) -> int:
-        return self.matrix.shape[0]
+        return len(self._a) * len(self._b)
 
     @property
     def diameter(self) -> int:
         if self._diameter is None:
-            # min() allocates nothing; an == UNREACHABLE mask would be N x N
-            if self.matrix.min() == UNREACHABLE:
+            # min() allocates nothing; an == UNREACHABLE mask would be a
+            # whole factor. The farthest pair takes each factor's farthest
+            # pair at once, so the diameter is the sum of the factors'.
+            if min(self._a.min(), self._b.min()) == UNREACHABLE:
                 raise DisconnectedGraphError("graph is disconnected; diameter undefined")
-            self._diameter = int(self.matrix.max())
+            self._diameter = int(self._a.max()) + int(self._b.max())
         return self._diameter
 
 
@@ -202,41 +338,30 @@ def bfs_all_pairs(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(matrix)
 
 
-def _summed_distances(g: Graph) -> DistanceMatrix:
-    if not g.factors:
-        return bfs_all_pairs(g)
-    fa, fb = (_summed_distances(f) for f in g.factors)
-    dtype = _distance_dtype(g.num_vertices)
-    da = fa.matrix.astype(dtype, copy=False)
-    db = fb.matrix.astype(dtype, copy=False)
-    na, nb = len(da), len(db)
-    nv = na * nb
-    # row (u, v) of the product is d_a(u, .) with each entry repeated nb
-    # times plus d_b(v, .) tiled na times, so each add runs over a whole
-    # N-entry row and the only temporary is the na x N repeated block
-    out = np.empty((na, nb, nv), dtype=dtype)
-    np.add(np.repeat(da, nb, axis=1)[:, None, :], np.tile(db, na)[None, :, :], out=out)
-    dm = DistanceMatrix(out.reshape(nv, nv))
-    u, w = np.nonzero(da == UNREACHABLE)
-    v, x = np.nonzero(db == UNREACHABLE)
-    if len(u) or len(v):
-        grid = out.reshape(na, nb, na, nb)
-        grid[u, :, w, :] = UNREACHABLE
-        grid[:, v, :, x] = UNREACHABLE
-    else:
-        # the farthest pair takes each coordinate's farthest pair at once
-        dm._diameter = fa.diameter + fb.diameter
-    return dm
+def _leaves(g: Graph) -> list[Graph]:
+    """The factors of ``g`` that are not products, in mixed-radix order."""
+    return [leaf for f in g.factors for leaf in _leaves(f)] if g.factors else [g]
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Exact all-pairs hop counts; a product sums its factors' matrices.
+    """Exact all-pairs hop counts from BFS on each non-product factor.
 
     Equal entry for entry to :func:`bfs_all_pairs`, UNREACHABLE included.
-    A connected product's diameter is set to the sum of its factors'
-    diameters, so reading it never scans the N x N matrix.
+    Mixed radix is associative, so the leaf factors can be regrouped
+    into any two runs; they are split where the larger run has the
+    fewest vertices (P_m x (P_m x S_n) for a mesh-by-star product), and
+    each run's matrix is the sum of its leaves'. The N x N matrix is
+    built only if ``.matrix`` is read, and the diameter is the sum of
+    the two runs' diameters, so neither scans N x N entries.
     """
-    return _summed_distances(g)
+    dtype = _distance_dtype(g.num_vertices)
+    tables = [bfs_all_pairs(leaf).matrix.astype(dtype, copy=False) for leaf in _leaves(g)]
+    sizes = [len(t) for t in tables]
+    split = min(range(len(tables)), key=lambda i: max(prod(sizes[:i]), prod(sizes[i:])))
+    one = np.zeros((1, 1), dtype=dtype)
+    return DistanceMatrix.from_factors(
+        reduce(_sum_tables, tables[:split], one), reduce(_sum_tables, tables[split:])
+    )
 
 
 def is_connected(g: Graph) -> bool:

@@ -11,6 +11,9 @@ up, which need not be valid.
 Distinct vertices are at distance at least 1, so no pair needs a gap
 above diam. Both ``validate`` and ``greedy_assign`` use this to look up
 only the pairs whose labels lie within one diameter of each other.
+All three read distances through the distance matrix's factor lookups
+(``DistanceMatrix.pairs`` and ``factor_rows``), so a product's N x N
+matrix is never built here.
 """
 from __future__ import annotations
 
@@ -87,11 +90,6 @@ class ValidityReport:
     violations: tuple[Violation, ...]
 
 
-def _gap_block(dm: DistanceMatrix, index: int | slice | tuple) -> np.ndarray:
-    """Required label gaps ``diam + 1 - d(u, v)`` over ``dm.matrix[index]``."""
-    return dm.diameter + 1 - dm.matrix[index]
-
-
 def _check_fit(g: Graph, labeling: Labeling) -> None:
     if labeling.graph is not None and labeling.graph != g:
         raise LabelingContractError("labeling was built for a different graph")
@@ -123,9 +121,10 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
     labels sorted, offset k pairs each vertex with the one k places
     later; a gap at offset k is at least the gap at offset k - 1 from
     the same start, so the first offset with no gap below diam ends the
-    scan. When only neighbours in label order lie within diam, as in
-    the construction labelings, that is one sort and two passes over
-    the labels; all labels equal is still every pair.
+    scan. The window's pairs are then looked up at once. When only
+    neighbours in label order lie within diam, as in the construction
+    labelings, that is one sort and two passes over the labels; all
+    labels equal is still every pair.
     """
     _check_fit(g, labeling)
     _check_matrix(g, dm)
@@ -136,21 +135,22 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
     labels = np.array(labeling.labels, dtype=dtype)
     order = np.argsort(labels)
     ranked = labels[order]
-    found = []
+    window = []
     for k in range(1, len(ranked)):
         gaps = ranked[k:] - ranked[:-k]
         close = np.flatnonzero(gaps < diam)
         if close.size == 0:
             break
-        u, v = order[close], order[close + k]
-        required = _gap_block(dm, (u, v))
-        actual = gaps[close]
-        bad = np.flatnonzero(actual < required)
-        if bad.size:
-            found.append((u[bad], v[bad], required[bad], actual[bad]))
-    if not found:
+        window.append((order[close], order[close + k], gaps[close]))
+    if not window:
         return ValidityReport(True, ())
-    u, v, required, actual = (np.concatenate(parts) for parts in zip(*found))
+    # one factor lookup for the whole window
+    u, v, actual = (np.concatenate(parts) for parts in zip(*window))
+    required = diam + 1 - dm.pairs(u, v)
+    bad = np.flatnonzero(actual < required)
+    if bad.size == 0:
+        return ValidityReport(True, ())
+    u, v, required, actual = u[bad], v[bad], required[bad], actual[bad]
     u, v = np.minimum(u, v), np.maximum(u, v)
     by_pair = np.lexsort((v, u))
     columns = (a[by_pair].tolist() for a in (u, v, required, actual))
@@ -173,7 +173,8 @@ def greedy_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:
     plan, so those u are a prefix of it, which one forward pointer
     skips. prev itself is always looked up: at diam 1 the rule would
     skip it too. Each vertex costs one lookup per predecessor in its
-    window, and the extra memory is O(N).
+    window, four list subscripts through ``dm.factor_rows``, and the
+    extra memory is O(N) beyond those rows, which ``dm`` keeps.
     """
     seq = plan.sequence
     if len(seq) != g.num_vertices:
@@ -181,15 +182,17 @@ def greedy_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:
     _check_matrix(g, dm)
     diam = dm.diameter
     base = diam + 1
-    # .item gives Python ints, so spans may outgrow the matrix's int16
-    distance = dm.matrix.item
+    # Python lists of Python ints, so spans may outgrow the matrix's int16
+    ra, ca, rb, cb = dm.factor_rows
     labels = [0] * len(seq)
     placed = []  # labels along the plan
     lo = 0  # first predecessor that can still bind
     for i, v in enumerate(seq):
+        av, bv = ca[v], cb[v]
         label = 0
         for j in range(lo, i):
-            need = placed[j] + base - distance(seq[j], v)
+            u = seq[j]
+            need = placed[j] + base - ra[u][av] - rb[u][bv]
             if need > label:
                 label = need
         placed.append(label)
@@ -209,10 +212,9 @@ def consecutive_only_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) ->
     seq = plan.sequence
     if len(seq) != g.num_vertices:
         raise InvalidParameterError("plan does not cover the graph")
-    base = dm.diameter + 1
-    labels = [0] * g.num_vertices
-    prev = seq[0]
-    for v in seq[1:]:
-        labels[v] = labels[prev] + base - dm[prev, v]
-        prev = v
-    return Labeling(tuple(labels), graph=g)
+    _check_matrix(g, dm)
+    order = np.array(seq)
+    steps = dm.diameter + 1 - dm.pairs(order[:-1], order[1:]).astype(np.int64)
+    labels = np.zeros(len(order), dtype=np.int64)
+    labels[order[1:]] = np.cumsum(steps)
+    return Labeling(tuple(labels.tolist()), graph=g)

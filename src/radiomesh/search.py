@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import DistanceMatrix, Graph, InvalidParameterError, all_pairs_distances
-from .labeling import Labeling, _gap_block
+from .labeling import Labeling
 
 ORACLE_MAX_VERTICES = 9
 
@@ -69,7 +69,7 @@ def gap_matrix(dm: DistanceMatrix, vertices: Sequence[int] | None = None) -> lis
     bound claims are adjudicated.
     """
     index = slice(None) if vertices is None else np.ix_(vertices, vertices)
-    return _gap_block(dm, index).tolist()
+    return (dm.diameter + 1 - dm.matrix[index]).tolist()
 
 
 def _place(floor: np.ndarray, v: int, gaps: np.ndarray) -> int:

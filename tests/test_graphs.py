@@ -6,6 +6,7 @@ import pytest
 from radiomesh import (
     UNREACHABLE,
     DisconnectedGraphError,
+    DistanceMatrix,
     Graph,
     InvalidParameterError,
     all_pairs_distances,
@@ -147,12 +148,19 @@ def _traced_peak(fn):
 
 def test_product_distances_allocate_little_beyond_the_matrix():
     g = build_product_graph(ProductParams(12, 4)).graph
+    nbytes = g.num_vertices**2 * np.dtype(np.int16).itemsize
+    # two factor matrices, 12 x 12 and 60 x 60: no N x N matrix
     dm, build_peak = _traced_peak(lambda: all_pairs_distances(g))
-    # the matrix plus the na x N repeated block, a fifth of it at n = 4
-    assert build_peak < 1.4 * dm.matrix.nbytes
-    # the diameter is the factors' sum, recorded during the build
+    assert build_peak < nbytes / 20
+    # the diameter is the factors' sum, read off the factors
     diam, diam_peak = _traced_peak(lambda: dm.diameter)
     assert diam == 24 and diam_peak < 64 * 1024
+    # the first .matrix access builds it: the matrix plus the na x N
+    # repeated block, a fifth of it at n = 4
+    matrix, matrix_peak = _traced_peak(lambda: dm.matrix)
+    assert matrix.nbytes == nbytes and matrix_peak < 1.4 * nbytes
+    assert dm.matrix is matrix
+    assert np.array_equal(matrix, bfs_all_pairs(g).matrix)
 
 
 def test_dense_diameter_allocates_no_matrix_sized_temporary():
@@ -161,6 +169,15 @@ def test_dense_diameter_allocates_no_matrix_sized_temporary():
     diam, peak = _traced_peak(lambda: bfs.diameter)
     # an N x N bool mask alone would be 506 KiB
     assert diam == 24 and peak < 64 * 1024
+
+
+def test_dense_distance_matrix_is_its_one_factor():
+    matrix = bfs_all_pairs(build_path(4)).matrix
+    dm = DistanceMatrix(matrix)
+    # the one-factor case keeps the matrix as given, and looks it up
+    assert dm.matrix is matrix
+    assert dm.num_vertices == 4 and dm.diameter == 3 and dm[0, 3] == 3
+    assert dm.pairs(np.array([0, 1, 3]), np.array([2, 1, 0])).tolist() == [2, 0, 3]
 
 
 def test_from_edges_validation():

@@ -5,7 +5,6 @@ import pytest
 
 from radiomesh import (
     DisconnectedGraphError,
-    DistanceMatrix,
     Graph,
     InvalidParameterError,
     Labeling,
@@ -122,22 +121,42 @@ def test_greedy_rejects_distance_matrix_of_another_size(p3, nv):
         greedy_assign(g, all_pairs_distances(build_path(nv)), OrderingPlan((0, 2, 1)))
 
 
+@pytest.mark.parametrize("nv", [2, 5])
+def test_consecutive_only_rejects_distance_matrix_of_another_size(p3, nv):
+    g, _dm = p3
+    with pytest.raises(InvalidParameterError):
+        consecutive_only_assign(g, all_pairs_distances(build_path(nv)), OrderingPlan((0, 2, 1)))
+
+
 def test_greedy_rejects_disconnected_matrix():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         greedy_assign(g, all_pairs_distances(g), OrderingPlan((0, 1, 2, 3)))
 
 
-def _counting(dm):
-    """``dm`` with a matrix that records every single-entry lookup."""
+def _counting(g):
+    """``g``'s distances with factor rows that record every (u, v) lookup.
+
+    A lookup reads ``ra[u][ca[v]]``: the column read names v, and each
+    row read after it names one u looked up against that v.
+    """
     lookups = []
+    target = []
 
-    class Counting(np.ndarray):
-        def item(self, *args):
-            lookups.append(args)
-            return super().item(*args)
+    class Columns(list):
+        def __getitem__(self, v):
+            target[:] = [v]
+            return super().__getitem__(v)
 
-    return DistanceMatrix(dm.matrix.view(Counting)), lookups
+    class Rows(list):
+        def __getitem__(self, u):
+            lookups.append((u, target[0]))
+            return super().__getitem__(u)
+
+    dm = all_pairs_distances(g)
+    ra, ca, rb, cb = dm.factor_rows
+    dm._rows = (Rows(ra), Columns(ca), rb, cb)
+    return dm, lookups
 
 
 def _window_pairs(seq, labels, diam):
@@ -158,19 +177,18 @@ def test_greedy_looks_up_only_the_label_window():
     # star with the leaves first: each leaf's predecessor-but-one sits
     # exactly diam - 1 below the predecessor, so it cannot bind
     g = build_star(5)
-    dm, lookups = _counting(all_pairs_distances(g))
+    dm, lookups = _counting(g)
     out = greedy_assign(g, dm, OrderingPlan((1, 2, 3, 4, 5, 0)))
     assert out.labels == (6, 0, 1, 2, 3, 4)
     assert lookups == [(1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
 
     g = build_product_graph(ProductParams(12, 4)).graph
-    plain = all_pairs_distances(g)
     for seed in range(3):
         seq = list(range(g.num_vertices))
         random.Random(seed).shuffle(seq)
-        dm, lookups = _counting(plain)
+        dm, lookups = _counting(g)
         labels = greedy_assign(g, dm, OrderingPlan(tuple(seq))).labels
-        assert sorted(lookups) == _window_pairs(seq, labels, plain.diameter)
+        assert sorted(lookups) == _window_pairs(seq, labels, dm.diameter)
         assert len(lookups) < 4 * g.num_vertices
 
 

@@ -401,7 +401,16 @@ small_graphs = st.integers(1, 5).flatmap(
 @given(st.lists(small_graphs, min_size=2, max_size=3))
 def test_factored_distances_equal_bfs_on_random_products(factors):
     g = cartesian_product(factors)
+    # the product's adjacency is laid out from the factors' adjacency
+    assert g.adjacency == Graph.from_edges(g.num_vertices, g.edges()).adjacency
     factored, bfs = all_pairs_distances(g), bfs_all_pairs(g)
+    nv = g.num_vertices
+    # the single and vectorised factor lookups, before any N x N matrix
+    us, vs = np.divmod(np.arange(nv * nv), nv)
+    looked_up = factored.pairs(us, vs)
+    assert looked_up.dtype == bfs.matrix.dtype
+    assert np.array_equal(looked_up.reshape(nv, nv), bfs.matrix)
+    assert [factored[u, v] for u in range(nv) for v in range(nv)] == bfs.matrix.ravel().tolist()
     assert np.array_equal(factored.matrix, bfs.matrix)
     # the factored diameter is the factors' sum, BFS's is the matrix maximum
     if bfs.matrix.min() == UNREACHABLE:
@@ -410,6 +419,11 @@ def test_factored_distances_equal_bfs_on_random_products(factors):
                 dm.diameter
     else:
         assert factored.diameter == bfs.diameter
+        # greedy's row references sum to the same distances on a connected graph
+        ra, ca, rb, cb = factored.factor_rows
+        assert [ra[u][ca[v]] + rb[u][cb[v]] for u in range(nv) for v in range(nv)] == (
+            bfs.matrix.ravel().tolist()
+        )
 
 
 def _naive_violations(dm, labels):
