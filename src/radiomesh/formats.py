@@ -6,7 +6,8 @@ u < v, sorted lexicographically. Product graphs additionally carry one
 ``# coord <id> <row> <col> <star>`` comment per vertex.
 
 Labeling files: one ``<vertex_id> <label>`` line per vertex, sorted by
-id, plus a trailing ``# span <S>`` comment that is re-checked on parse.
+id, plus a trailing ``# span <S>`` comment that is re-checked on parse;
+a second span comment is an error.
 
 A file that breaks these rules raises :class:`FormatError`, naming the
 offending line when there is one.
@@ -41,11 +42,15 @@ def format_product_graph(pg: ProductGraph) -> str:
     return format_graph(pg.graph, coords)
 
 
+def _not_integers(fields: list[str], lineno: int) -> FormatError:
+    return FormatError(f"line {lineno}: expected integers, got {' '.join(fields)!r}")
+
+
 def _ints(fields: list[str], lineno: int) -> list[int]:
     try:
         return [int(x) for x in fields]
     except ValueError:
-        raise FormatError(f"line {lineno}: expected integers, got {' '.join(fields)!r}") from None
+        raise _not_integers(fields, lineno) from None
 
 
 def parse_graph(text: str) -> tuple[Graph, dict[int, VertexCoord] | None]:
@@ -130,24 +135,35 @@ def format_labeling(labeling: Labeling) -> str:
 
 
 def parse_labeling(text: str) -> Labeling:
-    """Parse a labeling file, re-checking the span comment when present."""
+    """Parse a labeling file, re-checking the span comment when present.
+
+    One pass over the lines, one ``split()`` and two ``int()`` calls per
+    label line. Every vertex id appears once, ids are exactly 0..N-1,
+    labels are non-negative, and at most one ``# span`` comment is
+    allowed; a bad line raises :class:`FormatError` naming the first
+    such line.
+    """
     entries: dict[int, int] = {}
     declared_span: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if fields[:1] == ["span"]:
-                if len(fields) != 2:
-                    raise FormatError(f"line {lineno}: malformed span comment")
-                (declared_span,) = _ints(fields[1:], lineno)
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
+        if not fields:
+            continue
+        if fields[0][0] == "#":
+            words = line.lstrip()[1:].split()
+            if words[:1] == ["span"]:
+                if declared_span is not None:
+                    raise FormatError(f"line {lineno}: second span comment")
+                if len(words) != 2:
+                    raise FormatError(f"line {lineno}: malformed span comment")
+                (declared_span,) = _ints(words[1:], lineno)
+            continue
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected '<vertex_id> <label>'")
-        vid, label = _ints(fields, lineno)
+        try:
+            vid, label = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise _not_integers(fields, lineno) from None
         if vid in entries:
             raise FormatError(f"line {lineno}: duplicate vertex id {vid}")
         if label < 0:
@@ -155,9 +171,10 @@ def parse_labeling(text: str) -> Labeling:
         entries[vid] = label
     if not entries:
         raise FormatError("empty labeling file")
-    if sorted(entries) != list(range(len(entries))):
+    # the ids are distinct, so N of them in 0..N-1 are each id once
+    if min(entries) != 0 or max(entries) != len(entries) - 1:
         raise FormatError("vertex ids must be exactly 0..N-1")
-    labeling = Labeling(tuple(entries[v] for v in range(len(entries))))
+    labeling = Labeling(tuple(map(entries.__getitem__, range(len(entries)))))
     if declared_span is not None and declared_span != labeling.span:
         raise FormatError(
             f"span comment says {declared_span}, labels span {labeling.span}"

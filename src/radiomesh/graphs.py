@@ -16,12 +16,15 @@ and the BFS cross-check.
 
 Construction is strict: simple undirected graphs only, validated on
 creation, and frozen afterwards. A Cartesian product is simple by
-construction, so its adjacency is laid out straight from the factors'.
+construction and fixed by its factors, so its adjacency is laid out
+straight from the factors' on the first read of ``.adjacency`` and then
+kept. Labeling and validation never read it: a product graph costs
+nothing per vertex until BFS or an edge listing asks for its edges.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from functools import reduce
 from itertools import chain
 from math import prod
@@ -40,25 +43,62 @@ class DisconnectedGraphError(Exception):
     """The operation needs a connected graph and the input is not one."""
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertex ids ``0..num_vertices-1``.
 
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v``. Instances
-    are immutable and safe to share between threads.
+    are immutable: assigning an attribute raises.
 
     ``factors`` is set on a Cartesian product to its two factors, whose
     vertex ids combine in mixed radix; it takes no part in equality, so
-    a product equals the same graph parsed from its edge list.
+    a product equals the same graph parsed from its edge list. A product
+    is fixed by its factors, so it is made with ``adjacency=None`` and
+    lays its adjacency out from theirs on the first read of
+    ``.adjacency``, then keeps it. Only BFS, :meth:`edges`,
+    :meth:`degree`, :attr:`num_edges`, hashing and equality with another
+    graph read it; labeling and validation read none of them. Sharing a
+    graph between threads is safe: two first reads at once may each lay
+    out the adjacency, but they build equal tuples and either is kept.
     """
 
-    num_vertices: int
-    adjacency: tuple[tuple[int, ...], ...]
-    factors: tuple["Graph", ...] = field(default=(), compare=False)
-
-    def __post_init__(self):
-        if self.factors and prod(f.num_vertices for f in self.factors) != self.num_vertices:
+    def __init__(
+        self,
+        num_vertices: int,
+        adjacency: tuple[tuple[int, ...], ...] | None,
+        factors: tuple["Graph", ...] = (),
+    ):
+        if factors and prod(f.num_vertices for f in factors) != num_vertices:
             raise InvalidParameterError("factor orders do not multiply to the vertex count")
+        if adjacency is None and len(factors) != 2:
+            raise InvalidParameterError("only a product of two factors can omit its adjacency")
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "factors", tuple(factors))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        if self._adjacency is None:
+            object.__setattr__(self, "_adjacency", _product_adjacency(*self.factors))
+        return self._adjacency
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.num_vertices == other.num_vertices and self.adjacency == other.adjacency
+
+    def __hash__(self):
+        return hash((self.num_vertices, self.adjacency))
+
+    def __repr__(self):
+        return f"Graph(num_vertices={self.num_vertices}, factors={self.factors!r})"
 
     @staticmethod
     def from_edges(num_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -108,7 +148,8 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
 
     Vertices are tuples flattened in mixed radix (leftmost factor most
     significant); two tuples are adjacent iff they agree in all
-    coordinates but one and differ by an edge there.
+    coordinates but one and differ by an edge there. Each fold records
+    its two factors; no adjacency is laid out until it is read.
     """
     factors = list(factors)
     if len(factors) < 2:
@@ -116,7 +157,7 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
     for g in factors:
         if g.num_vertices == 0:
             raise InvalidParameterError("cartesian product factors must be non-empty")
-    return reduce(_binary_product, factors)
+    return reduce(lambda a, b: Graph(a.num_vertices * b.num_vertices, None, (a, b)), factors)
 
 
 def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -129,8 +170,8 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return deg, sources, targets, rank
 
 
-def _binary_product(a: Graph, b: Graph) -> Graph:
-    """Product adjacency laid out straight from the factors' adjacency.
+def _product_adjacency(a: Graph, b: Graph) -> tuple[tuple[int, ...], ...]:
+    """Adjacency of the product of ``a`` and ``b``, laid out from theirs.
 
     Vertex (u, v) has id u * |B| + v, and its sorted neighbours are its
     A-neighbours below u, then its B-neighbours, then its A-neighbours
@@ -156,7 +197,7 @@ def _binary_product(a: Graph, b: Graph) -> Graph:
     for end in ends.tolist():
         adjacency.append(tuple(flat[begin:end]))
         begin = end
-    return Graph(na * nb, tuple(adjacency), factors=(a, b))
+    return tuple(adjacency)
 
 
 def build_mesh(m: int) -> Graph:
@@ -171,18 +212,20 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Hop counts from ``source``; UNREACHABLE marks unreached vertices."""
     if not 0 <= source < g.num_vertices:
         raise InvalidParameterError(f"source {source} out of range")
-    dist = np.full(g.num_vertices, UNREACHABLE, dtype=np.int64)
+    # a Python list: reading and writing numpy elements one at a time
+    # costs several times as much
+    dist = [UNREACHABLE] * g.num_vertices
     dist[source] = 0
     queue = deque([source])
     adjacency = g.adjacency
     while queue:
         u = queue.popleft()
-        du = dist[u]
+        du = dist[u] + 1
         for w in adjacency[u]:
             if dist[w] == UNREACHABLE:
-                dist[w] = du + 1
+                dist[w] = du
                 queue.append(w)
-    return dist
+    return np.array(dist, dtype=np.int64)
 
 
 def _sum_tables(da: np.ndarray, db: np.ndarray) -> np.ndarray:

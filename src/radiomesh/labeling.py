@@ -62,7 +62,7 @@ class Labeling:
     def __post_init__(self):
         if not self.labels:
             raise InvalidParameterError("labeling must cover at least one vertex")
-        if any(x < 0 for x in self.labels):
+        if min(self.labels) < 0:
             raise InvalidParameterError("labels must be non-negative")
 
     @property

@@ -31,8 +31,9 @@ from .product import (
     ProductGraph,
     ProductParams,
     build_product_graph,
-    fiber_vertex_id,
+    cell_of,
     pair_offset,
+    vertex_id,
 )
 
 
@@ -61,11 +62,26 @@ def _interior_sides(n: int) -> tuple[list[int], list[int]]:
     return side_x, side_y
 
 
-def _pair_walk(params, indexing, t_a, t_b, seq_a, seq_b):
+def _fibers(params: ProductParams, indexing: CellIndexing) -> list[range]:
+    """Flat ids of every fiber, by t-index: ``fibers[t][k - 1]`` is its position k.
+
+    Position 1 is the hub and position k >= 2 leaf k - 1, as in
+    :func:`fiber_vertex_id`, but at one :func:`cell_of` call per cell
+    instead of one per vertex. Entry 0 is empty, so t-indices read as
+    they are.
+    """
+    size = params.n + 1
+    fibers = [range(0)]
+    for t in range(1, params.m * params.m + 1):
+        hub = vertex_id(params, *cell_of(t, params, indexing), 0)
+        fibers.append(range(hub, hub + size))
+    return fibers
+
+
+def _pair_walk(fiber_a, fiber_b, seq_a, seq_b):
     out = []
     for ka, kb in zip(seq_a, seq_b):
-        out.append(fiber_vertex_id(params, indexing, t_a, ka))
-        out.append(fiber_vertex_id(params, indexing, t_b, kb))
+        out += (fiber_a[ka - 1], fiber_b[kb - 1])
     return out
 
 
@@ -77,9 +93,10 @@ def even_pair_ordering(
         raise ParityError(f"even pair ordering needs even mesh order, got m={params.m}")
     half = pair_offset(params)
     side_a, side_b = _zigzag_sides(params.n)
+    fibers = _fibers(params, indexing)
     sequence: list[int] = []
     for j in range(1, half + 1):
-        sequence += _pair_walk(params, indexing, j, j + half, side_a, side_b)
+        sequence += _pair_walk(fibers[j], fibers[j + half], side_a, side_b)
     return OrderingPlan(tuple(sequence), OrderingProvenance.EVEN_PAIR_WALK)
 
 
@@ -101,18 +118,19 @@ def odd_three_phase_ordering(
     m, n = params.m, params.n
     if m % 2 == 0:
         raise ParityError(f"three-phase ordering needs odd mesh order, got m={m}")
+    fibers = _fibers(params, indexing)
     sequence: list[int] = []
 
     half = pair_offset(params)
     side_a, side_b = _zigzag_sides(n)
     for x in range(1, half + 1):
-        sequence += _pair_walk(params, indexing, x, x + half, side_a, side_b)
+        sequence += _pair_walk(fibers[x], fibers[x + half], side_a, side_b)
 
     base = m * (m - 1)
     shift = (m - 1) // 2
     side_x, side_y = _interior_sides(n)
     for d in range(2, (m - 1) // 2 + 1):
-        sequence += _pair_walk(params, indexing, base + d, base + d + shift, side_x, side_y)
+        sequence += _pair_walk(fibers[base + d], fibers[base + d + shift], side_x, side_y)
 
     t_first = base + 1
     t_mid = base + (m + 1) // 2
@@ -127,7 +145,7 @@ def odd_three_phase_ordering(
     for path in paths:
         for t_index, position in path:
             if position <= n + 1:
-                sequence.append(fiber_vertex_id(params, indexing, t_index, position))
+                sequence.append(fibers[t_index][position - 1])
 
     return OrderingPlan(tuple(sequence), OrderingProvenance.ODD_THREE_PHASE)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from radiomesh import graphs
 from radiomesh.cli import main
 from radiomesh.formats import parse_graph, read_text
 from radiomesh.product import ProductParams, build_product_graph
@@ -80,6 +81,26 @@ def test_label_then_validate_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", "--m", "3", "--n", "2", "--labeling", str(lab))
     assert code == 0
     assert out.startswith("valid labeling")
+
+
+def test_label_and_validate_never_lay_out_product_adjacency(tmp_path, capsys, monkeypatch):
+    laid_out = []
+    layout = graphs._product_adjacency
+
+    def spy(a, b):
+        laid_out.append((a.num_vertices, b.num_vertices))
+        return layout(a, b)
+
+    monkeypatch.setattr(graphs, "_product_adjacency", spy)
+    lab = tmp_path / "lab.txt"
+    code, out, _ = run(capsys, "label", "--m", "12", "--n", "4", "--out", str(lab))
+    assert code == 0 and "greedy span" in out
+    code, out, _ = run(capsys, "validate", "--m", "12", "--n", "4", "--labeling", str(lab))
+    assert code == 0 and out.startswith("valid labeling")
+    assert laid_out == []
+    # the spy does see a read: the outer fold reads, and so lays out, the inner one
+    assert build_product_graph(ProductParams(12, 4)).graph.degree(0) == 6
+    assert laid_out == [(144, 5), (12, 12)]
 
 
 def test_validate_rejects_broken_labeling(tmp_path, capsys):

@@ -62,12 +62,39 @@ def test_labeling_span_comment_is_verified():
 
 
 def test_labeling_rejects_gaps_and_duplicates():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^vertex ids must be exactly 0..N-1$"):
         parse_labeling("0 0\n2 1\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^line 2: duplicate vertex id 0$"):
         parse_labeling("0 0\n0 1\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^empty labeling file$"):
         parse_labeling("# span 0\n")
+
+
+def test_labeling_rejects_a_second_span_comment():
+    # the true span is 9, so the later comment alone would pass
+    with pytest.raises(FormatError, match="^line 4: second span comment$"):
+        parse_labeling("0 0\n1 9\n# span 7\n# span 9\n")
+    with pytest.raises(FormatError, match="^line 3: second span comment$"):
+        parse_labeling("# span 9\n0 0\n# span 9\n1 9\n")
+
+
+def test_labeling_parser_reports_the_first_bad_line():
+    lines = ["0 0", "  1 5", "1 -6", "2 x", "3 -1", "4", "# span", "#span 5", "# span 5", "\t2 3 "]
+    expected = [
+        "line 3: duplicate vertex id 1",
+        "line 4: expected integers, got '2 x'",
+        "line 5: negative label -1",
+        "line 6: expected '<vertex_id> <label>'",
+        "line 7: malformed span comment",
+        "line 9: second span comment",
+    ]
+    # blanking each reported line keeps the numbering and exposes the next one
+    for message in expected:
+        with pytest.raises(FormatError) as info:
+            parse_labeling("\n".join(lines))
+        assert str(info.value) == message
+        lines[int(message.split()[1][:-1]) - 1] = ""
+    assert parse_labeling("\n".join(lines)).labels == (0, 5, 3)
 
 
 @pytest.mark.parametrize(

@@ -197,3 +197,25 @@ def test_product_records_factors_outside_equality():
     assert plain == product and hash(plain) == hash(product)
     with pytest.raises(InvalidParameterError, match="factor orders"):
         Graph(product.num_vertices, product.adjacency, factors=(path, build_path(2)))
+
+
+def test_product_adjacency_is_laid_out_on_first_read_and_kept():
+    path, star = build_path(3), build_star(2)
+    product = cartesian_product([path, star])
+    assert product._adjacency is None
+    adjacency = product.adjacency
+    assert product.adjacency is adjacency
+    assert adjacency == Graph.from_edges(product.num_vertices, product.edges()).adjacency
+    with pytest.raises(InvalidParameterError, match="only a product of two factors"):
+        Graph(3, None)
+
+
+def test_graphs_are_frozen():
+    lazy = cartesian_product([build_path(2), build_star(1)])
+    for g in (lazy, build_path(3)):
+        for name in ("num_vertices", "adjacency", "factors", "_adjacency", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+    assert lazy._adjacency is None and lazy.num_vertices == 4

@@ -17,6 +17,8 @@ from radiomesh import (
     validate,
     vertex_coord,
 )
+from radiomesh.orderings import _interior_sides, _zigzag_sides
+from radiomesh.product import pair_offset
 
 RM = CellIndexing.ROW_MAJOR
 
@@ -27,6 +29,52 @@ def test_orderings_are_permutations(m, n):
     params = ProductParams(m, n)
     plan = construction_ordering(params)
     assert sorted(plan.sequence) == list(range(params.num_vertices))
+
+
+@pytest.mark.parametrize("scheme", list(CellIndexing))
+def _fiber_walk(params, indexing, t_a, t_b, seq_a, seq_b):
+    out = []
+    for ka, kb in zip(seq_a, seq_b):
+        out.append(fiber_vertex_id(params, indexing, t_a, ka))
+        out.append(fiber_vertex_id(params, indexing, t_b, kb))
+    return out
+
+
+def _per_vertex_construction_ordering(params, indexing):
+    """The construction order with one range-checked fiber_vertex_id call per vertex."""
+    m, n = params.m, params.n
+    half = pair_offset(params)
+    sequence = []
+    for x in range(1, half + 1):
+        sequence += _fiber_walk(params, indexing, x, x + half, *_zigzag_sides(n))
+    if m % 2 == 0:
+        return tuple(sequence)
+    base = m * (m - 1)
+    shift = (m - 1) // 2
+    for d in range(2, (m - 1) // 2 + 1):
+        sequence += _fiber_walk(params, indexing, base + d, base + d + shift, *_interior_sides(n))
+    t_first, t_mid, t_last = base + 1, base + (m + 1) // 2, base + m
+    paths = [
+        [(t_first, 1), (t_last, 2), (t_mid, 3)],
+        [(t_last, 1), (t_first, 3), (t_mid, 2)],
+        [(t_first, 2), (t_last, 3), (t_mid, 1)],
+    ]
+    for position in range(4, n + 2):
+        paths.append([(t_first, position), (t_last, position), (t_mid, position)])
+    for path in paths:
+        for t_index, position in path:
+            if position <= n + 1:
+                sequence.append(fiber_vertex_id(params, indexing, t_index, position))
+    return tuple(sequence)
+
+
+@pytest.mark.parametrize("scheme", list(CellIndexing))
+@pytest.mark.parametrize("m", range(2, 10))
+def test_construction_ordering_equals_per_vertex_walk(scheme, m):
+    for n in range(1, 5):
+        params = ProductParams(m, n)
+        expected = _per_vertex_construction_ordering(params, scheme)
+        assert construction_ordering(params, scheme).sequence == expected
 
 
 @pytest.mark.parametrize("scheme", list(CellIndexing))
