@@ -31,7 +31,6 @@ def test_orderings_are_permutations(m, n):
     assert sorted(plan.sequence) == list(range(params.num_vertices))
 
 
-@pytest.mark.parametrize("scheme", list(CellIndexing))
 def _fiber_walk(params, indexing, t_a, t_b, seq_a, seq_b):
     out = []
     for ka, kb in zip(seq_a, seq_b):
