@@ -393,12 +393,18 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     Mixed radix is associative, so the leaf factors can be regrouped
     into any two runs; they are split where the larger run has the
     fewest vertices (P_m x (P_m x S_n) for a mesh-by-star product), and
-    each run's matrix is the sum of its leaves'. The N x N matrix is
-    built only if ``.matrix`` is read, and the diameter is the sum of
-    the two runs' diameters, so neither scans N x N entries.
+    each run's matrix is the sum of its leaves'. A leaf that occurs more
+    than once as the same object, like P_m in the mesh, is searched once.
+    The N x N matrix is built only if ``.matrix`` is read, and the
+    diameter is the sum of the two runs' diameters, so neither scans
+    N x N entries.
     """
     dtype = _distance_dtype(g.num_vertices)
-    tables = [bfs_all_pairs(leaf).matrix.astype(dtype, copy=False) for leaf in _leaves(g)]
+    leaves = _leaves(g)
+    # every leaf is held by g, so no id is reused while this runs
+    distinct = {id(leaf): leaf for leaf in leaves}
+    matrices = {key: bfs_all_pairs(leaf).matrix.astype(dtype, copy=False) for key, leaf in distinct.items()}
+    tables = [matrices[id(leaf)] for leaf in leaves]
     sizes = [len(t) for t in tables]
     split = min(range(len(tables)), key=lambda i: max(prod(sizes[:i]), prod(sizes[i:])))
     one = np.zeros((1, 1), dtype=dtype)

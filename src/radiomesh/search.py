@@ -14,8 +14,10 @@ graph's metric (see :func:`gap_matrix`).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -31,9 +33,10 @@ ORACLE_MAX_VERTICES = 9
 DEFAULT_NODE_LIMIT = 20_000_000
 
 # Most states minimize_span's subtree-size table holds; a full table is
-# emptied before the next insert. The (2,2) search stores 7,763 states up
-# to its 16 automorphisms, so only budgeted searches far beyond the
-# verify grid fill it.
+# emptied before the next insert, and the search's per-mask table of
+# canonical images with it. The (2,2) search stores 7,763 states up to
+# its 16 automorphisms, and canonical images of 2,492 masks, so only
+# budgeted searches far beyond the verify grid fill it.
 _CACHE_SLOTS = 1 << 16
 
 # Caps on the automorphism enumeration of minimize_span: permutations kept
@@ -175,12 +178,16 @@ def minimize_span(
     """Branch-and-bound minimum span for a gap-requirement matrix.
 
     Branches over which vertex is placed next (ascending id) and assigns
-    each placed vertex its smallest feasible label. A node is pruned when
-    an admissible completion bound reaches the incumbent: every unplaced
-    vertex x must receive at least ``earliest[x]`` (its requirement
-    against all placed vertices), unplaced labels are distinct, and each
-    later vertex adds at least 1, so with the earliest values sorted
-    ascending the span is at least ``max_j(sorted[j] + remaining-1 - j)``.
+    each placed vertex its smallest feasible label. Each node receives
+    the floors of its unplaced vertices as a list: the floor of x is its
+    requirement against every placed vertex, the smallest label x can
+    take (0 at the root). Placing v at its floor raises the floor of
+    each other unplaced x to at least ``floor[v] + req[v][x]``, and the
+    parent builds that list for each child. A node is pruned when an
+    admissible completion bound reaches the cutoff: unplaced labels are
+    distinct, and each later vertex adds at least 1, so with the floors
+    sorted ascending the span is at least
+    ``max_j(sorted[j] + remaining-1 - j)``.
 
     Pruning is primed with a deterministic greedy upper bound used as a
     threshold (incumbent + 1 semantics). The threshold cannot change the
@@ -190,19 +197,26 @@ def minimize_span(
     always completes, and both the value and the reported witness are
     the same as for an unprimed search. Every completion is strictly
     below the cutoff its parent's bound passed, so each one improves the
-    incumbent and the witness is the first optimal completion in child
-    order.
+    incumbent, becomes the cutoff, and the witness is the first optimal
+    completion in child order.
+
+    The parent counts each child, then checks the budget, then the
+    child's bound, in the order a node of the uncached tree does on
+    entry; a child that fails its bound is counted but never entered.
+    The root, which has no parent, keeps its own budget and bound
+    checks. A child that leaves one vertex unplaced is entered only to
+    place it, which completes a labeling.
 
     A subtree that completes no labeling keeps its cutoff fixed, so its
     shape depends only on the placed set and on ``cutoff`` and the
-    unplaced ``earliest`` values shifted so the smallest is 0. A dict
-    of at most ``_CACHE_SLOTS`` states, emptied when full, keeps the
-    sizes of such subtrees, and a later node in the same state adds
-    the size instead of walking the subtree again. The walk is skipped
-    only when it could not have met the budget, so values, witnesses,
-    statuses, truncation and the node count are those of the uncached
-    tree: ``nodes`` and ``node_limit`` count the nodes of that tree, not
-    the nodes actually visited.
+    unplaced floors shifted so the smallest is 0. A dict of at most
+    ``_CACHE_SLOTS`` states, emptied when full, keeps the sizes of such
+    subtrees, and a later node in the same state adds the size instead
+    of walking the subtree again. The walk is skipped only when it could
+    not have met the budget, so values, witnesses, statuses, truncation
+    and the node count are those of the uncached tree: ``nodes`` and
+    ``node_limit`` count the nodes of that tree, not the nodes actually
+    visited.
 
     The table is keyed by a canonical state under automorphisms of
     ``req`` (see :func:`_automorphisms`). An automorphism maps a state to
@@ -215,15 +229,20 @@ def minimize_span(
     images, and the key is one-to-one, so equal keys mean states that
     are images of each other. That holds for any subset of the
     automorphisms, so the enumeration's caps cost hits, never
-    correctness.
+    correctness. Which image masks are least, and where each such image
+    reads its floors from, depend only on the placed mask, so a second
+    dict keyed by the mask keeps them; it is emptied with the table.
 
-    ``node_limit`` caps the nodes explored (``None`` means unlimited), so
-    a truncated search is bit-reproducible on any machine. When the
-    budget aborts the search before any branch completes, the greedy hint
-    serves as the witness.
+    ``node_limit`` caps the nodes explored (``None`` means unlimited;
+    a negative limit raises InvalidParameterError), so a truncated
+    search is bit-reproducible on any machine. When the budget aborts
+    the search before any branch completes, the greedy hint serves as
+    the witness.
 
     Returns (value, labels_by_vertex, status, nodes_explored).
     """
+    if node_limit is not None and node_limit < 0:
+        raise InvalidParameterError(f"node limit must be >= 0, got {node_limit}")
     nv = len(req)
     if nv == 0:
         raise InvalidParameterError("empty constraint system")
@@ -231,114 +250,108 @@ def minimize_span(
         return 0, [0], RnStatus.EXACT, 1
 
     hint_value, hint_labels = _heuristic_hint(req)
-    threshold = hint_value + 1
-
-    best_val: int | None = None
+    # the greedy threshold, then each completion in turn, which lowers it
+    cutoff = hint_value + 1
+    limit = math.inf if node_limit is None else node_limit
+    full = (1 << nv) - 1
     best_labels: list[int] | None = None
     labels = [0] * nv
-    earliest = [0] * nv
-    placed = [False] * nv
     nodes = 0
 
     # A state key is the tuple (cutoff - base, placed mask, fields): one
-    # field, earliest minus base, per unplaced vertex in ascending id. The
+    # field, a floor minus base, per unplaced vertex in ascending id. The
     # mask fixes how many fields there are, so the key is one-to-one.
     # A node is keyed by its image, under the permutations in ``group``,
     # with the smallest placed mask and, of those, the smallest fields.
-    full = (1 << nv) - 1
     cache: dict[tuple[int, ...], int] = {}
-
     group = _automorphisms(req)
     inverses = [sorted(range(nv), key=p.__getitem__) for p in group]
-    # chunk_tables holds (shift, table): bits [i * nv, (i + 1) * nv) of
-    # table[byte] are the image under group[i] of the placed vertices
-    # shift + j for the set bits j of byte. One int per byte, not a tuple
-    # of images: the tuples added about 1 MB to verify's peak RSS.
-    offsets = range(0, nv * len(group), nv)
-    chunk_tables = []
-    for shift in range(0, nv, 8):
-        table = [0]
-        for a in range(shift, min(shift + 8, nv)):
-            bits = sum(1 << p[a] << at for p, at in zip(group, offsets))
-            table += [row | bits for row in table]
-        chunk_tables.append((shift, table))
+    # columns[x][i] is the bit of x's image under group[i]
+    columns = [[1 << p[x] for p in group] for x in range(nv)]
+    # shapes[mask] is that least mask and, for each permutation mapping
+    # mask to it, the positions in a node's floors list of the fields in
+    # image order. Each distinct order is one bytes object, or a tuple
+    # once positions outgrow a byte; lists added about 0.25 MB to the
+    # (2,2) search's peak.
+    shapes: dict[int, tuple[int, tuple[Sequence[int], ...]]] = {}
+    pack = bytes if nv <= 256 else tuple
 
-    def dfs(mask: int, current: int) -> bool:
-        nonlocal best_val, best_labels, nodes
-        if mask == full:
-            best_val = current
-            best_labels = labels.copy()
-            return True
-        if node_limit is not None and nodes >= node_limit:
-            return False
-        cutoff = threshold if best_val is None else best_val
-        remaining = [earliest[x] for x in range(nv) if not placed[x]]
-        remaining.sort()
-        k = len(remaining)
-        bound = 0
-        for j, low in enumerate(remaining):
-            candidate = low + (k - 1 - j)
-            if candidate > bound:
-                bound = candidate
-        if bound >= cutoff:
-            return True
-
-        base = remaining[0]
-        packed = 0
-        for shift, table in chunk_tables:
-            packed |= table[mask >> shift & 255]
-        images = [packed >> at & full for at in offsets]
+    def shape(unplaced: list[int]) -> tuple[int, tuple[Sequence[int], ...]]:
+        # a permutation maps the placed set onto the complement of the
+        # image of the unplaced set, which is never empty here
+        images = [full ^ sum(bits) for bits in zip(*[columns[x] for x in unplaced])]
         least = min(images)
-        # the image state keeps earliest[x] at the image of x
-        unplaced = [y for y in range(nv) if not least >> y & 1]
-        fields = min(
-            [earliest[source[y]] - base for y in unplaced]
+        position = dict(zip(unplaced, range(len(unplaced))))
+        # the image state keeps the floor of x at the image of x
+        kept = [y for y in range(nv) if not least >> y & 1]
+        orders = {
+            pack([position[source[y]] for y in kept])
             for source, image in zip(inverses, images)
             if image == least
-        )
-        key = (cutoff - base, least, *fields)
+        }
+        return least, tuple(orders)
+
+    def dfs(mask: int, unplaced: list[int], floors: list[int], base: int) -> bool:
+        nonlocal cutoff, best_labels, nodes
+        if len(floors) == 1:
+            # the last floor passed the bound, so placing it completes a
+            # labeling below the cutoff; no key is looked up, as the table
+            # never holds a state whose subtree completes
+            nodes += 1
+            cutoff = labels[unplaced[0]] = floors[0]
+            best_labels = labels.copy()
+            return True
+        entry = shapes.get(mask)
+        if entry is None:
+            entry = shapes[mask] = shape(unplaced)
+        least, orders = entry
+        key = (cutoff - base, least, *min([floors[i] - base for i in order] for order in orders))
         size = cache.get(key)
-        if size is not None and (node_limit is None or nodes + size < node_limit):
+        if size is not None and nodes + size < limit:
             nodes += size
             return True
-        start, incumbent = nodes, best_val
+        start, entered = nodes, cutoff
 
-        for v in range(nv):
-            if placed[v]:
-                continue
+        # how many of a child's sorted floors follow each position
+        after = range(len(floors) - 2, -1, -1)
+        for i, v in enumerate(unplaced):
             nodes += 1
-            value = earliest[v]
-            placed[v] = True
-            labels[v] = value
+            if nodes >= limit:
+                return False
+            value = floors[i]
             row = req[v]
-            undo = []
-            for x in range(nv):
-                if not placed[x]:
-                    candidate = value + row[x]
-                    if candidate > earliest[x]:
-                        undo.append((x, earliest[x]))
-                        earliest[x] = candidate
-            keep_going = dfs(mask | 1 << v, value)
-            for x, old in undo:
-                earliest[x] = old
-            placed[v] = False
-            if not keep_going:
+            child = [f if f >= value + row[x] else value + row[x] for x, f in zip(unplaced, floors)]
+            del child[i]
+            low = sorted(child)
+            if max(map(add, low, after)) >= cutoff:
+                continue
+            labels[v] = value
+            rest = unplaced.copy()
+            del rest[i]
+            if not dfs(mask | 1 << v, rest, child, low[0]):
                 return False
 
-        # every completion lowers best_val, so an equal one means none here
-        if best_val == incumbent:
+        # every completion lowers the cutoff, so an equal one means none here
+        if cutoff == entered:
             if len(cache) >= _CACHE_SLOTS:
                 cache.clear()
+                shapes.clear()
             cache[key] = nodes - start
         return True
 
-    status = RnStatus.EXACT if dfs(0, 0) else RnStatus.UPPER_BOUND_ONLY
+    # the root's budget and bound checks; its nv floors are all 0
+    if limit <= 0:
+        status = RnStatus.UPPER_BOUND_ONLY
+    elif nv - 1 >= cutoff:
+        status = RnStatus.EXACT
+    else:
+        status = RnStatus.EXACT if dfs(0, list(range(nv)), [0] * nv, 0) else RnStatus.UPPER_BOUND_ONLY
     del dfs  # the closure refers to itself; breaking the cycle frees the table now
-    if best_val is None:
+    if best_labels is None:
         # budget expired before any completion; the hint is still a
         # valid labeling and upper-bounds the optimum
         return hint_value, hint_labels, status, nodes
-    return best_val, best_labels, status, nodes
+    return cutoff, best_labels, status, nodes
 
 
 def exact_rn(

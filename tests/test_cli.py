@@ -59,6 +59,13 @@ def test_rn_exact_node_limit_reports_best_found(capsys):
     assert "(upper-bound-only, best found)" in out
 
 
+def test_rn_exact_negative_node_limit_exits_2(capsys):
+    code, out, err = run(capsys, "rn-exact", "--m", "2", "--n", "1", "--node-limit", "-5")
+    assert code == 2
+    assert out == ""
+    assert "node limit must be >= 0, got -5" in err
+
+
 def test_bound_prints_combined_value(capsys):
     code, out, _ = run(capsys, "bound", "--m", "5", "--n", "5")
     assert code == 0

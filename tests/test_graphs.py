@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from radiomesh import (
     diameter,
     is_connected,
 )
+from radiomesh import graphs
 from radiomesh.product import ProductParams, build_product_graph
 
 
@@ -161,6 +163,16 @@ def test_product_distances_allocate_little_beyond_the_matrix():
     assert matrix.nbytes == nbytes and matrix_peak < 1.4 * nbytes
     assert dm.matrix is matrix
     assert np.array_equal(matrix, bfs_all_pairs(g).matrix)
+
+
+def test_each_distinct_leaf_factor_is_searched_once():
+    # the mesh is P_m x P_m with one path object, so BFS runs on the
+    # path and the star: two calls, not three
+    g = build_product_graph(ProductParams(5, 3)).graph
+    with mock.patch.object(graphs, "bfs_all_pairs", wraps=graphs.bfs_all_pairs) as spy:
+        dm = all_pairs_distances(g)
+    assert [call.args[0].num_vertices for call in spy.call_args_list] == [5, 4]
+    assert np.array_equal(dm.matrix, bfs_all_pairs(g).matrix)
 
 
 def test_dense_diameter_allocates_no_matrix_sized_temporary():

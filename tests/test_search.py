@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -124,6 +125,27 @@ def test_node_budget_below_one_branch_keeps_hint_witness():
     assert result.witness.span == result.value
 
 
+def test_negative_node_budgets_are_rejected():
+    req = gap_matrix(all_pairs_distances(build_path(4)))
+    for node_limit in (-1, -5):
+        with pytest.raises(InvalidParameterError, match="node limit must be >= 0"):
+            minimize_span(req, node_limit)
+    with pytest.raises(InvalidParameterError):
+        exact_rn(build_path(4), node_limit=-1)
+    # a zero budget is a search that stops at the root
+    assert minimize_span(req, 0)[2:] == (RnStatus.UPPER_BOUND_ONLY, 0)
+
+
+def test_budgeted_search_past_a_byte_of_positions():
+    # 300 unplaced vertices at the root: more floor positions than a byte holds
+    g = build_path(300)
+    dm = all_pairs_distances(g)
+    result = exact_rn(g, dm, node_limit=50)
+    assert (result.status, result.nodes) == (RnStatus.UPPER_BOUND_ONLY, 50)
+    assert validate(g, dm, result.witness).valid
+    assert result.witness.span == result.value
+
+
 def test_node_budget_yields_upper_bound_only():
     g = build_path(8)
     full = exact_rn(g)
@@ -187,8 +209,20 @@ def test_search_tree_of_row_major_pair_system_is_frozen():
 
 
 def test_search_tree_of_c4_x_k12_is_frozen():
-    result = exact_rn(build_product_graph(ProductParams(2, 2)).graph)
+    g = build_product_graph(ProductParams(2, 2)).graph
+    dm = all_pairs_distances(g)
+    dm.matrix  # built before tracing, so the peak is the search's own
+    tracemalloc.start()
+    try:
+        result = exact_rn(g, dm)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert (result.value, result.status, result.nodes) == (22, RnStatus.EXACT, 6_444_838)
+    # measured 1.73 MB, nearly all of it the subtree table and the
+    # per-mask canonical images; those images held as tuples or lists
+    # of positions instead of bytes come to 1.91 and 2.08 MB
+    assert peak < 1_900_000
 
 
 def test_minimize_span_frees_its_table_on_return():
@@ -273,8 +307,8 @@ def _visits(req):
 
 
 def test_symmetric_states_share_one_walk():
-    # the cube's 48 automorphisms cut the nodes visited (1579 with the
-    # identity alone, 160 with the group) while the counted tree stays put
+    # the cube's 48 automorphisms cut the nodes visited (394 with the
+    # identity alone, 76 with the group) while the counted tree stays put
     req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(2, 1)).graph))
     with mock.patch.object(search, "_GROUP_LIMIT", 1):
         plain = _visits(req)
@@ -290,4 +324,4 @@ def test_huge_unread_gaps_keep_states_shared():
         row[v] = 1 << 60
     assert len(_automorphisms(huge)) == 48
     assert minimize_span(huge, None) == minimize_span(req, None)
-    assert _visits(huge) == _visits(req) == 160
+    assert _visits(huge) == _visits(req) == 76
