@@ -271,8 +271,8 @@ def minimize_span(
     # shapes[mask] is that least mask and, for each permutation mapping
     # mask to it, the positions in a node's floors list of the fields in
     # image order. Each distinct order is one bytes object, or a tuple
-    # once positions outgrow a byte; lists added about 0.25 MB to the
-    # (2,2) search's peak.
+    # once positions outgrow a byte; tuples throughout would add about
+    # 0.18 MB to the (2,2) search's 1.73 MB traced peak, lists 0.34 MB.
     shapes: dict[int, tuple[int, tuple[Sequence[int], ...]]] = {}
     pack = bytes if nv <= 256 else tuple
 
