@@ -266,23 +266,22 @@ class DistanceMatrix:
     A dense matrix M is the one-factor case: ``DistanceMatrix(M)`` has
     A = [[0]] and B = M.
 
-    ``dm[u, v]``, :meth:`pairs` and :attr:`factor_rows` read only the
-    factors; ``greedy_assign``, ``consecutive_only_assign`` and
-    ``validate`` use nothing else. :attr:`matrix` is the dense N x N
+    ``dm[u, v]`` and :meth:`pairs` read only the factors;
+    ``greedy_assign``, ``consecutive_only_assign`` and ``validate`` use
+    nothing but :meth:`pairs`. :attr:`matrix` is the dense N x N
     matrix, with UNREACHABLE entries, built from the factors on first
     access and then kept; the search, the gap matrices, the claims and
     the BFS cross-check read it. ``diameter`` is the sum of the
     factors' diameters, and refuses to summarize a disconnected graph.
     """
 
-    __slots__ = ("_a", "_b", "_matrix", "_diameter", "_rows", "_index")
+    __slots__ = ("_a", "_b", "_matrix", "_diameter", "_index")
 
     def __init__(self, matrix: np.ndarray):
         self._a = np.zeros((1, 1), dtype=matrix.dtype)
         self._b = matrix
         self._matrix: np.ndarray | None = None
         self._diameter: int | None = None
-        self._rows: tuple[list, list, list, list] | None = None
         self._index: tuple | None = None
 
     @classmethod
@@ -326,27 +325,6 @@ class DistanceMatrix:
         if disconnected:
             out[(a == UNREACHABLE) | (b == UNREACHABLE)] = UNREACHABLE
         return out
-
-    @property
-    def factor_rows(self) -> tuple[list, list, list, list]:
-        """Per-vertex lists (ra, ca, rb, cb) with d(u, v) = ra[u][ca[v]] + rb[u][cb[v]].
-
-        ``ra[u]`` is u's row of A as a Python list, and ``ca[v]`` is v's
-        index into it; likewise for B. A lookup is four list subscripts
-        on Python ints. Built on first access and kept: O(N) references
-        plus each factor as nested lists. The sum does not carry
-        UNREACHABLE, so these serve connected graphs only.
-        """
-        if self._rows is None:
-            na, nb = len(self._a), len(self._b)
-            rows_a, rows_b = self._a.tolist(), self._b.tolist()
-            self._rows = (
-                [row for row in rows_a for _ in range(nb)],
-                [i for i in range(na) for _ in range(nb)],
-                rows_b * na,
-                list(range(nb)) * na,
-            )
-        return self._rows
 
     def row(self, u: int) -> np.ndarray:
         return self.matrix[u]

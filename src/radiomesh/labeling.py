@@ -10,15 +10,19 @@ up, which need not be valid.
 
 Distinct vertices are at distance at least 1, so no pair needs a gap
 above diam. Both ``validate`` and ``greedy_assign`` use this to look up
-only the pairs whose labels lie within one diameter of each other.
-All three read distances through the distance matrix's factor lookups
-(``DistanceMatrix.pairs`` and ``factor_rows``), so a product's N x N
-matrix is never built here.
+only the pairs whose labels lie within one diameter of each other, by
+the same label-window scan. ``greedy_assign`` starts from the
+consecutive-only labels and repairs the pairs they leave short. All
+three read distances through ``DistanceMatrix.pairs``, so a product's
+N x N matrix is never built here.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -108,6 +112,24 @@ def _check_matrix(g: Graph, dm: DistanceMatrix) -> None:
         )
 
 
+def _label_window(ranked: np.ndarray, diam: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Position pairs (p, p + k) of ascending ``ranked`` whose gap is below diam.
+
+    Entry k - 1 holds offset k: the positions p, the positions p + k and
+    their gaps. A gap at offset k is at least the gap at offset k - 1
+    from the same start, so the first offset with no gap below diam
+    ends the scan, and no later offset has an entry.
+    """
+    window = []
+    for k in range(1, len(ranked)):
+        gaps = ranked[k:] - ranked[:-k]
+        close = np.flatnonzero(gaps < diam)
+        if close.size == 0:
+            break
+        window.append((close, close + k, gaps[close]))
+    return window
+
+
 def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport:
     """Check every vertex pair against the gap requirement.
 
@@ -119,12 +141,11 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
     are at distance at least 1, so no pair needs a gap above diam, and a
     pair whose labels differ by diam or more cannot break. With the
     labels sorted, offset k pairs each vertex with the one k places
-    later; a gap at offset k is at least the gap at offset k - 1 from
-    the same start, so the first offset with no gap below diam ends the
-    scan. The window's pairs are then looked up at once. When only
-    neighbours in label order lie within diam, as in the construction
-    labelings, that is one sort and two passes over the labels; all
-    labels equal is still every pair.
+    later, and :func:`_label_window` stops at the first offset with no
+    gap below diam. The window's pairs are then looked up at once. When
+    only neighbours in label order lie within diam, as in the
+    construction labelings, that is one sort and two passes over the
+    labels; all labels equal is still every pair.
     """
     _check_fit(g, labeling)
     _check_matrix(g, dm)
@@ -134,18 +155,12 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
     dtype = np.int64 if max(labeling.labels) <= np.iinfo(np.int64).max else object
     labels = np.array(labeling.labels, dtype=dtype)
     order = np.argsort(labels)
-    ranked = labels[order]
-    window = []
-    for k in range(1, len(ranked)):
-        gaps = ranked[k:] - ranked[:-k]
-        close = np.flatnonzero(gaps < diam)
-        if close.size == 0:
-            break
-        window.append((order[close], order[close + k], gaps[close]))
+    window = _label_window(labels[order], diam)
     if not window:
         return ValidityReport(True, ())
     # one factor lookup for the whole window
-    u, v, actual = (np.concatenate(parts) for parts in zip(*window))
+    low, high, actual = (np.concatenate(parts) for parts in zip(*window))
+    u, v = order[low], order[high]
     required = diam + 1 - dm.pairs(u, v)
     bad = np.flatnonzero(actual < required)
     if bad.size == 0:
@@ -157,6 +172,24 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
     return ValidityReport(False, tuple(map(Violation._make, zip(*columns))))
 
 
+def _consecutive_steps(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The plan as an array, and the consecutive-only labels along it (int64).
+
+    Each label is the previous one plus the gap requirement between the
+    two visits: one factor lookup for all consecutive pairs, then a
+    cumulative sum.
+    """
+    seq = plan.sequence
+    if len(seq) != g.num_vertices:
+        raise InvalidParameterError("plan does not cover the graph")
+    _check_matrix(g, dm)
+    order = np.array(seq)
+    steps = dm.diameter + 1 - dm.pairs(order[:-1], order[1:]).astype(np.int64)
+    along = np.zeros(len(order), dtype=np.int64)
+    np.cumsum(steps, out=along[1:])
+    return order, along
+
+
 def greedy_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:
     """Cheapest labeling whose label order follows ``plan``.
 
@@ -165,41 +198,45 @@ def greedy_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:
     Since the requirement is always at least 1, labels strictly increase
     along the plan and the result is valid by construction.
 
-    Only predecessors inside a label window are looked up. Every gap
-    ``diam + 1 - d`` between distinct vertices lies in [1, diam], so the
-    new vertex needs at least ``L(prev) + 1`` (prev its predecessor in
-    the plan) and a placed u asks for at most ``L(u) + diam``; u with
-    ``L(u) + diam <= L(prev) + 1`` cannot bind. Labels rise along the
-    plan, so those u are a prefix of it, which one forward pointer
-    skips. prev itself is always looked up: at diam 1 the rule would
-    skip it too. Each vertex costs one lookup per predecessor in its
-    window, four list subscripts through ``dm.factor_rows``, and the
-    extra memory is O(N) beyond those rows, which ``dm`` keeps.
+    The greedy labels are the consecutive-only labels C plus a running
+    sum of extras, one per plan position. With E_i the sum of the extras
+    up to position i, the pair (j, i) asks for an extra at i of
+    ``r(j, i) - (C_i - C_j) - (E_{i-1} - E_j)``, r the gap requirement;
+    the predecessor j = i - 1 asks for exactly 0. Extras are never
+    negative, so only a pair whose consecutive-only gap ``C_i - C_j`` is
+    below r can ask for more than 0: a violation of the consecutive-only
+    labeling. No pair needs a gap above diam, so those pairs lie in the
+    label window of C, which rises along the plan and is scanned like
+    ``validate``'s sorted labels, in one factor lookup. Only these
+    candidates are walked in Python, in plan order: each position's
+    extra is the most its candidates still ask for, given the extras
+    already made. When there is no candidate, the consecutive-only
+    labeling is valid and is the greedy labeling.
     """
-    seq = plan.sequence
-    if len(seq) != g.num_vertices:
-        raise InvalidParameterError("plan does not cover the graph")
-    _check_matrix(g, dm)
+    order, along = _consecutive_steps(g, dm, plan)
     diam = dm.diameter
-    base = diam + 1
-    # Python lists of Python ints, so spans may outgrow the matrix's int16
-    ra, ca, rb, cb = dm.factor_rows
-    labels = [0] * len(seq)
-    placed = []  # labels along the plan
-    lo = 0  # first predecessor that can still bind
-    for i, v in enumerate(seq):
-        av, bv = ca[v], cb[v]
-        label = 0
-        for j in range(lo, i):
-            u = seq[j]
-            need = placed[j] + base - ra[u][av] - rb[u][bv]
-            if need > label:
-                label = need
-        placed.append(label)
-        labels[v] = label
-        while lo < i and placed[lo] + diam <= label + 1:
-            lo += 1
-    return Labeling(tuple(labels), graph=g)
+    # offset 1 holds the consecutive pairs, which ask for no extra
+    window = _label_window(along, diam)[1:]
+    extras = np.zeros(len(order), dtype=np.int64)
+    if window:
+        low, high, gaps = (np.concatenate(parts) for parts in zip(*window))
+        short = diam + 1 - dm.pairs(order[low], order[high]) - gaps
+        keep = np.flatnonzero(short > 0)
+        keep = keep[np.argsort(high[keep], kind="stable")]
+        # marks: the positions given an extra so far, ascending; totals[k]
+        # is the sum of the extras up to marks[k] (the sentinel -1 has 0)
+        marks, totals = [-1], [0]
+        candidates = zip(high[keep].tolist(), low[keep].tolist(), short[keep].tolist())
+        for i, group in groupby(candidates, key=itemgetter(0)):
+            done = totals[-1]
+            extra = max(s - done + totals[bisect_right(marks, j) - 1] for _, j, s in group)
+            if extra > 0:
+                marks.append(i)
+                totals.append(done + extra)
+        extras[marks[1:]] = np.diff(totals)
+    labels = np.empty_like(along)
+    labels[order] = along + np.cumsum(extras)
+    return Labeling(tuple(labels.tolist()), graph=g)
 
 
 def consecutive_only_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:
@@ -209,12 +246,7 @@ def consecutive_only_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) ->
     Validity against non-consecutive pairs is NOT guaranteed; callers
     pass the result to :func:`validate` and report the verdict.
     """
-    seq = plan.sequence
-    if len(seq) != g.num_vertices:
-        raise InvalidParameterError("plan does not cover the graph")
-    _check_matrix(g, dm)
-    order = np.array(seq)
-    steps = dm.diameter + 1 - dm.pairs(order[:-1], order[1:]).astype(np.int64)
-    labels = np.zeros(len(order), dtype=np.int64)
-    labels[order[1:]] = np.cumsum(steps)
+    order, along = _consecutive_steps(g, dm, plan)
+    labels = np.empty_like(along)
+    labels[order] = along
     return Labeling(tuple(labels.tolist()), graph=g)

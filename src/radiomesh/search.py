@@ -204,7 +204,7 @@ def minimize_span(
     child's bound, in the order a node of the uncached tree does on
     entry; a child that fails its bound is counted but never entered.
     The root, which has no parent, keeps its own budget and bound
-    checks. A child that leaves one vertex unplaced is entered only to
+    checks, a one-vertex system's included. A child that leaves one vertex unplaced is entered only to
     place it, which completes a labeling.
 
     A subtree that completes no labeling keeps its cutoff fixed, so its
@@ -246,8 +246,6 @@ def minimize_span(
     nv = len(req)
     if nv == 0:
         raise InvalidParameterError("empty constraint system")
-    if nv == 1:
-        return 0, [0], RnStatus.EXACT, 1
 
     hint_value, hint_labels = _heuristic_hint(req)
     # the greedy threshold, then each completion in turn, which lowers it

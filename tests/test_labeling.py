@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from radiomesh import (
+    CellIndexing,
     DisconnectedGraphError,
+    DistanceMatrix,
     Graph,
     InvalidParameterError,
     Labeling,
@@ -12,6 +14,7 @@ from radiomesh import (
     OrderingPlan,
     ProductParams,
     all_pairs_distances,
+    build_construction_labeling,
     build_path,
     build_product_graph,
     build_star,
@@ -134,62 +137,82 @@ def test_greedy_rejects_disconnected_matrix():
         greedy_assign(g, all_pairs_distances(g), OrderingPlan((0, 1, 2, 3)))
 
 
-def _counting(g):
-    """``g``'s distances with factor rows that record every (u, v) lookup.
-
-    A lookup reads ``ra[u][ca[v]]``: the column read names v, and each
-    row read after it names one u looked up against that v.
-    """
+def _recorded_lookups(monkeypatch):
+    """Every (u, v) that ``DistanceMatrix.pairs`` is asked for, in call order."""
     lookups = []
-    target = []
+    original = DistanceMatrix.pairs
 
-    class Columns(list):
-        def __getitem__(self, v):
-            target[:] = [v]
-            return super().__getitem__(v)
+    def pairs(self, us, vs):
+        lookups.extend(zip(us.tolist(), vs.tolist()))
+        return original(self, us, vs)
 
-    class Rows(list):
-        def __getitem__(self, u):
-            lookups.append((u, target[0]))
-            return super().__getitem__(u)
-
-    dm = all_pairs_distances(g)
-    ra, ca, rb, cb = dm.factor_rows
-    dm._rows = (Rows(ra), Columns(ca), rb, cb)
-    return dm, lookups
+    monkeypatch.setattr(DistanceMatrix, "pairs", pairs)
+    return lookups
 
 
-def _window_pairs(seq, labels, diam):
-    """(predecessor, vertex) pairs the label window must look up.
-
-    The plan predecessor always; an earlier u only when it could ask for
-    more than the predecessor's label + 1.
-    """
-    pairs = []
-    for i in range(1, len(seq)):
-        prev = labels[seq[i - 1]]
-        pairs += [(u, seq[i]) for u in seq[: i - 1] if labels[u] + diam > prev + 1]
-        pairs.append((seq[i - 1], seq[i]))
+def _window_pairs(seq, consecutive, diam):
+    """(u, v) pairs greedy must look up: the consecutive pairs of the plan,
+    then every later pair whose consecutive-only labels lie within diam."""
+    along = [consecutive[v] for v in seq]
+    pairs = [(seq[i - 1], seq[i]) for i in range(1, len(seq))]
+    for i in range(len(seq)):
+        pairs += [(seq[j], seq[i]) for j in range(i - 1) if along[i] - along[j] < diam]
     return sorted(pairs)
 
 
-def test_greedy_looks_up_only_the_label_window():
-    # star with the leaves first: each leaf's predecessor-but-one sits
-    # exactly diam - 1 below the predecessor, so it cannot bind
+def test_greedy_looks_up_only_the_label_window(monkeypatch):
+    lookups = _recorded_lookups(monkeypatch)
+    # star with the leaves first: the consecutive labels 0, 1, 2, 3, 4, 6
+    # put no vertex within diam = 2 of the one two places before it
     g = build_star(5)
-    dm, lookups = _counting(g)
-    out = greedy_assign(g, dm, OrderingPlan((1, 2, 3, 4, 5, 0)))
+    out = greedy_assign(g, all_pairs_distances(g), OrderingPlan((1, 2, 3, 4, 5, 0)))
     assert out.labels == (6, 0, 1, 2, 3, 4)
     assert lookups == [(1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
 
     g = build_product_graph(ProductParams(12, 4)).graph
+    dm = all_pairs_distances(g)
     for seed in range(3):
         seq = list(range(g.num_vertices))
         random.Random(seed).shuffle(seq)
-        dm, lookups = _counting(g)
-        labels = greedy_assign(g, dm, OrderingPlan(tuple(seq))).labels
-        assert sorted(lookups) == _window_pairs(seq, labels, dm.diameter)
+        plan = OrderingPlan(tuple(seq))
+        consecutive = consecutive_only_assign(g, dm, plan).labels
+        lookups.clear()
+        greedy_assign(g, dm, plan)
+        assert sorted(lookups) == _window_pairs(seq, consecutive, dm.diameter)
         assert len(lookups) < 4 * g.num_vertices
+
+
+@pytest.mark.parametrize("indexing", list(CellIndexing))
+def test_greedy_is_consecutive_exactly_when_consecutive_is_valid(indexing):
+    invalid = []
+    for m in range(2, 10):
+        for n in range(1, 6):
+            built = build_construction_labeling(ProductParams(m, n), indexing)
+            assert built.consecutive_valid == (built.greedy == built.consecutive)
+            if not built.consecutive_valid:
+                invalid.append((m, n))
+    expected = [(m, n) for m in (2, 3) for n in range(2, 6)] + [
+        (m, n) for m in (6, 7) for n in range(1, 6)
+    ]
+    assert invalid == (expected if indexing is CellIndexing.SERPENTINE else [])
+
+
+def test_greedy_counts_earlier_repairs():
+    # P5 visited 2, 1, 4, 0, 3 (diam 4): the consecutive labels 0, 4, 6, 7,
+    # 9 leave the pairs (1, 0) and (4, 3) one short each. Raising vertex 0
+    # by one raises vertex 3 by one too, which already repairs (4, 3).
+    g = build_path(5)
+    dm = all_pairs_distances(g)
+    seq = (2, 1, 4, 0, 3)
+    consecutive = consecutive_only_assign(g, dm, OrderingPlan(seq)).labels
+    assert [consecutive[v] for v in seq] == [0, 4, 6, 7, 9]
+    base = dm.diameter + 1
+    expected = [0] * g.num_vertices
+    for i in range(1, len(seq)):
+        expected[seq[i]] = max(expected[u] + base - dm[u, seq[i]] for u in seq[:i])
+    labels = greedy_assign(g, dm, OrderingPlan(seq)).labels
+    assert labels == tuple(expected)
+    assert [labels[v] for v in seq] == [0, 4, 6, 8, 10]
 
 
 def test_consecutive_only_on_p2():

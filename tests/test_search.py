@@ -136,6 +136,17 @@ def test_negative_node_budgets_are_rejected():
     assert minimize_span(req, 0)[2:] == (RnStatus.UPPER_BOUND_ONLY, 0)
 
 
+def test_one_vertex_system_keeps_the_root_budget_check():
+    # a zero budget stops at the root, as for every larger system
+    assert minimize_span([[0]], 0) == (0, [0], RnStatus.UPPER_BOUND_ONLY, 0)
+    for node_limit in (1, None):
+        assert minimize_span([[0]], node_limit) == (0, [0], RnStatus.EXACT, 1)
+    g = build_path(1)
+    assert exact_rn(g, node_limit=0).status is RnStatus.UPPER_BOUND_ONLY
+    result = exact_rn(g)
+    assert (result.value, result.status, result.nodes) == (0, RnStatus.EXACT, 1)
+
+
 def test_budgeted_search_past_a_byte_of_positions():
     # 300 unplaced vertices at the root: more floor positions than a byte holds
     g = build_path(300)
