@@ -33,10 +33,6 @@ from .product import CellIndexing, ProductParams, build_product_graph
 from .search import DEFAULT_NODE_LIMIT, RnStatus, exact_rn
 
 
-def _indexing(value: str) -> CellIndexing:
-    return CellIndexing(value)
-
-
 def _emit(args, text: str) -> None:
     if args.out:
         write_text(args.out, text)
@@ -45,7 +41,7 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    pg = build_product_graph(ProductParams(args.m, args.n), args.indexing)
+    pg = build_product_graph(ProductParams(args.m, args.n))
     _emit(args, format_product_graph(pg))
     return 0
 
@@ -78,7 +74,7 @@ def _family_graph(args):
         return build_mesh(args.m), f"mesh m={args.m}"
     if args.m is None or args.n is None:
         raise InvalidParameterError("--family product needs --m and --n")
-    pg = build_product_graph(ProductParams(args.m, args.n), args.indexing)
+    pg = build_product_graph(ProductParams(args.m, args.n))
     return pg.graph, f"product m={args.m} n={args.n}"
 
 
@@ -136,7 +132,7 @@ def cmd_validate(args) -> int:
     if args.graph:
         graph, _coords = parse_graph(read_text(args.graph))
     elif args.m is not None and args.n is not None:
-        graph = build_product_graph(ProductParams(args.m, args.n), args.indexing).graph
+        graph = build_product_graph(ProductParams(args.m, args.n)).graph
     else:
         raise InvalidParameterError("validate needs --graph FILE or --m/--n")
     labeling = parse_labeling(read_text(args.labeling))
@@ -160,18 +156,36 @@ def cmd_validate(args) -> int:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.split(","))
+    """Comma-separated integers; a blank value is the empty list."""
+    return tuple(int(x) for x in text.split(",")) if text.strip() else ()
+
+
+def _orders(parity: int):
+    """Type for a comma-separated list of mesh orders m with m % 2 == parity."""
+    def orders(text: str) -> tuple[int, ...]:
+        values = _int_list(text)
+        if any(m % 2 != parity for m in values):
+            raise argparse.ArgumentTypeError(f"expected {('even', 'odd')[parity]} mesh orders, got {text!r}")
+        return values
+    return orders
+
+
+def _schemes(text: str) -> tuple[CellIndexing, ...]:
+    return tuple(CellIndexing(s) for s in text.split(","))
+
+
+def _m_range(text: str) -> range:
+    """Inclusive ``lo:hi``, or a single m; an empty range is a usage error."""
+    lo, _, hi = text.partition(":")
+    m_values = range(int(lo), int(hi or lo) + 1)
+    if not m_values:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return m_values
 
 
 def cmd_verify(args) -> int:
     config = claims.VerifyConfig(
-        even_m=_int_list(args.even_m),
-        odd_m=_int_list(args.odd_m),
-        ns=_int_list(args.ns),
-        indexings=tuple(CellIndexing(s) for s in args.schemes.split(",")),
+        even_m=args.even_m, odd_m=args.odd_m, ns=args.ns, indexings=args.schemes
     )
     rows = claims.run_verification(config)
     if args.format == "csv":
@@ -182,9 +196,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    lo, _, hi = args.m_range.partition(":")
-    m_values = list(range(int(lo), int(hi or lo) + 1))
-    rows = formulas.vertex_count_comparison(m_values, args.n)
+    rows = formulas.vertex_count_comparison(args.m_range, args.n)
     lines = ["m,n,product_vertices,star_path_vertices,ratio"]
     for row in rows:
         lines.append(
@@ -193,7 +205,7 @@ def cmd_compare(args) -> int:
     out = "\n".join(lines) + "\n"
     if args.with_bounds:
         out += "m,n,bound_num,bound_den,greedy_span\n"
-        for m in m_values:
+        for m in args.m_range:
             params = ProductParams(m, args.n)
             bound = formulas.combined_bound(params)
             built = build_construction_labeling(params)
@@ -202,19 +214,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_common(parser, m=False, n=False, indexing=False, out=False, fmt=False):
+def _add_common(parser, m=False, n=False, out=False, fmt=False):
     if m:
         parser.add_argument("--m", type=int, required=True, help="mesh order (>= 2)")
     if n:
         parser.add_argument("--n", type=int, required=True, help="star leaf count (>= 1)")
-    if indexing:
-        parser.add_argument(
-            "--indexing",
-            type=_indexing,
-            default=CellIndexing.ROW_MAJOR,
-            choices=list(CellIndexing),
-            metavar="{row-major,col-major,serpentine}",
-        )
     if out:
         parser.add_argument("--out", default=None, help="output path (default: stdout)")
     if fmt:
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a product graph file")
-    _add_common(p, m=True, n=True, indexing=True, out=True)
+    _add_common(p, m=True, n=True, out=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("diam", help="BFS diameter of a product graph")
@@ -242,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--in", dest="infile", default=None, help="graph file instead of a family")
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT, help="search node budget")
-    _add_common(p, indexing=True, out=True, fmt=True)
+    _add_common(p, out=True, fmt=True)
     p.set_defaults(func=cmd_rn_exact)
 
     p = sub.add_parser("bound", help="closed-form span bound(s) at (m, n)")
@@ -250,7 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("label", help="build the construction labeling")
-    _add_common(p, m=True, n=True, indexing=True, fmt=True)
+    _add_common(p, m=True, n=True, fmt=True)
+    p.add_argument(
+        "--indexing", type=CellIndexing, default=CellIndexing.ROW_MAJOR, choices=list(CellIndexing),
+        metavar="{row-major,col-major,serpentine}",
+    )
     p.add_argument("--out", default=None, help="write the greedy labeling file here")
     p.set_defaults(func=cmd_label)
 
@@ -259,24 +267,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None, help="graph file")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    _add_common(p, indexing=True, fmt=True)
+    _add_common(p, fmt=True)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("verify", help="adjudicate the claims catalog over a grid")
-    p.add_argument("--even-m", default="2,4,6", dest="even_m")
-    p.add_argument("--odd-m", default="3,5", dest="odd_m")
-    p.add_argument("--ns", default="1,2,3")
+    p.add_argument("--even-m", type=_orders(0), default="2,4,6", dest="even_m")
+    p.add_argument("--odd-m", type=_orders(1), default="3,5", dest="odd_m")
+    p.add_argument("--ns", type=_int_list, default="1,2,3")
     p.add_argument(
-        "--schemes", default="row-major,col-major,serpentine", help="comma-separated schemes"
+        "--schemes", type=_schemes, default="row-major,col-major,serpentine", help="comma-separated schemes"
     )
     _add_common(p, out=True, fmt=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="vertex-count comparison table")
-    p.add_argument("--m-range", default="2:6", dest="m_range", help="inclusive range, e.g. 2:6")
+    p.add_argument(
+        "--m-range", type=_m_range, default="2:6", dest="m_range", help="inclusive range, e.g. 2:6"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--with-bounds", action="store_true", dest="with_bounds")
-    _add_common(p, out=True, fmt=True)
+    _add_common(p, out=True)
     p.set_defaults(func=cmd_compare)
 
     return parser

@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import FrozenInstanceError
 from functools import reduce
-from itertools import chain
 from math import prod
 from typing import Iterable, Sequence
 
@@ -53,9 +52,9 @@ class Graph:
     vertex ids combine in mixed radix; it takes no part in equality, so
     a product equals the same graph parsed from its edge list. A product
     is fixed by its factors, so it is made with ``adjacency=None`` and
-    lays its adjacency out from theirs on the first read of
-    ``.adjacency``, then keeps it. Only BFS, :meth:`edges`,
-    :meth:`degree`, :attr:`num_edges`, hashing and equality with another
+    lays its adjacency out from theirs, by :func:`_product_adjacency`,
+    on the first read of ``.adjacency``, then keeps it. Only BFS,
+    :meth:`edges`, :meth:`degree`, :attr:`num_edges`, hashing and equality with another
     graph read it; labeling and validation read none of them. Sharing a
     graph between threads is safe: two first reads at once may each lay
     out the adjacency, but they build equal tuples and either is kept.
@@ -160,43 +159,24 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
     return reduce(lambda a, b: Graph(a.num_vertices * b.num_vertices, None, (a, b)), factors)
 
 
-def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Degrees, then source, target and rank within the source of each arc."""
-    adjacency = g.adjacency
-    deg = np.fromiter(map(len, adjacency), np.int64, g.num_vertices)
-    targets = np.fromiter(chain.from_iterable(adjacency), np.int64, int(deg.sum()))
-    sources = np.repeat(np.arange(g.num_vertices), deg)
-    rank = np.arange(len(targets)) - np.repeat(np.cumsum(deg) - deg, deg)
-    return deg, sources, targets, rank
-
-
 def _product_adjacency(a: Graph, b: Graph) -> tuple[tuple[int, ...], ...]:
     """Adjacency of the product of ``a`` and ``b``, laid out from theirs.
 
     Vertex (u, v) has id u * |B| + v, and its sorted neighbours are its
-    A-neighbours below u, then its B-neighbours, then its A-neighbours
-    above u. Both factors are simple, so the product is too, and each
-    arc is written once at its final position: no edge list, no sets and
-    no sorts.
+    A-neighbours w < u as w * |B| + v, then its B-neighbours x as
+    u * |B| + x, then its A-neighbours w > u. Both factors are simple,
+    so the product is too, and no sets or sorts are needed.
     """
-    na, nb = a.num_vertices, b.num_vertices
-    deg_a, au, aw, ak = _csr(a)
-    deg_b, bv, bx, bk = _csr(b)
-    below = np.bincount(au[aw < au], minlength=na)  # A-neighbours below each u
-    deg = (deg_a[:, None] + deg_b).ravel()
-    ends = np.cumsum(deg)
-    start = (ends - deg).reshape(na, nb)
-    flat = np.empty(int(ends[-1]), dtype=np.int64)
-    # arc u -> w of A, for every v: after v's B-neighbours when w > u
-    flat[start[au] + ak[:, None] + (aw > au)[:, None] * deg_b] = aw[:, None] * nb + np.arange(nb)
-    # arc v -> x of B, for every u: after u's A-neighbours below u
-    flat[start[:, bv] + below[:, None] + bk] = np.arange(na)[:, None] * nb + bx
-    flat = flat.tolist()
+    nb = b.num_vertices
     adjacency = []
-    begin = 0
-    for end in ends.tolist():
-        adjacency.append(tuple(flat[begin:end]))
-        begin = end
+    for u, a_nbrs in enumerate(a.adjacency):
+        below = [w * nb for w in a_nbrs if w < u]
+        above = [w * nb for w in a_nbrs if w > u]
+        base = u * nb
+        for v, b_nbrs in enumerate(b.adjacency):
+            adjacency.append(
+                tuple([w + v for w in below] + [base + x for x in b_nbrs] + [w + v for w in above])
+            )
     return tuple(adjacency)
 
 

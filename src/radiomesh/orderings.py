@@ -85,18 +85,23 @@ def _pair_walk(fiber_a, fiber_b, seq_a, seq_b):
     return out
 
 
+def _zigzag_pairs(params: ProductParams, fibers: list[range]) -> list[int]:
+    """Zigzag walks of the pairs (t(j), t(j + h)) for j in [1, h], h = :func:`pair_offset`."""
+    half = pair_offset(params)
+    side_a, side_b = _zigzag_sides(params.n)
+    sequence: list[int] = []
+    for j in range(1, half + 1):
+        sequence += _pair_walk(fibers[j], fibers[j + half], side_a, side_b)
+    return sequence
+
+
 def even_pair_ordering(
     params: ProductParams, indexing: CellIndexing = CellIndexing.ROW_MAJOR
 ) -> OrderingPlan:
     """Visit order for even mesh order: zigzag the pairs (t(j), t(j + m*m/2))."""
     if params.m % 2:
         raise ParityError(f"even pair ordering needs even mesh order, got m={params.m}")
-    half = pair_offset(params)
-    side_a, side_b = _zigzag_sides(params.n)
-    fibers = _fibers(params, indexing)
-    sequence: list[int] = []
-    for j in range(1, half + 1):
-        sequence += _pair_walk(fibers[j], fibers[j + half], side_a, side_b)
+    sequence = _zigzag_pairs(params, _fibers(params, indexing))
     return OrderingPlan(tuple(sequence), OrderingProvenance.EVEN_PAIR_WALK)
 
 
@@ -119,12 +124,7 @@ def odd_three_phase_ordering(
     if m % 2 == 0:
         raise ParityError(f"three-phase ordering needs odd mesh order, got m={m}")
     fibers = _fibers(params, indexing)
-    sequence: list[int] = []
-
-    half = pair_offset(params)
-    side_a, side_b = _zigzag_sides(n)
-    for x in range(1, half + 1):
-        sequence += _pair_walk(fibers[x], fibers[x + half], side_a, side_b)
+    sequence = _zigzag_pairs(params, fibers)
 
     base = m * (m - 1)
     shift = (m - 1) // 2

@@ -50,10 +50,6 @@ class ProductParams:
     def num_vertices(self) -> int:
         return self.m * self.m * (self.n + 1)
 
-    @property
-    def fiber_size(self) -> int:
-        return self.n + 1
-
 
 @dataclass(frozen=True)
 class VertexCoord:
@@ -149,9 +145,6 @@ class ProductGraph:
 
     def hub_of(self, t_index: int) -> int:
         return self.fiber_vertex(t_index, 1)
-
-    def coords(self) -> list[VertexCoord]:
-        return [self.coord_of(v) for v in range(self.graph.num_vertices)]
 
 
 def build_product_graph(params: ProductParams, indexing: CellIndexing = CellIndexing.ROW_MAJOR) -> ProductGraph:

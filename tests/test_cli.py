@@ -201,3 +201,37 @@ def test_compare_table(capsys):
     assert lines[0] == "m,n,product_vertices,star_path_vertices,ratio"
     assert "4,5,96,24,4" in lines
     assert "5,5,150,30,5" in lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--n", "2", "--m-range", "a:3"],
+        ["compare", "--n", "2", "--m-range", "6:2"],
+        ["verify", "--ns", "x"],
+        ["verify", "--schemes", "bogus"],
+        ["verify", "--even-m", "3"],
+        ["verify", "--odd-m", "4"],
+    ],
+)
+def test_malformed_flag_value_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--m", "3", "--n", "2", "--indexing", "col-major"],
+        ["rn-exact", "--m", "2", "--n", "1", "--indexing", "col-major"],
+        ["validate", "--m", "2", "--n", "1", "--labeling", "lab.txt", "--indexing", "col-major"],
+        ["compare", "--n", "2", "--format", "csv"],
+    ],
+)
+def test_flags_that_change_no_output_are_gone(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
