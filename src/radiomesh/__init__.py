@@ -27,7 +27,6 @@ from .labeling import (
     Labeling,
     LabelingContractError,
     OrderingPlan,
-    OrderingProvenance,
     ValidityReport,
     Violation,
     consecutive_only_assign,
@@ -86,7 +85,6 @@ __all__ = [
     "Labeling",
     "LabelingContractError",
     "OrderingPlan",
-    "OrderingProvenance",
     "ValidityReport",
     "Violation",
     "consecutive_only_assign",

@@ -120,14 +120,6 @@ def _canonical_pairs(params: ProductParams, indexing: CellIndexing):
     }
 
 
-# (case, u_is_center, v_is_center) for each canonical pair
-_DISTANCE_CASES = (
-    ("BothCenters", True, True),
-    ("OneCenter", True, False),
-    ("NoCenters", False, False),
-)
-
-
 def distance_claims(
     params: ProductParams, indexing: CellIndexing, dm: DistanceMatrix
 ) -> list[ClaimVerdict]:
@@ -139,7 +131,7 @@ def distance_claims(
     m = params.m
     pairs = _canonical_pairs(params, indexing)
     rows = []
-    for case, u_is_center, v_is_center in _DISTANCE_CASES:
+    for case, u_is_center, v_is_center in formulas.PAIR_DISTANCE_CASES:
         if m % 2 == 0:
             claimed = {"Eq2": formulas.even_pair_distance(m, u_is_center, v_is_center).predicted}
         else:

@@ -155,9 +155,17 @@ def cmd_validate(args) -> int:
     return 1
 
 
+def _distinct(values: tuple, text: str) -> tuple:
+    """``values`` parsed from a list flag's ``text``; a repeated value is a usage error."""
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+    return values
+
+
 def _int_list(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; a blank value is the empty list."""
-    return tuple(int(x) for x in text.split(",")) if text.strip() else ()
+    """Comma-separated distinct integers; a blank value is the empty list."""
+    values = tuple(int(x) for x in text.split(",")) if text.strip() else ()
+    return _distinct(values, text)
 
 
 def _orders(parity: int):
@@ -171,7 +179,7 @@ def _orders(parity: int):
 
 
 def _schemes(text: str) -> tuple[CellIndexing, ...]:
-    return tuple(CellIndexing(s) for s in text.split(","))
+    return _distinct(tuple(CellIndexing(s) for s in text.split(",")), text)
 
 
 def _m_range(text: str) -> range:

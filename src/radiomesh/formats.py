@@ -15,7 +15,7 @@ offending line when there is one.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable
 
 from .graphs import Graph
 from .labeling import Labeling
@@ -26,20 +26,25 @@ class FormatError(ValueError):
     """The text does not follow the expected file format."""
 
 
-def format_graph(g: Graph, coords: Mapping[int, VertexCoord] | None = None) -> str:
-    lines = [f"vertices {g.num_vertices}"]
-    if coords is not None:
-        for vid in sorted(coords):
-            c = coords[vid]
-            lines.append(f"# coord {vid} {c.row} {c.col} {c.star}")
-    for u, v in sorted(g.edges()):
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+def format_graph(g: Graph, coords: Iterable[str] = ()) -> str:
+    """Graph file text; ``coords`` are its ``# coord`` lines, without newlines."""
+    parts = [f"vertices {g.num_vertices}\n"]
+    parts.extend(f"{line}\n" for line in coords)
+    # one string per vertex holding all its edge lines, not one per edge
+    parts.extend("".join(f"{u} {v}\n" for v in nbrs if u < v) for u, nbrs in enumerate(g.adjacency))
+    return "".join(parts)
 
 
 def format_product_graph(pg: ProductGraph) -> str:
-    coords = {vid: pg.coord_of(vid) for vid in range(pg.graph.num_vertices)}
-    return format_graph(pg.graph, coords)
+    m, stars = pg.params.m, pg.params.n + 1
+
+    def coords():
+        for vid in range(pg.graph.num_vertices):
+            cell, star = divmod(vid, stars)
+            row, col = divmod(cell, m)
+            yield f"# coord {vid} {row} {col} {star}"
+
+    return format_graph(pg.graph, coords())
 
 
 def _not_integers(fields: list[str], lineno: int) -> FormatError:

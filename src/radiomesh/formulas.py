@@ -6,11 +6,15 @@ can flag them. Where a catalog entry exists in two stated forms that
 disagree, both are computed and exposed; the harness reports the
 discrepancy instead of choosing a side. None of these evaluators look
 at a graph: ground truth comes from BFS and search elsewhere.
+
+Each piece of catalog knowledge is held once: :data:`CATALOG` lists
+every bound-table entry with the mesh parity and least n it is stated
+for, and :data:`PAIR_DISTANCE_CASES` lists the three cross-pair
+distance cases. The claims module reads both from here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
@@ -18,28 +22,13 @@ from .graphs import InvalidParameterError
 from .product import ParityError, ProductParams
 
 
-class BoundId(Enum):
-    DIAM_COR3 = "DiamCor3"
-    COR5_PAIR_BOUND = "Cor5PairBound"
-    THM6_EVEN_BOUND = "Thm6EvenBound"
-    COR8_PAIR_BOUND = "Cor8PairBound"
-    THM9_GSTAR = "Thm9GStar"
-    COR13_SPAN_F3 = "Cor13SpanF3"
-    THM14_GSTARSTAR = "Thm14GStarStar"
-    COR15_GI = "Cor15GI"
-    THM16_GSTARSTARSTAR = "Thm16GStarStarStar"
-    THM17_GDBLSTAR = "Thm17GDblStar"
-    THM18_ODD_BOUND = "Thm18OddBound"
-    EQ58_COMBINED = "Eq58Combined"
-    SPAN_F1 = "SpanF1"
-    SPAN_F2 = "SpanF2"
-    SPAN_F4 = "SpanF4"
-
-
-class PairDistanceCase(Enum):
-    BOTH_CENTERS = "BothCenters"
-    EXACTLY_ONE_CENTER = "ExactlyOneCenter"
-    NO_CENTERS = "NoCenters"
+# (case as the verdict ids spell it, u is a hub, v is a hub) for the
+# three cross-pair distance cases of the pair-walk arguments
+PAIR_DISTANCE_CASES = (
+    ("BothCenters", True, True),
+    ("OneCenter", True, False),
+    ("NoCenters", False, False),
+)
 
 
 @dataclass(frozen=True)
@@ -52,7 +41,6 @@ class DistanceCasePrediction:
     order and for the no-centers case.
     """
 
-    case: PairDistanceCase
     predicted: Fraction
     operative: Fraction
 
@@ -69,14 +57,6 @@ def _require_even(m: int) -> None:
 def _require_odd(m: int) -> None:
     if m % 2 == 0:
         raise ParityError(f"mesh order must be odd, got {m}")
-
-
-def _case_of(u_is_center: bool, v_is_center: bool) -> PairDistanceCase:
-    if u_is_center and v_is_center:
-        return PairDistanceCase.BOTH_CENTERS
-    if u_is_center or v_is_center:
-        return PairDistanceCase.EXACTLY_ONE_CENTER
-    return PairDistanceCase.NO_CENTERS
 
 
 def diam_formula(params: ProductParams) -> int:
@@ -99,14 +79,13 @@ def even_pair_distance(m: int, u_is_center: bool, v_is_center: bool) -> Distance
     The catalog does not split the no-centers case by leaf identity.
     """
     _require_even(m)
-    case = _case_of(u_is_center, v_is_center)
-    if case is PairDistanceCase.BOTH_CENTERS:
+    if u_is_center and v_is_center:
         value = Fraction(m, 2)
-    elif case is PairDistanceCase.EXACTLY_ONE_CENTER:
+    elif u_is_center or v_is_center:
         value = Fraction(m - 1)
     else:
         value = Fraction(m)
-    return DistanceCasePrediction(case, value, value)
+    return DistanceCasePrediction(value, value)
 
 
 def odd_pair_distance(m: int, u_is_center: bool, v_is_center: bool) -> DistanceCasePrediction:
@@ -118,17 +97,16 @@ def odd_pair_distance(m: int, u_is_center: bool, v_is_center: bool) -> DistanceC
     (m+3)/2, returned in ``operative``.
     """
     _require_odd(m)
-    case = _case_of(u_is_center, v_is_center)
-    if case is PairDistanceCase.BOTH_CENTERS:
+    if u_is_center and v_is_center:
         predicted = Fraction(m, 2) - 1
         operative = Fraction(m - 1, 2)
-    elif case is PairDistanceCase.EXACTLY_ONE_CENTER:
+    elif u_is_center or v_is_center:
         predicted = Fraction(m, 2) + 1
         operative = Fraction(m + 1, 2)
     else:
         predicted = Fraction(m + 3, 2)
         operative = predicted
-    return DistanceCasePrediction(case, predicted, operative)
+    return DistanceCasePrediction(predicted, operative)
 
 
 def cor5_pair_bound(params: ProductParams) -> int:
@@ -156,13 +134,6 @@ def thm6_even_bound(params: ProductParams) -> int:
 
 def cor8_pair_bound(params: ProductParams) -> Fraction:
     """Claimed span of one odd-order fiber pair: (3mn - n + 2)/2."""
-    _require_odd(params.m)
-    m, n = params.m, params.n
-    return Fraction(3 * m * n - n + 2, 2)
-
-
-def cor15_gi_bound(params: ProductParams) -> Fraction:
-    """Claimed span of one last-row interior pair; same form as the phase-1 pair bound."""
     _require_odd(params.m)
     m, n = params.m, params.n
     return Fraction(3 * m * n - n + 2, 2)
@@ -240,7 +211,7 @@ def thm16_bound(params: ProductParams) -> Fraction:
 
     Statement and closing forms are identical and cross-checked. For
     m = 3 the construction has zero interior pairs; the value is still
-    returned, flagged via :func:`thm16_degenerate`.
+    returned.
     """
     _require_odd(params.m)
     m, n = params.m, params.n
@@ -249,12 +220,6 @@ def thm16_bound(params: ProductParams) -> Fraction:
     if value != closing:
         raise ArithmeticError("interior total forms disagree; evaluator is broken")
     return value
-
-
-def thm16_degenerate(params: ProductParams) -> bool:
-    """True when the interior construction is empty ((m - 3)/2 = 0 blocks)."""
-    _require_odd(params.m)
-    return params.m == 3
 
 
 def thm17_bound(params: ProductParams) -> Fraction:
@@ -332,9 +297,31 @@ def vertex_count_comparison(m_values: Iterable[int], n: int) -> list[ComparisonR
     return rows
 
 
+# (id, mesh parity the entry is stated for or None for both, least n,
+# evaluator), in bounds-table order. Cor15's last-row interior pair has
+# the same closed form as Cor8's phase-1 pair.
+CATALOG = (
+    ("DiamCor3", None, 2, diam_formula),
+    ("Cor5PairBound", 0, 1, cor5_pair_bound),
+    ("Thm6EvenBound", 0, 1, thm6_even_bound),
+    ("Cor8PairBound", 1, 1, cor8_pair_bound),
+    ("Thm9GStar", 1, 1, lambda params: thm9_gstar_bound(params).statement),
+    ("SpanF1", 1, 1, span_f1),
+    ("SpanF2", 1, 2, span_f2),
+    ("Cor13SpanF3", 1, 2, cor13_span_f3),
+    ("SpanF4", 1, 1, span_f4),
+    ("Thm14GStarStar", 1, 1, thm14_bound),
+    ("Cor15GI", 1, 1, cor8_pair_bound),
+    ("Thm16GStarStarStar", 1, 1, thm16_bound),
+    ("Thm17GDblStar", 1, 1, thm17_bound),
+    ("Thm18OddBound", 1, 1, thm18_odd_bound),
+    ("Eq58Combined", None, 1, combined_bound),
+)
+
+
 @dataclass(frozen=True)
 class BoundsRow:
-    bound_id: BoundId
+    bound_id: str
     m: int
     n: int
     value: Fraction
@@ -345,33 +332,13 @@ class BoundsRow:
 
 
 def bounds_table(params: ProductParams) -> list[BoundsRow]:
-    """Every catalog entry applicable at (m, n), as exact fractions."""
+    """Every :data:`CATALOG` entry applicable at (m, n), as exact fractions."""
     m, n = params.m, params.n
-    rows: list[BoundsRow] = []
-
-    def add(bound_id: BoundId, value) -> None:
-        rows.append(BoundsRow(bound_id, m, n, Fraction(value)))
-
-    if n >= 2:
-        add(BoundId.DIAM_COR3, diam_formula(params))
-    if m % 2 == 0:
-        add(BoundId.COR5_PAIR_BOUND, cor5_pair_bound(params))
-        add(BoundId.THM6_EVEN_BOUND, thm6_even_bound(params))
-    else:
-        add(BoundId.COR8_PAIR_BOUND, cor8_pair_bound(params))
-        add(BoundId.THM9_GSTAR, thm9_gstar_bound(params).statement)
-        add(BoundId.SPAN_F1, span_f1(params))
-        if n >= 2:
-            add(BoundId.SPAN_F2, span_f2(params))
-            add(BoundId.COR13_SPAN_F3, cor13_span_f3(params))
-        add(BoundId.SPAN_F4, span_f4(params))
-        add(BoundId.THM14_GSTARSTAR, thm14_bound(params))
-        add(BoundId.COR15_GI, cor15_gi_bound(params))
-        add(BoundId.THM16_GSTARSTARSTAR, thm16_bound(params))
-        add(BoundId.THM17_GDBLSTAR, thm17_bound(params))
-        add(BoundId.THM18_ODD_BOUND, thm18_odd_bound(params))
-    add(BoundId.EQ58_COMBINED, combined_bound(params))
-    return rows
+    return [
+        BoundsRow(bound_id, m, n, Fraction(evaluate(params)))
+        for bound_id, parity, least_n, evaluate in CATALOG
+        if parity in (None, m % 2) and n >= least_n
+    ]
 
 
 def bounds_table_csv(rows: Iterable[BoundsRow]) -> str:
@@ -379,7 +346,7 @@ def bounds_table_csv(rows: Iterable[BoundsRow]) -> str:
     lines = ["bound_id,m,n,value_num,value_den,integral"]
     for row in rows:
         lines.append(
-            f"{row.bound_id.value},{row.m},{row.n},"
+            f"{row.bound_id},{row.m},{row.n},"
             f"{row.value.numerator},{row.value.denominator},{str(row.integral).lower()}"
         )
     return "\n".join(lines) + "\n"

@@ -306,9 +306,6 @@ class DistanceMatrix:
             out[(a == UNREACHABLE) | (b == UNREACHABLE)] = UNREACHABLE
         return out
 
-    def row(self, u: int) -> np.ndarray:
-        return self.matrix[u]
-
     @property
     def num_vertices(self) -> int:
         return len(self._a) * len(self._b)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -34,18 +33,11 @@ class LabelingContractError(ValueError):
     """A labeling does not fit the graph it is being checked against."""
 
 
-class OrderingProvenance(Enum):
-    EVEN_PAIR_WALK = "even-pair-walk"
-    ODD_THREE_PHASE = "odd-three-phase"
-    EXTERNAL = "external"
-
-
 @dataclass(frozen=True)
 class OrderingPlan:
     """A visit order over all vertices of one graph."""
 
     sequence: tuple[int, ...]
-    provenance: OrderingProvenance = OrderingProvenance.EXTERNAL
 
     def __post_init__(self):
         if sorted(self.sequence) != list(range(len(self.sequence))):

@@ -20,7 +20,6 @@ from .graphs import DistanceMatrix, Graph, all_pairs_distances
 from .labeling import (
     Labeling,
     OrderingPlan,
-    OrderingProvenance,
     consecutive_only_assign,
     greedy_assign,
     validate,
@@ -102,7 +101,7 @@ def even_pair_ordering(
     if params.m % 2:
         raise ParityError(f"even pair ordering needs even mesh order, got m={params.m}")
     sequence = _zigzag_pairs(params, _fibers(params, indexing))
-    return OrderingPlan(tuple(sequence), OrderingProvenance.EVEN_PAIR_WALK)
+    return OrderingPlan(tuple(sequence))
 
 
 def odd_three_phase_ordering(
@@ -147,7 +146,7 @@ def odd_three_phase_ordering(
             if position <= n + 1:
                 sequence.append(fibers[t_index][position - 1])
 
-    return OrderingPlan(tuple(sequence), OrderingProvenance.ODD_THREE_PHASE)
+    return OrderingPlan(tuple(sequence))
 
 
 def construction_ordering(

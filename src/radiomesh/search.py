@@ -379,8 +379,7 @@ def permutation_oracle(g: Graph, dm: DistanceMatrix | None = None) -> RnResult:
         raise OracleSizeError(f"oracle limited to {ORACLE_MAX_VERTICES} vertices, got {nv}")
     if dm is None:
         dm = all_pairs_distances(g)
-    base = dm.diameter + 1
-    req = [[base - d for d in dm.row(u).tolist()] for u in range(nv)]
+    req = gap_matrix(dm)
 
     best: int | None = None
     best_labels: list[int] | None = None

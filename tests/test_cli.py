@@ -212,6 +212,10 @@ def test_compare_table(capsys):
         ["verify", "--schemes", "bogus"],
         ["verify", "--even-m", "3"],
         ["verify", "--odd-m", "4"],
+        ["verify", "--ns", "1,1"],
+        ["verify", "--even-m", "2,2"],
+        ["verify", "--odd-m", "3,3"],
+        ["verify", "--schemes", "row-major,row-major"],
     ],
 )
 def test_malformed_flag_value_exits_2(argv, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from radiomesh import Labeling, ProductParams, build_path, build_product_graph
@@ -25,6 +27,19 @@ def test_product_graph_roundtrip_with_coords():
     parsed, coords = parse_graph(text)
     assert parsed == pg.graph
     assert coords == {vid: pg.coord_of(vid) for vid in range(12)}
+
+
+def test_product_graph_text_allocates_little_beyond_itself():
+    pg = build_product_graph(ProductParams(12, 4))
+    pg.graph.adjacency  # lay the adjacency out before measuring
+    tracemalloc.start()
+    try:
+        text = format_product_graph(pg)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # no per-vertex coordinate objects and no one-string-per-edge list
+    assert peak < 10 * len(text)
 
 
 def test_edges_are_sorted_and_normalized():

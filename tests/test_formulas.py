@@ -107,11 +107,6 @@ def test_thm16_bound(params, expected):
     assert F.thm16_bound(params) == expected
 
 
-def test_thm16_degenerate_flag():
-    assert F.thm16_degenerate(P(3, 2))
-    assert not F.thm16_degenerate(P(5, 2))
-
-
 @pytest.mark.parametrize(
     "params,expected",
     [(P(5, 5), 179), (P(3, 2), 40), (P(5, 1), 63)],
@@ -193,14 +188,34 @@ def test_vertex_count_comparison():
 
 def test_bounds_table_contents():
     even_rows = {row.bound_id for row in F.bounds_table(P(4, 2))}
-    assert F.BoundId.THM6_EVEN_BOUND in even_rows
-    assert F.BoundId.COR8_PAIR_BOUND not in even_rows
+    assert "Thm6EvenBound" in even_rows
+    assert "Cor8PairBound" not in even_rows
 
     odd_rows = F.bounds_table(P(5, 5))
     by_id = {row.bound_id: row for row in odd_rows}
-    assert by_id[F.BoundId.THM9_GSTAR].value == Fraction(115, 2)
-    assert not by_id[F.BoundId.THM9_GSTAR].integral
+    assert by_id["Thm9GStar"].value == Fraction(115, 2)
+    assert not by_id["Thm9GStar"].integral
 
     csv = F.bounds_table_csv(odd_rows)
     assert csv.splitlines()[0] == "bound_id,m,n,value_num,value_den,integral"
     assert "Thm9GStar,5,5,115,2,false" in csv
+
+
+ODD_TAIL = [
+    "SpanF4", "Thm14GStarStar", "Cor15GI", "Thm16GStarStarStar", "Thm17GDblStar",
+    "Thm18OddBound", "Eq58Combined",
+]
+
+
+@pytest.mark.parametrize(
+    "params,ids",
+    [
+        (P(2, 1), ["Cor5PairBound", "Thm6EvenBound", "Eq58Combined"]),
+        (P(2, 2), ["DiamCor3", "Cor5PairBound", "Thm6EvenBound", "Eq58Combined"]),
+        (P(3, 1), ["Cor8PairBound", "Thm9GStar", "SpanF1", *ODD_TAIL]),
+        (P(3, 2), ["DiamCor3", "Cor8PairBound", "Thm9GStar", "SpanF1", "SpanF2", "Cor13SpanF3", *ODD_TAIL]),
+    ],
+)
+def test_bounds_table_ids_by_parity_and_leaf_count(params, ids):
+    # a one-leaf star drops the diameter claim and the two leaf-path spans
+    assert [row.bound_id for row in F.bounds_table(params)] == ids

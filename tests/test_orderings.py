@@ -2,7 +2,6 @@ import pytest
 
 from radiomesh import (
     CellIndexing,
-    OrderingProvenance,
     ParityError,
     ProductParams,
     all_pairs_distances,
@@ -94,7 +93,6 @@ def test_even_ordering_parity_guard():
 def test_even_ordering_smallest_case_starts_with_paired_hubs():
     params = ProductParams(2, 1)
     plan = even_pair_ordering(params)
-    assert plan.provenance is OrderingProvenance.EVEN_PAIR_WALK
     assert plan.sequence[0] == fiber_vertex_id(params, RM, 1, 1)
     assert plan.sequence[1] == fiber_vertex_id(params, RM, 3, 1)
 
