@@ -1,16 +1,22 @@
 """Command-line front end.
 
 Subcommands: gen, diam, rn-exact, bound, label, validate, verify,
-compare. Results go to stdout or ``--out``; errors go to stderr. Exit
-codes: 0 success, 1 failed validation or runtime error, 2 usage error.
+compare, one row each in :data:`COMMANDS`. Each :func:`main` call builds
+its own parser holding only the subcommand its arguments name (all of
+them for ``--help``, no command or an unknown one), so a call pays for
+one subcommand's arguments, not all eight. Results go to stdout or
+``--out``; errors go to stderr. Exit codes: 0 success, 1 failed
+validation, malformed input file or runtime error, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import claims, formulas
 from .formats import (
+    FormatError,
     format_labeling,
     format_product_graph,
     parse_graph,
@@ -27,7 +33,7 @@ from .graphs import (
     build_star,
     diameter,
 )
-from .labeling import LabelingContractError, validate
+from .labeling import validate
 from .orderings import build_construction_labeling
 from .product import CellIndexing, ProductParams, build_product_graph
 from .search import DEFAULT_NODE_LIMIT, RnStatus, exact_rn
@@ -136,6 +142,9 @@ def cmd_validate(args) -> int:
     else:
         raise InvalidParameterError("validate needs --graph FILE or --m/--n")
     labeling = parse_labeling(read_text(args.labeling))
+    if len(labeling.labels) != graph.num_vertices:
+        # the file does not fit the graph: a bad input file, not a usage error
+        raise FormatError(f"labeling covers {len(labeling.labels)} vertices, graph has {graph.num_vertices}")
     dm = all_pairs_distances(graph)
     report = validate(graph, dm, labeling)
     if args.format == "csv":
@@ -233,52 +242,33 @@ def _add_common(parser, m=False, n=False, out=False, fmt=False):
         parser.add_argument("--format", choices=("text", "csv"), default="text")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="radiomesh",
-        description="Radio labeling toolkit for mesh-by-star product networks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="write a product graph file")
-    _add_common(p, m=True, n=True, out=True)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("diam", help="BFS diameter of a product graph")
-    _add_common(p, m=True, n=True, out=True, fmt=True)
-    p.set_defaults(func=cmd_diam)
-
-    p = sub.add_parser("rn-exact", help="exact radio number by search")
+def _rn_exact_arguments(p) -> None:
     p.add_argument("--family", choices=("path", "star", "mesh", "product"), default="product")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--in", dest="infile", default=None, help="graph file instead of a family")
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT, help="search node budget")
     _add_common(p, out=True, fmt=True)
-    p.set_defaults(func=cmd_rn_exact)
 
-    p = sub.add_parser("bound", help="closed-form span bound(s) at (m, n)")
-    _add_common(p, m=True, n=True, out=True, fmt=True)
-    p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("label", help="build the construction labeling")
+def _label_arguments(p) -> None:
     _add_common(p, m=True, n=True, fmt=True)
     p.add_argument(
         "--indexing", type=CellIndexing, default=CellIndexing.ROW_MAJOR, choices=list(CellIndexing),
         metavar="{row-major,col-major,serpentine}",
     )
     p.add_argument("--out", default=None, help="write the greedy labeling file here")
-    p.set_defaults(func=cmd_label)
 
-    p = sub.add_parser("validate", help="validate a labeling file against a graph")
+
+def _validate_arguments(p) -> None:
     p.add_argument("--labeling", required=True, help="labeling file")
     p.add_argument("--graph", default=None, help="graph file")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     _add_common(p, fmt=True)
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("verify", help="adjudicate the claims catalog over a grid")
+
+def _verify_arguments(p) -> None:
     p.add_argument("--even-m", type=_orders(0), default="2,4,6", dest="even_m")
     p.add_argument("--odd-m", type=_orders(1), default="3,5", dest="odd_m")
     p.add_argument("--ns", type=_int_list, default="1,2,3")
@@ -286,26 +276,67 @@ def build_parser() -> argparse.ArgumentParser:
         "--schemes", type=_schemes, default="row-major,col-major,serpentine", help="comma-separated schemes"
     )
     _add_common(p, out=True, fmt=True)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("compare", help="vertex-count comparison table")
+
+def _compare_arguments(p) -> None:
     p.add_argument(
         "--m-range", type=_m_range, default="2:6", dest="m_range", help="inclusive range, e.g. 2:6"
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--with-bounds", action="store_true", dest="with_bounds")
     _add_common(p, out=True)
-    p.set_defaults(func=cmd_compare)
 
+
+_product_arguments = partial(_add_common, m=True, n=True, out=True)
+_product_format_arguments = partial(_add_common, m=True, n=True, out=True, fmt=True)
+
+# One row per subcommand: name, help line, argument adder, handler.
+COMMANDS = (
+    ("gen", "write a product graph file", _product_arguments, cmd_gen),
+    ("diam", "BFS diameter of a product graph", _product_format_arguments, cmd_diam),
+    ("rn-exact", "exact radio number by search", _rn_exact_arguments, cmd_rn_exact),
+    ("bound", "closed-form span bound(s) at (m, n)", _product_format_arguments, cmd_bound),
+    ("label", "build the construction labeling", _label_arguments, cmd_label),
+    ("validate", "validate a labeling file against a graph", _validate_arguments, cmd_validate),
+    ("verify", "adjudicate the claims catalog over a grid", _verify_arguments, cmd_verify),
+    ("compare", "vertex-count comparison table", _compare_arguments, cmd_compare),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``radiomesh`` parser, built from :data:`COMMANDS`.
+
+    With ``command`` one of the names in the table, only that
+    subcommand's parser is built; otherwise (no command, ``--help``, an
+    unknown name) all of them are. Either way the usage line lists every
+    command, so help and usage errors read the same.
+    """
+    parser = argparse.ArgumentParser(
+        prog="radiomesh",
+        description="Radio labeling toolkit for mesh-by-star product networks.",
+    )
+    chosen = [row for row in COMMANDS if row[0] == command]
+    # a one-command parser's usage line would name that command alone, so
+    # its metavar spells them all; the full parser keeps argparse's default,
+    # the same text, as a metavar would also rename the command argument in
+    # the errors for a missing or unknown command
+    metavar = "{" + ",".join(row[0] for row in COMMANDS) + "}" if chosen else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_arguments, handler in chosen or COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a fresh parser per call, holding only the command argv names
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParameterError, LabelingContractError) as exc:
+    except InvalidParameterError as exc:
         print(f"radiomesh: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, DisconnectedGraphError) as exc:

@@ -15,7 +15,7 @@ offending line when there is one.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, NoReturn
 
 from .graphs import Graph
 from .labeling import Labeling
@@ -139,47 +139,121 @@ def format_labeling(labeling: Labeling) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_labeling(text: str) -> Labeling:
-    """Parse a labeling file, re-checking the span comment when present.
+# characters per bulk step of the labeling parser: bounds its temporaries
+_CHUNK = 1 << 12
 
-    One pass over the lines, one ``split()`` and two ``int()`` calls per
-    label line. Every vertex id appears once, ids are exactly 0..N-1,
-    labels are non-negative, and at most one ``# span`` comment is
-    allowed; a bad line raises :class:`FormatError` naming the first
-    such line.
+
+def _line_chunks(text: str) -> Iterator[str]:
+    """Pieces of ``text`` of about :data:`_CHUNK` characters, cut after a newline.
+
+    A newline always ends a line, so no line is split between pieces.
     """
-    entries: dict[int, int] = {}
-    declared_span: int | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _label_columns(text: str) -> tuple[list[int], list[int], int | None] | None:
+    """Vertex ids, labels and declared span of a labeling file, in file order.
+
+    Checked in bulk, a piece at a time: one field count per line and one
+    flat list of the piece's fields, once the comment lines are taken
+    out of pieces holding a ``#``. Returns None when a line breaks a
+    line rule, apart from a repeated id, which the caller checks.
+    """
+    vids: list[int] = []
+    labels: list[int] = []
+    spans = []  # the words after the "#" of each span comment
+    for chunk in _line_chunks(text):
+        lines = chunk.splitlines()
+        if "#" in chunk:
+            comments = [line.lstrip() for line in lines if "#" in line]
+            if any(line[:1] != "#" for line in comments):
+                return None  # a "#" in a label line, whose fields are then not integers
+            spans += [words for words in (line[1:].split() for line in comments) if words[:1] == ["span"]]
+            lines = [line for line in lines if "#" not in line]
+            chunk = "\n".join(lines)
+        # the lines left are blank or hold two fields each
+        counts = list(map(len, map(str.split, lines)))
+        if counts.count(0) + counts.count(2) < len(counts):
+            return None
+        fields = chunk.split()  # line breaks are whitespace too
+        try:
+            vids += map(int, fields[0::2])
+            labels += map(int, fields[1::2])
+        except ValueError:
+            return None
+    if len(spans) > 1 or any(len(words) != 2 for words in spans):
+        return None
+    try:
+        declared_span = int(spans[0][1]) if spans else None
+    except ValueError:
+        return None
+    if min(labels, default=0) < 0:
+        return None
+    return vids, labels, declared_span
+
+
+def _raise_first_bad_line(lines: list[str]) -> NoReturn:
+    """Raise the error of the first line that breaks a line rule of labeling files."""
+    seen: set[int] = set()
+    span_seen = False
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             continue
         if fields[0][0] == "#":
             words = line.lstrip()[1:].split()
             if words[:1] == ["span"]:
-                if declared_span is not None:
+                if span_seen:
                     raise FormatError(f"line {lineno}: second span comment")
                 if len(words) != 2:
                     raise FormatError(f"line {lineno}: malformed span comment")
-                (declared_span,) = _ints(words[1:], lineno)
+                _ints(words[1:], lineno)
+                span_seen = True
             continue
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected '<vertex_id> <label>'")
-        try:
-            vid, label = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise _not_integers(fields, lineno) from None
-        if vid in entries:
+        vid, label = _ints(fields, lineno)
+        if vid in seen:
             raise FormatError(f"line {lineno}: duplicate vertex id {vid}")
         if label < 0:
             raise FormatError(f"line {lineno}: negative label {label}")
-        entries[vid] = label
-    if not entries:
-        raise FormatError("empty labeling file")
-    # the ids are distinct, so N of them in 0..N-1 are each id once
-    if min(entries) != 0 or max(entries) != len(entries) - 1:
+        seen.add(vid)
+    raise AssertionError("the bulk checks rejected a labeling file with no bad line")
+
+
+def parse_labeling(text: str) -> Labeling:
+    """Parse a labeling file, re-checking the span comment when present.
+
+    Line rules: a line is blank, a comment (its first field starts with
+    ``#``) or ``<vertex_id> <label>`` with integer fields; every vertex
+    id appears once, labels are non-negative, and at most one
+    ``# span <S>`` comment is allowed. A file that breaks one raises
+    :class:`FormatError` naming the first bad line. The whole file must
+    then hold at least one label, ids exactly 0..N-1 and, when declared,
+    the true span.
+
+    The line rules are checked in bulk by :func:`_label_columns`; the
+    lines are walked one by one, by :func:`_raise_first_bad_line`, only
+    to name the first bad line of a file those checks reject.
+    """
+    columns = _label_columns(text)
+    if columns is None:
+        _raise_first_bad_line(text.splitlines())
+    vids, labels, declared_span = columns
+    ordered = sorted(vids)
+    if ordered != list(range(len(ordered))):
+        if len(set(ordered)) < len(ordered):
+            _raise_first_bad_line(text.splitlines())  # a repeated id
         raise FormatError("vertex ids must be exactly 0..N-1")
-    labeling = Labeling(tuple(map(entries.__getitem__, range(len(entries)))))
+    if not vids:
+        raise FormatError("empty labeling file")
+    if vids != ordered:
+        labels = [label for _, label in sorted(zip(vids, labels))]
+    labeling = Labeling(tuple(labels))
     if declared_span is not None and declared_span != labeling.span:
         raise FormatError(
             f"span comment says {declared_span}, labels span {labeling.span}"

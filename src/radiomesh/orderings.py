@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import DistanceMatrix, Graph, all_pairs_distances
 from .labeling import (
     Labeling,
@@ -61,37 +63,39 @@ def _interior_sides(n: int) -> tuple[list[int], list[int]]:
     return side_x, side_y
 
 
-def _fibers(params: ProductParams, indexing: CellIndexing) -> list[range]:
-    """Flat ids of every fiber, by t-index: ``fibers[t][k - 1]`` is its position k.
+def _hubs(params: ProductParams, indexing: CellIndexing) -> np.ndarray:
+    """Hub id of every fiber, by t-index; fiber t's position k is ``hubs[t] + k - 1``.
 
     Position 1 is the hub and position k >= 2 leaf k - 1, as in
     :func:`fiber_vertex_id`, but at one :func:`cell_of` call per cell
-    instead of one per vertex. Entry 0 is empty, so t-indices read as
+    instead of one per vertex. Entry 0 is unused, so t-indices read as
     they are.
     """
-    size = params.n + 1
-    fibers = [range(0)]
-    for t in range(1, params.m * params.m + 1):
-        hub = vertex_id(params, *cell_of(t, params, indexing), 0)
-        fibers.append(range(hub, hub + size))
-    return fibers
+    hubs = [vertex_id(params, *cell_of(t, params, indexing), 0) for t in range(1, params.m * params.m + 1)]
+    return np.array([0, *hubs], dtype=np.int64)
 
 
-def _pair_walk(fiber_a, fiber_b, seq_a, seq_b):
-    out = []
-    for ka, kb in zip(seq_a, seq_b):
-        out += (fiber_a[ka - 1], fiber_b[kb - 1])
-    return out
+def _pair_walks(hubs_a: np.ndarray, hubs_b: np.ndarray, seq_a: list[int], seq_b: list[int]) -> list[int]:
+    """Walks of the fiber pairs (hubs_a[i], hubs_b[i]), one pair after the other.
+
+    Each walk alternates a, b, a, b, ... through positions ``seq_a`` of
+    fiber a and ``seq_b`` of fiber b: every id is a hub plus a position
+    offset, laid out at once for all pairs.
+    """
+    walks = np.empty((len(hubs_a), len(seq_a), 2), dtype=np.int64)
+    walks[:, :, 0] = hubs_a[:, None] + np.subtract(seq_a, 1)
+    walks[:, :, 1] = hubs_b[:, None] + np.subtract(seq_b, 1)
+    return walks.ravel().tolist()
 
 
-def _zigzag_pairs(params: ProductParams, fibers: list[range]) -> list[int]:
-    """Zigzag walks of the pairs (t(j), t(j + h)) for j in [1, h], h = :func:`pair_offset`."""
+def _zigzag_pairs(params: ProductParams, hubs: np.ndarray) -> list[int]:
+    """Zigzag walks of the pairs (t(j), t(j + h)) for j in [1, h], h = :func:`pair_offset`.
+
+    Built from the hub ids of the two runs of fibers and the side
+    sequences of :func:`_zigzag_sides`, not one pair at a time.
+    """
     half = pair_offset(params)
-    side_a, side_b = _zigzag_sides(params.n)
-    sequence: list[int] = []
-    for j in range(1, half + 1):
-        sequence += _pair_walk(fibers[j], fibers[j + half], side_a, side_b)
-    return sequence
+    return _pair_walks(hubs[1 : half + 1], hubs[half + 1 : 2 * half + 1], *_zigzag_sides(params.n))
 
 
 def even_pair_ordering(
@@ -100,8 +104,7 @@ def even_pair_ordering(
     """Visit order for even mesh order: zigzag the pairs (t(j), t(j + m*m/2))."""
     if params.m % 2:
         raise ParityError(f"even pair ordering needs even mesh order, got m={params.m}")
-    sequence = _zigzag_pairs(params, _fibers(params, indexing))
-    return OrderingPlan(tuple(sequence))
+    return OrderingPlan(tuple(_zigzag_pairs(params, _hubs(params, indexing))))
 
 
 def odd_three_phase_ordering(
@@ -122,14 +125,13 @@ def odd_three_phase_ordering(
     m, n = params.m, params.n
     if m % 2 == 0:
         raise ParityError(f"three-phase ordering needs odd mesh order, got m={m}")
-    fibers = _fibers(params, indexing)
-    sequence = _zigzag_pairs(params, fibers)
+    hubs = _hubs(params, indexing)
+    sequence = _zigzag_pairs(params, hubs)
 
     base = m * (m - 1)
     shift = (m - 1) // 2
-    side_x, side_y = _interior_sides(n)
-    for d in range(2, (m - 1) // 2 + 1):
-        sequence += _pair_walk(fibers[base + d], fibers[base + d + shift], side_x, side_y)
+    interior = hubs[base + 2 : base + shift + 1]  # d in [2, (m-1)/2]
+    sequence += _pair_walks(interior, hubs[base + 2 + shift : base + 2 * shift + 1], *_interior_sides(n))
 
     t_first = base + 1
     t_mid = base + (m + 1) // 2
@@ -144,7 +146,7 @@ def odd_three_phase_ordering(
     for path in paths:
         for t_index, position in path:
             if position <= n + 1:
-                sequence.append(fibers[t_index][position - 1])
+                sequence.append(int(hubs[t_index]) + position - 1)
 
     return OrderingPlan(tuple(sequence))
 

@@ -1,7 +1,7 @@
 import pytest
 
-from radiomesh import graphs
-from radiomesh.cli import main
+from radiomesh import cli, graphs
+from radiomesh.cli import COMMANDS, build_parser, main
 from radiomesh.formats import parse_graph, read_text
 from radiomesh.product import ProductParams, build_product_graph
 
@@ -127,6 +127,15 @@ def test_validate_malformed_labeling_file_exits_1(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_validate_labeling_of_the_wrong_size_exits_1(tmp_path, capsys):
+    lab = tmp_path / "short.txt"
+    lab.write_text("0 0\n1 5\n")
+    code, out, err = run(capsys, "validate", "--m", "2", "--n", "1", "--labeling", str(lab))
+    assert code == 1
+    assert out == ""
+    assert err == "radiomesh: labeling covers 2 vertices, graph has 8\n"
+
+
 def test_validate_malformed_graph_file_exits_1(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("vertices 3\n0 1\n0 5\n")
@@ -239,3 +248,72 @@ def test_flags_that_change_no_output_are_gone(argv, capsys):
         main(argv)
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+# the least arguments each command runs with, so an unknown flag after
+# them is reported by the top-level parser
+RUNNABLE = {
+    "gen": ["--m", "2", "--n", "1"],
+    "diam": ["--m", "2", "--n", "1"],
+    "rn-exact": [],
+    "bound": ["--m", "2", "--n", "1"],
+    "label": ["--m", "2", "--n", "1"],
+    "validate": ["--labeling", "lab.txt"],
+    "verify": [],
+    "compare": ["--n", "1"],
+}
+
+
+def _exit_of(parse, argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+def test_command_table_names_every_command():
+    assert [row[0] for row in COMMANDS] == list(RUNNABLE)
+
+
+@pytest.mark.parametrize("command", list(RUNNABLE))
+@pytest.mark.parametrize("tail", ["help", "unknown flag", "unknown flag, missing arguments"])
+def test_one_command_parser_prints_what_the_full_parser_prints(command, tail, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    argv = {
+        "help": [command, "--help"],
+        "unknown flag": [command, *RUNNABLE[command], "--no-such-flag"],
+        "unknown flag, missing arguments": [command, "--no-such-flag"],
+    }[tail]
+    via_main = _exit_of(main, argv, capsys)
+    assert via_main == _exit_of(build_parser().parse_args, argv, capsys)
+    assert via_main[0] == (0 if tail == "help" else 2)
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["-h", "gen"]])
+def test_top_level_usage_lists_every_command(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, err = _exit_of(main, argv, capsys)
+    assert (code, out, err) == _exit_of(build_parser().parse_args, argv, capsys)
+    assert "{gen,diam,rn-exact,bound,label,validate,verify,compare}" in out + err
+    if argv[:1] in (["--help"], ["-h"]):
+        for name, help_text, _add_arguments, _handler in COMMANDS:
+            assert f"    {name}" in out and help_text in out
+
+
+def test_each_main_call_builds_its_own_parser(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def spy(command=None):
+        parser = real(command)
+        built.append((command, parser))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for _ in range(2):
+        code, out, _ = run(capsys, "bound", "--m", "3", "--n", "2")
+        assert code == 0 and out.startswith("combined span bound")
+    assert [command for command, _ in built] == ["bound", "bound"]
+    assert built[0][1] is not built[1][1]
+    # each holds the one subcommand it was built for
+    assert [list(parser._subparsers._group_actions[0].choices) for _, parser in built] == [["bound"], ["bound"]]

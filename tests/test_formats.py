@@ -1,8 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radiomesh import Labeling, ProductParams, build_path, build_product_graph
+from radiomesh import Labeling, ProductParams, build_construction_labeling, build_path, build_product_graph
+from radiomesh import formats
 from radiomesh.formats import (
     FormatError,
     format_graph,
@@ -185,3 +189,165 @@ def test_graph_parser_rejects_bad_edges_and_counts_with_line(text, message):
 def test_labeling_parser_rejects_negative_label():
     with pytest.raises(FormatError, match="line 2: negative label -3"):
         parse_labeling("0 0\n1 -3\n")
+
+
+def reference_parse_labeling(text: str) -> Labeling:
+    """The labeling parser as one pass over the lines, one dict entry per label line.
+
+    The reference that :func:`parse_labeling`'s bulk checks must agree
+    with: the same labeling, or a FormatError with the same message.
+    """
+    entries: dict[int, int] = {}
+    declared_span = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if fields[0][0] == "#":
+            words = line.lstrip()[1:].split()
+            if words[:1] == ["span"]:
+                if declared_span is not None:
+                    raise FormatError(f"line {lineno}: second span comment")
+                if len(words) != 2:
+                    raise FormatError(f"line {lineno}: malformed span comment")
+                try:
+                    declared_span = int(words[1])
+                except ValueError:
+                    raise FormatError(f"line {lineno}: expected integers, got {words[1]!r}") from None
+            continue
+        if len(fields) != 2:
+            raise FormatError(f"line {lineno}: expected '<vertex_id> <label>'")
+        try:
+            vid, label = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: expected integers, got {' '.join(fields)!r}") from None
+        if vid in entries:
+            raise FormatError(f"line {lineno}: duplicate vertex id {vid}")
+        if label < 0:
+            raise FormatError(f"line {lineno}: negative label {label}")
+        entries[vid] = label
+    if not entries:
+        raise FormatError("empty labeling file")
+    if min(entries) != 0 or max(entries) != len(entries) - 1:
+        raise FormatError("vertex ids must be exactly 0..N-1")
+    labeling = Labeling(tuple(entries[v] for v in range(len(entries))))
+    if declared_span is not None and declared_span != labeling.span:
+        raise FormatError(f"span comment says {declared_span}, labels span {labeling.span}")
+    return labeling
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+# Fields and separators that reach every line rule: signs, digit
+# separators, non-ASCII digits and spaces, labels past int64, "#" inside
+# and at the start of fields, and every kind of line break.
+_field = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(
+        ["+5", "1_0", "1__0", "-0", "007", "\u0663", "\uff15", "\u00b2", str(2**63), str(10**30),
+         "x", "1.5", "#", "#x", "1#", "span"]
+    ),
+)
+_space = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u3000"])
+_break = st.sampled_from(
+    ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+
+
+@st.composite
+def _labeling_line(draw):
+    kind = draw(st.sampled_from(["label", "label", "span", "comment", "fields"]))
+    if kind == "label":
+        words = [draw(_field), draw(_field)]
+    elif kind == "span":
+        words = [draw(st.sampled_from(["# span", "#span", "#\tspan"])), draw(_field)]
+    elif kind == "comment":
+        words = ["#" + draw(st.text(max_size=6))]
+    else:
+        words = draw(st.lists(_field, max_size=4))
+    lead = draw(st.sampled_from(["", "", " ", "\t"]))
+    return lead + draw(_space).join(words) + draw(st.sampled_from(["", "", " "]))
+
+
+@st.composite
+def _labeling_text(draw):
+    lines = draw(st.lists(_labeling_line(), max_size=10))
+    return "".join(line + draw(_break) for line in lines) + draw(st.sampled_from(["", "0 0", "# span 0"]))
+
+
+@st.composite
+def _mutated_file(draw):
+    """A written labeling file with one line dropped, repeated or swapped, or ids shuffled."""
+    labels = draw(st.lists(st.integers(0, 40), min_size=1, max_size=10))
+    lines = formats.format_labeling(Labeling(tuple(labels))).splitlines(keepends=True)
+    i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(["drop", "repeat", "swap", "shuffle"]))
+    if mutation == "drop":
+        del lines[i]
+    elif mutation == "repeat":
+        lines.insert(j, lines[i])
+    elif mutation == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines[:-1] = draw(st.permutations(lines[:-1]))
+    return "".join(lines)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.one_of(st.text(max_size=120), _labeling_text(), _mutated_file()),
+    st.sampled_from([1, 5, 64, formats._CHUNK]),
+)
+def test_labeling_parser_agrees_with_the_line_loop(text, chunk):
+    # small pieces put the bulk checks' piece boundaries between any two lines
+    with mock.patch.object(formats, "_CHUNK", chunk):
+        got = _outcome(parse_labeling, text)
+    assert got == _outcome(reference_parse_labeling, text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("0 0 1\n1\n", "FormatError: line 1: expected '<vertex_id> <label>'"),
+        ("0 0\n1 5 7\n2\n", "FormatError: line 2: expected '<vertex_id> <label>'"),
+        ("0 0\n# a note\n1 5\n# span 5\n", (0, 5)),
+        ("0 0\n1 5\n# span 5\n# span 5\n", "FormatError: line 4: second span comment"),
+        ("0 0\r\n\r\n1 5\r\n\r\n# span 5\r\n", (0, 5)),
+        ("1 5\n0 0\n", (0, 5)),
+        ("0 +5\n1 1_0\n2 \u0663\n", (5, 10, 3)),
+        (f"0 {2**70}\n1 0\n# span {2**70}\n", (2**70, 0)),
+        ("0 0\n1 5 # note\n", "FormatError: line 2: expected '<vertex_id> <label>'"),
+        ("0 0\n1 #5\n", "FormatError: line 2: expected integers, got '1 #5'"),
+        ("0 0\n1 4\n1 -1\n", "FormatError: line 3: duplicate vertex id 1"),
+        ("0 0\n2 3\n1 -1\n", "FormatError: line 3: negative label -1"),
+    ],
+)
+def test_labeling_parser_edge_cases(text, expected):
+    outcome = _outcome(parse_labeling, text)
+    assert outcome == _outcome(reference_parse_labeling, text)
+    assert (outcome if isinstance(outcome, str) else outcome.labels) == expected
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("1499 x", "line 1500: expected integers, got '1499 x'"),
+        ("12 7", "line 1500: duplicate vertex id 12"),
+        ("1499 7 7", "line 1500: expected '<vertex_id> <label>'"),
+    ],
+)
+@pytest.mark.parametrize("chunk", [64, formats._CHUNK])
+def test_labeling_parser_names_one_bad_line_in_a_full_size_file(bad_line, message, chunk):
+    built = build_construction_labeling(ProductParams(19, 5))
+    lines = formats.format_labeling(built.greedy).splitlines()
+    assert len(lines) == 2167
+    lines[1499] = bad_line
+    with mock.patch.object(formats, "_CHUNK", chunk):
+        with pytest.raises(FormatError) as info:
+            parse_labeling("\n".join(lines) + "\n")
+    assert str(info.value) == message

@@ -87,6 +87,21 @@ def test_ordering_plan_must_be_permutation():
         OrderingPlan((0, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "sequence",
+    [(0, 2, 2), (0, 1, 3), (0, -1, 1), (0, 1, 2, 4), (1, 2, 3), (-1, 0, 1), (0, 2, 1, 3, 3)],
+    ids=["duplicate", "missing", "negative", "too-large", "shifted", "negative-shifted", "duplicate-last"],
+)
+def test_ordering_plan_rejects_every_non_permutation(sequence):
+    with pytest.raises(InvalidParameterError, match="not a permutation"):
+        OrderingPlan(sequence)
+
+
+@pytest.mark.parametrize("sequence", [(), (0,), (2, 0, 1), tuple(range(720))[::-1]])
+def test_ordering_plan_accepts_permutations(sequence):
+    assert OrderingPlan(sequence).sequence == sequence
+
+
 def test_greedy_on_p2():
     g = build_path(2)
     dm = all_pairs_distances(g)

@@ -69,7 +69,8 @@ def _per_vertex_construction_ordering(params, indexing):
 @pytest.mark.parametrize("scheme", list(CellIndexing))
 @pytest.mark.parametrize("m", range(2, 10))
 def test_construction_ordering_equals_per_vertex_walk(scheme, m):
-    for n in range(1, 5):
+    # n = 10 is the leaf count of the full-size checks; the benchmark runs n = 5
+    for n in [*range(1, 7), *([10] if m <= 5 else [])]:
         params = ProductParams(m, n)
         expected = _per_vertex_construction_ordering(params, scheme)
         assert construction_ordering(params, scheme).sequence == expected
