@@ -24,7 +24,7 @@ for m, n in [(2, 2), (4, 2), (3, 2), (5, 2)]:
     params = ProductParams(m, n)
     pg = build_product_graph(params)
     dm = all_pairs_distances(pg.graph)
-    built = build_construction_labeling(params, product=pg, dm=dm)
+    built = build_construction_labeling(params, dm=dm)
     print(
         f"(m={m}, n={n}): greedy span {built.greedy_span}"
         f" (valid), consecutive-only span {built.consecutive_span}"

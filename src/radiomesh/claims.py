@@ -69,7 +69,7 @@ class ClaimVerdict:
         return (self.claim_id, self.m, self.n, self.indexing)
 
 
-ALL_INDEXINGS = (CellIndexing.ROW_MAJOR, CellIndexing.COL_MAJOR, CellIndexing.SERPENTINE)
+ALL_INDEXINGS = tuple(CellIndexing)
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,14 @@ def diameter_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
     return _row("Cor3.Diameter", params, "-", Fraction(2 * params.m), Fraction(dm.diameter))
 
 
+def _pair_fibers(params: ProductParams, indexing: CellIndexing) -> tuple[list[int], list[int]]:
+    """Vertex ids of the construction pair (t(1), t(1 + offset)), each fiber by position."""
+    return tuple(
+        [fiber_vertex_id(params, indexing, t, k) for k in range(1, params.n + 2)]
+        for t in (1, 1 + pair_offset(params))
+    )
+
+
 def _canonical_pairs(params: ProductParams, indexing: CellIndexing):
     """The three witness pairs the pair-walk arguments rest on.
 
@@ -110,13 +118,11 @@ def _canonical_pairs(params: ProductParams, indexing: CellIndexing):
     (t(1), t(1 + offset)). With a single leaf there is no distinct-leaf
     pair, so the no-centers witness degrades to the same-leaf pair.
     """
-    fv = lambda t, k: fiber_vertex_id(params, indexing, t, k)
-    other = 1 + pair_offset(params)
-    no_center_position = 3 if params.n >= 2 else 2
+    first, other = _pair_fibers(params, indexing)
     return {
-        "BothCenters": (fv(1, 1), fv(other, 1)),
-        "OneCenter": (fv(other, 1), fv(1, 2)),
-        "NoCenters": (fv(1, 2), fv(other, no_center_position)),
+        "BothCenters": (first[0], other[0]),
+        "OneCenter": (other[0], first[1]),
+        "NoCenters": (first[1], other[2 if params.n >= 2 else 1]),
     }
 
 
@@ -159,12 +165,8 @@ def pair_bound_claim(
     else:
         claim_id = "Cor8.PairBound"
         expected = formulas.cor8_pair_bound(params)
-    vertices = [
-        fiber_vertex_id(params, indexing, t, k)
-        for t in (1, 1 + pair_offset(params))
-        for k in range(1, params.n + 2)
-    ]
-    req = gap_matrix(dm, vertices=vertices)
+    first, other = _pair_fibers(params, indexing)
+    req = gap_matrix(dm, vertices=first + other)
     value, _labels, status, _nodes = minimize_span(req)
     observed = Fraction(value) if status is RnStatus.EXACT else None
     return _row(claim_id, params, indexing.value, expected, observed)
@@ -190,12 +192,8 @@ def full_bound_claim(
     claim stays Unverifiable at this scale.
     """
     params = pg.params
-    if params.m % 2 == 0:
-        claim_id = "Thm6.Bound"
-        expected = Fraction(formulas.thm6_even_bound(params))
-    else:
-        claim_id = "Thm18.Bound"
-        expected = formulas.thm18_odd_bound(params)
+    claim_id = "Thm18.Bound" if params.m % 2 else "Thm6.Bound"
+    expected = formulas.combined_bound(params)
     if params.num_vertices <= config.exact_vertex_limit:
         result = exact_rn(pg.graph, dm)
         if result.status is RnStatus.EXACT:
@@ -209,11 +207,10 @@ def example_claims() -> list[ClaimVerdict]:
     """The two worked-example figures versus what their formulas evaluate to."""
     p45 = ProductParams(4, 5)
     p55 = ProductParams(5, 5)
-    rows = [
-        _row("Ex3.1.Value", p45, "-", EXAMPLE_31_CLAIMED, Fraction(formulas.thm6_even_bound(p45))),
-        _row("Ex3.2.Value", p55, "-", EXAMPLE_32_CLAIMED, formulas.thm18_odd_bound(p55)),
+    return [
+        _row("Ex3.1.Value", p45, "-", EXAMPLE_31_CLAIMED, formulas.combined_bound(p45)),
+        _row("Ex3.2.Value", p55, "-", EXAMPLE_32_CLAIMED, formulas.combined_bound(p55)),
     ]
-    return rows
 
 
 def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict]:

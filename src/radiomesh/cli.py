@@ -16,7 +16,6 @@ from functools import partial
 
 from . import claims, formulas
 from .formats import (
-    FormatError,
     format_labeling,
     format_product_graph,
     parse_graph,
@@ -64,24 +63,23 @@ def cmd_diam(args) -> int:
     return 0
 
 
+# rn-exact's graph families: name -> (builder, the flags it takes in order)
+FAMILIES = {
+    "path": (build_path, ("m",)),
+    "star": (build_star, ("n",)),
+    "mesh": (build_mesh, ("m",)),
+    "product": (lambda m, n: build_product_graph(ProductParams(m, n)).graph, ("m", "n")),
+}
+
+
 def _family_graph(args):
-    family = args.family
-    if family == "path":
-        if args.m is None:
-            raise InvalidParameterError("--family path needs --m")
-        return build_path(args.m), f"path m={args.m}"
-    if family == "star":
-        if args.n is None:
-            raise InvalidParameterError("--family star needs --n")
-        return build_star(args.n), f"star n={args.n}"
-    if family == "mesh":
-        if args.m is None:
-            raise InvalidParameterError("--family mesh needs --m")
-        return build_mesh(args.m), f"mesh m={args.m}"
-    if args.m is None or args.n is None:
-        raise InvalidParameterError("--family product needs --m and --n")
-    pg = build_product_graph(ProductParams(args.m, args.n))
-    return pg.graph, f"product m={args.m} n={args.n}"
+    build, flags = FAMILIES[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        needs = " and ".join(f"--{flag}" for flag in flags)
+        raise InvalidParameterError(f"--family {args.family} needs {needs}")
+    name = " ".join(f"{flag}={value}" for flag, value in zip(flags, values))
+    return build(*values), f"{args.family} {name}"
 
 
 def cmd_rn_exact(args) -> int:
@@ -142,9 +140,6 @@ def cmd_validate(args) -> int:
     else:
         raise InvalidParameterError("validate needs --graph FILE or --m/--n")
     labeling = parse_labeling(read_text(args.labeling))
-    if len(labeling.labels) != graph.num_vertices:
-        # the file does not fit the graph: a bad input file, not a usage error
-        raise FormatError(f"labeling covers {len(labeling.labels)} vertices, graph has {graph.num_vertices}")
     dm = all_pairs_distances(graph)
     report = validate(graph, dm, labeling)
     if args.format == "csv":
@@ -243,7 +238,7 @@ def _add_common(parser, m=False, n=False, out=False, fmt=False):
 
 
 def _rn_exact_arguments(p) -> None:
-    p.add_argument("--family", choices=("path", "star", "mesh", "product"), default="product")
+    p.add_argument("--family", choices=tuple(FAMILIES), default="product")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--in", dest="infile", default=None, help="graph file instead of a family")
@@ -255,7 +250,7 @@ def _label_arguments(p) -> None:
     _add_common(p, m=True, n=True, fmt=True)
     p.add_argument(
         "--indexing", type=CellIndexing, default=CellIndexing.ROW_MAJOR, choices=list(CellIndexing),
-        metavar="{row-major,col-major,serpentine}",
+        metavar="{" + ",".join(scheme.value for scheme in CellIndexing) + "}",
     )
     p.add_argument("--out", default=None, help="write the greedy labeling file here")
 
@@ -269,12 +264,11 @@ def _validate_arguments(p) -> None:
 
 
 def _verify_arguments(p) -> None:
-    p.add_argument("--even-m", type=_orders(0), default="2,4,6", dest="even_m")
-    p.add_argument("--odd-m", type=_orders(1), default="3,5", dest="odd_m")
-    p.add_argument("--ns", type=_int_list, default="1,2,3")
-    p.add_argument(
-        "--schemes", type=_schemes, default="row-major,col-major,serpentine", help="comma-separated schemes"
-    )
+    grid = claims.VerifyConfig()
+    p.add_argument("--even-m", type=_orders(0), default=grid.even_m, dest="even_m")
+    p.add_argument("--odd-m", type=_orders(1), default=grid.odd_m, dest="odd_m")
+    p.add_argument("--ns", type=_int_list, default=grid.ns)
+    p.add_argument("--schemes", type=_schemes, default=grid.indexings, help="comma-separated schemes")
     _add_common(p, out=True, fmt=True)
 
 

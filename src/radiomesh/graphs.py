@@ -9,10 +9,10 @@ product distance is the sum of the factor distances (Kchikech, Khennoufa
 & Togni, DMGT 28, 2008), and otherwise it falls back to BFS. For the
 same reason a connected product's diameter is the sum of its factors'
 diameters. A :class:`DistanceMatrix` answers single and vectorised
-lookups from its factors, which is all that labeling and validation
-read; the dense N x N matrix is built from the factors only when
-``.matrix`` is first read, by the search, the gap matrices, the claims
-and the BFS cross-check.
+lookups from its factors, which is all that labeling, validation and
+the gap matrices read; the dense N x N matrix is built from the factors
+only when ``.matrix`` is first read, which only the BFS cross-check of
+``claims.run_verification`` does.
 
 Construction is strict: simple undirected graphs only, validated on
 creation, and frozen afterwards. A Cartesian product is simple by
@@ -23,6 +23,7 @@ nothing per vertex until BFS or an edge listing asks for its edges.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import FrozenInstanceError
 from functools import reduce
@@ -45,19 +46,21 @@ class DisconnectedGraphError(Exception):
 class Graph:
     """Simple undirected graph on vertex ids ``0..num_vertices-1``.
 
-    ``adjacency[v]`` is the sorted tuple of neighbors of ``v``. Instances
-    are immutable: assigning an attribute raises.
+    ``adjacency[v]`` is the sorted tuple of neighbors of ``v``; a given
+    adjacency is checked by :func:`_check_adjacency`. Instances are
+    immutable: assigning an attribute raises.
 
     ``factors`` is set on a Cartesian product to its two factors, whose
-    vertex ids combine in mixed radix; it takes no part in equality, so
-    a product equals the same graph parsed from its edge list. A product
-    is fixed by its factors, so it is made with ``adjacency=None`` and
-    lays its adjacency out from theirs, by :func:`_product_adjacency`,
-    on the first read of ``.adjacency``, then keeps it. Only BFS,
-    :meth:`edges`, :meth:`degree`, :attr:`num_edges`, hashing and equality with another
-    graph read it; labeling and validation read none of them. Sharing a
-    graph between threads is safe: two first reads at once may each lay
-    out the adjacency, but they build equal tuples and either is kept.
+    vertex ids combine in mixed radix. Products of equal factors are
+    equal, and a product also equals the same graph parsed from its edge
+    list. A product is fixed by its factors, so it is made with
+    ``adjacency=None`` and lays its adjacency out from theirs, by
+    :func:`_product_adjacency`, on the first read of ``.adjacency``, then
+    keeps it. Only BFS, :meth:`edges`, :meth:`degree`, :attr:`num_edges`,
+    hashing and equality with a graph of other factors read it; labeling
+    and validation read none of them. Sharing a graph between threads is
+    safe: two first reads at once may each lay out the adjacency, but
+    they build equal tuples and either is kept.
     """
 
     def __init__(
@@ -70,6 +73,11 @@ class Graph:
             raise InvalidParameterError("factor orders do not multiply to the vertex count")
         if adjacency is None and len(factors) != 2:
             raise InvalidParameterError("only a product of two factors can omit its adjacency")
+        if adjacency is not None:
+            _check_adjacency(num_vertices, adjacency)
+        self._fill(num_vertices, adjacency, factors)
+
+    def _fill(self, num_vertices, adjacency, factors) -> None:
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "_adjacency", adjacency)
         object.__setattr__(self, "factors", tuple(factors))
@@ -91,6 +99,8 @@ class Graph:
             return True
         if not isinstance(other, Graph):
             return NotImplemented
+        if self.factors and self.factors == other.factors:
+            return True  # a product is fixed by its factors
         return self.num_vertices == other.num_vertices and self.adjacency == other.adjacency
 
     def __hash__(self):
@@ -114,7 +124,11 @@ class Graph:
                 raise InvalidParameterError(f"duplicate edge ({u}, {v})")
             neighbors[u].add(v)
             neighbors[v].add(u)
-        return Graph(num_vertices, tuple(tuple(sorted(s)) for s in neighbors))
+        # the checks above leave a simple undirected graph, so
+        # _check_adjacency, several times the cost of this build, is skipped
+        g = object.__new__(Graph)
+        g._fill(num_vertices, tuple(tuple(sorted(s)) for s in neighbors), ())
+        return g
 
     @property
     def num_edges(self) -> int:
@@ -126,6 +140,33 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+
+def _check_adjacency(num_vertices: int, adjacency: Sequence[Sequence[int]]) -> None:
+    """Reject rows that are not the neighbor lists of a simple undirected graph.
+
+    Each row must be strictly ascending, in range and free of its own
+    vertex; then every edge must appear in both of its rows, looked up
+    by bisection in the other row.
+    """
+    if num_vertices <= 0:
+        raise InvalidParameterError("graph needs at least one vertex")
+    if len(adjacency) != num_vertices:
+        raise InvalidParameterError(f"adjacency has {len(adjacency)} rows for {num_vertices} vertices")
+    for u, row in enumerate(adjacency):
+        if any(a >= b for a, b in zip(row, row[1:])):
+            raise InvalidParameterError(f"neighbors of vertex {u} are not strictly ascending")
+        for v in row[:1] + row[-1:]:  # the row ascends, so its ends bound it
+            if not 0 <= v < num_vertices:
+                raise InvalidParameterError(f"edge ({u}, {v}) out of range")
+        if u in row:
+            raise InvalidParameterError(f"self-loop at vertex {u}")
+    for u, row in enumerate(adjacency):
+        for v in row:
+            other = adjacency[v]
+            i = bisect_left(other, u)
+            if i == len(other) or other[i] != u:
+                raise InvalidParameterError(f"edge ({u}, {v}) has no reverse ({v}, {u})")
 
 
 def build_path(m: int) -> Graph:
@@ -246,13 +287,13 @@ class DistanceMatrix:
     A dense matrix M is the one-factor case: ``DistanceMatrix(M)`` has
     A = [[0]] and B = M.
 
-    ``dm[u, v]`` and :meth:`pairs` read only the factors;
-    ``greedy_assign``, ``consecutive_only_assign`` and ``validate`` use
-    nothing but :meth:`pairs`. :attr:`matrix` is the dense N x N
-    matrix, with UNREACHABLE entries, built from the factors on first
-    access and then kept; the search, the gap matrices, the claims and
-    the BFS cross-check read it. ``diameter`` is the sum of the
-    factors' diameters, and refuses to summarize a disconnected graph.
+    ``dm[u, v]`` and :meth:`pairs` read only the factors; labeling,
+    validation and the gap matrices use nothing but :meth:`pairs`.
+    :attr:`matrix` is the dense N x N matrix, with UNREACHABLE entries,
+    built from the factors on first access and then kept; only the BFS
+    cross-check of ``claims.run_verification`` reads it. ``diameter`` is
+    the sum of the factors' diameters, and refuses to summarize a
+    disconnected graph.
     """
 
     __slots__ = ("_a", "_b", "_matrix", "_diameter", "_index")
@@ -285,7 +326,7 @@ class DistanceMatrix:
         return UNREACHABLE if UNREACHABLE in (a, b) else a + b
 
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """``d(us[i], vs[i])`` for each i, in the matrix's dtype.
+        """``d(u, v)`` over ``us`` and ``vs`` broadcast together, in the matrix's dtype.
 
         Each factor is read flat: u's row starts at offset ``oa[u]`` and
         v is column ``ia[v]``. These per-vertex arrays, and whether a

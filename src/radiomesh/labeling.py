@@ -13,8 +13,9 @@ above diam. Both ``validate`` and ``greedy_assign`` use this to look up
 only the pairs whose labels lie within one diameter of each other, by
 the same label-window scan. ``greedy_assign`` starts from the
 consecutive-only labels and repairs the pairs they leave short. All
-three read distances through ``DistanceMatrix.pairs``, so a product's
-N x N matrix is never built here.
+three, and the exact search's gap matrices, take the gap requirement
+from :func:`required_gaps`, which reads ``DistanceMatrix.pairs``, so a
+product's N x N matrix is never built.
 """
 from __future__ import annotations
 
@@ -104,6 +105,11 @@ def _check_matrix(g: Graph, dm: DistanceMatrix) -> None:
         )
 
 
+def required_gaps(dm: DistanceMatrix, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The gap requirement ``diam + 1 - d(u, v)``, ``us`` and ``vs`` broadcast, in ``dm``'s dtype."""
+    return dm.diameter + 1 - dm.pairs(us, vs)
+
+
 def _label_window(ranked: np.ndarray, diam: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Position pairs (p, p + k) of ascending ``ranked`` whose gap is below diam.
 
@@ -153,7 +159,7 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
     # one factor lookup for the whole window
     low, high, actual = (np.concatenate(parts) for parts in zip(*window))
     u, v = order[low], order[high]
-    required = diam + 1 - dm.pairs(u, v)
+    required = required_gaps(dm, u, v)
     bad = np.flatnonzero(actual < required)
     if bad.size == 0:
         return ValidityReport(True, ())
@@ -176,7 +182,7 @@ def _consecutive_steps(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> tupl
         raise InvalidParameterError("plan does not cover the graph")
     _check_matrix(g, dm)
     order = np.array(seq)
-    steps = dm.diameter + 1 - dm.pairs(order[:-1], order[1:]).astype(np.int64)
+    steps = required_gaps(dm, order[:-1], order[1:]).astype(np.int64)
     along = np.zeros(len(order), dtype=np.int64)
     np.cumsum(steps, out=along[1:])
     return order, along
@@ -212,7 +218,7 @@ def greedy_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:
     extras = np.zeros(len(order), dtype=np.int64)
     if window:
         low, high, gaps = (np.concatenate(parts) for parts in zip(*window))
-        short = diam + 1 - dm.pairs(order[low], order[high]) - gaps
+        short = required_gaps(dm, order[low], order[high]) - gaps
         keep = np.flatnonzero(short > 0)
         keep = keep[np.argsort(high[keep], kind="stable")]
         # marks: the positions given an extra so far, ascending; totals[k]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, all_pairs_distances
+from .graphs import DistanceMatrix, all_pairs_distances
 from .labeling import (
     Labeling,
     OrderingPlan,
@@ -29,7 +29,6 @@ from .labeling import (
 from .product import (
     CellIndexing,
     ParityError,
-    ProductGraph,
     ProductParams,
     build_product_graph,
     cell_of,
@@ -181,18 +180,16 @@ class ConstructionLabelings:
 def build_construction_labeling(
     params: ProductParams,
     indexing: CellIndexing = CellIndexing.ROW_MAJOR,
-    product: ProductGraph | None = None,
     dm: DistanceMatrix | None = None,
 ) -> ConstructionLabelings:
-    """Run both assignments over the construction ordering.
+    """Run both assignments over the construction ordering of the graph ``params`` fixes.
 
+    ``dm`` may hold that graph's distances, computed once by the caller.
     The greedy labeling is valid by construction; the consecutive-only
     labeling is validated and reported as-is.
     """
     plan = construction_ordering(params, indexing)
-    if product is None:
-        product = build_product_graph(params, indexing)
-    graph: Graph = product.graph
+    graph = build_product_graph(params, indexing).graph
     if dm is None:
         dm = all_pairs_distances(graph)
     greedy = greedy_assign(graph, dm, plan)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import DistanceMatrix, Graph, InvalidParameterError, all_pairs_distances
-from .labeling import Labeling
+from .labeling import Labeling, _check_matrix, required_gaps
 
 ORACLE_MAX_VERTICES = 9
 
@@ -65,14 +65,15 @@ class RnResult:
 
 
 def gap_matrix(dm: DistanceMatrix, vertices: Sequence[int] | None = None) -> list[list[int]]:
-    """Required label gaps ``diam + 1 - d(u, v)`` for a vertex subset.
+    """Required label gaps ``diam + 1 - d(u, v)`` over a vertex subset (default: all).
 
-    ``diam`` is the diameter of the whole matrix, so a subset poses the
-    induced problem under the host metric, which is how the per-pair
-    bound claims are adjudicated.
+    Looked up by :func:`~radiomesh.labeling.required_gaps`, not from the
+    N x N matrix. ``diam`` is the diameter of the whole matrix, so a
+    subset poses the induced problem under the host metric, which is how
+    the per-pair bound claims are adjudicated.
     """
-    index = slice(None) if vertices is None else np.ix_(vertices, vertices)
-    return (dm.diameter + 1 - dm.matrix[index]).tolist()
+    ids = np.arange(dm.num_vertices) if vertices is None else np.asarray(vertices, dtype=np.intp)
+    return required_gaps(dm, ids[:, None], ids[None, :]).tolist()
 
 
 def _place(floor: np.ndarray, v: int, gaps: np.ndarray) -> int:
@@ -363,6 +364,7 @@ def exact_rn(
     """
     if dm is None:
         dm = all_pairs_distances(g)
+    _check_matrix(g, dm)
     req = gap_matrix(dm)  # raises DisconnectedGraphError via the diameter
     value, labels, status, nodes = minimize_span(req, node_limit)
     return RnResult(value, status, Labeling(tuple(labels), graph=g), nodes)
@@ -379,6 +381,7 @@ def permutation_oracle(g: Graph, dm: DistanceMatrix | None = None) -> RnResult:
         raise OracleSizeError(f"oracle limited to {ORACLE_MAX_VERTICES} vertices, got {nv}")
     if dm is None:
         dm = all_pairs_distances(g)
+    _check_matrix(g, dm)
     req = gap_matrix(dm)
 
     best: int | None = None

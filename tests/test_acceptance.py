@@ -130,7 +130,7 @@ def test_criterion_6_construction_validity():
         params = ProductParams(m, n)
         pg = build_product_graph(params)
         dm = all_pairs_distances(pg.graph)
-        built = build_construction_labeling(params, product=pg, dm=dm)
+        built = build_construction_labeling(params, dm=dm)
         ok = ok and validate(pg.graph, dm, built.greedy).valid
         bound = F.combined_bound(params)
         details.append(f"({m},{n}) span={built.greedy_span} bound={bound}")

@@ -42,7 +42,29 @@ def test_diam_flags_single_leaf_deviation(capsys):
 def test_rn_exact_star(capsys):
     code, out, _ = run(capsys, "rn-exact", "--family", "star", "--n", "3")
     assert code == 0
-    assert "= 4" in out
+    assert out == "rn(star n=3) = 4\n"
+
+
+@pytest.mark.parametrize(
+    "family, flags, line, missing",
+    [
+        (["--family", "path"], ["--m", "4"], "rn(path m=4) = 5", "--family path needs --m"),
+        (["--family", "star"], ["--n", "3"], "rn(star n=3) = 4", "--family star needs --n"),
+        (["--family", "mesh"], ["--m", "2"], "rn(mesh m=2) = 4", "--family mesh needs --m"),
+        (["--family", "product"], ["--m", "2", "--n", "1"], "rn(product m=2 n=1) = 10",
+         "--family product needs --m and --n"),
+        ([], ["--m", "2", "--n", "1"], "rn(product m=2 n=1) = 10",
+         "--family product needs --m and --n"),
+    ],
+)
+def test_rn_exact_names_each_family_and_its_missing_flags(capsys, family, flags, line, missing):
+    code, out, err = run(capsys, "rn-exact", *family, *flags)
+    assert (code, out, err) == (0, line + "\n", "")
+    pairs = [flags[i : i + 2] for i in range(0, len(flags), 2)]
+    # each flag left out in turn, then all of them
+    for kept in [[f for p in pairs if p is not q for f in p] for q in pairs] + [[]]:
+        code, out, err = run(capsys, "rn-exact", *family, *kept)
+        assert (code, out, err) == (2, "", f"radiomesh: {missing}\n")
 
 
 def test_rn_exact_from_file(tmp_path, capsys):

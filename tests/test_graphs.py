@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -193,12 +194,40 @@ def test_dense_distance_matrix_is_its_one_factor():
 
 
 def test_from_edges_validation():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=r"self-loop at vertex 0"):
         Graph.from_edges(3, [(0, 0)])
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=r"duplicate edge \(1, 0\)"):
         Graph.from_edges(3, [(0, 1), (1, 0)])
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=r"edge \(0, 5\) out of range"):
         Graph.from_edges(3, [(0, 5)])
+
+
+@pytest.mark.parametrize(
+    "num_vertices, adjacency, message",
+    [
+        (0, (), "graph needs at least one vertex"),
+        (3, ((0,), (2,), ()), "self-loop at vertex 0"),
+        (3, ((1,), (0, 2), ()), "edge (1, 2) has no reverse (2, 1)"),
+        (3, ((), (0,), ()), "edge (1, 0) has no reverse (0, 1)"),
+        (3, ((2, 1), (0,), (0,)), "neighbors of vertex 0 are not strictly ascending"),
+        (3, ((1, 1), (0,), ()), "neighbors of vertex 0 are not strictly ascending"),
+        (3, ((3,), (), ()), "edge (0, 3) out of range"),
+        (3, ((-1,), (), ()), "edge (0, -1) out of range"),
+        (3, ((1,), (0,)), "adjacency has 2 rows for 3 vertices"),
+    ],
+)
+def test_graph_rejects_an_adjacency_that_is_not_simple_and_undirected(num_vertices, adjacency, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        Graph(num_vertices, adjacency)
+
+
+def test_graph_accepts_simple_undirected_adjacency_and_built_graphs_skip_the_check():
+    assert Graph(3, ((1,), (0, 2), (1,))) == build_path(3)
+    assert Graph(3, ((), (), ())).num_edges == 0
+    # from_edges checks its edges itself, and a product is fixed by its factors
+    with mock.patch.object(graphs, "_check_adjacency", side_effect=AssertionError("checked")):
+        product = build_product_graph(ProductParams(3, 2)).graph
+        assert product.num_edges == 3 * 3 * 2 + 2 * 3 * 2 * 3
 
 
 def test_product_records_factors_outside_equality():
@@ -209,6 +238,15 @@ def test_product_records_factors_outside_equality():
     assert plain == product and hash(plain) == hash(product)
     with pytest.raises(InvalidParameterError, match="factor orders"):
         Graph(product.num_vertices, product.adjacency, factors=(path, build_path(2)))
+
+
+def test_products_of_equal_factors_are_equal_without_a_layout():
+    first = build_product_graph(ProductParams(4, 2)).graph
+    second = build_product_graph(ProductParams(4, 2)).graph
+    assert first == second
+    assert first._adjacency is None and second._adjacency is None
+    assert first != build_product_graph(ProductParams(4, 3)).graph
+    assert first == Graph.from_edges(first.num_vertices, second.edges())
 
 
 def test_product_adjacency_is_laid_out_on_first_read_and_kept():

@@ -163,5 +163,5 @@ def test_construction_greedy_is_valid_and_consecutive_reported():
 def test_greedy_span_upper_bounds_exact_rn():
     params = ProductParams(2, 1)
     pg = build_product_graph(params)
-    built = build_construction_labeling(params, product=pg)
+    built = build_construction_labeling(params)
     assert exact_rn(pg.graph).value <= built.greedy_span

@@ -13,6 +13,7 @@ from radiomesh import (
     CellIndexing,
     DisconnectedGraphError,
     Graph,
+    InvalidParameterError,
     Labeling,
     OrderingPlan,
     ProductParams,
@@ -418,6 +419,45 @@ def test_factored_distances_equal_bfs_on_random_products(factors):
                 dm.diameter
     else:
         assert factored.diameter == bfs.diameter
+
+
+@st.composite
+def gap_case(draw):
+    """A connected graph, random or a product of 2-3 connected factors; its
+    factored or dense BFS matrix; and a vertex list: none (the default),
+    the whole graph, a subset, one with a repeated id, or empty."""
+    g = draw(
+        st.one_of(
+            connected_graph(8),
+            st.lists(connected_graph(3), min_size=2, max_size=3).map(cartesian_product),
+        )
+    )
+    dm = draw(st.sampled_from([all_pairs_distances, bfs_all_pairs]))(g)
+    ids = st.integers(0, g.num_vertices - 1)
+    vertices = draw(
+        st.one_of(
+            st.none(),
+            st.just(list(range(g.num_vertices))),
+            st.lists(ids, unique=True),
+            st.lists(ids, min_size=1).map(lambda vs: vs + vs[:1]),
+            st.just([]),
+        )
+    )
+    return dm, vertices
+
+
+@settings(max_examples=150, deadline=None)
+@given(gap_case())
+def test_gap_matrix_equals_the_dense_definition(case):
+    dm, vertices = case
+    req = gap_matrix(dm, vertices)
+    # looked up pair by pair: the dense matrix is not built
+    assert dm._matrix is None
+    v = list(range(dm.num_vertices)) if vertices is None else vertices
+    assert req == (dm.diameter + 1 - dm.matrix[np.ix_(v, v)]).tolist()
+    if vertices == []:
+        with pytest.raises(InvalidParameterError, match="empty constraint system"):
+            minimize_span(req)
 
 
 def _naive_violations(dm, labels):

@@ -169,6 +169,18 @@ def test_node_budget_yields_upper_bound_only():
     assert again.witness.labels == truncated.witness.labels
 
 
+def test_exact_rn_rejects_a_matrix_of_another_graph():
+    # P_4's matrix would pose P_4's system and tag its witness with P_3
+    with pytest.raises(InvalidParameterError, match="distance matrix covers 4 vertices, graph has 3"):
+        exact_rn(build_path(3), all_pairs_distances(build_path(4)))
+
+
+def test_permutation_oracle_rejects_a_matrix_of_another_graph():
+    # P_4's matrix would give rn = 5, where rn(P_3) = 3
+    with pytest.raises(InvalidParameterError, match="distance matrix covers 4 vertices, graph has 3"):
+        permutation_oracle(build_path(3), all_pairs_distances(build_path(4)))
+
+
 def test_gap_matrix_subset_keeps_host_metric():
     pg = build_product_graph(ProductParams(2, 1))
     dm = all_pairs_distances(pg.graph)
