@@ -233,12 +233,16 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Hop counts from ``source``; UNREACHABLE marks unreached vertices."""
     if not 0 <= source < g.num_vertices:
         raise InvalidParameterError(f"source {source} out of range")
+    return np.array(_bfs_row(g.adjacency, source), dtype=np.int64)
+
+
+def _bfs_row(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
+    """Hop counts from ``source`` as a list, UNREACHABLE where unreached."""
     # a Python list: reading and writing numpy elements one at a time
     # costs several times as much
-    dist = [UNREACHABLE] * g.num_vertices
+    dist = [UNREACHABLE] * len(adjacency)
     dist[source] = 0
     queue = deque([source])
-    adjacency = g.adjacency
     while queue:
         u = queue.popleft()
         du = dist[u] + 1
@@ -246,7 +250,7 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
             if dist[w] == UNREACHABLE:
                 dist[w] = du
                 queue.append(w)
-    return np.array(dist, dtype=np.int64)
+    return dist
 
 
 def _sum_tables(da: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -369,11 +373,12 @@ def _distance_dtype(num_vertices: int) -> type:
 
 
 def bfs_all_pairs(g: Graph) -> DistanceMatrix:
-    """BFS from every source of the whole graph, one matrix row each."""
+    """BFS from every source of the whole graph, each row's list written straight into the matrix."""
     nv = g.num_vertices
     matrix = np.empty((nv, nv), dtype=_distance_dtype(nv))
+    adjacency = g.adjacency
     for s in range(nv):
-        matrix[s] = bfs_distances(g, s)
+        matrix[s] = _bfs_row(adjacency, s)
     return DistanceMatrix(matrix)
 
 

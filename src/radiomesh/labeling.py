@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -36,12 +37,30 @@ class LabelingContractError(ValueError):
 
 @dataclass(frozen=True)
 class OrderingPlan:
-    """A visit order over all vertices of one graph."""
+    """A visit order over all vertices of one graph.
+
+    The entries are checked in bulk: integers, in 0..N-1, each counted
+    once.
+    """
 
     sequence: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.sequence) != list(range(len(self.sequence))):
+        n = len(self.sequence)
+        if not n:
+            return
+        try:
+            seq = np.array(self.sequence)
+        except ValueError:  # ragged entries
+            seq = None
+        if (
+            seq is None
+            or seq.shape != (n,)
+            or seq.dtype.kind not in "iu"
+            or seq.min() < 0
+            or seq.max() >= n
+            or not np.bincount(seq, minlength=n).all()
+        ):
             raise InvalidParameterError("ordering is not a permutation of 0..N-1")
 
 
@@ -62,8 +81,9 @@ class Labeling:
         if min(self.labels) < 0:
             raise InvalidParameterError("labels must be non-negative")
 
-    @property
+    @cached_property
     def span(self) -> int:
+        """Largest minus smallest label, worked out on first read and kept."""
         return max(self.labels) - min(self.labels)
 
     def canonical(self) -> "Labeling":
@@ -188,6 +208,44 @@ def _consecutive_steps(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> tupl
     return order, along
 
 
+def _greedy_along(dm: DistanceMatrix, order: np.ndarray, along: np.ndarray) -> np.ndarray:
+    """Greedy labels along the plan, from its :func:`_consecutive_steps`.
+
+    Returns ``along`` itself when no pair asks for an extra, so a caller
+    can tell that the consecutive-only labeling is the greedy one.
+    """
+    # offset 1 holds the consecutive pairs, which ask for no extra
+    window = _label_window(along, dm.diameter)[1:]
+    if not window:
+        return along
+    low, high, gaps = (np.concatenate(parts) for parts in zip(*window))
+    short = required_gaps(dm, order[low], order[high]) - gaps
+    keep = np.flatnonzero(short > 0)
+    if keep.size == 0:
+        return along
+    keep = keep[np.argsort(high[keep], kind="stable")]
+    # marks: the positions given an extra so far, ascending; totals[k]
+    # is the sum of the extras up to marks[k] (the sentinel -1 has 0)
+    marks, totals = [-1], [0]
+    candidates = zip(high[keep].tolist(), low[keep].tolist(), short[keep].tolist())
+    for i, group in groupby(candidates, key=itemgetter(0)):
+        done = totals[-1]
+        extra = max(s - done + totals[bisect_right(marks, j) - 1] for _, j, s in group)
+        if extra > 0:
+            marks.append(i)
+            totals.append(done + extra)
+    extras = np.zeros(len(order), dtype=np.int64)
+    extras[marks[1:]] = np.diff(totals)
+    return along + np.cumsum(extras)
+
+
+def _by_vertex(g: Graph, order: np.ndarray, along: np.ndarray) -> Labeling:
+    """The labeling that gives ``order[i]`` the label ``along[i]``."""
+    labels = np.empty_like(along)
+    labels[order] = along
+    return Labeling(tuple(labels.tolist()), graph=g)
+
+
 def greedy_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:
     """Cheapest labeling whose label order follows ``plan``.
 
@@ -212,29 +270,7 @@ def greedy_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:
     labeling is valid and is the greedy labeling.
     """
     order, along = _consecutive_steps(g, dm, plan)
-    diam = dm.diameter
-    # offset 1 holds the consecutive pairs, which ask for no extra
-    window = _label_window(along, diam)[1:]
-    extras = np.zeros(len(order), dtype=np.int64)
-    if window:
-        low, high, gaps = (np.concatenate(parts) for parts in zip(*window))
-        short = required_gaps(dm, order[low], order[high]) - gaps
-        keep = np.flatnonzero(short > 0)
-        keep = keep[np.argsort(high[keep], kind="stable")]
-        # marks: the positions given an extra so far, ascending; totals[k]
-        # is the sum of the extras up to marks[k] (the sentinel -1 has 0)
-        marks, totals = [-1], [0]
-        candidates = zip(high[keep].tolist(), low[keep].tolist(), short[keep].tolist())
-        for i, group in groupby(candidates, key=itemgetter(0)):
-            done = totals[-1]
-            extra = max(s - done + totals[bisect_right(marks, j) - 1] for _, j, s in group)
-            if extra > 0:
-                marks.append(i)
-                totals.append(done + extra)
-        extras[marks[1:]] = np.diff(totals)
-    labels = np.empty_like(along)
-    labels[order] = along + np.cumsum(extras)
-    return Labeling(tuple(labels.tolist()), graph=g)
+    return _by_vertex(g, order, _greedy_along(dm, order, along))
 
 
 def consecutive_only_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:
@@ -244,7 +280,16 @@ def consecutive_only_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) ->
     Validity against non-consecutive pairs is NOT guaranteed; callers
     pass the result to :func:`validate` and report the verdict.
     """
+    return _by_vertex(g, *_consecutive_steps(g, dm, plan))
+
+
+def greedy_and_consecutive(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> tuple[Labeling, Labeling]:
+    """``greedy_assign`` and ``consecutive_only_assign`` of ``plan`` from one consecutive pass.
+
+    When the greedy labels are the consecutive-only ones, both are the
+    same :class:`Labeling`.
+    """
     order, along = _consecutive_steps(g, dm, plan)
-    labels = np.empty_like(along)
-    labels[order] = along
-    return Labeling(tuple(labels.tolist()), graph=g)
+    consecutive = _by_vertex(g, order, along)
+    greedy = _greedy_along(dm, order, along)
+    return (consecutive if greedy is along else _by_vertex(g, order, greedy)), consecutive

@@ -19,21 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DistanceMatrix, all_pairs_distances
-from .labeling import (
-    Labeling,
-    OrderingPlan,
-    consecutive_only_assign,
-    greedy_assign,
-    validate,
-)
+from .labeling import Labeling, OrderingPlan, greedy_and_consecutive, validate
 from .product import (
     CellIndexing,
     ParityError,
     ProductParams,
     build_product_graph,
-    cell_of,
+    cells_of,
     pair_offset,
-    vertex_id,
 )
 
 
@@ -66,12 +59,15 @@ def _hubs(params: ProductParams, indexing: CellIndexing) -> np.ndarray:
     """Hub id of every fiber, by t-index; fiber t's position k is ``hubs[t] + k - 1``.
 
     Position 1 is the hub and position k >= 2 leaf k - 1, as in
-    :func:`fiber_vertex_id`, but at one :func:`cell_of` call per cell
-    instead of one per vertex. Entry 0 is unused, so t-indices read as
-    they are.
+    :func:`fiber_vertex_id`, but laid out for every cell at once from
+    :func:`cells_of`'s t-index arithmetic. Entry 0 is unused, so
+    t-indices read as they are.
     """
-    hubs = [vertex_id(params, *cell_of(t, params, indexing), 0) for t in range(1, params.m * params.m + 1)]
-    return np.array([0, *hubs], dtype=np.int64)
+    m = params.m
+    rows, cols = cells_of(np.arange(1, m * m + 1, dtype=np.int64), m, indexing)
+    hubs = np.zeros(m * m + 1, dtype=np.int64)
+    hubs[1:] = (rows * m + cols) * (params.n + 1)
+    return hubs
 
 
 def _pair_walks(hubs_a: np.ndarray, hubs_b: np.ndarray, seq_a: list[int], seq_b: list[int]) -> list[int]:
@@ -185,14 +181,14 @@ def build_construction_labeling(
     """Run both assignments over the construction ordering of the graph ``params`` fixes.
 
     ``dm`` may hold that graph's distances, computed once by the caller.
-    The greedy labeling is valid by construction; the consecutive-only
+    Both labelings come from one consecutive pass over the ordering. The
+    greedy labeling is valid by construction; the consecutive-only
     labeling is validated and reported as-is.
     """
     plan = construction_ordering(params, indexing)
     graph = build_product_graph(params, indexing).graph
     if dm is None:
         dm = all_pairs_distances(graph)
-    greedy = greedy_assign(graph, dm, plan)
-    consecutive = consecutive_only_assign(graph, dm, plan)
+    greedy, consecutive = greedy_and_consecutive(graph, dm, plan)
     verdict = validate(graph, dm, consecutive)
     return ConstructionLabelings(plan, greedy, consecutive, verdict.valid)

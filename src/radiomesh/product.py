@@ -60,18 +60,27 @@ class VertexCoord:
     star: int
 
 
+def cells_of(t, m: int, indexing: CellIndexing):
+    """Grid rows and columns of t-indices ``t``, an int or an int array, unchecked.
+
+    Integer arithmetic only, so the same lines serve one t-index and a
+    numpy array of them.
+    """
+    q, r = divmod(t - 1, m)
+    if indexing is CellIndexing.ROW_MAJOR:
+        return q, r
+    if indexing is CellIndexing.COL_MAJOR:
+        return r, q
+    # serpentine: odd rows run right to left, r -> m - 1 - r
+    return q, r + q % 2 * (m - 1 - 2 * r)
+
+
 def cell_of(i: int, params: ProductParams, indexing: CellIndexing) -> tuple[int, int]:
     """Grid cell (row, col) addressed by t-index ``i`` under a scheme."""
     m = params.m
     if not 1 <= i <= m * m:
         raise InvalidParameterError(f"t-index {i} outside [1, {m * m}]")
-    q, r = divmod(i - 1, m)
-    if indexing is CellIndexing.ROW_MAJOR:
-        return q, r
-    if indexing is CellIndexing.COL_MAJOR:
-        return r, q
-    # serpentine: odd rows run right to left
-    return q, (r if q % 2 == 0 else m - 1 - r)
+    return cells_of(i, m, indexing)
 
 
 def index_of(row: int, col: int, params: ProductParams, indexing: CellIndexing) -> int:

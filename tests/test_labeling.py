@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from radiomesh import (
     greedy_assign,
     validate,
 )
+from radiomesh import labeling
 
 
 @pytest.fixture
@@ -89,8 +91,28 @@ def test_ordering_plan_must_be_permutation():
 
 @pytest.mark.parametrize(
     "sequence",
-    [(0, 2, 2), (0, 1, 3), (0, -1, 1), (0, 1, 2, 4), (1, 2, 3), (-1, 0, 1), (0, 2, 1, 3, 3)],
-    ids=["duplicate", "missing", "negative", "too-large", "shifted", "negative-shifted", "duplicate-last"],
+    [
+        (0, 2, 2),
+        (0, 1, 3),
+        (0, -1, 1),
+        (0, 1, 2, 4),
+        (1, 2, 3),
+        (-1, 0, 1),
+        (0, 2, 1, 3, 3),
+        (0.0, 1.0, 2.0),
+        ("0", "1", "2"),
+    ],
+    ids=[
+        "duplicate",
+        "missing",
+        "negative",
+        "too-large",
+        "shifted",
+        "negative-shifted",
+        "duplicate-last",
+        "float",
+        "string",
+    ],
 )
 def test_ordering_plan_rejects_every_non_permutation(sequence):
     with pytest.raises(InvalidParameterError, match="not a permutation"):
@@ -202,14 +224,40 @@ def test_greedy_is_consecutive_exactly_when_consecutive_is_valid(indexing):
     invalid = []
     for m in range(2, 10):
         for n in range(1, 6):
-            built = build_construction_labeling(ProductParams(m, n), indexing)
+            params = ProductParams(m, n)
+            graph = build_product_graph(params, indexing).graph
+            dm = all_pairs_distances(graph)
+            built = build_construction_labeling(params, indexing, dm=dm)
             assert built.consecutive_valid == (built.greedy == built.consecutive)
             if not built.consecutive_valid:
                 invalid.append((m, n))
+            # the shared consecutive pass gives what separate calls give
+            consecutive = consecutive_only_assign(graph, dm, built.ordering)
+            assert built.greedy == greedy_assign(graph, dm, built.ordering)
+            assert built.consecutive == consecutive
+            assert built.consecutive_valid == validate(graph, dm, consecutive).valid
+            # a span kept on one of two equal labelings leaves them equal
+            assert "span" not in vars(built.consecutive)
+            assert consecutive.span == max(consecutive.labels)
+            assert consecutive == built.consecutive
+            assert hash(consecutive) == hash(built.consecutive)
     expected = [(m, n) for m in (2, 3) for n in range(2, 6)] + [
         (m, n) for m in (6, 7) for n in range(1, 6)
     ]
     assert invalid == (expected if indexing is CellIndexing.SERPENTINE else [])
+
+
+def test_construction_labelings_share_one_consecutive_pass():
+    params = ProductParams(7, 3)
+    graph = build_product_graph(params).graph
+    dm = all_pairs_distances(graph)
+    with mock.patch.object(labeling, "_consecutive_steps", wraps=labeling._consecutive_steps) as steps:
+        build_construction_labeling(params, CellIndexing.SERPENTINE, dm=dm)
+        assert steps.call_count == 1
+    # greedy_assign on its own lays out no consecutive-only labeling
+    with mock.patch.object(labeling, "_by_vertex", wraps=labeling._by_vertex) as by_vertex:
+        greedy_assign(graph, dm, construction_ordering(params))
+        assert by_vertex.call_count == 1
 
 
 def test_greedy_counts_earlier_repairs():

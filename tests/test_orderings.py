@@ -16,7 +16,7 @@ from radiomesh import (
     validate,
     vertex_coord,
 )
-from radiomesh.orderings import _interior_sides, _zigzag_sides
+from radiomesh.orderings import _hubs, _interior_sides, _zigzag_sides
 from radiomesh.product import pair_offset
 
 RM = CellIndexing.ROW_MAJOR
@@ -74,6 +74,19 @@ def test_construction_ordering_equals_per_vertex_walk(scheme, m):
         params = ProductParams(m, n)
         expected = _per_vertex_construction_ordering(params, scheme)
         assert construction_ordering(params, scheme).sequence == expected
+
+
+@pytest.mark.parametrize("scheme", list(CellIndexing))
+def test_hubs_equal_fiber_vertex_ids(scheme):
+    # the array layout against the range-checked one-cell path, over
+    # both row parities of the serpentine flip and odd and even m
+    for m in range(2, 13):
+        for n in range(1, 5):
+            params = ProductParams(m, n)
+            hubs = _hubs(params, scheme)
+            assert len(hubs) == m * m + 1
+            for t in range(1, m * m + 1):
+                assert hubs[t] == fiber_vertex_id(params, scheme, t, 1)
 
 
 @pytest.mark.parametrize("scheme", list(CellIndexing))
