@@ -7,7 +7,14 @@ u < v, sorted lexicographically. Product graphs additionally carry one
 
 Labeling files: one ``<vertex_id> <label>`` line per vertex, sorted by
 id, plus a trailing ``# span <S>`` comment that is re-checked on parse;
-a second span comment is an error.
+a second span comment is an error. The parser has two paths. A numpy
+kernel checks and converts the text in pieces of about :data:`_CHUNK`
+characters, cut after a newline: ASCII decimal fields of at most 18
+digits, spaces or tabs between fields, ``\\n`` or ``\\r\\n`` line ends,
+blank lines and ``#`` comment lines, of which only the span comment is
+read. Any other text (non-ASCII, a sign, an underscore, a longer
+number, another line break) and any file that breaks a rule takes one
+walk over the lines, which parses it or names its first bad line.
 
 A file that breaks these rules raises :class:`FormatError`, naming the
 offending line when there is one.
@@ -15,7 +22,9 @@ offending line when there is one.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .graphs import Graph
 from .labeling import Labeling
@@ -133,14 +142,38 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexCoord] | None]:
     return graph, (coords or None)
 
 
+# vertices per "%d %d\n" template of the labeling writer: bounds its temporaries
+_BLOCK = 1 << 12
+
+
 def format_labeling(labeling: Labeling) -> str:
-    lines = [f"{vid} {label}" for vid, label in enumerate(labeling.labels)]
-    lines.append(f"# span {labeling.span}")
-    return "\n".join(lines) + "\n"
+    """Labeling file text: one ``<vertex_id> <label>`` line per vertex, then the span comment.
+
+    Written a block of vertices at a time, each block by one ``%``
+    fill of a ``"%d %d\\n"`` template.
+    """
+    labels = labeling.labels
+    template = "%d %d\n" * _BLOCK
+    parts = []
+    for start in range(0, len(labels), _BLOCK):
+        block = labels[start : start + _BLOCK]
+        fields = [0] * (2 * len(block))
+        fields[0::2] = range(start, start + len(block))
+        fields[1::2] = block
+        if len(block) < _BLOCK:
+            template = "%d %d\n" * len(block)
+        parts.append(template % tuple(fields))
+    parts.append(f"# span {labeling.span}\n")
+    return "".join(parts)
 
 
-# characters per bulk step of the labeling parser: bounds its temporaries
-_CHUNK = 1 << 12
+# characters per piece of the labeling parser's kernel: bounds its temporaries
+_CHUNK = 1 << 16
+# longest field the kernel converts: 10**18 - 1 still fits in int64
+_MAX_DIGITS = 18
+# the line breaks of str.splitlines, other than "\n", that ASCII text can hold;
+# the kernel lets "\r" through only right before "\n"
+_OTHER_BREAKS = frozenset("\r\x0b\x0c\x1c\x1d\x1e")
 
 
 def _line_chunks(text: str) -> Iterator[str]:
@@ -155,74 +188,141 @@ def _line_chunks(text: str) -> Iterator[str]:
         start = end
 
 
-def _label_columns(text: str) -> tuple[list[int], list[int], int | None] | None:
-    """Vertex ids, labels and declared span of a labeling file, in file order.
+def _take_comments(piece: str, spans: list[list[str]]) -> str | None:
+    """``piece`` without its comment lines; the words of its span comments go to ``spans``.
 
-    Checked in bulk, a piece at a time: one field count per line and one
-    flat list of the piece's fields, once the comment lines are taken
-    out of pieces holding a ``#``. Returns None when a line breaks a
-    line rule, apart from a repeated id, which the caller checks.
+    A comment line is one whose first character other than a space or a
+    tab is ``#``. Returns None when a ``#`` follows a field or a comment
+    holds a line break other than its closing ``\\n`` or ``\\r\\n``.
+    Costs a few string searches per comment line, and nothing per
+    other line.
     """
-    vids: list[int] = []
-    labels: list[int] = []
-    spans = []  # the words after the "#" of each span comment
-    for chunk in _line_chunks(text):
-        lines = chunk.splitlines()
-        if "#" in chunk:
-            comments = [line.lstrip() for line in lines if "#" in line]
-            if any(line[:1] != "#" for line in comments):
-                return None  # a "#" in a label line, whose fields are then not integers
-            spans += [words for words in (line[1:].split() for line in comments) if words[:1] == ["span"]]
-            lines = [line for line in lines if "#" not in line]
-            chunk = "\n".join(lines)
-        # the lines left are blank or hold two fields each
-        counts = list(map(len, map(str.split, lines)))
-        if counts.count(0) + counts.count(2) < len(counts):
+    kept = []
+    start = 0  # the first character not yet kept or dropped
+    mark = piece.find("#")
+    while mark >= 0:
+        line_start = piece.rfind("\n", 0, mark) + 1
+        line_end = piece.find("\n", mark) + 1 or len(piece)
+        if piece[line_start:mark].strip(" \t"):
             return None
-        fields = chunk.split()  # line breaks are whitespace too
-        try:
-            vids += map(int, fields[0::2])
-            labels += map(int, fields[1::2])
-        except ValueError:
+        comment = piece[mark + 1 : line_end].removesuffix("\n").removesuffix("\r")
+        if not _OTHER_BREAKS.isdisjoint(comment):
             return None
+        words = comment.split()
+        if words[:1] == ["span"]:
+            spans.append(words)
+        kept.append(piece[start:line_start])
+        start = line_end
+        mark = piece.find("#", line_end)
+    kept.append(piece[start:])
+    return "".join(kept)
+
+
+def _piece_fields(piece: str, spans: list[list[str]]) -> np.ndarray | None:
+    """The fields of one piece as int64, id and label alternating, in file order.
+
+    The kernel: the piece's bytes are checked and converted in a few
+    array passes. It takes ASCII text whose lines are blank, comments
+    (see :func:`_take_comments`) or two decimal fields of at most
+    :data:`_MAX_DIGITS` digits, between spaces and tabs, each line
+    ended by ``\\n`` or ``\\r\\n``. It returns None for any other text.
+    """
+    if not piece.isascii():
+        return None
+    if "#" in piece:
+        piece = _take_comments(piece, spans)
+        if piece is None:
+            return None
+    # newlines at both ends: every field has a non-digit on either side
+    text = f"\n{piece}\n".encode("ascii")
+    data = np.frombuffer(text, dtype=np.uint8)
+    digit = data - 48 < 10  # uint8 wraps below "0"
+    newlines = np.flatnonzero(data == 10)
+    returns = np.flatnonzero(data == 13)
+    blanks = np.count_nonzero(data == 32) + np.count_nonzero(data == 9)
+    if np.count_nonzero(digit) + len(newlines) + len(returns) + blanks != len(data):
+        return None  # a character outside the alphabet
+    if (data[returns + 1] != 10).any():
+        return None  # a "\r" not followed by "\n"
+    bounds = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    fields_before = np.searchsorted(starts, newlines)
+    if ((np.diff(fields_before) | 2) != 2).any():
+        return None  # a line with a field count other than 0 or 2
+    if not len(starts):
+        return np.empty(0, dtype=np.int64)
+    if (ends - starts).max() > _MAX_DIGITS:
+        return None
+    return np.fromstring(text, dtype=np.int64, sep=" ")
+
+
+def _parse_in_bulk(text: str) -> tuple[list[int], int | None] | None:
+    """Labels by vertex id and declared span, from :func:`_piece_fields` a piece at a time.
+
+    Returns None when a piece is declined, a span comment is repeated
+    or malformed, or the ids are not exactly 0..N-1 with N >= 1: the
+    line walk then parses the file or names its fault.
+    """
+    spans: list[list[str]] = []
+    pieces = [np.empty(0, dtype=np.int64)]
+    for piece in _line_chunks(text):
+        fields = _piece_fields(piece, spans)
+        if fields is None:
+            return None
+        pieces.append(fields)
     if len(spans) > 1 or any(len(words) != 2 for words in spans):
         return None
     try:
         declared_span = int(spans[0][1]) if spans else None
     except ValueError:
         return None
-    if min(labels, default=0) < 0:
-        return None
-    return vids, labels, declared_span
+    fields = np.concatenate(pieces)
+    vids, labels = fields[0::2], fields[1::2]
+    if not len(vids):
+        return None  # no label line
+    ids = np.arange(len(vids))
+    if not np.array_equal(vids, ids):
+        order = np.argsort(vids)
+        if not np.array_equal(vids[order], ids):
+            return None  # a repeated or missing id
+        labels = labels[order]
+    return labels.tolist(), declared_span
 
 
-def _raise_first_bad_line(lines: list[str]) -> NoReturn:
-    """Raise the error of the first line that breaks a line rule of labeling files."""
-    seen: set[int] = set()
-    span_seen = False
-    for lineno, line in enumerate(lines, start=1):
+def _walk_lines(text: str) -> tuple[list[int], int | None]:
+    """Labels by vertex id and declared span, from one pass over the lines.
+
+    The path for text the kernel declines. Raises the error of the
+    first line that breaks a line rule, or of the whole file.
+    """
+    entries: dict[int, int] = {}
+    declared_span = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields:
             continue
         if fields[0][0] == "#":
             words = line.lstrip()[1:].split()
             if words[:1] == ["span"]:
-                if span_seen:
+                if declared_span is not None:
                     raise FormatError(f"line {lineno}: second span comment")
                 if len(words) != 2:
                     raise FormatError(f"line {lineno}: malformed span comment")
-                _ints(words[1:], lineno)
-                span_seen = True
+                (declared_span,) = _ints(words[1:], lineno)
             continue
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected '<vertex_id> <label>'")
         vid, label = _ints(fields, lineno)
-        if vid in seen:
+        if vid in entries:
             raise FormatError(f"line {lineno}: duplicate vertex id {vid}")
         if label < 0:
             raise FormatError(f"line {lineno}: negative label {label}")
-        seen.add(vid)
-    raise AssertionError("the bulk checks rejected a labeling file with no bad line")
+        entries[vid] = label
+    if not entries:
+        raise FormatError("empty labeling file")
+    if min(entries) != 0 or max(entries) != len(entries) - 1:
+        raise FormatError("vertex ids must be exactly 0..N-1")
+    return [entries[vid] for vid in range(len(entries))], declared_span
 
 
 def parse_labeling(text: str) -> Labeling:
@@ -236,23 +336,14 @@ def parse_labeling(text: str) -> Labeling:
     then hold at least one label, ids exactly 0..N-1 and, when declared,
     the true span.
 
-    The line rules are checked in bulk by :func:`_label_columns`; the
-    lines are walked one by one, by :func:`_raise_first_bad_line`, only
-    to name the first bad line of a file those checks reject.
+    Text in the kernel's alphabet (see :func:`_piece_fields`) is parsed
+    in bulk; anything else, and every file with a fault, takes the line
+    walk of :func:`_walk_lines`.
     """
-    columns = _label_columns(text)
-    if columns is None:
-        _raise_first_bad_line(text.splitlines())
-    vids, labels, declared_span = columns
-    ordered = sorted(vids)
-    if ordered != list(range(len(ordered))):
-        if len(set(ordered)) < len(ordered):
-            _raise_first_bad_line(text.splitlines())  # a repeated id
-        raise FormatError("vertex ids must be exactly 0..N-1")
-    if not vids:
-        raise FormatError("empty labeling file")
-    if vids != ordered:
-        labels = [label for _, label in sorted(zip(vids, labels))]
+    parsed = _parse_in_bulk(text)
+    if parsed is None:
+        parsed = _walk_lines(text)
+    labels, declared_span = parsed
     labeling = Labeling(tuple(labels))
     if declared_span is not None and declared_span != labeling.span:
         raise FormatError(

@@ -40,20 +40,20 @@ class OrderingPlan:
     """A visit order over all vertices of one graph.
 
     The entries are checked in bulk: integers, in 0..N-1, each counted
-    once.
+    once. ``array`` is the checked sequence as a read-only array, kept
+    for the assignments that walk the plan.
     """
 
     sequence: tuple[int, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.sequence)
-        if not n:
-            return
         try:
             seq = np.array(self.sequence)
         except ValueError:  # ragged entries
             seq = None
-        if (
+        if n and (
             seq is None
             or seq.shape != (n,)
             or seq.dtype.kind not in "iu"
@@ -62,6 +62,8 @@ class OrderingPlan:
             or not np.bincount(seq, minlength=n).all()
         ):
             raise InvalidParameterError("ordering is not a permutation of 0..N-1")
+        seq.flags.writeable = False
+        object.__setattr__(self, "array", seq)
 
 
 @dataclass(frozen=True)
@@ -197,11 +199,10 @@ def _consecutive_steps(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> tupl
     two visits: one factor lookup for all consecutive pairs, then a
     cumulative sum.
     """
-    seq = plan.sequence
-    if len(seq) != g.num_vertices:
+    order = plan.array
+    if len(order) != g.num_vertices:
         raise InvalidParameterError("plan does not cover the graph")
     _check_matrix(g, dm)
-    order = np.array(seq)
     steps = required_gaps(dm, order[:-1], order[1:]).astype(np.int64)
     along = np.zeros(len(order), dtype=np.int64)
     np.cumsum(steps, out=along[1:])

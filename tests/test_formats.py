@@ -310,6 +310,17 @@ def test_labeling_parser_agrees_with_the_line_loop(text, chunk):
     assert got == _outcome(reference_parse_labeling, text)
 
 
+# "<id> 0" label lines of 9 characters that fill the parser's first piece exactly
+_FIRST_PIECE_LINES = -(-(formats._CHUNK + 1) // 9)
+
+
+def _across_pieces(middle: str) -> str:
+    """Label lines filling the first piece, then ``middle`` opening the second, then one more label line."""
+    lines = "".join(f"{vid:06d} 0\n" for vid in range(_FIRST_PIECE_LINES))
+    assert next(formats._line_chunks(lines + middle)) == lines
+    return f"{lines}{middle}{_FIRST_PIECE_LINES} 0\n"
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [
@@ -325,12 +336,79 @@ def test_labeling_parser_agrees_with_the_line_loop(text, chunk):
         ("0 0\n1 #5\n", "FormatError: line 2: expected integers, got '1 #5'"),
         ("0 0\n1 4\n1 -1\n", "FormatError: line 3: duplicate vertex id 1"),
         ("0 0\n2 3\n1 -1\n", "FormatError: line 3: negative label -1"),
+        # the edges of the bulk kernel: fields of 18 and 19 digits, tabs, "\r\n" and a lone "\r"
+        (f"0 {10**18 - 1}\n1 0\n# span {10**18 - 1}\n", (10**18 - 1, 0)),
+        (f"0 {10**18}\n1 0\n", (10**18, 0)),
+        (f"0 {10**19 - 1}\n", (10**19 - 1,)),
+        ("0000000000000000000 5\n", (5,)),
+        ("0\t0\r\n\t1 \t5\t\r\n#\tspan\t5\r\n", (0, 5)),
+        ("0 0\r1 5\n", (0, 5)),
+        ("0\r0\n1 5\n", "FormatError: line 1: expected '<vertex_id> <label>'"),
+        ("0 0\n# a note\r1 5\n", (0, 5)),
+        ("0 0\r1 5\r\n1 5\n", "FormatError: line 3: duplicate vertex id 1"),
+        # blank lines and comments that open the parser's second piece
+        pytest.param(_across_pieces("\n\n"), (0,) * (_FIRST_PIECE_LINES + 1), id="blank-lines-open-a-piece"),
+        pytest.param(_across_pieces("\r\n"), (0,) * (_FIRST_PIECE_LINES + 1), id="crlf-blank-line-opens-a-piece"),
+        pytest.param(_across_pieces("# a note\n"), (0,) * (_FIRST_PIECE_LINES + 1), id="comment-opens-a-piece"),
+        pytest.param(
+            _across_pieces("# span 0\n# span 0\n"),
+            f"FormatError: line {_FIRST_PIECE_LINES + 2}: second span comment",
+            id="second-span-comment-in-a-later-piece",
+        ),
     ],
 )
 def test_labeling_parser_edge_cases(text, expected):
     outcome = _outcome(parse_labeling, text)
     assert outcome == _outcome(reference_parse_labeling, text)
     assert (outcome if isinstance(outcome, str) else outcome.labels) == expected
+
+
+@pytest.mark.parametrize(
+    "text, in_bulk",
+    [
+        ("0\t0\r\n\n 1  5 \r\n# note\n\t# span 5\r\n", True),
+        ("1 5\n0 0\n", True),
+        (f"0 {10**18 - 1}\n", True),
+        (f"0 {10**18}\n", False),
+        ("0 +5\n", False),
+        ("0 1_0\n", False),
+        ("0 \u0663\n", False),
+        ("0 0\n# \u00e9\n", False),
+        ("0 0\r1 5\n", False),
+        ("0 0\n\x0c", False),
+        ("0 0 # note\n", False),
+        ("0 0\n0 1\n", False),
+        ("0 0\n2 1\n", False),
+        ("# span 0\n", False),
+    ],
+)
+def test_labeling_kernel_takes_its_alphabet_and_declines_the_rest(text, in_bulk):
+    assert (formats._parse_in_bulk(text) is not None) == in_bulk
+    assert _outcome(parse_labeling, text) == _outcome(reference_parse_labeling, text)
+
+
+def reference_format_labeling(labeling: Labeling) -> str:
+    """The labeling writer as one f-string per vertex, joined once."""
+    lines = [f"{vid} {label}" for vid, label in enumerate(labeling.labels)]
+    lines.append(f"# span {labeling.span}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(0, 10**18 - 1), st.integers(0, 2**70)), min_size=1, max_size=50),
+    st.sampled_from([1, 5, 64]),
+    st.sampled_from([3, formats._BLOCK]),
+)
+def test_labeling_round_trip(labels, chunk, block):
+    labeling = Labeling(tuple(labels))
+    with mock.patch.object(formats, "_BLOCK", block):
+        text = format_labeling(labeling)
+    assert text == reference_format_labeling(labeling)
+    with mock.patch.object(formats, "_CHUNK", chunk):
+        assert parse_labeling(text) == labeling
+        # the writer's text takes the kernel whenever its labels fit in 18 digits
+        assert (formats._parse_in_bulk(text) is None) == (max(labels) >= 10**18)
 
 
 @pytest.mark.parametrize(

@@ -121,7 +121,12 @@ def test_ordering_plan_rejects_every_non_permutation(sequence):
 
 @pytest.mark.parametrize("sequence", [(), (0,), (2, 0, 1), tuple(range(720))[::-1]])
 def test_ordering_plan_accepts_permutations(sequence):
-    assert OrderingPlan(sequence).sequence == sequence
+    plan = OrderingPlan(sequence)
+    assert plan.sequence == sequence
+    # the checked array is kept read-only for the assignments, outside equality and repr
+    assert plan.array.tolist() == list(sequence) and not plan.array.flags.writeable
+    assert plan == OrderingPlan(sequence) and hash(plan) == hash(OrderingPlan(sequence))
+    assert repr(plan) == f"OrderingPlan(sequence={sequence!r})"
 
 
 def test_greedy_on_p2():
