@@ -32,7 +32,7 @@ for labels in [(0, 1, 2), (0, 3, 1)]:
 print("\n== greedy realization of an ordering ==")
 plan = OrderingPlan((0, 2, 1))
 labeling = greedy_assign(g, dm, plan)
-print(f"visit order {plan.sequence} -> labels {labeling.labels}, span {labeling.span}")
+print(f"visit order {plan.sequence.tolist()} -> labels {labeling.labels}, span {labeling.span}")
 
 print("\n== exact radio numbers, two independent ways ==")
 cases = (

@@ -177,7 +177,7 @@ def _heuristic_upper_bound(pg: ProductGraph, dm: DistanceMatrix) -> int:
     graph = pg.graph
     spans = []
     spans.append(greedy_assign(graph, dm, construction_ordering(pg.params, pg.indexing)).span)
-    spans.append(greedy_assign(graph, dm, OrderingPlan(tuple(range(graph.num_vertices)))).span)
+    spans.append(greedy_assign(graph, dm, OrderingPlan(np.arange(graph.num_vertices))).span)
     return min(spans)
 
 

@@ -72,18 +72,27 @@ FAMILIES = {
 }
 
 
+def _only(args, flag: str, others: tuple[str, ...]) -> None:
+    """Usage error when ``flag``, which names the graph alone, comes with any of ``others``."""
+    given = [f"--{other}" for other in others if getattr(args, other) is not None]
+    if given:
+        raise InvalidParameterError(f"{flag} cannot be combined with {' or '.join(given)}")
+
+
 def _family_graph(args):
-    build, flags = FAMILIES[args.family]
+    family = args.family or "product"
+    build, flags = FAMILIES[family]
     values = [getattr(args, flag) for flag in flags]
     if None in values:
         needs = " and ".join(f"--{flag}" for flag in flags)
-        raise InvalidParameterError(f"--family {args.family} needs {needs}")
+        raise InvalidParameterError(f"--family {family} needs {needs}")
     name = " ".join(f"{flag}={value}" for flag, value in zip(flags, values))
-    return build(*values), f"{args.family} {name}"
+    return build(*values), f"{family} {name}"
 
 
 def cmd_rn_exact(args) -> int:
     if args.infile:
+        _only(args, "--in", ("family", "m", "n"))
         graph, _coords = parse_graph(read_text(args.infile))
         name = args.infile
     else:
@@ -134,6 +143,7 @@ def cmd_label(args) -> int:
 
 def cmd_validate(args) -> int:
     if args.graph:
+        _only(args, "--graph", ("m", "n"))
         graph, _coords = parse_graph(read_text(args.graph))
     elif args.m is not None and args.n is not None:
         graph = build_product_graph(ProductParams(args.m, args.n)).graph
@@ -238,7 +248,7 @@ def _add_common(parser, m=False, n=False, out=False, fmt=False):
 
 
 def _rn_exact_arguments(p) -> None:
-    p.add_argument("--family", choices=tuple(FAMILIES), default="product")
+    p.add_argument("--family", choices=tuple(FAMILIES), default=None, help="graph family (default: product)")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--in", dest="infile", default=None, help="graph file instead of a family")

@@ -16,6 +16,9 @@ consecutive-only labels and repairs the pairs they leave short. All
 three, and the exact search's gap matrices, take the gap requirement
 from :func:`required_gaps`, which reads ``DistanceMatrix.pairs``, so a
 product's N x N matrix is never built.
+
+A visit order (:class:`OrderingPlan`) is one read-only int64 array,
+which the assignments read as it is.
 """
 from __future__ import annotations
 
@@ -35,17 +38,17 @@ class LabelingContractError(ValueError):
     """A labeling does not fit the graph it is being checked against."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderingPlan:
-    """A visit order over all vertices of one graph.
+    """A visit order over all vertices of one graph, as one read-only int64 array.
 
-    The entries are checked in bulk: integers, in 0..N-1, each counted
-    once. ``array`` is the checked sequence as a read-only array, kept
-    for the assignments that walk the plan.
+    The constructor takes any integer sequence or array, copies it and
+    checks the copy in bulk: integers, in 0..N-1, each counted once.
+    Plans compare and hash by value, so a plan built from a tuple equals
+    one built from the same entries in an array.
     """
 
-    sequence: tuple[int, ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    sequence: np.ndarray
 
     def __post_init__(self):
         n = len(self.sequence)
@@ -53,25 +56,33 @@ class OrderingPlan:
             seq = np.array(self.sequence)
         except ValueError:  # ragged entries
             seq = None
-        if n and (
-            seq is None
-            or seq.shape != (n,)
-            or seq.dtype.kind not in "iu"
+        if seq is None or seq.shape != (n,) or n and (
+            seq.dtype.kind not in "iu"
             or seq.min() < 0
             or seq.max() >= n
             or not np.bincount(seq, minlength=n).all()
         ):
             raise InvalidParameterError("ordering is not a permutation of 0..N-1")
+        seq = seq.astype(np.int64, copy=False)
         seq.flags.writeable = False
-        object.__setattr__(self, "array", seq)
+        object.__setattr__(self, "sequence", seq)
+
+    def __eq__(self, other):
+        if not isinstance(other, OrderingPlan):
+            return NotImplemented
+        return np.array_equal(self.sequence, other.sequence)
+
+    def __hash__(self):
+        return hash(self.sequence.tobytes())
 
 
 @dataclass(frozen=True)
 class Labeling:
     """Total channel assignment, indexed by vertex id.
 
-    ``graph`` records which graph the labels refer to when known; file
-    parses leave it unset.
+    Every label is a non-negative Python or numpy integer. ``graph``
+    records which graph the labels refer to when known; file parses
+    leave it unset.
     """
 
     labels: tuple[int, ...]
@@ -80,6 +91,10 @@ class Labeling:
     def __post_init__(self):
         if not self.labels:
             raise InvalidParameterError("labeling must cover at least one vertex")
+        # one pass over the entry types: a float or string label would be
+        # truncated, or fail to compare, further on
+        if not all(issubclass(kind, (int, np.integer)) for kind in set(map(type, self.labels))):
+            raise InvalidParameterError("labels must be integers")
         if min(self.labels) < 0:
             raise InvalidParameterError("labels must be non-negative")
 
@@ -199,7 +214,7 @@ def _consecutive_steps(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> tupl
     two visits: one factor lookup for all consecutive pairs, then a
     cumulative sum.
     """
-    order = plan.array
+    order = plan.sequence
     if len(order) != g.num_vertices:
         raise InvalidParameterError("plan does not cover the graph")
     _check_matrix(g, dm)

@@ -70,7 +70,7 @@ def _hubs(params: ProductParams, indexing: CellIndexing) -> np.ndarray:
     return hubs
 
 
-def _pair_walks(hubs_a: np.ndarray, hubs_b: np.ndarray, seq_a: list[int], seq_b: list[int]) -> list[int]:
+def _pair_walks(hubs_a: np.ndarray, hubs_b: np.ndarray, seq_a: list[int], seq_b: list[int]) -> np.ndarray:
     """Walks of the fiber pairs (hubs_a[i], hubs_b[i]), one pair after the other.
 
     Each walk alternates a, b, a, b, ... through positions ``seq_a`` of
@@ -80,10 +80,10 @@ def _pair_walks(hubs_a: np.ndarray, hubs_b: np.ndarray, seq_a: list[int], seq_b:
     walks = np.empty((len(hubs_a), len(seq_a), 2), dtype=np.int64)
     walks[:, :, 0] = hubs_a[:, None] + np.subtract(seq_a, 1)
     walks[:, :, 1] = hubs_b[:, None] + np.subtract(seq_b, 1)
-    return walks.ravel().tolist()
+    return walks.ravel()
 
 
-def _zigzag_pairs(params: ProductParams, hubs: np.ndarray) -> list[int]:
+def _zigzag_pairs(params: ProductParams, hubs: np.ndarray) -> np.ndarray:
     """Zigzag walks of the pairs (t(j), t(j + h)) for j in [1, h], h = :func:`pair_offset`.
 
     Built from the hub ids of the two runs of fibers and the side
@@ -99,7 +99,7 @@ def even_pair_ordering(
     """Visit order for even mesh order: zigzag the pairs (t(j), t(j + m*m/2))."""
     if params.m % 2:
         raise ParityError(f"even pair ordering needs even mesh order, got m={params.m}")
-    return OrderingPlan(tuple(_zigzag_pairs(params, _hubs(params, indexing))))
+    return OrderingPlan(_zigzag_pairs(params, _hubs(params, indexing)))
 
 
 def odd_three_phase_ordering(
@@ -115,35 +115,32 @@ def odd_three_phase_ordering(
     distinguished fibers t(1), t((m+1)/2), t(m) of the last row along
     endpoint-endpoint-midpoint paths, one fiber position triple at a
     time; positions beyond the fiber size are skipped, which also covers
-    the empty leaf-path range when n < 3.
+    the empty leaf-path range when n < 3. Each phase is one array, and
+    the plan is their concatenation.
     """
     m, n = params.m, params.n
     if m % 2 == 0:
         raise ParityError(f"three-phase ordering needs odd mesh order, got m={m}")
     hubs = _hubs(params, indexing)
-    sequence = _zigzag_pairs(params, hubs)
+    phase1 = _zigzag_pairs(params, hubs)
 
     base = m * (m - 1)
     shift = (m - 1) // 2
     interior = hubs[base + 2 : base + shift + 1]  # d in [2, (m-1)/2]
-    sequence += _pair_walks(interior, hubs[base + 2 + shift : base + 2 * shift + 1], *_interior_sides(n))
+    phase2 = _pair_walks(interior, hubs[base + 2 + shift : base + 2 * shift + 1], *_interior_sides(n))
 
-    t_first = base + 1
-    t_mid = base + (m + 1) // 2
-    t_last = base + m
-    paths = [
-        [(t_first, 1), (t_last, 2), (t_mid, 3)],
-        [(t_last, 1), (t_first, 3), (t_mid, 2)],
-        [(t_first, 2), (t_last, 3), (t_mid, 1)],
-    ]
-    for position in range(4, n + 2):
-        paths.append([(t_first, position), (t_last, position), (t_mid, position)])
-    for path in paths:
-        for t_index, position in path:
-            if position <= n + 1:
-                sequence.append(int(hubs[t_index]) + position - 1)
+    # the (t-index, position) path table: three fixed paths over the
+    # distinguished fibers, then one triple per position from 4
+    first, last, mid = base + 1, base + m, base + (m + 1) // 2
+    t_index = np.concatenate([
+        [first, last, mid, last, first, mid, first, last, mid],
+        np.tile([first, last, mid], max(n - 2, 0)),
+    ])
+    position = np.concatenate([[1, 2, 3, 1, 3, 2, 2, 3, 1], np.repeat(np.arange(4, n + 2), 3)])
+    keep = position <= n + 1
+    phase3 = hubs[t_index[keep]] + position[keep] - 1
 
-    return OrderingPlan(tuple(sequence))
+    return OrderingPlan(np.concatenate([phase1, phase2, phase3]))
 
 
 def construction_ordering(

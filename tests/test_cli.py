@@ -75,6 +75,24 @@ def test_rn_exact_from_file(tmp_path, capsys):
     assert "= 10" in text
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--family", "path", "--m", "3"], "--family or --m"),
+        (["--family", "product"], "--family"),
+        (["--m", "2", "--n", "1"], "--m or --n"),
+        (["--n", "1"], "--n"),
+    ],
+    ids=["family-and-m", "family", "m-and-n", "n"],
+)
+def test_rn_exact_file_with_family_flags_is_a_usage_error(tmp_path, capsys, extra, named):
+    # the file names the graph; a family flag beside it would be dropped unread
+    out = tmp_path / "g.txt"
+    run(capsys, "gen", "--m", "2", "--n", "1", "--out", str(out))
+    code, text, err = run(capsys, "rn-exact", "--in", str(out), *extra)
+    assert (code, text, err) == (2, "", f"radiomesh: --in cannot be combined with {named}\n")
+
+
 def test_rn_exact_node_limit_reports_best_found(capsys):
     code, out, _ = run(capsys, "rn-exact", "--family", "path", "--m", "8", "--node-limit", "50")
     assert code == 0
@@ -197,6 +215,23 @@ def test_validate_usage_error_without_graph(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--labeling", str(lab))
     assert code == 2
     assert "radiomesh" in err
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [(["--m", "5", "--n", "5"], "--m or --n"), (["--m", "2"], "--m"), (["--n", "1"], "--n")],
+    ids=["m-and-n", "m", "n"],
+)
+def test_validate_graph_file_with_product_flags_is_a_usage_error(tmp_path, capsys, extra, named):
+    graph = tmp_path / "g.txt"
+    run(capsys, "gen", "--m", "2", "--n", "1", "--out", str(graph))
+    lab = tmp_path / "lab.txt"
+    run(capsys, "label", "--m", "2", "--n", "1", "--out", str(lab))
+    code, out, err = run(capsys, "validate", "--graph", str(graph), "--labeling", str(lab), *extra)
+    assert (code, out, err) == (2, "", f"radiomesh: --graph cannot be combined with {named}\n")
+    # the graph file alone validates the same labeling
+    code, out, _ = run(capsys, "validate", "--graph", str(graph), "--labeling", str(lab))
+    assert (code, out) == (0, "valid labeling, span 17\n")
 
 
 def test_bad_parameters_exit_2(capsys):

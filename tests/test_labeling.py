@@ -78,6 +78,22 @@ def test_labels_must_be_non_negative():
         Labeling((0, -1))
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [(0.5, 1.4), (0.0, 2.0), (0, 1.0), (0, 2, 4.5), ("a", "b"), (0, "1"), (0, None)],
+    ids=["float", "integral-float", "int-then-float", "mixed-last", "string", "int-then-string", "none"],
+)
+def test_labels_must_be_integers(labels):
+    # a float label would be truncated by validate and the file writer
+    with pytest.raises(InvalidParameterError, match="labels must be integers"):
+        Labeling(labels)
+
+
+def test_numpy_integer_labels_are_accepted():
+    labeling = Labeling((np.int64(0), np.int32(3), np.uint8(5), 2))
+    assert labeling.span == 5
+
+
 def test_canonical_shifts_to_zero():
     shifted = Labeling((5, 7, 9))
     assert shifted.canonical().labels == (0, 2, 4)
@@ -101,6 +117,10 @@ def test_ordering_plan_must_be_permutation():
         (0, 2, 1, 3, 3),
         (0.0, 1.0, 2.0),
         ("0", "1", "2"),
+        np.arange(4).reshape(2, 2),
+        np.arange(3).reshape(3, 1),
+        np.zeros((0, 3), dtype=np.int64),
+        np.arange(3.0),
     ],
     ids=[
         "duplicate",
@@ -112,6 +132,10 @@ def test_ordering_plan_must_be_permutation():
         "duplicate-last",
         "float",
         "string",
+        "2-d-array",
+        "column-array",
+        "empty-2-d-array",
+        "float-array",
     ],
 )
 def test_ordering_plan_rejects_every_non_permutation(sequence):
@@ -122,11 +146,20 @@ def test_ordering_plan_rejects_every_non_permutation(sequence):
 @pytest.mark.parametrize("sequence", [(), (0,), (2, 0, 1), tuple(range(720))[::-1]])
 def test_ordering_plan_accepts_permutations(sequence):
     plan = OrderingPlan(sequence)
-    assert plan.sequence == sequence
-    # the checked array is kept read-only for the assignments, outside equality and repr
-    assert plan.array.tolist() == list(sequence) and not plan.array.flags.writeable
+    # the plan is one read-only int64 array, compared and hashed by value
+    assert plan.sequence.tolist() == list(sequence)
+    assert plan.sequence.dtype == np.int64 and not plan.sequence.flags.writeable
+    with pytest.raises(ValueError):
+        plan.sequence[:1] = 0
     assert plan == OrderingPlan(sequence) and hash(plan) == hash(OrderingPlan(sequence))
-    assert repr(plan) == f"OrderingPlan(sequence={sequence!r})"
+    assert repr(plan) == f"OrderingPlan(sequence={np.array(sequence, dtype=np.int64)!r})"
+    for dtype in (np.int64, np.int32, np.uint16):
+        source = np.array(sequence, dtype=dtype)
+        from_array = OrderingPlan(source)
+        assert from_array == plan and hash(from_array) == hash(plan)
+        # a copy: writing to the caller's array leaves the plan as it was
+        source += 1
+        assert from_array.sequence.tolist() == list(sequence)
 
 
 def test_greedy_on_p2():

@@ -73,7 +73,7 @@ def test_construction_ordering_equals_per_vertex_walk(scheme, m):
     for n in [*range(1, 7), *([10] if m <= 5 else [])]:
         params = ProductParams(m, n)
         expected = _per_vertex_construction_ordering(params, scheme)
-        assert construction_ordering(params, scheme).sequence == expected
+        assert construction_ordering(params, scheme).sequence.tolist() == list(expected)
 
 
 @pytest.mark.parametrize("scheme", list(CellIndexing))
