@@ -32,7 +32,7 @@ for labels in [(0, 1, 2), (0, 3, 1)]:
 print("\n== greedy realization of an ordering ==")
 plan = OrderingPlan((0, 2, 1))
 labeling = greedy_assign(g, dm, plan)
-print(f"visit order {plan.sequence.tolist()} -> labels {labeling.labels}, span {labeling.span}")
+print(f"visit order {plan.sequence.tolist()} -> labels {tuple(labeling.labels.tolist())}, span {labeling.span}")
 
 print("\n== exact radio numbers, two independent ways ==")
 cases = (
@@ -49,4 +49,4 @@ for name, graph in cases:
 
 print("\n== a search witness is a concrete optimal labeling ==")
 result = exact_rn(build_star(4))
-print(f"rn(star(4)) = {result.value}, witness labels {result.witness.labels}")
+print(f"rn(star(4)) = {result.value}, witness labels {tuple(result.witness.labels.tolist())}")

@@ -156,7 +156,7 @@ def format_labeling(labeling: Labeling) -> str:
     template = "%d %d\n" * _BLOCK
     parts = []
     for start in range(0, len(labels), _BLOCK):
-        block = labels[start : start + _BLOCK]
+        block = labels[start : start + _BLOCK].tolist()
         fields = [0] * (2 * len(block))
         fields[0::2] = range(start, start + len(block))
         fields[1::2] = block
@@ -256,7 +256,7 @@ def _piece_fields(piece: str, spans: list[list[str]]) -> np.ndarray | None:
     return np.fromstring(text, dtype=np.int64, sep=" ")
 
 
-def _parse_in_bulk(text: str) -> tuple[list[int], int | None] | None:
+def _parse_in_bulk(text: str) -> tuple[np.ndarray, int | None] | None:
     """Labels by vertex id and declared span, from :func:`_piece_fields` a piece at a time.
 
     Returns None when a piece is declined, a span comment is repeated
@@ -286,7 +286,7 @@ def _parse_in_bulk(text: str) -> tuple[list[int], int | None] | None:
         if not np.array_equal(vids[order], ids):
             return None  # a repeated or missing id
         labels = labels[order]
-    return labels.tolist(), declared_span
+    return labels, declared_span
 
 
 def _walk_lines(text: str) -> tuple[list[int], int | None]:
@@ -344,7 +344,7 @@ def parse_labeling(text: str) -> Labeling:
     if parsed is None:
         parsed = _walk_lines(text)
     labels, declared_span = parsed
-    labeling = Labeling(tuple(labels))
+    labeling = Labeling(labels)
     if declared_span is not None and declared_span != labeling.span:
         raise FormatError(
             f"span comment says {declared_span}, labels span {labeling.span}"

@@ -17,13 +17,17 @@ three, and the exact search's gap matrices, take the gap requirement
 from :func:`required_gaps`, which reads ``DistanceMatrix.pairs``, so a
 product's N x N matrix is never built.
 
-A visit order (:class:`OrderingPlan`) is one read-only int64 array,
-which the assignments read as it is.
+A visit order (:class:`OrderingPlan`) and a labeling (:class:`Labeling`)
+are each one read-only array, which the assignments and ``validate``
+read as they are: the labels go from the greedy kernel to ``validate``
+without a Python int in between. Both constructors copy their input
+and check the copy with one integer-entries rule,
+:func:`_integer_entries`.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -36,6 +40,35 @@ from .graphs import DistanceMatrix, Graph, InvalidParameterError
 
 class LabelingContractError(ValueError):
     """A labeling does not fit the graph it is being checked against."""
+
+
+def _integer_entries(values) -> np.ndarray | None:
+    """A new 1-D array of the entries of ``values``, or None unless each is an integer.
+
+    An integer is a Python or numpy integer, not a bool. The array is
+    int64 when every entry fits, else an object array of exact Python
+    ints. An integer array is copied in one cast. A sequence, or an
+    object array, has its entry types gathered once first: ``np.array``
+    would turn a bool into an int and a float or string into an int
+    with a cast, and a numpy uint64 beside a Python int into a float.
+    """
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            return None
+        if values.dtype.kind in "iu":
+            if values.dtype == np.uint64 and len(values) and values.max() > np.iinfo(np.int64).max:
+                return np.array(values.tolist(), dtype=object)
+            return values.astype(np.int64)
+        if values.dtype.kind != "O":
+            return None
+        values = values.tolist()
+    kinds = set(map(type, values))
+    if not all(issubclass(kind, (int, np.integer)) and not issubclass(kind, bool) for kind in kinds):
+        return None
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64
+        return np.array(list(map(int, values)), dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,18 +85,13 @@ class OrderingPlan:
 
     def __post_init__(self):
         n = len(self.sequence)
-        try:
-            seq = np.array(self.sequence)
-        except ValueError:  # ragged entries
-            seq = None
-        if seq is None or seq.shape != (n,) or n and (
-            seq.dtype.kind not in "iu"
-            or seq.min() < 0
+        seq = _integer_entries(self.sequence)
+        if seq is None or seq.dtype != np.int64 or n and (
+            seq.min() < 0
             or seq.max() >= n
             or not np.bincount(seq, minlength=n).all()
         ):
             raise InvalidParameterError("ordering is not a permutation of 0..N-1")
-        seq = seq.astype(np.int64, copy=False)
         seq.flags.writeable = False
         object.__setattr__(self, "sequence", seq)
 
@@ -76,39 +104,58 @@ class OrderingPlan:
         return hash(self.sequence.tobytes())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Labeling:
-    """Total channel assignment, indexed by vertex id.
+    """Total channel assignment, indexed by vertex id, as one read-only array.
 
-    Every label is a non-negative Python or numpy integer. ``graph``
-    records which graph the labels refer to when known; file parses
-    leave it unset.
+    The constructor takes any sequence or array of Python or numpy
+    integers, copies it and checks the copy in bulk: at least one
+    label, integers only (a bool is not one), none negative. The copy
+    is int64 when every label fits, else an object array of exact
+    Python ints, for the larger labels a labeling file may hold.
+    Labelings compare and hash by their labels. ``graph`` records which
+    graph the labels refer to when known and takes no part in either;
+    file parses leave it unset.
     """
 
-    labels: tuple[int, ...]
-    graph: Graph | None = field(default=None, compare=False)
+    labels: np.ndarray
+    graph: Graph | None = None
 
     def __post_init__(self):
-        if not self.labels:
+        if len(self.labels) == 0:
             raise InvalidParameterError("labeling must cover at least one vertex")
-        # one pass over the entry types: a float or string label would be
-        # truncated, or fail to compare, further on
-        if not all(issubclass(kind, (int, np.integer)) for kind in set(map(type, self.labels))):
+        # a float or string label would be truncated, or fail to compare,
+        # further on, and a bool would pass for 0 or 1
+        labels = _integer_entries(self.labels)
+        if labels is None:
             raise InvalidParameterError("labels must be integers")
-        if min(self.labels) < 0:
+        if labels.min() < 0:
             raise InvalidParameterError("labels must be non-negative")
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other):
+        if not isinstance(other, Labeling):
+            return NotImplemented
+        return np.array_equal(self.labels, other.labels)
+
+    def __hash__(self):
+        # the bytes of an object array are pointers, not values
+        if self.labels.dtype == object:
+            return hash(tuple(self.labels.tolist()))
+        return hash(self.labels.tobytes())
 
     @cached_property
     def span(self) -> int:
-        """Largest minus smallest label, worked out on first read and kept."""
-        return max(self.labels) - min(self.labels)
+        """Largest minus smallest label, as a Python int, worked out on first read and kept."""
+        return int(self.labels.max() - self.labels.min())
 
     def canonical(self) -> "Labeling":
         """Shift so the smallest label is 0."""
-        low = min(self.labels)
+        low = self.labels.min()
         if low == 0:
             return self
-        return Labeling(tuple(x - low for x in self.labels), self.graph)
+        return Labeling(self.labels - low, self.graph)
 
 
 class Violation(NamedTuple):
@@ -184,13 +231,9 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
     """
     _check_fit(g, labeling)
     _check_matrix(g, dm)
-    diam = dm.diameter
-    # spans exceed the distance matrix's small integer type; labels beyond
-    # int64 (possible in a labeling file) fall back to Python integers
-    dtype = np.int64 if max(labeling.labels) <= np.iinfo(np.int64).max else object
-    labels = np.array(labeling.labels, dtype=dtype)
+    labels = labeling.labels
     order = np.argsort(labels)
-    window = _label_window(labels[order], diam)
+    window = _label_window(labels[order], dm.diameter)
     if not window:
         return ValidityReport(True, ())
     # one factor lookup for the whole window
@@ -259,7 +302,7 @@ def _by_vertex(g: Graph, order: np.ndarray, along: np.ndarray) -> Labeling:
     """The labeling that gives ``order[i]`` the label ``along[i]``."""
     labels = np.empty_like(along)
     labels[order] = along
-    return Labeling(tuple(labels.tolist()), graph=g)
+    return Labeling(labels, graph=g)
 
 
 def greedy_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:

@@ -367,7 +367,7 @@ def exact_rn(
     _check_matrix(g, dm)
     req = gap_matrix(dm)  # raises DisconnectedGraphError via the diameter
     value, labels, status, nodes = minimize_span(req, node_limit)
-    return RnResult(value, status, Labeling(tuple(labels), graph=g), nodes)
+    return RnResult(value, status, Labeling(labels, graph=g), nodes)
 
 
 def permutation_oracle(g: Graph, dm: DistanceMatrix | None = None) -> RnResult:
@@ -410,4 +410,4 @@ def permutation_oracle(g: Graph, dm: DistanceMatrix | None = None) -> RnResult:
             best = final
             best_labels = labels.copy()
     assert best is not None and best_labels is not None
-    return RnResult(best, RnStatus.EXACT, Labeling(tuple(best_labels), graph=g))
+    return RnResult(best, RnStatus.EXACT, Labeling(best_labels, graph=g))

@@ -1,8 +1,9 @@
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radiomesh import Labeling, ProductParams, build_construction_labeling, build_path, build_product_graph
@@ -72,7 +73,9 @@ def test_labeling_roundtrip_with_span_comment():
     labeling = Labeling((0, 4, 9))
     text = format_labeling(labeling)
     assert text.endswith("# span 9\n")
-    assert parse_labeling(text).labels == (0, 4, 9)
+    parsed = parse_labeling(text)
+    assert parsed.labels.tolist() == [0, 4, 9]
+    assert isinstance(parsed.labels, np.ndarray) and parsed.labels.dtype == np.int64
 
 
 def test_labeling_span_comment_is_verified():
@@ -113,7 +116,7 @@ def test_labeling_parser_reports_the_first_bad_line():
             parse_labeling("\n".join(lines))
         assert str(info.value) == message
         lines[int(message.split()[1][:-1]) - 1] = ""
-    assert parse_labeling("\n".join(lines)).labels == (0, 5, 3)
+    assert parse_labeling("\n".join(lines)).labels.tolist() == [0, 5, 3]
 
 
 @pytest.mark.parametrize(
@@ -360,7 +363,10 @@ def _across_pieces(middle: str) -> str:
 def test_labeling_parser_edge_cases(text, expected):
     outcome = _outcome(parse_labeling, text)
     assert outcome == _outcome(reference_parse_labeling, text)
-    assert (outcome if isinstance(outcome, str) else outcome.labels) == expected
+    if isinstance(outcome, str):
+        assert outcome == expected
+    else:
+        assert outcome.labels.tolist() == list(expected)
 
 
 @pytest.mark.parametrize(
@@ -400,8 +406,14 @@ def reference_format_labeling(labeling: Labeling) -> str:
     st.sampled_from([1, 5, 64]),
     st.sampled_from([3, formats._BLOCK]),
 )
+@example([0, 5, 3], 1, 3)  # int64
+@example([2**70, 0, 2**63], 1, 3)  # object
 def test_labeling_round_trip(labels, chunk, block):
     labeling = Labeling(tuple(labels))
+    # int64 when every label fits, else exact Python ints
+    assert labeling.labels.dtype == (np.int64 if max(labels) < 2**63 else object)
+    again = Labeling(tuple(labeling.labels.tolist()))
+    assert again == labeling and hash(again) == hash(labeling)
     with mock.patch.object(formats, "_BLOCK", block):
         text = format_labeling(labeling)
     assert text == reference_format_labeling(labeling)

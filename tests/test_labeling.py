@@ -80,11 +80,44 @@ def test_labels_must_be_non_negative():
 
 @pytest.mark.parametrize(
     "labels",
-    [(0.5, 1.4), (0.0, 2.0), (0, 1.0), (0, 2, 4.5), ("a", "b"), (0, "1"), (0, None)],
-    ids=["float", "integral-float", "int-then-float", "mixed-last", "string", "int-then-string", "none"],
+    [
+        (0.5, 1.4),
+        (0.0, 2.0),
+        (0, 1.0),
+        (0, 2, 4.5),
+        ("a", "b"),
+        (0, "1"),
+        (0, None),
+        (True, False),
+        (0, True),
+        (np.bool_(True), 0),
+        np.array([True, False]),
+        np.array([0.0, 1.0]),
+        np.array([0.0, 1.0], dtype=object),
+        ((0, 1), (2, 3)),
+        np.arange(4).reshape(2, 2),
+    ],
+    ids=[
+        "float",
+        "integral-float",
+        "int-then-float",
+        "mixed-last",
+        "string",
+        "int-then-string",
+        "none",
+        "bool",
+        "int-then-bool",
+        "numpy-bool",
+        "bool-array",
+        "float-array",
+        "float-object-array",
+        "nested",
+        "2-d-array",
+    ],
 )
 def test_labels_must_be_integers(labels):
-    # a float label would be truncated by validate and the file writer
+    # a float label would be truncated by validate and the file writer,
+    # and a bool would validate as 0 or 1
     with pytest.raises(InvalidParameterError, match="labels must be integers"):
         Labeling(labels)
 
@@ -94,9 +127,62 @@ def test_numpy_integer_labels_are_accepted():
     assert labeling.span == 5
 
 
+@pytest.mark.parametrize("values", [(0, 7, 3), (2**62, 0, 9)])
+def test_labels_are_one_read_only_int64_array_from_any_integer_container(values):
+    labeling = Labeling(values)
+    assert labeling.labels.dtype == np.int64 and not labeling.labels.flags.writeable
+    assert labeling.labels.tolist() == list(values)
+    with pytest.raises(ValueError):
+        labeling.labels[:1] = 0
+    assert type(labeling.span) is int and labeling.span == max(values) - min(values)
+    sources = [list(values), np.array(values, dtype=np.int64), np.array(values, dtype=object)]
+    if max(values) < 2**15:
+        sources += [np.array(values, dtype=np.int32), np.array(values, dtype=np.uint16)]
+    for source in sources:
+        built = Labeling(source, graph=build_path(3))
+        # equal and hashed alike whatever the container, and the graph takes no part
+        assert built == labeling and hash(built) == hash(labeling)
+        assert built.labels.dtype == np.int64
+        if isinstance(source, np.ndarray):
+            # a copy: writing to the caller's array leaves the labeling as it was
+            source[0] = 1
+            assert built.labels.tolist() == list(values)
+    assert Labeling((0, 7, 4)) != Labeling((0, 7, 3))
+
+
+@pytest.mark.parametrize(
+    "values, exact",
+    [
+        ((np.uint64(2**63 + 5), 0), [2**63 + 5, 0]),
+        ((2**70, 3), [2**70, 3]),
+        ((np.uint64(2**64 - 1), np.int8(2), 2**63), [2**64 - 1, 2, 2**63]),
+        (np.array([2**64 - 1, 4], dtype=np.uint64), [2**64 - 1, 4]),
+    ],
+    ids=["uint64-beside-int", "python-int", "mixed", "uint64-array"],
+)
+def test_labels_above_int64_are_an_object_array_of_python_ints(values, exact):
+    labeling = Labeling(values)
+    assert labeling.labels.dtype == object and not labeling.labels.flags.writeable
+    assert labeling.labels.tolist() == exact
+    assert all(type(label) is int for label in labeling.labels.tolist())
+    assert type(labeling.span) is int and labeling.span == max(exact) - min(exact)
+    # hashed by value: a second array of the same ints holds other objects
+    again = Labeling(tuple(labeling.labels.tolist()))
+    assert again == labeling and hash(again) == hash(labeling)
+    assert labeling.canonical().labels.tolist() == [x - min(exact) for x in exact]
+
+
+@pytest.mark.parametrize("label", [np.int64(0), np.uint64(2**64 - 1), 2**70])
+def test_violation_fields_are_python_ints(label):
+    g = build_path(2)
+    report = validate(g, all_pairs_distances(g), Labeling((label, label)))
+    assert report.violations == ((0, 1, 1, 0),)
+    assert all(type(field) is int for field in report.violations[0])
+
+
 def test_canonical_shifts_to_zero():
     shifted = Labeling((5, 7, 9))
-    assert shifted.canonical().labels == (0, 2, 4)
+    assert shifted.canonical().labels.tolist() == [0, 2, 4]
     assert shifted.span == shifted.canonical().span == 4
 
 
@@ -121,6 +207,8 @@ def test_ordering_plan_must_be_permutation():
         np.arange(3).reshape(3, 1),
         np.zeros((0, 3), dtype=np.int64),
         np.arange(3.0),
+        (0, True),
+        (0, 1, 2**64),
     ],
     ids=[
         "duplicate",
@@ -136,6 +224,8 @@ def test_ordering_plan_must_be_permutation():
         "column-array",
         "empty-2-d-array",
         "float-array",
+        "int-then-bool",
+        "above-int64",
     ],
 )
 def test_ordering_plan_rejects_every_non_permutation(sequence):
@@ -166,13 +256,14 @@ def test_greedy_on_p2():
     g = build_path(2)
     dm = all_pairs_distances(g)
     out = greedy_assign(g, dm, OrderingPlan((0, 1)))
-    assert out.labels == (0, 1)
+    assert out.labels.tolist() == [0, 1]
+    assert isinstance(out.labels, np.ndarray) and out.labels.dtype == np.int64
 
 
 def test_greedy_p3_endpoints_first(p3):
     g, dm = p3
     out = greedy_assign(g, dm, OrderingPlan((0, 2, 1)))
-    assert out.labels == (0, 3, 1)
+    assert out.labels.tolist() == [0, 3, 1]
     assert out.span == 3
     assert validate(g, dm, out).valid
 
@@ -182,7 +273,7 @@ def test_greedy_star_leaves_first():
     dm = all_pairs_distances(g)
     out = greedy_assign(g, dm, OrderingPlan((1, 2, 0)))
     # leaves get 0 and 1, the hub must clear both by 2
-    assert out.labels == (3, 0, 1)
+    assert out.labels.tolist() == [3, 0, 1]
     assert out.span == 3
 
 
@@ -241,7 +332,7 @@ def test_greedy_looks_up_only_the_label_window(monkeypatch):
     # put no vertex within diam = 2 of the one two places before it
     g = build_star(5)
     out = greedy_assign(g, all_pairs_distances(g), OrderingPlan((1, 2, 3, 4, 5, 0)))
-    assert out.labels == (6, 0, 1, 2, 3, 4)
+    assert out.labels.tolist() == [6, 0, 1, 2, 3, 4]
     assert lookups == [(1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
 
     g = build_product_graph(ProductParams(12, 4)).graph
@@ -312,7 +403,7 @@ def test_greedy_counts_earlier_repairs():
     for i in range(1, len(seq)):
         expected[seq[i]] = max(expected[u] + base - dm[u, seq[i]] for u in seq[:i])
     labels = greedy_assign(g, dm, OrderingPlan(seq)).labels
-    assert labels == tuple(expected)
+    assert labels.tolist() == expected
     assert [labels[v] for v in seq] == [0, 4, 6, 8, 10]
 
 
@@ -320,7 +411,7 @@ def test_consecutive_only_on_p2():
     g = build_path(2)
     dm = all_pairs_distances(g)
     out = consecutive_only_assign(g, dm, OrderingPlan((0, 1)))
-    assert out.labels == (0, 1)
+    assert out.labels.tolist() == [0, 1]
 
 
 def test_consecutive_only_telescopes(p3):
@@ -361,7 +452,7 @@ def test_greedy_labels_pass_int16(kind):
         expected[v] = max(expected[u] + base - dist[u][v] for u in seq[:i])
     labeling = greedy_assign(g, dm, OrderingPlan(tuple(seq)))
     assert labeling.span > np.iinfo(np.int16).max
-    assert labeling.labels == tuple(expected)
+    assert labeling.labels.tolist() == expected
     assert validate(g, dm, labeling).valid
 
 
@@ -373,7 +464,7 @@ def _floor_greedy(dm, seq):
     for v in seq:
         labels[v] = int(floor[v])
         np.maximum(floor, gaps[v] + labels[v], out=floor)
-    return tuple(labels)
+    return labels
 
 
 def test_greedy_matches_floor_loop_at_12_4():
@@ -386,7 +477,7 @@ def test_greedy_matches_floor_loop_at_12_4():
         random.Random(seed).shuffle(seq)
         orders.append(seq)
     for seq in orders:
-        assert greedy_assign(g, dm, OrderingPlan(tuple(seq))).labels == _floor_greedy(dm, seq)
+        assert greedy_assign(g, dm, OrderingPlan(tuple(seq))).labels.tolist() == _floor_greedy(dm, seq)
 
 
 def test_validate_label_window():

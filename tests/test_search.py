@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from radiomesh import (
@@ -78,6 +79,8 @@ def test_witnesses_are_valid_and_tight(name, graph):
         assert result.witness is not None
         assert validate(graph, dm, result.witness).valid
         assert result.witness.span == result.value
+        # the witness labels are one int64 array, as every labeling's are
+        assert isinstance(result.witness.labels, np.ndarray) and result.witness.labels.dtype == np.int64
 
 
 def test_oracle_refuses_large_graphs():
@@ -101,7 +104,7 @@ def test_search_is_deterministic():
     first = exact_rn(g)
     second = exact_rn(g)
     assert first.value == second.value
-    assert first.witness.labels == second.witness.labels
+    assert first.witness.labels.tolist() == second.witness.labels.tolist()
     assert first.nodes == second.nodes
 
 
@@ -166,7 +169,7 @@ def test_node_budget_yields_upper_bound_only():
     # node-limited runs are reproducible
     again = exact_rn(g, node_limit=50)
     assert again.value == truncated.value
-    assert again.witness.labels == truncated.witness.labels
+    assert again.witness.labels.tolist() == truncated.witness.labels.tolist()
 
 
 def test_exact_rn_rejects_a_matrix_of_another_graph():
