@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen, diam, rn-exact, bound, label, validate, verify,
-compare, one row each in :data:`COMMANDS`. Each :func:`main` call builds
-its own parser holding only the subcommand its arguments name (all of
-them for ``--help``, no command or an unknown one), so a call pays for
-one subcommand's arguments, not all eight. Results go to stdout or
+compare, one row each in :data:`COMMANDS`. :func:`main` builds the
+parser on its first call and reuses it; each parse returns a fresh
+namespace, so no call sees another's arguments. Results go to stdout or
 ``--out``; errors go to stderr. Exit codes: 0 success, 1 failed
 validation, malformed input file or runtime error, 2 usage error.
 """
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import claims, formulas
 from .formats import (
@@ -82,6 +81,7 @@ def _only(args, flag: str, others: tuple[str, ...]) -> None:
 def _family_graph(args):
     family = args.family or "product"
     build, flags = FAMILIES[family]
+    _only(args, f"--family {family}", tuple(flag for flag in ("m", "n") if flag not in flags))
     values = [getattr(args, flag) for flag in flags]
     if None in values:
         needs = " and ".join(f"--{flag}" for flag in flags)
@@ -169,8 +169,15 @@ def cmd_validate(args) -> int:
     return 1
 
 
-def _distinct(values: tuple, text: str) -> tuple:
-    """``values`` parsed from a list flag's ``text``; a repeated value is a usage error."""
+def _distinct_items(convert, what: str, text: str) -> tuple:
+    """A list flag's comma-separated ``text``, each item through ``convert``.
+
+    An item ``convert`` rejects, or a repeated value, is a usage error.
+    """
+    try:
+        values = tuple(convert(item) for item in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
     if len(set(values)) < len(values):
         raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
     return values
@@ -178,8 +185,7 @@ def _distinct(values: tuple, text: str) -> tuple:
 
 def _int_list(text: str) -> tuple[int, ...]:
     """Comma-separated distinct integers; a blank value is the empty list."""
-    values = tuple(int(x) for x in text.split(",")) if text.strip() else ()
-    return _distinct(values, text)
+    return _distinct_items(int, "integers", text) if text.strip() else ()
 
 
 def _orders(parity: int):
@@ -193,13 +199,17 @@ def _orders(parity: int):
 
 
 def _schemes(text: str) -> tuple[CellIndexing, ...]:
-    return _distinct(tuple(CellIndexing(s) for s in text.split(",")), text)
+    names = ",".join(scheme.value for scheme in CellIndexing)
+    return _distinct_items(CellIndexing, f"schemes from {{{names}}}", text)
 
 
 def _m_range(text: str) -> range:
     """Inclusive ``lo:hi``, or a single m; an empty range is a usage error."""
     lo, _, hi = text.partition(":")
-    m_values = range(int(lo), int(hi or lo) + 1)
+    try:
+        m_values = range(int(lo), int(hi or lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer m or a range lo:hi, got {text!r}") from None
     if not m_values:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return m_values
@@ -307,37 +317,28 @@ COMMANDS = (
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``radiomesh`` parser, built from :data:`COMMANDS`.
-
-    With ``command`` one of the names in the table, only that
-    subcommand's parser is built; otherwise (no command, ``--help``, an
-    unknown name) all of them are. Either way the usage line lists every
-    command, so help and usage errors read the same.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The ``radiomesh`` parser, one subcommand per row of :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="radiomesh",
         description="Radio labeling toolkit for mesh-by-star product networks.",
     )
-    chosen = [row for row in COMMANDS if row[0] == command]
-    # a one-command parser's usage line would name that command alone, so
-    # its metavar spells them all; the full parser keeps argparse's default,
-    # the same text, as a metavar would also rename the command argument in
-    # the errors for a missing or unknown command
-    metavar = "{" + ",".join(row[0] for row in COMMANDS) + "}" if chosen else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, add_arguments, handler in chosen or COMMANDS:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments, handler in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(func=handler)
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses, built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # a fresh parser per call, holding only the command argv names
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidParameterError as exc:

@@ -269,13 +269,10 @@ def minimize_span(
     columns = [[1 << p[x] for p in group] for x in range(nv)]
     # shapes[mask] is that least mask and, for each permutation mapping
     # mask to it, the positions in a node's floors list of the fields in
-    # image order. Each distinct order is one bytes object, or a tuple
-    # once positions outgrow a byte; tuples throughout would add about
-    # 0.18 MB to the (2,2) search's 1.73 MB traced peak, lists 0.34 MB.
-    shapes: dict[int, tuple[int, tuple[Sequence[int], ...]]] = {}
-    pack = bytes if nv <= 256 else tuple
+    # image order, each distinct order once.
+    shapes: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
-    def shape(unplaced: list[int]) -> tuple[int, tuple[Sequence[int], ...]]:
+    def shape(unplaced: list[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
         # a permutation maps the placed set onto the complement of the
         # image of the unplaced set, which is never empty here
         images = [full ^ sum(bits) for bits in zip(*[columns[x] for x in unplaced])]
@@ -284,7 +281,7 @@ def minimize_span(
         # the image state keeps the floor of x at the image of x
         kept = [y for y in range(nv) if not least >> y & 1]
         orders = {
-            pack([position[source[y]] for y in kept])
+            tuple([position[source[y]] for y in kept])
             for source, image in zip(inverses, images)
             if image == least
         }

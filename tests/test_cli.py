@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from radiomesh import cli, graphs
@@ -65,6 +67,21 @@ def test_rn_exact_names_each_family_and_its_missing_flags(capsys, family, flags,
     for kept in [[f for p in pairs if p is not q for f in p] for q in pairs] + [[]]:
         code, out, err = run(capsys, "rn-exact", *family, *kept)
         assert (code, out, err) == (2, "", f"radiomesh: {missing}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, dropped",
+    [
+        (["--family", "path", "--m", "4", "--n", "3"], "--family path cannot be combined with --n"),
+        (["--family", "mesh", "--m", "2", "--n", "3"], "--family mesh cannot be combined with --n"),
+        (["--family", "star", "--m", "9", "--n", "2"], "--family star cannot be combined with --m"),
+    ],
+    ids=["path", "mesh", "star"],
+)
+def test_rn_exact_family_with_a_flag_it_does_not_take_is_a_usage_error(capsys, argv, dropped):
+    # the family's builder takes no such size, so the flag would be dropped unread
+    code, out, err = run(capsys, "rn-exact", *argv)
+    assert (code, out, err) == (2, "", f"radiomesh: {dropped}\n")
 
 
 def test_rn_exact_from_file(tmp_path, capsys):
@@ -282,13 +299,19 @@ def test_compare_table(capsys):
         ["verify", "--even-m", "2,2"],
         ["verify", "--odd-m", "3,3"],
         ["verify", "--schemes", "row-major,row-major"],
+        ["verify", "--even-m", "2,x"],
     ],
 )
 def test_malformed_flag_value_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    assert f"argument {argv[-2]}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}" in err
+    # argparse reports a type function's ValueError as "invalid <function name>
+    # value"; each of ours raises ArgumentTypeError with a plain message instead
+    assert re.search(r"(?<!\w)_\w", err) is None, err
+    assert re.search(r"invalid \S+ value", err) is None, err
 
 
 @pytest.mark.parametrize(
@@ -357,20 +380,55 @@ def test_top_level_usage_lists_every_command(argv, capsys, monkeypatch):
             assert f"    {name}" in out and help_text in out
 
 
-def test_each_main_call_builds_its_own_parser(monkeypatch, capsys):
+def test_main_builds_the_parser_once(monkeypatch, capsys):
     built = []
     real = cli.build_parser
 
-    def spy(command=None):
-        parser = real(command)
-        built.append((command, parser))
-        return parser
+    def spy():
+        built.append(real())
+        return built[-1]
 
     monkeypatch.setattr(cli, "build_parser", spy)
-    for _ in range(2):
-        code, out, _ = run(capsys, "bound", "--m", "3", "--n", "2")
-        assert code == 0 and out.startswith("combined span bound")
-    assert [command for command, _ in built] == ["bound", "bound"]
-    assert built[0][1] is not built[1][1]
-    # each holds the one subcommand it was built for
-    assert [list(parser._subparsers._group_actions[0].choices) for _, parser in built] == [["bound"], ["bound"]]
+    cli._parser.cache_clear()
+    try:
+        for command in ("bound", "bound", "diam"):
+            code, _, _ = run(capsys, command, "--m", "3", "--n", "2")
+            assert code == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert list(built[0]._subparsers._group_actions[0].choices) == list(RUNNABLE)
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# calls whose flags differ from one to the next, so a value left over
+# from an earlier parse would show in a later call's output
+SEQUENCE = [
+    ["label", "--m", "3", "--n", "2", "--format", "csv"],
+    ["label", "--m", "3", "--n", "2"],
+    ["label", "--m", "3"],
+    ["bound", "--m", "3", "--n", "2"],
+    ["verify", "--even-m", "2", "--odd-m", "", "--ns", "1"],
+]
+
+
+def test_a_reused_parser_answers_each_call_as_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    fresh = []
+    for argv in SEQUENCE:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    cli._parser.cache_clear()
+    reused = [_outcome(argv, capsys) for argv in SEQUENCE]
+    assert cli._parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0]
+    assert reused[1][1].startswith("construction labeling for m=3 n=2")
