@@ -322,10 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radiomesh",
         description="Radio labeling toolkit for mesh-by-star product networks.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments, handler in COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        # no flag prefixes: `compare --m 4` must not run as `--m-range 4`
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         add_arguments(p)
         p.set_defaults(func=handler)
     return parser

@@ -35,7 +35,7 @@ DEFAULT_NODE_LIMIT = 20_000_000
 # Most states minimize_span's subtree-size table holds; a full table is
 # emptied before the next insert, and the search's per-mask table of
 # canonical images with it. The (2,2) search stores 7,763 states up to
-# its 16 automorphisms, and canonical images of 2,492 masks, so only
+# its 16 automorphisms, and canonical images of 2,491 masks, so only
 # budgeted searches far beyond the verify grid fill it.
 _CACHE_SLOTS = 1 << 16
 
@@ -204,20 +204,29 @@ def minimize_span(
     The parent counts each child, then checks the budget, then the
     child's bound, in the order a node of the uncached tree does on
     entry; a child that fails its bound is counted but never entered.
-    The root, which has no parent, keeps its own budget and bound
-    checks, a one-vertex system's included. A child that leaves one vertex unplaced is entered only to
-    place it, which completes a labeling.
+    Before building a child's floors the parent tries a reach pre-check:
+    ``reach[v]``, the least off-diagonal entry of row v, is computed
+    once per call, and placing v at ``value`` leaves every floor of the
+    child at least ``value + reach[v]``, so with ``k`` floors unplaced
+    the child's bound is at least ``value + reach[v] + k - 2``. When
+    that reaches the cutoff the child is pruned as its full bound would
+    prune it, without building or sorting its floors. The root, which
+    has no parent, keeps its own budget and bound checks, a one-vertex
+    system's included. A child that leaves one vertex unplaced is
+    completed by its parent, which places that vertex with no budget
+    check and counts it.
 
     A subtree that completes no labeling keeps its cutoff fixed, so its
     shape depends only on the placed set and on ``cutoff`` and the
     unplaced floors shifted so the smallest is 0. A dict of at most
     ``_CACHE_SLOTS`` states, emptied when full, keeps the sizes of such
-    subtrees, and a later node in the same state adds the size instead
-    of walking the subtree again. The walk is skipped only when it could
-    not have met the budget, so values, witnesses, statuses, truncation
-    and the node count are those of the uncached tree: ``nodes`` and
-    ``node_limit`` count the nodes of that tree, not the nodes actually
-    visited.
+    subtrees. The parent builds the key of each child that passes its
+    bound and probes the table: a hit adds the stored size and the
+    child is never entered, so only a state the table does not hold is
+    walked. The size is taken only when the walk could not have met the
+    budget, so values, witnesses, statuses, truncation and the node
+    count are those of the uncached tree: ``nodes`` and ``node_limit``
+    count the nodes of that tree, not the nodes actually visited.
 
     The table is keyed by a canonical state under automorphisms of
     ``req`` (see :func:`_automorphisms`). An automorphism maps a state to
@@ -233,6 +242,8 @@ def minimize_span(
     correctness. Which image masks are least, and where each such image
     reads its floors from, depend only on the placed mask, so a second
     dict keyed by the mask keeps them; it is emptied with the table.
+    Most masks have one such order, and their key is built from it
+    directly, with no ``min`` over orders.
 
     ``node_limit`` caps the nodes explored (``None`` means unlimited;
     a negative limit raises InvalidParameterError), so a truncated
@@ -271,10 +282,13 @@ def minimize_span(
     # mask to it, the positions in a node's floors list of the fields in
     # image order, each distinct order once.
     shapes: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
+    # reach[v] is v's least gap to another vertex; the diagonal is never read
+    reach = [min(row[:v] + row[v + 1 :], default=0) for v, row in enumerate(req)]
 
-    def shape(unplaced: list[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    def shape(mask: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
         # a permutation maps the placed set onto the complement of the
         # image of the unplaced set, which is never empty here
+        unplaced = [x for x in range(nv) if not mask >> x & 1]
         images = [full ^ sum(bits) for bits in zip(*[columns[x] for x in unplaced])]
         least = min(images)
         position = dict(zip(unplaced, range(len(unplaced))))
@@ -287,34 +301,33 @@ def minimize_span(
         }
         return least, tuple(orders)
 
-    def dfs(mask: int, unplaced: list[int], floors: list[int], base: int) -> bool:
-        nonlocal cutoff, best_labels, nodes
-        if len(floors) == 1:
-            # the last floor passed the bound, so placing it completes a
-            # labeling below the cutoff; no key is looked up, as the table
-            # never holds a state whose subtree completes
-            nodes += 1
-            cutoff = labels[unplaced[0]] = floors[0]
-            best_labels = labels.copy()
-            return True
+    def canonical_key(mask: int, floors: list[int], base: int) -> tuple[int, ...]:
         entry = shapes.get(mask)
         if entry is None:
-            entry = shapes[mask] = shape(unplaced)
+            entry = shapes[mask] = shape(mask)
         least, orders = entry
-        key = (cutoff - base, least, *min([floors[i] - base for i in order] for order in orders))
-        size = cache.get(key)
-        if size is not None and nodes + size < limit:
-            nodes += size
-            return True
+        if len(orders) == 1:
+            return (cutoff - base, least, *[floors[i] - base for i in orders[0]])
+        return (cutoff - base, least, *min([floors[i] - base for i in order] for order in orders))
+
+    def dfs(mask: int, unplaced: list[int], floors: list[int], key: tuple[int, ...]) -> bool:
+        # entered only when the table holds no size for ``key`` that
+        # fits the budget, and with at least two vertices unplaced
+        nonlocal cutoff, best_labels, nodes
         start, entered = nodes, cutoff
 
         # how many of a child's sorted floors follow each position
-        after = range(len(floors) - 2, -1, -1)
+        tail = len(floors) - 2
+        after = range(tail, -1, -1)
         for i, v in enumerate(unplaced):
             nodes += 1
             if nodes >= limit:
                 return False
             value = floors[i]
+            # every floor of the child is at least value + reach[v], so
+            # its bound is at least that plus the floors that follow
+            if value + reach[v] + tail >= cutoff:
+                continue
             row = req[v]
             child = [f if f >= value + row[x] else value + row[x] for x, f in zip(unplaced, floors)]
             del child[i]
@@ -322,9 +335,24 @@ def minimize_span(
             if max(map(add, low, after)) >= cutoff:
                 continue
             labels[v] = value
+            if not tail:
+                # the child's one floor, that of v's sibling, passed the
+                # bound, so placing it completes a labeling below the
+                # cutoff; no key is looked up, as the table never holds a
+                # state whose subtree completes
+                nodes += 1
+                cutoff = labels[unplaced[1 - i]] = child[0]
+                best_labels = labels.copy()
+                continue
+            below = mask | 1 << v
+            child_key = canonical_key(below, child, low[0])
+            size = cache.get(child_key)
+            if size is not None and nodes + size < limit:
+                nodes += size
+                continue
             rest = unplaced.copy()
             del rest[i]
-            if not dfs(mask | 1 << v, rest, child, low[0]):
+            if not dfs(below, rest, child, child_key):
                 return False
 
         # every completion lowers the cutoff, so an equal one means none here
@@ -340,8 +368,14 @@ def minimize_span(
         status = RnStatus.UPPER_BOUND_ONLY
     elif nv - 1 >= cutoff:
         status = RnStatus.EXACT
+    elif nv == 1:
+        # the root's one vertex passed the bound, so placing it completes
+        nodes, cutoff, best_labels = 1, 0, [0]
+        status = RnStatus.EXACT
     else:
-        status = RnStatus.EXACT if dfs(0, list(range(nv)), [0] * nv, 0) else RnStatus.UPPER_BOUND_ONLY
+        root = [0] * nv
+        found = dfs(0, list(range(nv)), root, canonical_key(0, root, 0))
+        status = RnStatus.EXACT if found else RnStatus.UPPER_BOUND_ONLY
     del dfs  # the closure refers to itself; breaking the cycle frees the table now
     if best_labels is None:
         # budget expired before any completion; the hint is still a

@@ -330,6 +330,18 @@ def test_flags_that_change_no_output_are_gone(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "--m", "4", "--n", "5"], ["rn-exact", "--fam", "path", "--m", "3"]],
+)
+def test_flag_prefixes_are_not_flags(argv, capsys):
+    # a unique prefix of --m-range or --family is not taken for it
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:3])}" in capsys.readouterr().err
+
+
 # the least arguments each command runs with, so an unknown flag after
 # them is reported by the top-level parser
 RUNNABLE = {

@@ -251,6 +251,17 @@ def test_search_tree_of_c4_x_k12_is_frozen():
     assert peak < 1_900_000
 
 
+# The property tests stop at 9 vertices; the 18-vertex (3,1) search
+# fills its table and is cut by the budget before any completion, so the
+# greedy hint is the witness.
+@pytest.mark.parametrize("budget", [10**5, 10**6])
+def test_truncated_search_at_m3_n1_is_frozen(budget):
+    req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(3, 1)).graph))
+    value, labels, status, nodes = minimize_span(req, budget)
+    assert (value, status, nodes) == (42, RnStatus.UPPER_BOUND_ONLY, budget)
+    assert list(labels) == [15, 10, 0, 21, 27, 4, 6, 25, 33, 38, 12, 17, 19, 2, 42, 29, 23, 8]
+
+
 def test_minimize_span_frees_its_table_on_return():
     # the table can hold 65,536 states; a reference cycle through the
     # search closure would keep it alive until the next garbage collection
@@ -333,8 +344,8 @@ def _visits(req):
 
 
 def test_symmetric_states_share_one_walk():
-    # the cube's 48 automorphisms cut the nodes visited (394 with the
-    # identity alone, 76 with the group) while the counted tree stays put
+    # the cube's 48 automorphisms cut the nodes visited (342 with the
+    # identity alone, 34 with the group) while the counted tree stays put
     req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(2, 1)).graph))
     with mock.patch.object(search, "_GROUP_LIMIT", 1):
         plain = _visits(req)
@@ -350,4 +361,4 @@ def test_huge_unread_gaps_keep_states_shared():
         row[v] = 1 << 60
     assert len(_automorphisms(huge)) == 48
     assert minimize_span(huge, None) == minimize_span(req, None)
-    assert _visits(huge) == _visits(req) == 76
+    assert _visits(huge) == _visits(req) == 34
