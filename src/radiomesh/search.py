@@ -302,6 +302,7 @@ def minimize_span(
         return least, tuple(orders)
 
     def canonical_key(mask: int, floors: list[int], base: int) -> tuple[int, ...]:
+        # the key of a node with this placed mask and floors, base their least
         entry = shapes.get(mask)
         if entry is None:
             entry = shapes[mask] = shape(mask)
