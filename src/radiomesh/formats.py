@@ -8,13 +8,15 @@ u < v, sorted lexicographically. Product graphs additionally carry one
 Labeling files: one ``<vertex_id> <label>`` line per vertex, sorted by
 id, plus a trailing ``# span <S>`` comment that is re-checked on parse;
 a second span comment is an error. The parser has two paths. A numpy
-kernel checks and converts the text in pieces of about :data:`_CHUNK`
-characters, cut after a newline: ASCII decimal fields of at most 18
-digits, spaces or tabs between fields, ``\\n`` or ``\\r\\n`` line ends,
-blank lines and ``#`` comment lines, of which only the span comment is
-read. Any other text (non-ASCII, a sign, an underscore, a longer
-number, another line break) and any file that breaks a rule takes one
-walk over the lines, which parses it or names its first bad line.
+kernel takes the layout :func:`format_labeling` writes: ASCII decimal
+fields of at most 18 digits, ids 0..N-1 in order, spaces or tabs
+between fields, ``\\n`` or ``\\r\\n`` line ends, blank lines, and a
+comment only as the last line. It checks and converts the text in
+pieces of about :data:`_CHUNK` characters, cut after a newline. Any
+other file (non-ASCII, a sign, an underscore, a longer number, another
+line break, a comment before the last line, ids out of order) and any
+file that breaks a rule takes one walk over the lines, which parses it
+or names its first bad line.
 
 A file that breaks these rules raises :class:`FormatError`, naming the
 offending line when there is one.
@@ -171,9 +173,6 @@ def format_labeling(labeling: Labeling) -> str:
 _CHUNK = 1 << 16
 # longest field the kernel converts: 10**18 - 1 still fits in int64
 _MAX_DIGITS = 18
-# the line breaks of str.splitlines, other than "\n", that ASCII text can hold;
-# the kernel lets "\r" through only right before "\n"
-_OTHER_BREAKS = frozenset("\r\x0b\x0c\x1c\x1d\x1e")
 
 
 def _line_chunks(text: str) -> Iterator[str]:
@@ -188,51 +187,15 @@ def _line_chunks(text: str) -> Iterator[str]:
         start = end
 
 
-def _take_comments(piece: str, spans: list[list[str]]) -> str | None:
-    """``piece`` without its comment lines; the words of its span comments go to ``spans``.
-
-    A comment line is one whose first character other than a space or a
-    tab is ``#``. Returns None when a ``#`` follows a field or a comment
-    holds a line break other than its closing ``\\n`` or ``\\r\\n``.
-    Costs a few string searches per comment line, and nothing per
-    other line.
-    """
-    kept = []
-    start = 0  # the first character not yet kept or dropped
-    mark = piece.find("#")
-    while mark >= 0:
-        line_start = piece.rfind("\n", 0, mark) + 1
-        line_end = piece.find("\n", mark) + 1 or len(piece)
-        if piece[line_start:mark].strip(" \t"):
-            return None
-        comment = piece[mark + 1 : line_end].removesuffix("\n").removesuffix("\r")
-        if not _OTHER_BREAKS.isdisjoint(comment):
-            return None
-        words = comment.split()
-        if words[:1] == ["span"]:
-            spans.append(words)
-        kept.append(piece[start:line_start])
-        start = line_end
-        mark = piece.find("#", line_end)
-    kept.append(piece[start:])
-    return "".join(kept)
-
-
-def _piece_fields(piece: str, spans: list[list[str]]) -> np.ndarray | None:
-    """The fields of one piece as int64, id and label alternating, in file order.
+def _piece_fields(piece: str) -> np.ndarray | None:
+    """The fields of one ASCII piece as int64, id and label alternating, in file order.
 
     The kernel: the piece's bytes are checked and converted in a few
-    array passes. It takes ASCII text whose lines are blank, comments
-    (see :func:`_take_comments`) or two decimal fields of at most
-    :data:`_MAX_DIGITS` digits, between spaces and tabs, each line
-    ended by ``\\n`` or ``\\r\\n``. It returns None for any other text.
+    array passes. It takes text whose lines are blank or two decimal
+    fields of at most :data:`_MAX_DIGITS` digits, between spaces and
+    tabs, each line ended by ``\\n`` or ``\\r\\n``. It returns None for
+    any other text, a ``#`` included.
     """
-    if not piece.isascii():
-        return None
-    if "#" in piece:
-        piece = _take_comments(piece, spans)
-        if piece is None:
-            return None
     # newlines at both ends: every field has a non-digit on either side
     text = f"\n{piece}\n".encode("ascii")
     data = np.frombuffer(text, dtype=np.uint8)
@@ -257,35 +220,38 @@ def _piece_fields(piece: str, spans: list[list[str]]) -> np.ndarray | None:
 
 
 def _parse_in_bulk(text: str) -> tuple[np.ndarray, int | None] | None:
-    """Labels by vertex id and declared span, from :func:`_piece_fields` a piece at a time.
+    """Labels by vertex id and declared span, for text laid out as :func:`format_labeling` writes it.
 
-    Returns None when a piece is declined, a span comment is repeated
-    or malformed, or the ids are not exactly 0..N-1 with N >= 1: the
-    line walk then parses the file or names its fault.
+    Takes ASCII text whose last line may be a comment and whose other
+    lines :func:`_piece_fields` takes, a piece at a time, with ids
+    0..N-1 in order and N >= 1. Returns None for any other text, a
+    malformed span comment included: the line walk then parses the
+    file or names its fault.
     """
-    spans: list[list[str]] = []
+    if not text.isascii():
+        return None
+    declared_span = None
+    # the last line, read only by the line walk's own rules
+    body_end = text.rfind("\n", 0, len(text) - 1) + 1
+    last = text[body_end:].splitlines()
+    if len(last) == 1 and last[0].lstrip().startswith("#"):
+        words = last[0].lstrip()[1:].split()
+        if words[:1] == ["span"]:
+            try:
+                (declared_span,) = map(int, words[1:])
+            except ValueError:
+                return None  # not exactly one integer after "span"
+        text = text[:body_end]
     pieces = [np.empty(0, dtype=np.int64)]
     for piece in _line_chunks(text):
-        fields = _piece_fields(piece, spans)
+        fields = _piece_fields(piece)
         if fields is None:
             return None
         pieces.append(fields)
-    if len(spans) > 1 or any(len(words) != 2 for words in spans):
-        return None
-    try:
-        declared_span = int(spans[0][1]) if spans else None
-    except ValueError:
-        return None
     fields = np.concatenate(pieces)
     vids, labels = fields[0::2], fields[1::2]
-    if not len(vids):
-        return None  # no label line
-    ids = np.arange(len(vids))
-    if not np.array_equal(vids, ids):
-        order = np.argsort(vids)
-        if not np.array_equal(vids[order], ids):
-            return None  # a repeated or missing id
-        labels = labels[order]
+    if not len(vids) or not np.array_equal(vids, np.arange(len(vids))):
+        return None  # no label line, or ids other than 0..N-1 in order
     return labels, declared_span
 
 
@@ -336,7 +302,7 @@ def parse_labeling(text: str) -> Labeling:
     then hold at least one label, ids exactly 0..N-1 and, when declared,
     the true span.
 
-    Text in the kernel's alphabet (see :func:`_piece_fields`) is parsed
+    Text in the writer's layout (see :func:`_parse_in_bulk`) is parsed
     in bulk; anything else, and every file with a fault, takes the line
     walk of :func:`_walk_lines`.
     """

@@ -349,6 +349,7 @@ def _across_pieces(middle: str) -> str:
         ("0\r0\n1 5\n", "FormatError: line 1: expected '<vertex_id> <label>'"),
         ("0 0\n# a note\r1 5\n", (0, 5)),
         ("0 0\r1 5\r\n1 5\n", "FormatError: line 3: duplicate vertex id 1"),
+        ("0 0\n# span\x0b5\n", "FormatError: line 2: malformed span comment"),
         # blank lines and comments that open the parser's second piece
         pytest.param(_across_pieces("\n\n"), (0,) * (_FIRST_PIECE_LINES + 1), id="blank-lines-open-a-piece"),
         pytest.param(_across_pieces("\r\n"), (0,) * (_FIRST_PIECE_LINES + 1), id="crlf-blank-line-opens-a-piece"),
@@ -372,8 +373,15 @@ def test_labeling_parser_edge_cases(text, expected):
 @pytest.mark.parametrize(
     "text, in_bulk",
     [
-        ("0\t0\r\n\n 1  5 \r\n# note\n\t# span 5\r\n", True),
-        ("1 5\n0 0\n", True),
+        ("0\t0\r\n\n 1  5 \r\n# note\n\t# span 5\r\n", False),
+        ("1 5\n0 0\n", False),
+        # the last line is the only comment the kernel reads
+        ("0\t0\r\n1\t5\r\n#\tspan 5\r\n", True),
+        ("0 0\n1 5\n# note\n", True),
+        ("0 0\n1 5\n# span 5", True),
+        ("0 0\n# note\n1 5\n", False),
+        ("0 0\n# span\x0b5\n", False),
+        ("0 0\n# span 5\n1 5\n", False),
         (f"0 {10**18 - 1}\n", True),
         (f"0 {10**18}\n", False),
         ("0 +5\n", False),
