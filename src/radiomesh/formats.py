@@ -10,13 +10,14 @@ id, plus a trailing ``# span <S>`` comment that is re-checked on parse;
 a second span comment is an error. The parser has two paths. A numpy
 kernel takes the layout :func:`format_labeling` writes: ASCII decimal
 fields of at most 18 digits, ids 0..N-1 in order, spaces or tabs
-between fields, ``\\n`` or ``\\r\\n`` line ends, blank lines, and a
-comment only as the last line. It checks and converts the text in
-pieces of about :data:`_CHUNK` characters, cut after a newline. Any
-other file (non-ASCII, a sign, an underscore, a longer number, another
-line break, a comment before the last line, ids out of order) and any
-file that breaks a rule takes one walk over the lines, which parses it
-or names its first bad line.
+between fields, ``\\n`` line ends, blank lines, and a comment only as
+the last line. :func:`read_text` reads with universal newlines, so a
+``\\r\\n`` file read through it qualifies. The kernel checks and
+converts the text in pieces of about :data:`_CHUNK` characters, cut
+after a newline. Any other text (non-ASCII, a sign, an underscore, a
+longer number, a ``\\r`` or another line break, a comment before the
+last line, ids out of order) and any file that breaks a rule takes one
+walk over the lines, which parses it or names its first bad line.
 
 A file that breaks these rules raises :class:`FormatError`, naming the
 offending line when there is one.
@@ -193,20 +194,19 @@ def _piece_fields(piece: str) -> np.ndarray | None:
     The kernel: the piece's bytes are checked and converted in a few
     array passes. It takes text whose lines are blank or two decimal
     fields of at most :data:`_MAX_DIGITS` digits, between spaces and
-    tabs, each line ended by ``\\n`` or ``\\r\\n``. It returns None for
-    any other text, a ``#`` included.
+    tabs, each line ended by ``\\n``. It returns None for any other
+    text, a ``#`` or a ``\\r`` included: :func:`read_text` turns every
+    ``\\r\\n`` of a file into ``\\n``, so only text handed straight to
+    :func:`parse_labeling` holds one, and the line walk parses it.
     """
     # newlines at both ends: every field has a non-digit on either side
     text = f"\n{piece}\n".encode("ascii")
     data = np.frombuffer(text, dtype=np.uint8)
     digit = data - 48 < 10  # uint8 wraps below "0"
     newlines = np.flatnonzero(data == 10)
-    returns = np.flatnonzero(data == 13)
     blanks = np.count_nonzero(data == 32) + np.count_nonzero(data == 9)
-    if np.count_nonzero(digit) + len(newlines) + len(returns) + blanks != len(data):
+    if np.count_nonzero(digit) + len(newlines) + blanks != len(data):
         return None  # a character outside the alphabet
-    if (data[returns + 1] != 10).any():
-        return None  # a "\r" not followed by "\n"
     bounds = np.flatnonzero(digit[1:] != digit[:-1]) + 1
     starts, ends = bounds[0::2], bounds[1::2]
     fields_before = np.searchsorted(starts, newlines)
@@ -323,4 +323,5 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def read_text(path: str | Path) -> str:
+    """The file's UTF-8 text, read with universal newlines: no ``\\r`` is left."""
     return Path(path).read_text(encoding="utf-8")

@@ -4,22 +4,25 @@ Two exact routes give all-pairs distances. :func:`bfs_all_pairs` runs
 breadth-first search from every vertex of the whole graph; claims that
 observe a distance or a diameter use it as their ground truth.
 :func:`all_pairs_distances` serves search, construction, validation and
-bounds: for a Cartesian product it keeps two factor matrices, since
-product distance is the sum of the factor distances (Kchikech, Khennoufa
-& Togni, DMGT 28, 2008), and otherwise it falls back to BFS. For the
-same reason a connected product's diameter is the sum of its factors'
-diameters. A :class:`DistanceMatrix` answers single and vectorised
-lookups from its factors, which is all that labeling, validation and
-the gap matrices read; the dense N x N matrix is built from the factors
-only when ``.matrix`` is first read, which only the BFS cross-check of
+bounds: for a product of connected factors it keeps two factor
+matrices, since product distance is the sum of the factor distances
+(Kchikech, Khennoufa & Togni, DMGT 28, 2008), and otherwise, a
+disconnected factor included, it falls back to BFS. For the same reason
+a connected product's diameter is the sum of its factors' diameters. A
+:class:`DistanceMatrix` answers single and vectorised lookups from its
+factors, which is all that labeling, validation and the gap matrices
+read; the dense N x N matrix is built from the factors only when
+``.matrix`` is first read, which only the BFS cross-check of
 ``claims.run_verification`` does.
 
 Construction is strict: simple undirected graphs only, validated on
-creation, and frozen afterwards. A Cartesian product is simple by
-construction and fixed by its factors, so its adjacency is laid out
-straight from the factors' on the first read of ``.adjacency`` and then
-kept. Labeling and validation never read it: a product graph costs
-nothing per vertex until BFS or an edge listing asks for its edges.
+creation, and frozen afterwards. A product is made only by
+:func:`cartesian_product`, so its factors always match its adjacency;
+it is simple by construction and fixed by its factors, so its adjacency
+is laid out straight from the factors' on the first read of
+``.adjacency`` and then kept. Labeling and validation never read it: a
+product graph costs nothing per vertex until BFS or an edge listing
+asks for its edges.
 """
 from __future__ import annotations
 
@@ -50,11 +53,11 @@ class Graph:
     adjacency is checked by :func:`_check_adjacency`. Instances are
     immutable: assigning an attribute raises.
 
-    ``factors`` is set on a Cartesian product to its two factors, whose
-    vertex ids combine in mixed radix. Products of equal factors are
-    equal, and a product also equals the same graph parsed from its edge
-    list. A product is fixed by its factors, so it is made with
-    ``adjacency=None`` and lays its adjacency out from theirs, by
+    ``factors`` is set only by :func:`cartesian_product`, to a product's
+    two factors, whose vertex ids combine in mixed radix. Products of
+    equal factors are equal, and a product also equals the same graph
+    parsed from its edge list. A product is fixed by its factors, so it
+    is made with no adjacency and lays its adjacency out from theirs, by
     :func:`_product_adjacency`, on the first read of ``.adjacency``, then
     keeps it. Only BFS, :meth:`edges`, :meth:`degree`, :attr:`num_edges`,
     hashing and equality with a graph of other factors read it; labeling
@@ -63,24 +66,16 @@ class Graph:
     they build equal tuples and either is kept.
     """
 
-    def __init__(
-        self,
-        num_vertices: int,
-        adjacency: tuple[tuple[int, ...], ...] | None,
-        factors: tuple["Graph", ...] = (),
-    ):
-        if factors and prod(f.num_vertices for f in factors) != num_vertices:
-            raise InvalidParameterError("factor orders do not multiply to the vertex count")
-        if adjacency is None and len(factors) != 2:
+    def __init__(self, num_vertices: int, adjacency: tuple[tuple[int, ...], ...]):
+        if adjacency is None:
             raise InvalidParameterError("only a product of two factors can omit its adjacency")
-        if adjacency is not None:
-            _check_adjacency(num_vertices, adjacency)
-        self._fill(num_vertices, adjacency, factors)
+        _check_adjacency(num_vertices, adjacency)
+        self._fill(num_vertices, adjacency, ())
 
     def _fill(self, num_vertices, adjacency, factors) -> None:
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "_adjacency", adjacency)
-        object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "factors", factors)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -126,9 +121,7 @@ class Graph:
             neighbors[v].add(u)
         # the checks above leave a simple undirected graph, so
         # _check_adjacency, several times the cost of this build, is skipped
-        g = object.__new__(Graph)
-        g._fill(num_vertices, tuple(tuple(sorted(s)) for s in neighbors), ())
-        return g
+        return _unchecked(num_vertices, tuple(tuple(sorted(s)) for s in neighbors))
 
     @property
     def num_edges(self) -> int:
@@ -140,6 +133,13 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+
+def _unchecked(num_vertices: int, adjacency: tuple | None, factors: tuple[Graph, ...] = ()) -> Graph:
+    """A graph its maker built simple and undirected, so :func:`_check_adjacency` is skipped."""
+    g = object.__new__(Graph)
+    g._fill(num_vertices, adjacency, factors)
+    return g
 
 
 def _check_adjacency(num_vertices: int, adjacency: Sequence[Sequence[int]]) -> None:
@@ -197,7 +197,7 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
     for g in factors:
         if g.num_vertices == 0:
             raise InvalidParameterError("cartesian product factors must be non-empty")
-    return reduce(lambda a, b: Graph(a.num_vertices * b.num_vertices, None, (a, b)), factors)
+    return reduce(lambda a, b: _unchecked(a.num_vertices * b.num_vertices, None, (a, b)), factors)
 
 
 def _product_adjacency(a: Graph, b: Graph) -> tuple[tuple[int, ...], ...]:
@@ -256,9 +256,10 @@ def _bfs_row(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
 def _sum_tables(da: np.ndarray, db: np.ndarray) -> np.ndarray:
     """Distance matrix of the product of two graphs with matrices ``da``, ``db``.
 
-    Entry ((u, v), (w, x)) is d_a(u, w) + d_b(v, x), or UNREACHABLE when
-    either term is. A one-vertex factor adds nothing, so the other
-    matrix comes back as it is.
+    Entry ((u, v), (w, x)) is d_a(u, w) + d_b(v, x). Both graphs must be
+    connected: a sum with an UNREACHABLE term is not a distance. A
+    one-vertex factor adds nothing, so the other matrix comes back as it
+    is.
     """
     if len(da) == 1:
         return db
@@ -271,12 +272,6 @@ def _sum_tables(da: np.ndarray, db: np.ndarray) -> np.ndarray:
     # N-entry row and the only temporary is the na x N repeated block
     out = np.empty((na, nb, nv), dtype=da.dtype)
     np.add(np.repeat(da, nb, axis=1)[:, None, :], np.tile(db, na)[None, :, :], out=out)
-    u, w = np.nonzero(da == UNREACHABLE)
-    v, x = np.nonzero(db == UNREACHABLE)
-    if len(u) or len(v):
-        grid = out.reshape(na, nb, na, nb)
-        grid[u, :, w, :] = UNREACHABLE
-        grid[:, v, :, x] = UNREACHABLE
     return out.reshape(nv, nv)
 
 
@@ -284,20 +279,20 @@ class DistanceMatrix:
     """All-pairs hop counts for one graph, kept as two factor matrices A, B.
 
     Vertex u is the pair (u div |B|, u mod |B|), and d(u, v) is the A
-    entry of the first coordinates plus the B entry of the second; a
-    pair in different components of either factor reads UNREACHABLE.
-    For the mesh-by-star product at (100, 10), N = 110,000, A and B are
-    100 x 100 and 1100 x 1100, where an N x N matrix would take 48 GB.
-    A dense matrix M is the one-factor case: ``DistanceMatrix(M)`` has
-    A = [[0]] and B = M.
+    entry of the first coordinates plus the B entry of the second;
+    :meth:`from_factors` takes only connected factors, so every sum is a
+    hop count. For the mesh-by-star product at (100, 10), N = 110,000,
+    A and B are 100 x 100 and 1100 x 1100, where an N x N matrix would
+    take 48 GB. A dense matrix M is the one-factor case:
+    ``DistanceMatrix(M)`` has A = [[0]] and B = M, and reads UNREACHABLE
+    where M does.
 
     ``dm[u, v]`` and :meth:`pairs` read only the factors; labeling,
     validation and the gap matrices use nothing but :meth:`pairs`.
-    :attr:`matrix` is the dense N x N matrix, with UNREACHABLE entries,
-    built from the factors on first access and then kept; only the BFS
-    cross-check of ``claims.run_verification`` reads it. ``diameter`` is
-    the sum of the factors' diameters, and refuses to summarize a
-    disconnected graph.
+    :attr:`matrix` is the dense N x N matrix, built from the factors on
+    first access and then kept; only the BFS cross-check of
+    ``claims.run_verification`` reads it. ``diameter`` is the sum of the
+    factors' diameters, and refuses to summarize a disconnected graph.
     """
 
     __slots__ = ("_a", "_b", "_matrix", "_diameter", "_index")
@@ -311,7 +306,9 @@ class DistanceMatrix:
 
     @classmethod
     def from_factors(cls, a: np.ndarray, b: np.ndarray) -> "DistanceMatrix":
-        """Distances of the product of graphs with matrices ``a`` and ``b`` (same dtype)."""
+        """Distances of the product of connected graphs with matrices ``a`` and ``b`` (same dtype)."""
+        if min(a.min(), b.min()) == UNREACHABLE:
+            raise DisconnectedGraphError("a factor is disconnected; its sums are not distances")
         dm = cls(b)
         dm._a = a
         return dm
@@ -325,31 +322,22 @@ class DistanceMatrix:
     def __getitem__(self, pair: tuple[int, int]) -> int:
         u, v = pair
         nb = len(self._b)
-        a = self._a.item(u // nb, v // nb)
-        b = self._b.item(u % nb, v % nb)
-        return UNREACHABLE if UNREACHABLE in (a, b) else a + b
+        return self._a.item(u // nb, v // nb) + self._b.item(u % nb, v % nb)
 
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """``d(u, v)`` over ``us`` and ``vs`` broadcast together, in the matrix's dtype.
 
         Each factor is read flat: u's row starts at offset ``oa[u]`` and
-        v is column ``ia[v]``. These per-vertex arrays, and whether a
-        factor holds UNREACHABLE, are worked out on the first call and
-        kept.
+        v is column ``ia[v]``. These per-vertex arrays are worked out on
+        the first call and kept.
         """
         if self._index is None:
             na, nb = len(self._a), len(self._b)
             ia = np.repeat(np.arange(na), nb)
             ib = np.tile(np.arange(nb), na)
-            disconnected = min(self._a.min(), self._b.min()) == UNREACHABLE
-            self._index = (self._a.ravel(), ia * na, ia, self._b.ravel(), ib * nb, ib, disconnected)
-        fa, oa, ia, fb, ob, ib, disconnected = self._index
-        a = fa.take(oa.take(us) + ia.take(vs))
-        b = fb.take(ob.take(us) + ib.take(vs))
-        out = a + b
-        if disconnected:
-            out[(a == UNREACHABLE) | (b == UNREACHABLE)] = UNREACHABLE
-        return out
+            self._index = (self._a.ravel(), ia * na, ia, self._b.ravel(), ib * nb, ib)
+        fa, oa, ia, fb, ob, ib = self._index
+        return fa.take(oa.take(us) + ia.take(vs)) + fb.take(ob.take(us) + ib.take(vs))
 
     @property
     def num_vertices(self) -> int:
@@ -390,21 +378,28 @@ def _leaves(g: Graph) -> list[Graph]:
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """Exact all-pairs hop counts from BFS on each non-product factor.
 
-    Equal entry for entry to :func:`bfs_all_pairs`, UNREACHABLE included.
-    Mixed radix is associative, so the leaf factors can be regrouped
-    into any two runs; they are split where the larger run has the
-    fewest vertices (P_m x (P_m x S_n) for a mesh-by-star product), and
-    each run's matrix is the sum of its leaves'. A leaf that occurs more
+    Equal entry for entry to :func:`bfs_all_pairs`, UNREACHABLE included:
+    a graph with no factors, or a product any of whose leaf factors is
+    disconnected, gets :func:`bfs_all_pairs` itself. Mixed radix is
+    associative, so the leaf factors can be regrouped into any two runs;
+    they are split where the larger run has the fewest vertices
+    (P_m x (P_m x S_n) for a mesh-by-star product), and each run's
+    matrix is the sum of its leaves'. A leaf that occurs more
     than once as the same object, like P_m in the mesh, is searched once.
     The N x N matrix is built only if ``.matrix`` is read, and the
     diameter is the sum of the two runs' diameters, so neither scans
     N x N entries.
     """
+    if not g.factors:
+        return bfs_all_pairs(g)
     dtype = _distance_dtype(g.num_vertices)
     leaves = _leaves(g)
     # every leaf is held by g, so no id is reused while this runs
     distinct = {id(leaf): leaf for leaf in leaves}
     matrices = {key: bfs_all_pairs(leaf).matrix.astype(dtype, copy=False) for key, leaf in distinct.items()}
+    # checked on the leaves: a sum of their entries can hide a -1
+    if min(t.min() for t in matrices.values()) == UNREACHABLE:
+        return bfs_all_pairs(g)
     tables = [matrices[id(leaf)] for leaf in leaves]
     sizes = [len(t) for t in tables]
     split = min(range(len(tables)), key=lambda i: max(prod(sizes[:i]), prod(sizes[i:])))

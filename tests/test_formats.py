@@ -376,7 +376,8 @@ def test_labeling_parser_edge_cases(text, expected):
         ("0\t0\r\n\n 1  5 \r\n# note\n\t# span 5\r\n", False),
         ("1 5\n0 0\n", False),
         # the last line is the only comment the kernel reads
-        ("0\t0\r\n1\t5\r\n#\tspan 5\r\n", True),
+        ("0\t0\r\n1\t5\r\n#\tspan 5\r\n", False),
+        ("0\t0\n1\t5\n#\tspan 5\n", True),
         ("0 0\n1 5\n# note\n", True),
         ("0 0\n1 5\n# span 5", True),
         ("0 0\n# note\n1 5\n", False),
@@ -399,6 +400,17 @@ def test_labeling_parser_edge_cases(text, expected):
 def test_labeling_kernel_takes_its_alphabet_and_declines_the_rest(text, in_bulk):
     assert (formats._parse_in_bulk(text) is not None) == in_bulk
     assert _outcome(parse_labeling, text) == _outcome(reference_parse_labeling, text)
+
+
+def test_read_text_hands_the_kernel_no_carriage_return(tmp_path):
+    # the kernel takes "\n" line ends only: a "\r\n" file reaches it through read_text
+    path = tmp_path / "labeling.txt"
+    raw = b"0\t0\r\n1\t5\r\n#\tspan 5\r\n"
+    path.write_bytes(raw)
+    text = formats.read_text(path)
+    assert "\r" not in text
+    assert formats._parse_in_bulk(text) is not None
+    assert parse_labeling(text) == parse_labeling(raw.decode())
 
 
 def reference_format_labeling(labeling: Labeling) -> str:

@@ -19,6 +19,7 @@ from radiomesh import (
     build_star,
     cartesian_product,
     diameter,
+    exact_rn,
     is_connected,
 )
 from radiomesh import graphs
@@ -236,8 +237,26 @@ def test_product_records_factors_outside_equality():
     assert product.factors == (path, star)
     plain = Graph.from_edges(product.num_vertices, product.edges())
     assert plain == product and hash(plain) == hash(product)
-    with pytest.raises(InvalidParameterError, match="factor orders"):
-        Graph(product.num_vertices, product.adjacency, factors=(path, build_path(2)))
+
+
+def test_only_cartesian_product_records_factors():
+    # two disjoint edges (2K2), which a caller once could label P2 x P2 = C4
+    two_edges = ((1,), (0,), (3,), (2,))
+    p2 = build_path(2)
+    with pytest.raises(TypeError):
+        Graph(4, two_edges, factors=(p2, p2))
+    g = Graph(4, two_edges)
+    assert g.factors == () and g != build_mesh(2)
+    with pytest.raises(DisconnectedGraphError):
+        exact_rn(g)
+
+
+def test_factored_distances_reject_a_disconnected_factor():
+    connected = bfs_all_pairs(build_path(2)).matrix
+    split = bfs_all_pairs(Graph.from_edges(2, [])).matrix
+    for a, b in ((connected, split), (split, connected)):
+        with pytest.raises(DisconnectedGraphError):
+            DistanceMatrix.from_factors(a, b)
 
 
 def test_products_of_equal_factors_are_equal_without_a_layout():

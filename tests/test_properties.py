@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radiomesh import (
@@ -399,6 +399,7 @@ small_graphs = st.integers(1, 5).flatmap(
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_graphs, min_size=2, max_size=3))
+@example([Graph.from_edges(2, []), build_path(2)])  # a disconnected factor: the BFS route
 def test_factored_distances_equal_bfs_on_random_products(factors):
     g = cartesian_product(factors)
     # the product's adjacency is laid out from the factors' adjacency
