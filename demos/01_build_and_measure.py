@@ -17,6 +17,8 @@ from radiomesh import (
     build_star,
     cartesian_product,
     diameter,
+    vertex_coord,
+    vertex_id,
 )
 
 print("== families ==")
@@ -52,11 +54,12 @@ for m, n in [(2, 1), (4, 5), (5, 5)]:
     )
 
 print("\n== coordinates and a sample BFS row ==")
-pg = build_product_graph(ProductParams(2, 1))
-hub = pg.id_of(0, 0, 0)
+params = ProductParams(2, 1)
+pg = build_product_graph(params)
+hub = vertex_id(params, 0, 0, 0)
 row = bfs_distances(pg.graph, hub)
 for vid in range(pg.graph.num_vertices):
-    c = pg.coord_of(vid)
+    c = vertex_coord(params, vid)
     print(f"vertex {vid} = (row {c.row}, col {c.col}, star {c.star}), dist from hub {row[vid]}")
 
 if broken:

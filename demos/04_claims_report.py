@@ -11,7 +11,7 @@ mesh cells, which is never pinned down, so distance claims run under
 three candidate schemes; the mixed verdicts below show that no single
 scheme satisfies every case table.
 """
-from radiomesh import ProductParams, all_pairs_distances, build_construction_labeling, build_product_graph
+from radiomesh import ProductParams, build_construction_labeling
 from radiomesh import formulas as F
 from radiomesh.claims import VerifyConfig, run_verification, verdicts_to_text
 
@@ -22,12 +22,10 @@ print(verdicts_to_text(rows))
 print("== construction spans next to the claimed whole-graph bounds ==")
 for m, n in [(2, 2), (4, 2), (3, 2), (5, 2)]:
     params = ProductParams(m, n)
-    pg = build_product_graph(params)
-    dm = all_pairs_distances(pg.graph)
-    built = build_construction_labeling(params, dm=dm)
+    built = build_construction_labeling(params)
     print(
-        f"(m={m}, n={n}): greedy span {built.greedy_span}"
-        f" (valid), consecutive-only span {built.consecutive_span}"
+        f"(m={m}, n={n}): greedy span {built.greedy.span}"
+        f" (valid), consecutive-only span {built.consecutive.span}"
         f" ({'valid' if built.consecutive_valid else 'invalid'}),"
         f" claimed bound {F.combined_bound(params)}"
     )

@@ -49,7 +49,6 @@ from .product import (
     build_product_graph,
     cell_of,
     fiber_vertex_id,
-    index_of,
     vertex_coord,
     vertex_id,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "build_product_graph",
     "cell_of",
     "fiber_vertex_id",
-    "index_of",
     "vertex_coord",
     "vertex_id",
     "DEFAULT_NODE_LIMIT",

@@ -124,16 +124,16 @@ def cmd_label(args) -> int:
         write_text(args.out, format_labeling(built.greedy))
     lines = [
         f"construction labeling for m={args.m} n={args.n} indexing={args.indexing.value}",
-        f"greedy span: {built.greedy_span} (valid)",
-        f"consecutive-only span: {built.consecutive_span} "
+        f"greedy span: {built.greedy.span} (valid)",
+        f"consecutive-only span: {built.consecutive.span} "
         f"({'valid' if built.consecutive_valid else 'invalid'})",
         f"claimed bound: {claims.render_fraction(bound)}",
     ]
     if args.format == "csv":
         sys.stdout.write(
             "m,n,indexing,greedy_span,consecutive_span,consecutive_valid,bound\n"
-            f"{args.m},{args.n},{args.indexing.value},{built.greedy_span},"
-            f"{built.consecutive_span},{str(built.consecutive_valid).lower()},"
+            f"{args.m},{args.n},{args.indexing.value},{built.greedy.span},"
+            f"{built.consecutive.span},{str(built.consecutive_valid).lower()},"
             f"{claims.render_fraction(bound)}\n"
         )
     else:
@@ -241,7 +241,7 @@ def cmd_compare(args) -> int:
             params = ProductParams(m, args.n)
             bound = formulas.combined_bound(params)
             built = build_construction_labeling(params)
-            out += f"{m},{args.n},{bound.numerator},{bound.denominator},{built.greedy_span}\n"
+            out += f"{m},{args.n},{bound.numerator},{bound.denominator},{built.greedy.span}\n"
     _emit(args, out)
     return 0
 

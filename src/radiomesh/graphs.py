@@ -68,7 +68,7 @@ class Graph:
 
     def __init__(self, num_vertices: int, adjacency: tuple[tuple[int, ...], ...]):
         if adjacency is None:
-            raise InvalidParameterError("only a product of two factors can omit its adjacency")
+            raise InvalidParameterError("a graph needs its adjacency; products come from cartesian_product")
         _check_adjacency(num_vertices, adjacency)
         self._fill(num_vertices, adjacency, ())
 

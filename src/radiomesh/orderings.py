@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistanceMatrix, all_pairs_distances
+from .graphs import all_pairs_distances
 from .labeling import Labeling, OrderingPlan, greedy_and_consecutive, validate
 from .product import (
     CellIndexing,
@@ -161,31 +161,19 @@ class ConstructionLabelings:
     consecutive: Labeling
     consecutive_valid: bool
 
-    @property
-    def greedy_span(self) -> int:
-        return self.greedy.span
-
-    @property
-    def consecutive_span(self) -> int:
-        return self.consecutive.span
-
 
 def build_construction_labeling(
-    params: ProductParams,
-    indexing: CellIndexing = CellIndexing.ROW_MAJOR,
-    dm: DistanceMatrix | None = None,
+    params: ProductParams, indexing: CellIndexing = CellIndexing.ROW_MAJOR
 ) -> ConstructionLabelings:
     """Run both assignments over the construction ordering of the graph ``params`` fixes.
 
-    ``dm`` may hold that graph's distances, computed once by the caller.
     Both labelings come from one consecutive pass over the ordering. The
     greedy labeling is valid by construction; the consecutive-only
     labeling is validated and reported as-is.
     """
     plan = construction_ordering(params, indexing)
-    graph = build_product_graph(params, indexing).graph
-    if dm is None:
-        dm = all_pairs_distances(graph)
+    graph = build_product_graph(params).graph
+    dm = all_pairs_distances(graph)
     greedy, consecutive = greedy_and_consecutive(graph, dm, plan)
     verdict = validate(graph, dm, consecutive)
     return ConstructionLabelings(plan, greedy, consecutive, verdict.valid)

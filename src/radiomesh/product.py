@@ -5,18 +5,20 @@ count ``n``: every cell of an m x m grid carries a star fiber of n + 1
 vertices (one hub plus n leaves), same-position vertices of adjacent
 cells are joined, and within a cell the hub is joined to its leaves.
 Vertices are flat integers; the (row, col, star) coordinate bijection
-travels with the graph as metadata.
+is fixed by (m, n) as well.
 
 Fibers are also addressed by a 1-based cell index (the "t-index") used
 by the pairing constructions and the claims catalog. Nothing canonical
 maps t-indices to grid cells, so the mapping is an explicit, selectable
-scheme; the claims harness runs the distance case tables under all of
-them.
+scheme, passed to what pairs cells rather than kept on the graph; the
+claims harness runs the distance case tables under all of them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .graphs import Graph, InvalidParameterError, build_path, build_star, cartesian_product
 
@@ -41,6 +43,12 @@ class ProductParams:
     n: int
 
     def __post_init__(self):
+        # a bool would pass for 0 or 1 and a float would fail only later;
+        # a numpy integer is kept as a Python int
+        for name, value in (("m", self.m), ("n", self.n)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.m < 2:
             raise InvalidParameterError(f"mesh order m must be >= 2, got {self.m}")
         if self.n < 1:
@@ -81,18 +89,6 @@ def cell_of(i: int, params: ProductParams, indexing: CellIndexing) -> tuple[int,
     if not 1 <= i <= m * m:
         raise InvalidParameterError(f"t-index {i} outside [1, {m * m}]")
     return cells_of(i, m, indexing)
-
-
-def index_of(row: int, col: int, params: ProductParams, indexing: CellIndexing) -> int:
-    """Inverse of :func:`cell_of` for the same scheme."""
-    m = params.m
-    if not (0 <= row < m and 0 <= col < m):
-        raise InvalidParameterError(f"cell ({row}, {col}) outside the {m} x {m} grid")
-    if indexing is CellIndexing.ROW_MAJOR:
-        return row * m + col + 1
-    if indexing is CellIndexing.COL_MAJOR:
-        return col * m + row + 1
-    return row * m + (col if row % 2 == 0 else m - 1 - col) + 1
 
 
 def vertex_id(params: ProductParams, row: int, col: int, star: int) -> int:
@@ -137,31 +133,14 @@ def fiber_vertex_id(params: ProductParams, indexing: CellIndexing, t_index: int,
 
 @dataclass(frozen=True)
 class ProductGraph:
-    """A built product graph plus its coordinate and t-index bijections."""
+    """A built product graph and the parameters that fix it."""
 
     graph: Graph
     params: ProductParams
-    indexing: CellIndexing
-
-    def id_of(self, row: int, col: int, star: int) -> int:
-        return vertex_id(self.params, row, col, star)
-
-    def coord_of(self, vid: int) -> VertexCoord:
-        return vertex_coord(self.params, vid)
-
-    def fiber_vertex(self, t_index: int, position: int) -> int:
-        return fiber_vertex_id(self.params, self.indexing, t_index, position)
-
-    def hub_of(self, t_index: int) -> int:
-        return self.fiber_vertex(t_index, 1)
 
 
-def build_product_graph(params: ProductParams, indexing: CellIndexing = CellIndexing.ROW_MAJOR) -> ProductGraph:
-    """Construct the mesh-by-star product for ``params``.
-
-    The structure does not depend on the indexing scheme; the scheme is
-    carried so fiber addressing on the result is unambiguous.
-    """
+def build_product_graph(params: ProductParams) -> ProductGraph:
+    """Construct the mesh-by-star product for ``params``."""
     p = build_path(params.m)
     graph = cartesian_product([p, p, build_star(params.n)])
-    return ProductGraph(graph, params, indexing)
+    return ProductGraph(graph, params)

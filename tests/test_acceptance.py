@@ -130,10 +130,10 @@ def test_criterion_6_construction_validity():
         params = ProductParams(m, n)
         pg = build_product_graph(params)
         dm = all_pairs_distances(pg.graph)
-        built = build_construction_labeling(params, dm=dm)
+        built = build_construction_labeling(params)
         ok = ok and validate(pg.graph, dm, built.greedy).valid
         bound = F.combined_bound(params)
-        details.append(f"({m},{n}) span={built.greedy_span} bound={bound}")
+        details.append(f"({m},{n}) span={built.greedy.span} bound={bound}")
     elapsed = time.monotonic() - start
     _report(6, "construction validity", ok and elapsed < 120.0, "; ".join(details))
 

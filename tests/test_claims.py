@@ -13,6 +13,7 @@ from radiomesh import (
     all_pairs_distances,
     bfs_all_pairs,
     build_product_graph,
+    fiber_vertex_id,
 )
 from radiomesh.claims import (
     VERDICT_CSV_HEADER,
@@ -91,7 +92,7 @@ def test_pair_bound_claim_against_inline_enumeration():
     params = ProductParams(2, 1)
     pg = build_product_graph(params)
     dm = all_pairs_distances(pg.graph)
-    vertices = [pg.fiber_vertex(t, k) for t in (1, 3) for k in (1, 2)]
+    vertices = [fiber_vertex_id(params, CellIndexing.ROW_MAJOR, t, k) for t in (1, 3) for k in (1, 2)]
     base = dm.diameter + 1
     best = None
     for perm in itertools.permutations(vertices):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radiomesh import Labeling, ProductParams, build_construction_labeling, build_path, build_product_graph
+from radiomesh import (
+    Labeling,
+    ProductParams,
+    build_construction_labeling,
+    build_path,
+    build_product_graph,
+    vertex_coord,
+)
 from radiomesh import formats
 from radiomesh.formats import (
     FormatError,
@@ -31,7 +38,7 @@ def test_product_graph_roundtrip_with_coords():
     assert text.startswith("vertices 12\n")
     parsed, coords = parse_graph(text)
     assert parsed == pg.graph
-    assert coords == {vid: pg.coord_of(vid) for vid in range(12)}
+    assert coords == {vid: vertex_coord(pg.params, vid) for vid in range(12)}
 
 
 def test_product_graph_text_allocates_little_beyond_itself():

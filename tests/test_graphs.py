@@ -23,7 +23,7 @@ from radiomesh import (
     is_connected,
 )
 from radiomesh import graphs
-from radiomesh.product import ProductParams, build_product_graph
+from radiomesh.product import ProductParams, build_product_graph, vertex_id
 
 
 def test_path_basics():
@@ -99,9 +99,9 @@ def test_bfs_rejects_bad_source():
 
 
 def test_bfs_hub_to_hub_across_product():
-    pg = build_product_graph(ProductParams(2, 1))
-    dist = bfs_distances(pg.graph, pg.id_of(0, 0, 0))
-    assert dist[pg.id_of(1, 1, 0)] == 2
+    params = ProductParams(2, 1)
+    dist = bfs_distances(build_product_graph(params).graph, vertex_id(params, 0, 0, 0))
+    assert dist[vertex_id(params, 1, 1, 0)] == 2
 
 
 def test_diameter_of_products():
@@ -275,7 +275,7 @@ def test_product_adjacency_is_laid_out_on_first_read_and_kept():
     adjacency = product.adjacency
     assert product.adjacency is adjacency
     assert adjacency == Graph.from_edges(product.num_vertices, product.edges()).adjacency
-    with pytest.raises(InvalidParameterError, match="only a product of two factors"):
+    with pytest.raises(InvalidParameterError, match="a graph needs its adjacency; products come from cartesian_product"):
         Graph(3, None)
 
 

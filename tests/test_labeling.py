@@ -354,9 +354,9 @@ def test_greedy_is_consecutive_exactly_when_consecutive_is_valid(indexing):
     for m in range(2, 10):
         for n in range(1, 6):
             params = ProductParams(m, n)
-            graph = build_product_graph(params, indexing).graph
+            graph = build_product_graph(params).graph
             dm = all_pairs_distances(graph)
-            built = build_construction_labeling(params, indexing, dm=dm)
+            built = build_construction_labeling(params, indexing)
             assert built.consecutive_valid == (built.greedy == built.consecutive)
             if not built.consecutive_valid:
                 invalid.append((m, n))
@@ -381,7 +381,7 @@ def test_construction_labelings_share_one_consecutive_pass():
     graph = build_product_graph(params).graph
     dm = all_pairs_distances(graph)
     with mock.patch.object(labeling, "_consecutive_steps", wraps=labeling._consecutive_steps) as steps:
-        build_construction_labeling(params, CellIndexing.SERPENTINE, dm=dm)
+        build_construction_labeling(params, CellIndexing.SERPENTINE)
         assert steps.call_count == 1
     # greedy_assign on its own lays out no consecutive-only labeling
     with mock.patch.object(labeling, "_by_vertex", wraps=labeling._by_vertex) as by_vertex:

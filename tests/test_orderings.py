@@ -170,11 +170,11 @@ def test_construction_greedy_is_valid_and_consecutive_reported():
     dm = all_pairs_distances(pg.graph)
     assert validate(pg.graph, dm, built.greedy).valid
     assert isinstance(built.consecutive_valid, bool)
-    assert built.greedy_span <= built.consecutive_span
+    assert built.greedy.span <= built.consecutive.span
 
 
 def test_greedy_span_upper_bounds_exact_rn():
     params = ProductParams(2, 1)
     pg = build_product_graph(params)
     built = build_construction_labeling(params)
-    assert exact_rn(pg.graph).value <= built.greedy_span
+    assert exact_rn(pg.graph).value <= built.greedy.span

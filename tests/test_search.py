@@ -185,9 +185,9 @@ def test_permutation_oracle_rejects_a_matrix_of_another_graph():
 
 
 def test_gap_matrix_subset_keeps_host_metric():
-    pg = build_product_graph(ProductParams(2, 1))
-    dm = all_pairs_distances(pg.graph)
-    subset = [pg.hub_of(1), pg.hub_of(3)]
+    params = ProductParams(2, 1)
+    dm = all_pairs_distances(build_product_graph(params).graph)
+    subset = [fiber_vertex_id(params, CellIndexing.ROW_MAJOR, t, 1) for t in (1, 3)]
     req = gap_matrix(dm, vertices=subset)
     expected = dm.diameter + 1 - dm[subset[0], subset[1]]
     assert req[0][1] == req[1][0] == expected
@@ -199,9 +199,9 @@ def test_pair_system_brute_force_agreement():
     # from-scratch enumeration over orderings
     import itertools
 
-    pg = build_product_graph(ProductParams(2, 1))
-    dm = all_pairs_distances(pg.graph)
-    vertices = [pg.fiber_vertex(1, 1), pg.fiber_vertex(1, 2), pg.fiber_vertex(3, 1), pg.fiber_vertex(3, 2)]
+    params = ProductParams(2, 1)
+    dm = all_pairs_distances(build_product_graph(params).graph)
+    vertices = [fiber_vertex_id(params, CellIndexing.ROW_MAJOR, t, k) for t in (1, 3) for k in (1, 2)]
     req = gap_matrix(dm, vertices=vertices)
 
     best = None
