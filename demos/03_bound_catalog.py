@@ -30,15 +30,17 @@ print(
     f"last-row total at (5,2): statement {F.thm17_bound(ProductParams(5, 2))}"
     f" vs cubic intermediate {F.thm17_proof_line_value(ProductParams(5, 2))}"
 )
-literal = F.odd_pair_distance(5, True, True)
+cases = F.pair_distances(5)
+literal, operative = cases["Eq13.BothCenters"], cases["Eq14.BothCenters"]
 print(
-    f"odd hub-to-hub distance: literal {literal.predicted}"
-    f" (integral: {literal.integral}) vs operative {literal.operative}"
+    f"odd hub-to-hub distance: literal {literal}"
+    f" (integral: {literal.denominator == 1}) vs operative {operative}"
 )
 
 print("\n== worked-example figures vs their own formulas ==")
-print(f"(4,5): stated 304, formula evaluates to {F.thm6_even_bound(ProductParams(4, 5))}")
-print(f"(5,5): stated 648, formula evaluates to {F.thm18_odd_bound(ProductParams(5, 5))}")
+for _, m, n, stated in F.WORKED_EXAMPLES:
+    bound = F.combined_bound(ProductParams(m, n))
+    print(f"({m},{n}): stated {stated}, formula evaluates to {bound}")
 
 print("\n== capacity comparison (n = 5) ==")
 print(f"{'m':>3}{'mesh-by-star':>14}{'star-by-path':>14}{'ratio':>7}")

@@ -43,9 +43,6 @@ from .product import (
 )
 from .search import RnStatus, exact_rn, gap_matrix, minimize_span
 
-EXAMPLE_31_CLAIMED = Fraction(304)
-EXAMPLE_32_CLAIMED = Fraction(648)
-
 
 class Verdict(Enum):
     MATCH = "Match"
@@ -92,12 +89,13 @@ def _row(claim_id, params, indexing, expected, observed) -> ClaimVerdict:
 
 
 def diameter_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
-    """Claimed diameter 2m versus the BFS diameter.
+    """Claimed diameter versus the BFS diameter.
 
     Stated without restriction on n, so the n = 1 instances (true
     diameter 2m - 1) surface as Mismatch rows rather than being skipped.
     """
-    return _row("Cor3.Diameter", params, "-", Fraction(2 * params.m), Fraction(dm.diameter))
+    expected = Fraction(formulas.diam_formula(params))
+    return _row("Cor3.Diameter", params, "-", expected, Fraction(dm.diameter))
 
 
 def _pair_fibers(params: ProductParams, indexing: CellIndexing) -> tuple[list[int], list[int]]:
@@ -131,19 +129,11 @@ def distance_claims(
     Even m yields the Eq2 rows; odd m yields the literal Eq13 and the
     operative Eq14 readings of the same case table.
     """
-    m = params.m
     pairs = _canonical_pairs(params, indexing)
     rows = []
-    for case, u_is_center, v_is_center in formulas.PAIR_DISTANCE_CASES:
-        if m % 2 == 0:
-            claimed = {"Eq2": formulas.even_pair_distance(m, u_is_center, v_is_center).predicted}
-        else:
-            prediction = formulas.odd_pair_distance(m, u_is_center, v_is_center)
-            claimed = {"Eq13": prediction.predicted, "Eq14": prediction.operative}
-        u, v = pairs[case]
-        observed = Fraction(dm[u, v])
-        for prefix, expected in claimed.items():
-            rows.append(_row(f"{prefix}.{case}", params, indexing.value, expected, observed))
+    for claim_id, expected in formulas.pair_distances(params.m).items():
+        u, v = pairs[claim_id.partition(".")[2]]
+        rows.append(_row(claim_id, params, indexing.value, expected, Fraction(dm[u, v])))
     return rows
 
 
@@ -201,24 +191,24 @@ def full_bound_claim(
 
 
 def example_claims() -> list[ClaimVerdict]:
-    """The two worked-example figures versus what their formulas evaluate to."""
-    p45 = ProductParams(4, 5)
-    p55 = ProductParams(5, 5)
-    return [
-        _row("Ex3.1.Value", p45, "-", EXAMPLE_31_CLAIMED, formulas.combined_bound(p45)),
-        _row("Ex3.2.Value", p55, "-", EXAMPLE_32_CLAIMED, formulas.combined_bound(p55)),
-    ]
+    """The worked-example figures versus what their formulas evaluate to."""
+    rows = []
+    for claim_id, m, n, stated in formulas.WORKED_EXAMPLES:
+        params = ProductParams(m, n)
+        rows.append(_row(claim_id, params, "-", Fraction(stated), formulas.combined_bound(params)))
+    return rows
 
 
 def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict]:
     """Adjudicate the whole grid; an error in any claim propagates.
 
-    Each grid point's factored distance matrix must equal its BFS matrix
-    entry for entry, or the run raises.
+    Each m, n and scheme is taken once, however often the grid repeats
+    it. Each grid point's factored distance matrix must equal its BFS
+    matrix entry for entry, or the run raises.
     """
     rows: list[ClaimVerdict] = []
-    for m in sorted(config.even_m + config.odd_m):
-        for n in config.ns:
+    for m in sorted(set(config.even_m + config.odd_m)):
+        for n in dict.fromkeys(config.ns):
             params = ProductParams(m, n)
             pg = build_product_graph(params)
             dm = all_pairs_distances(pg.graph)
@@ -228,7 +218,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict
             if not np.array_equal(dm.matrix, bfs.matrix):
                 raise RuntimeError(f"factored distances differ from BFS at m={m} n={n}")
             rows.append(diameter_claim(params, bfs))
-            for indexing in config.indexings:
+            for indexing in dict.fromkeys(config.indexings):
                 rows.extend(distance_claims(params, indexing, bfs))
             rows.append(pair_bound_claim(params, CellIndexing.ROW_MAJOR, dm))
             rows.append(full_bound_claim(pg, dm, config))

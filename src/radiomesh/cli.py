@@ -53,7 +53,7 @@ def cmd_gen(args) -> int:
 def cmd_diam(args) -> int:
     params = ProductParams(args.m, args.n)
     observed = diameter(build_product_graph(params).graph)
-    claimed = 2 * params.m
+    claimed = formulas.diam_formula(params)
     if args.format == "csv":
         _emit(args, f"m,n,bfs_diameter,claimed\n{args.m},{args.n},{observed},{claimed}\n")
         return 0

@@ -7,10 +7,11 @@ disagree, both are computed and exposed; the harness reports the
 discrepancy instead of choosing a side. None of these evaluators look
 at a graph: ground truth comes from BFS and search elsewhere.
 
-Each piece of catalog knowledge is held once: :data:`CATALOG` lists
-every bound-table entry with the mesh parity and least n it is stated
-for, and :data:`PAIR_DISTANCE_CASES` lists the three cross-pair
-distance cases. The claims module reads both from here.
+Each claimed value is held here once: :data:`CATALOG` lists every
+bound-table entry with the mesh parity and least n it is stated for,
+:func:`pair_distances` gives the cross-pair distance case tables, and
+:data:`WORKED_EXAMPLES` the stated worked-example figures. The claims,
+the CLI and the demos read them from here.
 """
 from __future__ import annotations
 
@@ -20,33 +21,6 @@ from typing import Iterable
 
 from .graphs import InvalidParameterError
 from .product import ParityError, ProductParams
-
-
-# (case as the verdict ids spell it, u is a hub, v is a hub) for the
-# three cross-pair distance cases of the pair-walk arguments
-PAIR_DISTANCE_CASES = (
-    ("BothCenters", True, True),
-    ("OneCenter", True, False),
-    ("NoCenters", False, False),
-)
-
-
-@dataclass(frozen=True)
-class DistanceCasePrediction:
-    """Predicted cross-pair distance for one hub/leaf case.
-
-    ``predicted`` is the value exactly as cataloged (possibly a
-    non-integral fraction); ``operative`` is the integer-valued variant
-    the odd walk-through actually uses. They coincide for even mesh
-    order and for the no-centers case.
-    """
-
-    predicted: Fraction
-    operative: Fraction
-
-    @property
-    def integral(self) -> bool:
-        return self.predicted.denominator == 1
 
 
 def _require_even(m: int) -> None:
@@ -60,53 +34,37 @@ def _require_odd(m: int) -> None:
 
 
 def diam_formula(params: ProductParams) -> int:
-    """Claimed product diameter 2*m.
+    """Claimed product diameter 2*m, stated for every n.
 
-    Rejects n = 1: a single-leaf star has diameter 1, not 2, so the
-    claim's derivation does not apply and the true diameter is 2*m - 1.
+    A one-leaf star has diameter 1, not 2, so at n = 1 the true diameter
+    is 2*m - 1 and the claims report the difference as a Mismatch.
     """
-    if params.n == 1:
-        raise InvalidParameterError(
-            "diameter formula needs n >= 2: a one-leaf star has diameter 1, "
-            "so the product diameter is 2m - 1, not 2m"
-        )
     return 2 * params.m
 
 
-def even_pair_distance(m: int, u_is_center: bool, v_is_center: bool) -> DistanceCasePrediction:
-    """Claimed distance across an even-order fiber pair (t(j), t(j + m*m/2)).
+def pair_distances(m: int) -> dict[str, Fraction]:
+    """Claimed cross-pair distance for each verdict id, by case after the dot.
 
-    The catalog does not split the no-centers case by leaf identity.
+    Even m: the Eq2 table across (t(j), t(j + m*m/2)); it does not split
+    the no-centers case by leaf identity. Odd m: across
+    (t(x), t(x + m*(m-1)/2)), the Eq13 table as cataloged, whose hub
+    cases m/2 - 1 and m/2 + 1 are never integral, and the Eq14 table the
+    walk-through actually uses, (m-1)/2, (m+1)/2 and (m+3)/2.
     """
-    _require_even(m)
-    if u_is_center and v_is_center:
-        value = Fraction(m, 2)
-    elif u_is_center or v_is_center:
-        value = Fraction(m - 1)
-    else:
-        value = Fraction(m)
-    return DistanceCasePrediction(value, value)
-
-
-def odd_pair_distance(m: int, u_is_center: bool, v_is_center: bool) -> DistanceCasePrediction:
-    """Claimed distance across an odd-order fiber pair (t(x), t(x + m*(m-1)/2)).
-
-    The cataloged case table reads m/2 - 1 and m/2 + 1 for the hub cases,
-    which is never integral for odd m; those literals are returned in
-    ``predicted``. The walk-through instead uses (m-1)/2, (m+1)/2 and
-    (m+3)/2, returned in ``operative``.
-    """
-    _require_odd(m)
-    if u_is_center and v_is_center:
-        predicted = Fraction(m, 2) - 1
-        operative = Fraction(m - 1, 2)
-    elif u_is_center or v_is_center:
-        predicted = Fraction(m, 2) + 1
-        operative = Fraction(m + 1, 2)
-    else:
-        predicted = Fraction(m + 3, 2)
-        operative = predicted
-    return DistanceCasePrediction(predicted, operative)
+    if m % 2 == 0:
+        return {
+            "Eq2.BothCenters": Fraction(m, 2),
+            "Eq2.OneCenter": Fraction(m - 1),
+            "Eq2.NoCenters": Fraction(m),
+        }
+    return {
+        "Eq13.BothCenters": Fraction(m, 2) - 1,
+        "Eq13.OneCenter": Fraction(m, 2) + 1,
+        "Eq13.NoCenters": Fraction(m + 3, 2),
+        "Eq14.BothCenters": Fraction(m - 1, 2),
+        "Eq14.OneCenter": Fraction(m + 1, 2),
+        "Eq14.NoCenters": Fraction(m + 3, 2),
+    }
 
 
 def cor5_pair_bound(params: ProductParams) -> int:
@@ -257,20 +215,6 @@ def combined_bound(params: ProductParams) -> Fraction:
     return thm18_odd_bound(params)
 
 
-def phase3_label_case_center(m: int) -> Fraction:
-    """Cataloged phase-3 label for the short-path vertices: m/2 + 2.
-
-    Non-integral for the odd orders the phase applies to; kept as a
-    claim target only, never used to assign labels.
-    """
-    return Fraction(m, 2) + 2
-
-
-def phase3_label_case_other(m: int) -> Fraction:
-    """Cataloged phase-3 label for the remaining vertices: (m - 1)/2 + 2m."""
-    return Fraction(m - 1, 2) + 2 * m
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     """One row of the capacity comparison between product families."""
@@ -287,21 +231,28 @@ class ComparisonRow:
 
 def vertex_count_comparison(m_values: Iterable[int], n: int) -> list[ComparisonRow]:
     """Vertex counts of mesh-by-star (m^2 (n+1)) versus star-by-path (m (n+1))."""
-    if n < 1:
-        raise InvalidParameterError(f"star leaf count must be >= 1, got {n}")
     rows = []
     for m in m_values:
-        if m < 2:
-            raise InvalidParameterError(f"mesh order must be >= 2, got {m}")
-        rows.append(ComparisonRow(m, n, m * m * (n + 1), m * (n + 1)))
+        params = ProductParams(m, n)
+        rows.append(
+            ComparisonRow(params.m, params.n, params.num_vertices, params.m * (params.n + 1))
+        )
     return rows
+
+
+# (verdict id, m, n, stated value) of each worked example; the claims
+# compare the stated value with the whole-graph bound at (m, n)
+WORKED_EXAMPLES = (
+    ("Ex3.1.Value", 4, 5, 304),
+    ("Ex3.2.Value", 5, 5, 648),
+)
 
 
 # (id, mesh parity the entry is stated for or None for both, least n,
 # evaluator), in bounds-table order. Cor15's last-row interior pair has
 # the same closed form as Cor8's phase-1 pair.
 CATALOG = (
-    ("DiamCor3", None, 2, diam_formula),
+    ("DiamCor3", None, 1, diam_formula),
     ("Cor5PairBound", 0, 1, cor5_pair_bound),
     ("Thm6EvenBound", 0, 1, thm6_even_bound),
     ("Cor8PairBound", 1, 1, cor8_pair_bound),

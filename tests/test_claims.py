@@ -196,6 +196,13 @@ def test_verdicts_never_read_a_clock(small_rows, monkeypatch):
     assert run_verification(SMALL) == small_rows
 
 
+def test_a_repeated_grid_value_is_taken_once():
+    once = run_verification(VerifyConfig(even_m=(2,), odd_m=(), ns=(1,)))
+    assert len(once) == 14
+    repeated = VerifyConfig(even_m=(2, 2), odd_m=(), ns=(1, 1), indexings=tuple(CellIndexing) * 2)
+    assert run_verification(repeated) == once
+
+
 def test_csv_matches_reference_rows_byte_for_byte():
     # the reference table covers the default grid
     rows = run_verification(VerifyConfig())

@@ -41,6 +41,22 @@ def test_diam_flags_single_leaf_deviation(capsys):
     assert code == 0 and "DEVIATION" not in out
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_cor3_diameter_is_read_one_way(capsys, n):
+    # `diam`, the `bound` table and the verdict table claim one diameter at every n
+    _, out, _ = run(capsys, "diam", "--m", "4", "--n", n, "--format", "csv")
+    claimed = out.splitlines()[1].split(",")[3]
+    _, out, _ = run(capsys, "bound", "--m", "4", "--n", n, "--format", "csv")
+    bound_rows = [line for line in out.splitlines() if line.startswith("DiamCor3,")]
+    assert bound_rows == [f"DiamCor3,4,{n},{claimed},1,true"]
+    _, out, _ = run(
+        capsys, "verify", "--even-m", "4", "--odd-m", "", "--ns", n, "--schemes", "row-major",
+        "--format", "csv",
+    )
+    verdict_rows = [line for line in out.splitlines() if line.startswith("Cor3.Diameter,")]
+    assert [row.split(",")[4:6] for row in verdict_rows] == [[claimed, "1"]]
+
+
 def test_rn_exact_star(capsys):
     code, out, _ = run(capsys, "rn-exact", "--family", "star", "--n", "3")
     assert code == 0

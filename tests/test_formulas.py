@@ -16,9 +16,9 @@ def test_diam_formula():
     assert F.diam_formula(P(5, 4)) == 10
 
 
-def test_diam_formula_rejects_single_leaf():
-    with pytest.raises(InvalidParameterError, match="2m - 1"):
-        F.diam_formula(P(4, 1))
+def test_diam_formula_at_single_leaf():
+    # stated for every n: the claim is 2m at n = 1 too, where BFS finds 2m - 1
+    assert F.diam_formula(P(4, 1)) == 8
 
 
 @pytest.mark.parametrize(
@@ -151,29 +151,23 @@ def test_combined_bound_matches_parity_evaluators():
 
 
 def test_even_pair_distance_cases():
-    assert F.even_pair_distance(4, True, True).predicted == 2
-    assert F.even_pair_distance(4, True, False).predicted == 3
-    assert F.even_pair_distance(6, False, False).predicted == 6
-    assert F.even_pair_distance(6, True, True).predicted == 3
-    with pytest.raises(ParityError):
-        F.even_pair_distance(5, True, True)
+    assert F.pair_distances(4)["Eq2.BothCenters"] == 2
+    assert F.pair_distances(4)["Eq2.OneCenter"] == 3
+    assert F.pair_distances(6)["Eq2.NoCenters"] == 6
+    assert F.pair_distances(6)["Eq2.BothCenters"] == 3
+    assert list(F.pair_distances(6)) == ["Eq2.BothCenters", "Eq2.OneCenter", "Eq2.NoCenters"]
 
 
 def test_odd_pair_distance_literal_vs_operative():
-    both = F.odd_pair_distance(5, True, True)
-    assert both.predicted == Fraction(3, 2) and not both.integral
-    assert both.operative == 2
-    one = F.odd_pair_distance(5, True, False)
-    assert one.predicted == Fraction(7, 2) and one.operative == 3
-    neither = F.odd_pair_distance(5, False, False)
-    assert neither.predicted == neither.operative == 4
-    with pytest.raises(ParityError):
-        F.odd_pair_distance(4, True, True)
-
-
-def test_phase3_label_targets_are_just_values():
-    assert F.phase3_label_case_center(5) == Fraction(9, 2)
-    assert F.phase3_label_case_other(5) == 12
+    cases = F.pair_distances(5)
+    assert cases["Eq13.BothCenters"] == Fraction(3, 2)
+    assert cases["Eq13.BothCenters"].denominator != 1
+    assert cases["Eq14.BothCenters"] == 2
+    assert cases["Eq13.OneCenter"] == Fraction(7, 2) and cases["Eq14.OneCenter"] == 3
+    assert cases["Eq13.NoCenters"] == cases["Eq14.NoCenters"] == 4
+    assert sorted(cases) == sorted(
+        f"{table}.{case}" for table in ("Eq13", "Eq14") for case in ("BothCenters", "OneCenter", "NoCenters")
+    )
 
 
 def test_vertex_count_comparison():
@@ -184,6 +178,18 @@ def test_vertex_count_comparison():
     assert all(row.ratio == row.m for row in rows)
     with pytest.raises(InvalidParameterError):
         F.vertex_count_comparison([1], 5)
+
+
+@pytest.mark.parametrize("m_values,n", [([2.5], 2), ([2], True), ([True], 2), (["3"], 2), ([3], 0)])
+def test_vertex_count_comparison_takes_only_product_parameters(m_values, n):
+    # each row is built from ProductParams, which rejects what it rejects
+    with pytest.raises(InvalidParameterError):
+        F.vertex_count_comparison(m_values, n)
+
+
+def test_vertex_count_comparison_of_no_orders_is_empty():
+    # no row is built, so n is not checked
+    assert F.vertex_count_comparison([], 0) == []
 
 
 def test_bounds_table_contents():
@@ -210,12 +216,13 @@ ODD_TAIL = [
 @pytest.mark.parametrize(
     "params,ids",
     [
-        (P(2, 1), ["Cor5PairBound", "Thm6EvenBound", "Eq58Combined"]),
+        (P(2, 1), ["DiamCor3", "Cor5PairBound", "Thm6EvenBound", "Eq58Combined"]),
         (P(2, 2), ["DiamCor3", "Cor5PairBound", "Thm6EvenBound", "Eq58Combined"]),
-        (P(3, 1), ["Cor8PairBound", "Thm9GStar", "SpanF1", *ODD_TAIL]),
+        (P(3, 1), ["DiamCor3", "Cor8PairBound", "Thm9GStar", "SpanF1", *ODD_TAIL]),
         (P(3, 2), ["DiamCor3", "Cor8PairBound", "Thm9GStar", "SpanF1", "SpanF2", "Cor13SpanF3", *ODD_TAIL]),
     ],
 )
 def test_bounds_table_ids_by_parity_and_leaf_count(params, ids):
-    # a one-leaf star drops the diameter claim and the two leaf-path spans
+    # a one-leaf star drops only the two leaf-path spans; the diameter
+    # claim is stated for every n
     assert [row.bound_id for row in F.bounds_table(params)] == ids
