@@ -35,6 +35,7 @@ from .labeling import OrderingPlan, greedy_assign
 from .orderings import construction_ordering
 from .product import (
     CellIndexing,
+    ParityError,
     ProductGraph,
     ProductParams,
     build_product_graph,
@@ -75,6 +76,15 @@ class VerifyConfig:
     ns: tuple[int, ...] = (1, 2, 3)
     indexings: tuple[CellIndexing, ...] = tuple(CellIndexing)
     exact_vertex_limit: int = 12
+
+    def __post_init__(self) -> None:
+        # the grid merges both lists, and each m is judged by its own
+        # parity's claims, so a misfiled order would run unasked-for claims
+        for field, parity in (("even_m", 0), ("odd_m", 1)):
+            wrong = [m for m in getattr(self, field) if m % 2 != parity]
+            if wrong:
+                kind = ("even", "odd")[parity]
+                raise ParityError(f"{field} needs {kind} mesh orders, got {wrong}")
 
 
 def _equality_verdict(expected: Fraction, observed: Fraction) -> Verdict:

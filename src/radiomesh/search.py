@@ -34,9 +34,11 @@ DEFAULT_NODE_LIMIT = 20_000_000
 
 # Most states minimize_span's subtree-size table holds; a full table is
 # emptied before the next insert, and the search's per-mask table of
-# canonical images with it. The (2,2) search stores 7,763 states up to
-# its 16 automorphisms, and canonical images of 2,491 masks, so only
-# budgeted searches far beyond the verify grid fill it.
+# least images and field orders with it. A state is stored only after it
+# was entered, having passed its bound, so a child whose key is stored
+# passes too and is never sorted. The (2,2) search stores 7,763 states
+# up to its 16 automorphisms, and the least images of 2,510 masks, so
+# only budgeted searches far beyond the verify grid fill it.
 _CACHE_SLOTS = 1 << 16
 
 # Caps on the automorphism enumeration of minimize_span: permutations kept
@@ -173,6 +175,47 @@ def _automorphisms(req: list[list[int]]) -> list[list[int]]:
     return found
 
 
+def _image_columns(group: list[list[int]]) -> list[int]:
+    """Each vertex's image under every permutation, packed into one int.
+
+    Field i of ``columns[x]``, ``nv`` bits wide, holds the bit of
+    ``group[i][x]``. The images of a vertex set under the whole group,
+    packed the same way, are the OR of its vertices' columns, so adding
+    one vertex to a set ORs in one column.
+    """
+    nv = len(group[0])
+    return [sum(1 << p[x] + i * nv for i, p in enumerate(group)) for x in range(nv)]
+
+
+def _shape(
+    mask: int, images: int, group: list[list[int]]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The least image of a placed set and the orders its fields are read in.
+
+    ``images`` packs the images of ``mask`` under ``group`` as
+    :func:`_image_columns` does. Returns the least image mask and, for
+    each permutation mapping ``mask`` to it, the positions in a node's
+    floors list (the unplaced vertices in ascending id) of the image
+    state's fields, which follow ascending image id; each distinct order
+    once.
+    """
+    nv = len(group[0])
+    full = (1 << nv) - 1
+    masks = [images >> i * nv & full for i in range(len(group))]
+    least = min(masks)
+    unplaced = [x for x in range(nv) if not mask >> x & 1]
+    if masks.count(least) == 1:
+        reaching = [group[masks.index(least)]]
+    else:
+        reaching = [p for p, image in zip(group, masks) if image == least]
+    # a permutation maps the unplaced set onto the image's unplaced set,
+    # so sorting the unplaced vertices by their images reads the fields
+    # in image order
+    positions = range(len(unplaced))
+    orders = {tuple(sorted(positions, key=[p[x] for x in unplaced].__getitem__)) for p in reaching}
+    return least, tuple(orders)
+
+
 def minimize_span(
     req: list[list[int]], node_limit: int | None = DEFAULT_NODE_LIMIT
 ) -> tuple[int, list[int], RnStatus, int]:
@@ -204,26 +247,34 @@ def minimize_span(
     The parent counts each child, then checks the budget, then the
     child's bound, in the order a node of the uncached tree does on
     entry; a child that fails its bound is counted but never entered.
-    Before building a child's floors the parent tries a reach pre-check:
-    ``reach[v]``, the least off-diagonal entry of row v, is computed
-    once per call, and placing v at ``value`` leaves every floor of the
-    child at least ``value + reach[v]``, so with ``k`` floors unplaced
-    the child's bound is at least ``value + reach[v] + k - 2``. When
-    that reaches the cutoff the child is pruned as its full bound would
-    prune it, without building or sorting its floors. The root, which
-    has no parent, keeps its own budget and bound checks, a one-vertex
-    system's included. A child that leaves one vertex unplaced is
-    completed by its parent, which places that vertex with no budget
-    check and counts it.
+    The bound is checked in stages, cheapest first, and each stage
+    prunes only a child the full bound would prune. Before building a
+    child's floors the parent tries a reach pre-check: ``reach[v]``,
+    the least off-diagonal entry of row v, is computed once per call,
+    and placing v at ``value`` leaves every floor of the child at least
+    ``value + reach[v]``, so with ``k`` floors unplaced the child's
+    bound is at least ``value + reach[v] + k - 2``. A child that leaves
+    one vertex unplaced has one floor, which is its whole bound; if it
+    passes, the parent completes the child, placing that vertex with no
+    budget check and counting it. Any other child is checked against
+    the bound's first term, its least floor plus ``k - 2``, then probed
+    in the subtree table (below), and only a child the table misses has
+    its floors sorted for the full bound. The root, which has no parent,
+    keeps its own budget and bound checks, a one-vertex system's
+    included.
 
     A subtree that completes no labeling keeps its cutoff fixed, so its
     shape depends only on the placed set and on ``cutoff`` and the
     unplaced floors shifted so the smallest is 0. A dict of at most
     ``_CACHE_SLOTS`` states, emptied when full, keeps the sizes of such
-    subtrees. The parent builds the key of each child that passes its
-    bound and probes the table: a hit adds the stored size and the
-    child is never entered, so only a state the table does not hold is
-    walked. The size is taken only when the walk could not have met the
+    subtrees. The parent builds the key of each child that passes the
+    bound's first term and probes the table: a hit adds the stored size
+    and the child is never entered, so only a state the table does not
+    hold is walked. The bound depends only on ``cutoff`` minus the least
+    floor and on the multiset of shifted floors, which the key holds,
+    and a state is stored only after it was entered, having passed its
+    bound, so a table hit implies the bound and is never sorted. The
+    size is taken only when the walk could not have met the
     budget, so values, witnesses, statuses, truncation and the node
     count are those of the uncached tree: ``nodes`` and ``node_limit``
     count the nodes of that tree, not the nodes actually visited.
@@ -241,9 +292,15 @@ def minimize_span(
     automorphisms, so the enumeration's caps cost hits, never
     correctness. Which image masks are least, and where each such image
     reads its floors from, depend only on the placed mask, so a second
-    dict keyed by the mask keeps them; it is emptied with the table.
-    Most masks have one such order, and their key is built from it
-    directly, with no ``min`` over orders.
+    dict keyed by the mask keeps them (see :func:`_shape`); it is
+    emptied with the table. Each node carries the images of its placed
+    set under the group, packed in one int, and a child ORs in the
+    column of the vertex it places (see :func:`_image_columns`), so a
+    mask the dict lacks is resolved from its parent's images. Most masks
+    have one such order, and their key is built from it directly, with
+    no ``min`` over orders; a key with several orders takes the ``min``
+    of the unshifted fields and shifts it once, since a common shift
+    keeps lexicographic order.
 
     ``node_limit`` caps the nodes explored (``None`` means unlimited;
     a negative limit raises InvalidParameterError), so a truncated
@@ -263,7 +320,6 @@ def minimize_span(
     # the greedy threshold, then each completion in turn, which lowers it
     cutoff = hint_value + 1
     limit = math.inf if node_limit is None else node_limit
-    full = (1 << nv) - 1
     best_labels: list[int] | None = None
     labels = [0] * nv
     nodes = 0
@@ -275,43 +331,18 @@ def minimize_span(
     # with the smallest placed mask and, of those, the smallest fields.
     cache: dict[tuple[int, ...], int] = {}
     group = _automorphisms(req)
-    inverses = [sorted(range(nv), key=p.__getitem__) for p in group]
-    # columns[x][i] is the bit of x's image under group[i]
-    columns = [[1 << p[x] for p in group] for x in range(nv)]
-    # shapes[mask] is that least mask and, for each permutation mapping
-    # mask to it, the positions in a node's floors list of the fields in
-    # image order, each distinct order once.
+    # a node carries its placed set's images under ``group`` packed in
+    # one int; a child ORs in the column of the vertex it places
+    columns = _image_columns(group)
+    # shapes[mask] is that least mask and the orders its fields are read
+    # in, each a tuple of positions in a node's floors list (see _shape)
     shapes: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
     # reach[v] is v's least gap to another vertex; the diagonal is never read
     reach = [min(row[:v] + row[v + 1 :], default=0) for v, row in enumerate(req)]
 
-    def shape(mask: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        # a permutation maps the placed set onto the complement of the
-        # image of the unplaced set, which is never empty here
-        unplaced = [x for x in range(nv) if not mask >> x & 1]
-        images = [full ^ sum(bits) for bits in zip(*[columns[x] for x in unplaced])]
-        least = min(images)
-        position = dict(zip(unplaced, range(len(unplaced))))
-        # the image state keeps the floor of x at the image of x
-        kept = [y for y in range(nv) if not least >> y & 1]
-        orders = {
-            tuple([position[source[y]] for y in kept])
-            for source, image in zip(inverses, images)
-            if image == least
-        }
-        return least, tuple(orders)
-
-    def canonical_key(mask: int, floors: list[int], base: int) -> tuple[int, ...]:
-        # the key of a node with this placed mask and floors, base their least
-        entry = shapes.get(mask)
-        if entry is None:
-            entry = shapes[mask] = shape(mask)
-        least, orders = entry
-        if len(orders) == 1:
-            return (cutoff - base, least, *[floors[i] - base for i in orders[0]])
-        return (cutoff - base, least, *min([floors[i] - base for i in order] for order in orders))
-
-    def dfs(mask: int, unplaced: list[int], floors: list[int], key: tuple[int, ...]) -> bool:
+    def dfs(
+        mask: int, unplaced: list[int], floors: list[int], key: tuple[int, ...], images: int
+    ) -> bool:
         # entered only when the table holds no size for ``key`` that
         # fits the budget, and with at least two vertices unplaced
         nonlocal cutoff, best_labels, nodes
@@ -332,28 +363,45 @@ def minimize_span(
             row = req[v]
             child = [f if f >= value + row[x] else value + row[x] for x, f in zip(unplaced, floors)]
             del child[i]
-            low = sorted(child)
-            if max(map(add, low, after)) >= cutoff:
-                continue
             labels[v] = value
             if not tail:
-                # the child's one floor, that of v's sibling, passed the
-                # bound, so placing it completes a labeling below the
-                # cutoff; no key is looked up, as the table never holds a
-                # state whose subtree completes
+                # the child's one floor, that of v's sibling, is its
+                # whole bound; if it passes, placing the sibling
+                # completes a labeling below the cutoff, and no key is
+                # looked up, as the table never holds a state whose
+                # subtree completes
+                if child[0] >= cutoff:
+                    continue
                 nodes += 1
                 cutoff = labels[unplaced[1 - i]] = child[0]
                 best_labels = labels.copy()
                 continue
+            # the bound's first term: its least floor, then k - 2 more
+            base = min(child)
+            if base + tail >= cutoff:
+                continue
             below = mask | 1 << v
-            child_key = canonical_key(below, child, low[0])
+            entry = shapes.get(below)
+            if entry is None:
+                entry = shapes[below] = _shape(below, images | columns[v], group)
+            least, orders = entry
+            if len(orders) == 1:
+                child_key = (cutoff - base, least, *[child[j] - base for j in orders[0]])
+            else:
+                fields = min([child[j] for j in order] for order in orders)
+                child_key = (cutoff - base, least, *[f - base for f in fields])
             size = cache.get(child_key)
-            if size is not None and nodes + size < limit:
+            if size is None:
+                # a stored state passed this same bound when it was
+                # entered, so only a miss needs the whole of it
+                if max(map(add, sorted(child), after)) >= cutoff:
+                    continue
+            elif nodes + size < limit:
                 nodes += size
                 continue
             rest = unplaced.copy()
             del rest[i]
-            if not dfs(below, rest, child, child_key):
+            if not dfs(below, rest, child, child_key, images | columns[v]):
                 return False
 
         # every completion lowers the cutoff, so an equal one means none here
@@ -375,7 +423,8 @@ def minimize_span(
         status = RnStatus.EXACT
     else:
         root = [0] * nv
-        found = dfs(0, list(range(nv)), root, canonical_key(0, root, 0))
+        # the empty placed set is its own least image, read in any order
+        found = dfs(0, list(range(nv)), root, (cutoff, 0, *root), 0)
         status = RnStatus.EXACT if found else RnStatus.UPPER_BOUND_ONLY
     del dfs  # the closure refers to itself; breaking the cycle frees the table now
     if best_labels is None:

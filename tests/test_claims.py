@@ -9,6 +9,7 @@ import radiomesh.claims
 from radiomesh import (
     CellIndexing,
     DistanceMatrix,
+    ParityError,
     ProductParams,
     all_pairs_distances,
     bfs_all_pairs,
@@ -194,6 +195,21 @@ def test_verdicts_never_read_a_clock(small_rows, monkeypatch):
     monkeypatch.setattr(time, "monotonic", no_clock)
     monkeypatch.setattr(time, "perf_counter", no_clock)
     assert run_verification(SMALL) == small_rows
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"even_m": (3,), "odd_m": ()}, r"even_m needs even mesh orders, got \[3\]"),
+        ({"even_m": (2, 5, 4, 7)}, r"even_m needs even mesh orders, got \[5, 7\]"),
+        ({"odd_m": (3, 4)}, r"odd_m needs odd mesh orders, got \[4\]"),
+    ],
+)
+def test_a_mesh_order_of_the_wrong_parity_is_rejected(fields, message):
+    # the grid merges both lists, so an odd m filed as even would run
+    # the odd claims instead of failing
+    with pytest.raises(ParityError, match=message):
+        VerifyConfig(**fields, ns=(1,))
 
 
 def test_a_repeated_grid_value_is_taken_once():

@@ -29,7 +29,7 @@ from radiomesh import (
     validate,
 )
 from radiomesh import search
-from radiomesh.search import _automorphisms
+from radiomesh.search import _automorphisms, _image_columns, _shape
 
 # values computed with the brute-force oracle and frozen
 KNOWN_RN = {
@@ -326,6 +326,45 @@ def test_automorphisms_keep_the_diagonal():
     req[0][0] = 5
     assert _automorphisms(req) == [[0, 1, 2, 3], [0, 3, 2, 1]]
 
+
+
+def _direct_shape(mask, group):
+    """Least image of a placed set and its field orders, each image built whole."""
+    nv = len(group[0])
+    unplaced = [x for x in range(nv) if not mask >> x & 1]
+    images = [sum(1 << p[x] for x in range(nv) if mask >> x & 1) for p in group]
+    least = min(images)
+    kept = [y for y in range(nv) if not least >> y & 1]
+    orders = set()
+    for p, image in zip(group, images):
+        if image == least:
+            source = {p[x]: x for x in unplaced}
+            orders.add(tuple(unplaced.index(source[y]) for y in kept))
+    return least, orders
+
+
+@pytest.mark.parametrize("mn,steps,order", [((2, 1), None, 48), ((2, 2), None, 16), ((2, 1), 100, 5)])
+def test_shapes_derived_from_parent_images_match_the_whole_group(mn, steps, order):
+    # the search ORs one column into its parent's packed images per
+    # placed vertex; every placed set with two or more vertices left
+    # must get the least image and image orders the whole group gives,
+    # under a capped enumeration too (five of the cube's 48, no group)
+    req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(*mn)).graph))
+    nv = len(req)
+    with mock.patch.object(search, "_GROUP_STEPS", steps or search._GROUP_STEPS):
+        group = _automorphisms(req)
+    assert len(group) == order
+    columns = _image_columns(group)
+    images = [0] * (1 << nv)
+    for mask in range(1, 1 << nv):
+        lowest = mask & -mask
+        images[mask] = images[mask ^ lowest] | columns[lowest.bit_length() - 1]
+    for mask in range(1 << nv):
+        if nv - bin(mask).count("1") < 2:
+            continue
+        least, orders = _shape(mask, images[mask], group)
+        assert len(set(orders)) == len(orders)
+        assert (least, set(orders)) == _direct_shape(mask, group)
 
 
 def _visits(req):
