@@ -204,10 +204,7 @@ def _shape(
     masks = [images >> i * nv & full for i in range(len(group))]
     least = min(masks)
     unplaced = [x for x in range(nv) if not mask >> x & 1]
-    if masks.count(least) == 1:
-        reaching = [group[masks.index(least)]]
-    else:
-        reaching = [p for p, image in zip(group, masks) if image == least]
+    reaching = [p for p, image in zip(group, masks) if image == least]
     # a permutation maps the unplaced set onto the image's unplaced set,
     # so sorting the unplaced vertices by their images reads the fields
     # in image order
