@@ -20,6 +20,7 @@ from .graphs import (
     build_path,
     build_star,
     cartesian_product,
+    certify_distances,
     diameter,
     is_connected,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "build_path",
     "build_star",
     "cartesian_product",
+    "certify_distances",
     "diameter",
     "is_connected",
     "Labeling",

@@ -1,8 +1,9 @@
 """Claim adjudication: catalog values versus computed ground truth.
 
 Each claim instantiates one catalog entry at concrete (m, n), computes
-the corresponding observable with an oracle (BFS distance, BFS diameter,
-exact span search, or exact rational evaluation), and issues a verdict:
+the corresponding observable with an oracle (a certified distance, a
+certified diameter, exact span search, or exact rational evaluation),
+and issues a verdict:
 
 * ``Match``       - the catalog value equals the oracle value exactly.
 * ``Mismatch``    - they differ; for span bounds this includes the case
@@ -14,6 +15,13 @@ exact span search, or exact rational evaluation), and issues a verdict:
 
 A failure inside a claim is a programming error and propagates; it is
 never recorded as a verdict.
+
+Distances and diameters are read from the dense matrix built from the
+graph's factors, once :func:`~radiomesh.graphs.certify_distances` has
+checked it against the whole graph's adjacency with the BFS layer
+condition, which only the BFS matrix meets. No BFS of the whole graph
+runs on the verdict path; BFS stays the oracle the tests hold the
+certificate and the factored matrix to.
 
 Verdict rows are pure data and sort deterministically, so a re-run with
 the same configuration reproduces the same table byte for byte (minus
@@ -30,7 +38,7 @@ from typing import Iterable
 import numpy as np
 
 from . import formulas
-from .graphs import DistanceMatrix, all_pairs_distances, bfs_all_pairs
+from .graphs import DistanceMatrix, all_pairs_distances, certify_distances
 from .labeling import OrderingPlan, greedy_assign
 from .orderings import construction_ordering
 from .product import (
@@ -99,7 +107,7 @@ def _row(claim_id, params, indexing, expected, observed) -> ClaimVerdict:
 
 
 def diameter_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
-    """Claimed diameter versus the BFS diameter.
+    """Claimed diameter versus the largest entry of a certified distance matrix.
 
     Stated without restriction on n, so the n = 1 instances (true
     diameter 2m - 1) surface as Mismatch rows rather than being skipped.
@@ -213,8 +221,12 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict
     """Adjudicate the whole grid; an error in any claim propagates.
 
     Each m, n and scheme is taken once, however often the grid repeats
-    it. Each grid point's factored distance matrix must equal its BFS
-    matrix entry for entry, or the run raises.
+    it. Each grid point's dense matrix, built from the factors, must pass
+    :func:`~radiomesh.graphs.certify_distances` against the whole
+    graph's adjacency, which holds exactly when it equals the BFS matrix
+    entry for entry, or the run raises. The distance and diameter claims
+    read that certified matrix; its diameter is its largest entry, not
+    the sum of the factors' diameters the bounds use.
     """
     rows: list[ClaimVerdict] = []
     for m in sorted(set(config.even_m + config.odd_m)):
@@ -222,14 +234,15 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict
             params = ProductParams(m, n)
             pg = build_product_graph(params)
             dm = all_pairs_distances(pg.graph)
-            # distance and diameter claims are observed by whole-graph BFS,
-            # never by the factored metric the bounds use
-            bfs = bfs_all_pairs(pg.graph)
-            if not np.array_equal(dm.matrix, bfs.matrix):
+            # distance and diameter claims read the dense matrix once it is
+            # certified against the whole graph's adjacency, never the
+            # factored lookups the bounds use
+            if not certify_distances(pg.graph, dm.matrix):
                 raise RuntimeError(f"factored distances differ from BFS at m={m} n={n}")
-            rows.append(diameter_claim(params, bfs))
+            certified = DistanceMatrix(dm.matrix)
+            rows.append(diameter_claim(params, certified))
             for indexing in dict.fromkeys(config.indexings):
-                rows.extend(distance_claims(params, indexing, bfs))
+                rows.extend(distance_claims(params, indexing, certified))
             rows.append(pair_bound_claim(params, CellIndexing.ROW_MAJOR, dm))
             rows.append(full_bound_claim(pg, dm, config))
     rows.extend(example_claims())

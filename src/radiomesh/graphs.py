@@ -1,19 +1,22 @@
 """Immutable graphs, family generators, and exact hop distances.
 
 Two exact routes give all-pairs distances. :func:`bfs_all_pairs` runs
-breadth-first search from every vertex of the whole graph; claims that
-observe a distance or a diameter use it as their ground truth.
-:func:`all_pairs_distances` serves search, construction, validation and
-bounds: for a product of connected factors it keeps two factor
-matrices, since product distance is the sum of the factor distances
-(Kchikech, Khennoufa & Togni, DMGT 28, 2008), and otherwise, a
-disconnected factor included, it falls back to BFS. For the same reason
-a connected product's diameter is the sum of its factors' diameters. A
-:class:`DistanceMatrix` answers single and vectorised lookups from its
-factors, which is all that labeling, validation and the gap matrices
-read; the dense N x N matrix is built from the factors only when
-``.matrix`` is first read, which only the BFS cross-check of
-``claims.run_verification`` does.
+breadth-first search from every vertex of the whole graph; it is the
+oracle the tests hold every other route to. :func:`all_pairs_distances`
+serves search, construction, validation and bounds: for a product of
+connected factors it keeps two factor matrices, since product distance
+is the sum of the factor distances (Kchikech, Khennoufa & Togni, DMGT
+28, 2008), and otherwise, a disconnected factor included, it falls back
+to BFS. For the same reason a connected product's diameter is the sum
+of its factors' diameters. A :class:`DistanceMatrix` answers single
+and vectorised lookups from its factors, which is all that labeling,
+validation and the gap matrices read; the dense N x N matrix is built
+from the factors only when ``.matrix`` is first read, which only
+``claims.run_verification`` does. It passes that matrix to
+:func:`certify_distances`, which checks it against the whole graph's
+adjacency with the BFS layer condition in a few numpy passes instead
+of a BFS from every vertex, so the distance and diameter claims read a
+matrix certified equal to BFS's.
 
 Construction is strict: simple undirected graphs only, validated on
 creation, and frozen afterwards. A product is made only by
@@ -21,8 +24,8 @@ creation, and frozen afterwards. A product is made only by
 it is simple by construction and fixed by its factors, so its adjacency
 is laid out straight from the factors' on the first read of
 ``.adjacency`` and then kept. Labeling and validation never read it: a
-product graph costs nothing per vertex until BFS or an edge listing
-asks for its edges.
+product graph costs nothing per vertex until BFS, the certificate or
+an edge listing asks for its edges.
 """
 from __future__ import annotations
 
@@ -59,11 +62,12 @@ class Graph:
     parsed from its edge list. A product is fixed by its factors, so it
     is made with no adjacency and lays its adjacency out from theirs, by
     :func:`_product_adjacency`, on the first read of ``.adjacency``, then
-    keeps it. Only BFS, :meth:`edges`, :meth:`degree`, :attr:`num_edges`,
-    hashing and equality with a graph of other factors read it; labeling
-    and validation read none of them. Sharing a graph between threads is
-    safe: two first reads at once may each lay out the adjacency, but
-    they build equal tuples and either is kept.
+    keeps it. Only BFS, :func:`certify_distances`, :meth:`edges`,
+    :meth:`degree`, :attr:`num_edges`, hashing and equality with a graph
+    of other factors read it; labeling and validation read none of
+    them. Sharing a graph between threads is safe: two first reads at
+    once may each lay out the adjacency, but they build equal tuples and
+    either is kept.
     """
 
     def __init__(self, num_vertices: int, adjacency: tuple[tuple[int, ...], ...]):
@@ -290,9 +294,10 @@ class DistanceMatrix:
     ``dm[u, v]`` and :meth:`pairs` read only the factors; labeling,
     validation and the gap matrices use nothing but :meth:`pairs`.
     :attr:`matrix` is the dense N x N matrix, built from the factors on
-    first access and then kept; only the BFS cross-check of
-    ``claims.run_verification`` reads it. ``diameter`` is the sum of the
-    factors' diameters, and refuses to summarize a disconnected graph.
+    first access and then kept; only ``claims.run_verification`` reads
+    it, to certify it with :func:`certify_distances`. ``diameter`` is the
+    sum of the factors' diameters, and refuses to summarize a
+    disconnected graph.
     """
 
     __slots__ = ("_a", "_b", "_matrix", "_diameter", "_index")
@@ -368,6 +373,45 @@ def bfs_all_pairs(g: Graph) -> DistanceMatrix:
     for s in range(nv):
         matrix[s] = _bfs_row(adjacency, s)
     return DistanceMatrix(matrix)
+
+
+def certify_distances(g: Graph, matrix: np.ndarray) -> bool:
+    """Whether ``matrix`` is the hop-count matrix of ``g``, checked against its adjacency alone.
+
+    The certificate is the BFS layer condition: every entry is at least
+    0, the diagonal is 0, and each off-diagonal entry D(u, w) is 1 plus
+    the least D(u, v) over the neighbours v of w. Only the true distance
+    matrix d meets it, so a disconnected graph has none:
+
+    - D <= d, by induction along a shortest path from u to w;
+    - D >= d, because from w the neighbour that decreases D, one step
+      at a time, reaches the only zero of row u, u itself, in D(u, w) steps.
+
+    The check gathers one neighbour slot at a time in the matrix's own
+    dtype, so it runs no search and allocates two N x N arrays of that
+    dtype. Neighbour rows are padded to the largest degree with the
+    vertex w itself. That adds D(u, w) to the entries whose least D(u, w)
+    must exceed by 1, which changes nothing where the condition holds,
+    and fails where D(u, w) would be the least, as D(u, w) is never
+    D(u, w) + 1; so an isolated vertex fails its column off the diagonal.
+    An overflowing ``+ 1`` wraps negative and never matches an entry.
+    """
+    nv = g.num_vertices
+    # entries >= 0 follow from the rest, as a row's least entry off the
+    # diagonal would be 1 plus a smaller one; one min() rejects
+    # UNREACHABLE before any gather
+    if matrix.shape != (nv, nv) or matrix.min() < 0:
+        return False
+    adjacency = g.adjacency
+    width = max(1, *map(len, adjacency))  # an edgeless graph gets one slot
+    slots = np.array([row + (w,) * (width - len(row)) for w, row in enumerate(adjacency)], dtype=np.intp)
+    # least[u, w] is the least D(u, v) over the neighbours v of w
+    least = matrix[:, slots[:, 0]]
+    for k in range(1, width):
+        np.minimum(least, matrix[:, slots[:, k]], out=least)
+    np.fill_diagonal(least, -1)  # so the diagonal must read 0
+    least += 1
+    return np.array_equal(least, matrix)
 
 
 def _leaves(g: Graph) -> list[Graph]:

@@ -78,49 +78,42 @@ def gap_matrix(dm: DistanceMatrix, vertices: Sequence[int] | None = None) -> lis
     return required_gaps(dm, ids[:, None], ids[None, :]).tolist()
 
 
-def _place(floor: np.ndarray, v: int, gaps: np.ndarray) -> int:
-    """Give ``v`` its forced label ``floor[v]``, then raise every floor past it.
-
-    ``floor[x]`` is the smallest label x can take against the vertices
-    placed so far: the max over placed u of ``label(u) + gap(u, x)``, or
-    0 before any. ``gaps`` is v's row of an int64 gap matrix.
-    """
-    label = int(floor[v])
-    np.maximum(floor, gaps + label, out=floor)
-    return label
-
-
-def _chain_labels(gaps: np.ndarray, start: int) -> list[int]:
+def _chain_labels(req: list[list[int]], start: int) -> list[int]:
     """Greedy chain: repeatedly place the vertex with the cheapest forced label.
 
-    Ties go to the lowest vertex id. A placed vertex's floor is pinned
-    at the int64 maximum, which later raises keep, so it is never the
-    cheapest again.
+    The forced label of an unplaced x is its floor, the max over placed
+    u of ``label(u) + req[u][x]``. The floors of the unplaced vertices
+    are kept in a list beside them, in ascending id, so the first least
+    floor gives ties to the lowest vertex id.
     """
-    nv = len(gaps)
-    floor = np.zeros(nv, dtype=np.int64)
-    labels = [0] * nv
-    v = start
-    for _ in range(nv):
-        labels[v] = _place(floor, v, gaps[v])
-        floor[v] = np.iinfo(np.int64).max
-        v = int(np.argmin(floor))
-    return labels
+    unplaced = list(range(len(req)))
+    floors = [0] * len(req)
+    labels = [0] * len(req)
+    i = start
+    while True:
+        v, label = unplaced.pop(i), floors.pop(i)
+        labels[v] = label
+        if not unplaced:
+            return labels
+        row = req[v]
+        floors = [f if f >= label + row[x] else label + row[x] for x, f in zip(unplaced, floors)]
+        i = floors.index(min(floors))
 
 
 def _heuristic_hint(req: list[list[int]]) -> tuple[int, list[int]]:
     """Best deterministic greedy span over the identity order and chain starts.
 
-    Each chain is N placements of O(N) numpy work; starts are capped on
+    Each order is N placements of O(N) list work; starts are capped on
     inputs beyond the search's intended size.
     """
-    gaps = np.array(req, dtype=np.int64)
-    nv = len(gaps)
-    floor = np.zeros(nv, dtype=np.int64)
-    best = [_place(floor, v, gaps[v]) for v in range(nv)]  # the identity order
+    nv = len(req)
+    # the identity order: each vertex's label is its floor against the lower ids
+    best = [0] * nv
+    for v in range(1, nv):
+        best[v] = max(0, *[best[u] + req[u][v] for u in range(v)])
     starts = range(nv) if nv <= 16 else range(8)
     for start in starts:
-        candidate = _chain_labels(gaps, start)
+        candidate = _chain_labels(req, start)
         if max(candidate) < max(best):
             best = candidate
     return max(best), best

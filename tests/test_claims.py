@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import radiomesh.claims
+import radiomesh.graphs
 from radiomesh import (
     CellIndexing,
     DistanceMatrix,
@@ -186,6 +187,20 @@ def test_factored_distances_disagreeing_with_bfs_raise(monkeypatch):
     monkeypatch.setattr(radiomesh.claims, "all_pairs_distances", perturbed)
     with pytest.raises(RuntimeError, match="differ from BFS at m=2 n=1"):
         run_verification(VerifyConfig(even_m=(2,), odd_m=(), ns=(1,)))
+
+
+def test_verification_runs_no_bfs_on_the_whole_product(monkeypatch):
+    searched = []
+    bfs_row = radiomesh.graphs._bfs_row
+
+    def spy(adjacency, source):
+        searched.append(len(adjacency))
+        return bfs_row(adjacency, source)
+
+    monkeypatch.setattr(radiomesh.graphs, "_bfs_row", spy)
+    run_verification(VerifyConfig(even_m=(4,), odd_m=(), ns=(2,)))
+    # only the leaf factors P_4 and S_2 are searched, never the 48-vertex product
+    assert searched and max(searched) == 4
 
 
 def test_verdicts_never_read_a_clock(small_rows, monkeypatch):

@@ -25,6 +25,7 @@ from radiomesh import (
     build_star,
     cartesian_product,
     cell_of,
+    certify_distances,
     consecutive_only_assign,
     gap_matrix,
     greedy_assign,
@@ -33,6 +34,7 @@ from radiomesh import (
     vertex_id,
 )
 from radiomesh import search
+from radiomesh.claims import VerifyConfig
 from radiomesh.formats import FormatError, format_labeling, parse_graph, parse_labeling
 from radiomesh.search import (
     RnStatus,
@@ -139,7 +141,7 @@ def test_chain_labels_match_cubic_reference(case):
         pick = min(forced, key=lambda v: (forced[v], v))  # ties go to the lowest id
         labels[pick] = forced[pick]
     expected = [labels[v] for v in range(len(req))]
-    assert _chain_labels(np.array(req, dtype=np.int64), start) == expected
+    assert _chain_labels(req, start) == expected
 
 
 def _uncached_minimize_span(req, node_limit, checks=None):
@@ -419,6 +421,82 @@ def test_factored_distances_equal_bfs_on_random_products(factors):
                 dm.diameter
     else:
         assert factored.diameter == bfs.diameter
+
+
+# every product the default verify grid builds
+_GRID = VerifyConfig()
+grid_products = st.sampled_from(
+    [(m, n) for m in _GRID.even_m + _GRID.odd_m for n in _GRID.ns]
+).map(lambda mn: build_product_graph(ProductParams(*mn)).graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graph(12))
+def test_certificate_accepts_the_bfs_matrix(g):
+    assert certify_distances(g, bfs_all_pairs(g).matrix)
+
+
+@pytest.mark.parametrize("m", _GRID.even_m + _GRID.odd_m)
+@pytest.mark.parametrize("n", _GRID.ns)
+def test_certificate_accepts_every_default_grid_product(m, n):
+    g = build_product_graph(ProductParams(m, n)).graph
+    factored = all_pairs_distances(g).matrix
+    assert np.array_equal(factored, bfs_all_pairs(g).matrix)
+    assert certify_distances(g, factored)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(connected_graph(12), grid_products), st.data())
+def test_certificate_rejects_an_entry_changed_by_one_or_two(g, data):
+    matrix = bfs_all_pairs(g).matrix.copy()
+    nv = g.num_vertices
+    u, w = data.draw(st.integers(0, nv - 1)), data.draw(st.integers(0, nv - 1))
+    delta = data.draw(st.sampled_from([-2, -1, 1, 2]))
+    matrix[u, w] += delta
+    if data.draw(st.booleans()) and u != w:
+        matrix[w, u] += delta  # the same change, kept symmetric
+    assert not certify_distances(g, matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(connected_graph(12), grid_products), st.data())
+def test_certificate_rejects_an_unreachable_entry_and_a_nonzero_diagonal(g, data):
+    bfs = bfs_all_pairs(g).matrix
+    nv = g.num_vertices
+    u, w = data.draw(st.integers(0, nv - 1)), data.draw(st.integers(0, nv - 1))
+    unreachable = bfs.copy()
+    unreachable[u, w] = UNREACHABLE
+    assert not certify_distances(g, unreachable)
+    diagonal = bfs.copy()
+    diagonal[u, u] = data.draw(st.integers(1, 2 * nv))
+    assert not certify_distances(g, diagonal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(connected_graph(6), min_size=2, max_size=3), st.integers(0, 20))
+@example([build_path(1), build_path(1)], 0)  # two isolated vertices
+def test_certificate_rejects_a_disconnected_graph(parts, fill):
+    # the disjoint union of the parts, so no pair across two parts is reachable
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.num_vertices
+    g = Graph.from_edges(offset, edges)
+    bfs = bfs_all_pairs(g).matrix
+    assert bfs.min() == UNREACHABLE
+    assert not certify_distances(g, bfs)
+    # no matrix of entries >= 0 passes either: the layer condition
+    # would walk every vertex to every other
+    assert not certify_distances(g, np.where(bfs == UNREACHABLE, fill, bfs).astype(bfs.dtype))
+
+
+def test_certificate_rejects_another_graphs_matrix():
+    path, star = build_path(4), build_star(3)
+    assert certify_distances(path, bfs_all_pairs(path).matrix)
+    assert certify_distances(star, bfs_all_pairs(star).matrix)
+    assert not certify_distances(path, bfs_all_pairs(star).matrix)
+    assert not certify_distances(star, bfs_all_pairs(path).matrix)
+    assert not certify_distances(path, bfs_all_pairs(build_path(3)).matrix)
 
 
 @st.composite
