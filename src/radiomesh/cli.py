@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: gen, diam, rn-exact, bound, label, validate, verify,
-compare, one row each in :data:`COMMANDS`. :func:`main` builds the
-parser on its first call and reuses it; each parse returns a fresh
-namespace, so no call sees another's arguments. Results go to stdout or
-``--out``; errors go to stderr. Exit codes: 0 success, 1 failed
-validation, malformed input file or runtime error, 2 usage error.
+Subcommands: diam, rn-exact, bound, label, validate, verify, one row
+each in :data:`COMMANDS`. Every graph is the product P(m,m) x K_{1,n},
+named by ``--m`` and ``--n``. :func:`main` builds the parser on its
+first call and reuses it; each parse returns a fresh namespace, so no
+call sees another's arguments. Results go to stdout or ``--out``;
+errors go to stderr. Exit codes: 0 success, 1 failed validation,
+malformed labeling file or runtime error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -14,23 +15,8 @@ import sys
 from functools import cache, partial
 
 from . import claims, formulas
-from .formats import (
-    format_labeling,
-    format_product_graph,
-    parse_graph,
-    parse_labeling,
-    read_text,
-    write_text,
-)
-from .graphs import (
-    DisconnectedGraphError,
-    InvalidParameterError,
-    all_pairs_distances,
-    build_mesh,
-    build_path,
-    build_star,
-    diameter,
-)
+from .formats import format_labeling, parse_labeling, read_text, write_text
+from .graphs import InvalidParameterError, all_pairs_distances, diameter
 from .labeling import validate
 from .orderings import build_construction_labeling
 from .product import CellIndexing, ProductParams, build_product_graph
@@ -42,12 +28,6 @@ def _emit(args, text: str) -> None:
         write_text(args.out, text)
     else:
         sys.stdout.write(text)
-
-
-def cmd_gen(args) -> int:
-    pg = build_product_graph(ProductParams(args.m, args.n))
-    _emit(args, format_product_graph(pg))
-    return 0
 
 
 def cmd_diam(args) -> int:
@@ -62,41 +42,9 @@ def cmd_diam(args) -> int:
     return 0
 
 
-# rn-exact's graph families: name -> (builder, the flags it takes in order)
-FAMILIES = {
-    "path": (build_path, ("m",)),
-    "star": (build_star, ("n",)),
-    "mesh": (build_mesh, ("m",)),
-    "product": (lambda m, n: build_product_graph(ProductParams(m, n)).graph, ("m", "n")),
-}
-
-
-def _only(args, flag: str, others: tuple[str, ...]) -> None:
-    """Usage error when ``flag``, which names the graph alone, comes with any of ``others``."""
-    given = [f"--{other}" for other in others if getattr(args, other) is not None]
-    if given:
-        raise InvalidParameterError(f"{flag} cannot be combined with {' or '.join(given)}")
-
-
-def _family_graph(args):
-    family = args.family or "product"
-    build, flags = FAMILIES[family]
-    _only(args, f"--family {family}", tuple(flag for flag in ("m", "n") if flag not in flags))
-    values = [getattr(args, flag) for flag in flags]
-    if None in values:
-        needs = " and ".join(f"--{flag}" for flag in flags)
-        raise InvalidParameterError(f"--family {family} needs {needs}")
-    name = " ".join(f"{flag}={value}" for flag, value in zip(flags, values))
-    return build(*values), f"{family} {name}"
-
-
 def cmd_rn_exact(args) -> int:
-    if args.infile:
-        _only(args, "--in", ("family", "m", "n"))
-        graph, _coords = parse_graph(read_text(args.infile))
-        name = args.infile
-    else:
-        graph, name = _family_graph(args)
+    graph = build_product_graph(ProductParams(args.m, args.n)).graph
+    name = f"product m={args.m} n={args.n}"
     result = exact_rn(graph, node_limit=args.node_limit)
     if args.format == "csv":
         _emit(args, f"graph,value,status,nodes\n{name},{result.value},{result.status.value},{result.nodes}\n")
@@ -142,13 +90,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.graph:
-        _only(args, "--graph", ("m", "n"))
-        graph, _coords = parse_graph(read_text(args.graph))
-    elif args.m is not None and args.n is not None:
-        graph = build_product_graph(ProductParams(args.m, args.n)).graph
-    else:
-        raise InvalidParameterError("validate needs --graph FILE or --m/--n")
+    graph = build_product_graph(ProductParams(args.m, args.n)).graph
     labeling = parse_labeling(read_text(args.labeling))
     dm = all_pairs_distances(graph)
     report = validate(graph, dm, labeling)
@@ -188,31 +130,9 @@ def _int_list(text: str) -> tuple[int, ...]:
     return _distinct_items(int, "integers", text) if text.strip() else ()
 
 
-def _orders(parity: int):
-    """Type for a comma-separated list of mesh orders m with m % 2 == parity."""
-    def orders(text: str) -> tuple[int, ...]:
-        values = _int_list(text)
-        if any(m % 2 != parity for m in values):
-            raise argparse.ArgumentTypeError(f"expected {('even', 'odd')[parity]} mesh orders, got {text!r}")
-        return values
-    return orders
-
-
 def _schemes(text: str) -> tuple[CellIndexing, ...]:
     names = ",".join(scheme.value for scheme in CellIndexing)
     return _distinct_items(CellIndexing, f"schemes from {{{names}}}", text)
-
-
-def _m_range(text: str) -> range:
-    """Inclusive ``lo:hi``, or a single m; an empty range is a usage error."""
-    lo, _, hi = text.partition(":")
-    try:
-        m_values = range(int(lo), int(hi or lo) + 1)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer m or a range lo:hi, got {text!r}") from None
-    if not m_values:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return m_values
 
 
 def cmd_verify(args) -> int:
@@ -227,25 +147,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    rows = formulas.vertex_count_comparison(args.m_range, args.n)
-    lines = ["m,n,product_vertices,star_path_vertices,ratio"]
-    for row in rows:
-        lines.append(
-            f"{row.m},{row.n},{row.product_vertices},{row.star_path_vertices},{row.ratio}"
-        )
-    out = "\n".join(lines) + "\n"
-    if args.with_bounds:
-        out += "m,n,bound_num,bound_den,greedy_span\n"
-        for m in args.m_range:
-            params = ProductParams(m, args.n)
-            bound = formulas.combined_bound(params)
-            built = build_construction_labeling(params)
-            out += f"{m},{args.n},{bound.numerator},{bound.denominator},{built.greedy.span}\n"
-    _emit(args, out)
-    return 0
-
-
 def _add_common(parser, m=False, n=False, out=False, fmt=False):
     if m:
         parser.add_argument("--m", type=int, required=True, help="mesh order (>= 2)")
@@ -257,13 +158,12 @@ def _add_common(parser, m=False, n=False, out=False, fmt=False):
         parser.add_argument("--format", choices=("text", "csv"), default="text")
 
 
+_product_format_arguments = partial(_add_common, m=True, n=True, out=True, fmt=True)
+
+
 def _rn_exact_arguments(p) -> None:
-    p.add_argument("--family", choices=tuple(FAMILIES), default=None, help="graph family (default: product)")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--in", dest="infile", default=None, help="graph file instead of a family")
+    _product_format_arguments(p)
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT, help="search node budget")
-    _add_common(p, out=True, fmt=True)
 
 
 def _label_arguments(p) -> None:
@@ -277,43 +177,25 @@ def _label_arguments(p) -> None:
 
 def _validate_arguments(p) -> None:
     p.add_argument("--labeling", required=True, help="labeling file")
-    p.add_argument("--graph", default=None, help="graph file")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p, fmt=True)
+    _add_common(p, m=True, n=True, fmt=True)
 
 
 def _verify_arguments(p) -> None:
     grid = claims.VerifyConfig()
-    p.add_argument("--even-m", type=_orders(0), default=grid.even_m, dest="even_m")
-    p.add_argument("--odd-m", type=_orders(1), default=grid.odd_m, dest="odd_m")
+    p.add_argument("--even-m", type=_int_list, default=grid.even_m, dest="even_m")
+    p.add_argument("--odd-m", type=_int_list, default=grid.odd_m, dest="odd_m")
     p.add_argument("--ns", type=_int_list, default=grid.ns)
     p.add_argument("--schemes", type=_schemes, default=grid.indexings, help="comma-separated schemes")
     _add_common(p, out=True, fmt=True)
 
-
-def _compare_arguments(p) -> None:
-    p.add_argument(
-        "--m-range", type=_m_range, default="2:6", dest="m_range", help="inclusive range, e.g. 2:6"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--with-bounds", action="store_true", dest="with_bounds")
-    _add_common(p, out=True)
-
-
-_product_arguments = partial(_add_common, m=True, n=True, out=True)
-_product_format_arguments = partial(_add_common, m=True, n=True, out=True, fmt=True)
-
 # One row per subcommand: name, help line, argument adder, handler.
 COMMANDS = (
-    ("gen", "write a product graph file", _product_arguments, cmd_gen),
     ("diam", "BFS diameter of a product graph", _product_format_arguments, cmd_diam),
     ("rn-exact", "exact radio number by search", _rn_exact_arguments, cmd_rn_exact),
     ("bound", "closed-form span bound(s) at (m, n)", _product_format_arguments, cmd_bound),
     ("label", "build the construction labeling", _label_arguments, cmd_label),
-    ("validate", "validate a labeling file against a graph", _validate_arguments, cmd_validate),
+    ("validate", "validate a labeling file against a product graph", _validate_arguments, cmd_validate),
     ("verify", "adjudicate the claims catalog over a grid", _verify_arguments, cmd_verify),
-    ("compare", "vertex-count comparison table", _compare_arguments, cmd_compare),
 )
 
 
@@ -326,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments, handler in COMMANDS:
-        # no flag prefixes: `compare --m 4` must not run as `--m-range 4`
+        # no flag prefixes: `verify --even 2` must not run as `--even-m 2`
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         add_arguments(p)
         p.set_defaults(func=handler)
@@ -346,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameterError as exc:
         print(f"radiomesh: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, DisconnectedGraphError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"radiomesh: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ it is simple by construction and fixed by its factors, so its adjacency
 is laid out straight from the factors' on the first read of
 ``.adjacency`` and then kept. Labeling and validation never read it: a
 product graph costs nothing per vertex until BFS, the certificate or
-an edge listing asks for its edges.
+:meth:`Graph.edges` asks for its edges.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ class Graph:
     ``factors`` is set only by :func:`cartesian_product`, to a product's
     two factors, whose vertex ids combine in mixed radix. Products of
     equal factors are equal, and a product also equals the same graph
-    parsed from its edge list. A product is fixed by its factors, so it
+    built by :meth:`from_edges`. A product is fixed by its factors, so it
     is made with no adjacency and lays its adjacency out from theirs, by
     :func:`_product_adjacency`, on the first read of ``.adjacency``, then
     keeps it. Only BFS, :func:`certify_distances`, :meth:`edges`,

@@ -4,7 +4,6 @@ import pytest
 
 from radiomesh import cli, graphs
 from radiomesh.cli import COMMANDS, build_parser, main
-from radiomesh.formats import parse_graph, read_text
 from radiomesh.product import ProductParams, build_product_graph
 
 
@@ -14,22 +13,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_gen_writes_parseable_graph(tmp_path, capsys):
-    out = tmp_path / "g.txt"
-    code, _, _ = run(capsys, "gen", "--m", "4", "--n", "5", "--out", str(out))
-    assert code == 0
-    text = read_text(out)
-    assert text.startswith("vertices 96\n")
-    parsed, coords = parse_graph(text)
-    pg = build_product_graph(ProductParams(4, 5))
-    assert parsed == pg.graph
-    assert coords is not None and len(coords) == 96
-
-
-def test_gen_unwritable_path_reports_and_fails(capsys):
-    code, _, err = run(capsys, "gen", "--m", "2", "--n", "1", "--out", "/nonexistent/dir/g.txt")
+def test_unwritable_out_path_reports_and_fails(capsys):
+    code, _, err = run(capsys, "bound", "--m", "2", "--n", "1", "--out", "/nonexistent/dir/b.txt")
     assert code == 1
-    assert "/nonexistent/dir/g.txt" in err
+    assert "/nonexistent/dir/b.txt" in err
 
 
 def test_diam_flags_single_leaf_deviation(capsys):
@@ -57,77 +44,13 @@ def test_cor3_diameter_is_read_one_way(capsys, n):
     assert [row.split(",")[4:6] for row in verdict_rows] == [[claimed, "1"]]
 
 
-def test_rn_exact_star(capsys):
-    code, out, _ = run(capsys, "rn-exact", "--family", "star", "--n", "3")
-    assert code == 0
-    assert out == "rn(star n=3) = 4\n"
-
-
-@pytest.mark.parametrize(
-    "family, flags, line, missing",
-    [
-        (["--family", "path"], ["--m", "4"], "rn(path m=4) = 5", "--family path needs --m"),
-        (["--family", "star"], ["--n", "3"], "rn(star n=3) = 4", "--family star needs --n"),
-        (["--family", "mesh"], ["--m", "2"], "rn(mesh m=2) = 4", "--family mesh needs --m"),
-        (["--family", "product"], ["--m", "2", "--n", "1"], "rn(product m=2 n=1) = 10",
-         "--family product needs --m and --n"),
-        ([], ["--m", "2", "--n", "1"], "rn(product m=2 n=1) = 10",
-         "--family product needs --m and --n"),
-    ],
-)
-def test_rn_exact_names_each_family_and_its_missing_flags(capsys, family, flags, line, missing):
-    code, out, err = run(capsys, "rn-exact", *family, *flags)
-    assert (code, out, err) == (0, line + "\n", "")
-    pairs = [flags[i : i + 2] for i in range(0, len(flags), 2)]
-    # each flag left out in turn, then all of them
-    for kept in [[f for p in pairs if p is not q for f in p] for q in pairs] + [[]]:
-        code, out, err = run(capsys, "rn-exact", *family, *kept)
-        assert (code, out, err) == (2, "", f"radiomesh: {missing}\n")
-
-
-@pytest.mark.parametrize(
-    "argv, dropped",
-    [
-        (["--family", "path", "--m", "4", "--n", "3"], "--family path cannot be combined with --n"),
-        (["--family", "mesh", "--m", "2", "--n", "3"], "--family mesh cannot be combined with --n"),
-        (["--family", "star", "--m", "9", "--n", "2"], "--family star cannot be combined with --m"),
-    ],
-    ids=["path", "mesh", "star"],
-)
-def test_rn_exact_family_with_a_flag_it_does_not_take_is_a_usage_error(capsys, argv, dropped):
-    # the family's builder takes no such size, so the flag would be dropped unread
-    code, out, err = run(capsys, "rn-exact", *argv)
-    assert (code, out, err) == (2, "", f"radiomesh: {dropped}\n")
-
-
-def test_rn_exact_from_file(tmp_path, capsys):
-    out = tmp_path / "g.txt"
-    run(capsys, "gen", "--m", "2", "--n", "1", "--out", str(out))
-    code, text, _ = run(capsys, "rn-exact", "--in", str(out))
-    assert code == 0
-    assert "= 10" in text
-
-
-@pytest.mark.parametrize(
-    "extra, named",
-    [
-        (["--family", "path", "--m", "3"], "--family or --m"),
-        (["--family", "product"], "--family"),
-        (["--m", "2", "--n", "1"], "--m or --n"),
-        (["--n", "1"], "--n"),
-    ],
-    ids=["family-and-m", "family", "m-and-n", "n"],
-)
-def test_rn_exact_file_with_family_flags_is_a_usage_error(tmp_path, capsys, extra, named):
-    # the file names the graph; a family flag beside it would be dropped unread
-    out = tmp_path / "g.txt"
-    run(capsys, "gen", "--m", "2", "--n", "1", "--out", str(out))
-    code, text, err = run(capsys, "rn-exact", "--in", str(out), *extra)
-    assert (code, text, err) == (2, "", f"radiomesh: --in cannot be combined with {named}\n")
+def test_rn_exact_text_output(capsys):
+    code, out, err = run(capsys, "rn-exact", "--m", "2", "--n", "1")
+    assert (code, out, err) == (0, "rn(product m=2 n=1) = 10\n", "")
 
 
 def test_rn_exact_node_limit_reports_best_found(capsys):
-    code, out, _ = run(capsys, "rn-exact", "--family", "path", "--m", "8", "--node-limit", "50")
+    code, out, _ = run(capsys, "rn-exact", "--m", "2", "--n", "2", "--node-limit", "50")
     assert code == 0
     assert "(upper-bound-only, best found)" in out
 
@@ -209,74 +132,61 @@ def test_validate_labeling_of_the_wrong_size_exits_1(tmp_path, capsys):
     assert err == "radiomesh: labeling covers 2 vertices, graph has 8\n"
 
 
-def test_validate_malformed_graph_file_exits_1(tmp_path, capsys):
-    graph = tmp_path / "g.txt"
-    graph.write_text("vertices 3\n0 1\n0 5\n")
-    lab = tmp_path / "lab.txt"
-    lab.write_text("0 0\n1 2\n2 4\n")
-    code, _, err = run(capsys, "validate", "--graph", str(graph), "--labeling", str(lab))
-    assert code == 1
-    assert "line 3" in err
-
-
-# a triangle plus an isolated vertex: enough edges to pass the parser's
-# edge-count check, yet disconnected
-DISCONNECTED = "vertices 4\n0 1\n0 2\n1 2\n"
-
-
-def test_validate_disconnected_graph_file_exits_1(tmp_path, capsys):
-    graph = tmp_path / "g.txt"
-    graph.write_text(DISCONNECTED)
-    lab = tmp_path / "lab.txt"
-    lab.write_text("0 0\n1 2\n2 4\n3 6\n")
-    code, _, err = run(capsys, "validate", "--graph", str(graph), "--labeling", str(lab))
-    assert code == 1
-    assert err.startswith("radiomesh: graph is disconnected")
-
-
-def test_rn_exact_disconnected_graph_file_exits_1(tmp_path, capsys):
-    graph = tmp_path / "g.txt"
-    graph.write_text(DISCONNECTED)
-    code, _, err = run(capsys, "rn-exact", "--in", str(graph))
-    assert code == 1
-    assert err.startswith("radiomesh: graph is disconnected")
-
-
 def test_validate_usage_error_without_graph(tmp_path, capsys):
     lab = tmp_path / "lab.txt"
     lab.write_text("0 0\n1 2\n")
-    code, _, err = run(capsys, "validate", "--labeling", str(lab))
-    assert code == 2
-    assert "radiomesh" in err
-
-
-@pytest.mark.parametrize(
-    "extra, named",
-    [(["--m", "5", "--n", "5"], "--m or --n"), (["--m", "2"], "--m"), (["--n", "1"], "--n")],
-    ids=["m-and-n", "m", "n"],
-)
-def test_validate_graph_file_with_product_flags_is_a_usage_error(tmp_path, capsys, extra, named):
-    graph = tmp_path / "g.txt"
-    run(capsys, "gen", "--m", "2", "--n", "1", "--out", str(graph))
-    lab = tmp_path / "lab.txt"
-    run(capsys, "label", "--m", "2", "--n", "1", "--out", str(lab))
-    code, out, err = run(capsys, "validate", "--graph", str(graph), "--labeling", str(lab), *extra)
-    assert (code, out, err) == (2, "", f"radiomesh: --graph cannot be combined with {named}\n")
-    # the graph file alone validates the same labeling
-    code, out, _ = run(capsys, "validate", "--graph", str(graph), "--labeling", str(lab))
-    assert (code, out) == (0, "valid labeling, span 17\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate", "--labeling", str(lab)])
+    assert excinfo.value.code == 2
+    assert "the following arguments are required: --m, --n" in capsys.readouterr().err
 
 
 def test_bad_parameters_exit_2(capsys):
-    code, _, err = run(capsys, "gen", "--m", "1", "--n", "1")
+    code, _, err = run(capsys, "diam", "--m", "1", "--n", "1")
     assert code == 2
     assert "m must be >= 2" in err
 
 
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["gen", "--m", "4"])  # missing --n
+        main(["diam", "--m", "4"])  # missing --n
     assert excinfo.value.code == 2
+    assert "the following arguments are required: --n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["gen", "--m", "2", "--n", "1"], "invalid choice: 'gen'"),
+        (["compare", "--n", "1"], "invalid choice: 'compare'"),
+        (["rn-exact", "--m", "2", "--n", "1", "--family", "path"], "unrecognized arguments: --family path"),
+        (["rn-exact", "--m", "2", "--n", "1", "--in", "g.txt"], "unrecognized arguments: --in g.txt"),
+        (
+            ["validate", "--m", "2", "--n", "1", "--labeling", "lab.txt", "--graph", "g.txt"],
+            "unrecognized arguments: --graph g.txt",
+        ),
+    ],
+    ids=["gen", "compare", "rn-exact-family", "rn-exact-in", "validate-graph"],
+)
+def test_other_ways_to_name_a_graph_are_usage_errors(argv, error, capsys):
+    # every graph is the product named by --m and --n
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--even-m", "3"], "even_m needs even mesh orders, got [3]"),
+        (["verify", "--odd-m", "4"], "odd_m needs odd mesh orders, got [4]"),
+    ],
+)
+def test_a_mesh_order_of_the_wrong_parity_exits_2(argv, message, capsys):
+    # VerifyConfig owns the parity rule; main reports its ParityError
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"radiomesh: {message}\n")
 
 
 def test_verify_small_grid_csv(capsys):
@@ -293,24 +203,11 @@ def test_verify_small_grid_csv(capsys):
     assert any(line.startswith("Cor3.Diameter,2,1,-,4,1,3,Mismatch") for line in lines)
 
 
-def test_compare_table(capsys):
-    code, out, _ = run(capsys, "compare", "--m-range", "2:6", "--n", "5")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "m,n,product_vertices,star_path_vertices,ratio"
-    assert "4,5,96,24,4" in lines
-    assert "5,5,150,30,5" in lines
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ["compare", "--n", "2", "--m-range", "a:3"],
-        ["compare", "--n", "2", "--m-range", "6:2"],
         ["verify", "--ns", "x"],
         ["verify", "--schemes", "bogus"],
-        ["verify", "--even-m", "3"],
-        ["verify", "--odd-m", "4"],
         ["verify", "--ns", "1,1"],
         ["verify", "--even-m", "2,2"],
         ["verify", "--odd-m", "3,3"],
@@ -333,10 +230,8 @@ def test_malformed_flag_value_exits_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gen", "--m", "3", "--n", "2", "--indexing", "col-major"],
         ["rn-exact", "--m", "2", "--n", "1", "--indexing", "col-major"],
         ["validate", "--m", "2", "--n", "1", "--labeling", "lab.txt", "--indexing", "col-major"],
-        ["compare", "--n", "2", "--format", "csv"],
     ],
 )
 def test_flags_that_change_no_output_are_gone(argv, capsys):
@@ -348,27 +243,25 @@ def test_flags_that_change_no_output_are_gone(argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["compare", "--m", "4", "--n", "5"], ["rn-exact", "--fam", "path", "--m", "3"]],
+    [["verify", "--even", "2"], ["rn-exact", "--m", "2", "--n", "1", "--node", "5"]],
 )
 def test_flag_prefixes_are_not_flags(argv, capsys):
-    # a unique prefix of --m-range or --family is not taken for it
+    # a unique prefix of --even-m or --node-limit is not taken for it
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[1:3])}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 # the least arguments each command runs with, so an unknown flag after
 # them is reported by the top-level parser
 RUNNABLE = {
-    "gen": ["--m", "2", "--n", "1"],
     "diam": ["--m", "2", "--n", "1"],
-    "rn-exact": [],
+    "rn-exact": ["--m", "2", "--n", "1"],
     "bound": ["--m", "2", "--n", "1"],
     "label": ["--m", "2", "--n", "1"],
-    "validate": ["--labeling", "lab.txt"],
+    "validate": ["--m", "2", "--n", "1", "--labeling", "lab.txt"],
     "verify": [],
-    "compare": ["--n", "1"],
 }
 
 
@@ -397,12 +290,12 @@ def test_one_command_parser_prints_what_the_full_parser_prints(command, tail, ca
     assert via_main[0] == (0 if tail == "help" else 2)
 
 
-@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["-h", "gen"]])
+@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["-h", "diam"]])
 def test_top_level_usage_lists_every_command(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "100")
     code, out, err = _exit_of(main, argv, capsys)
     assert (code, out, err) == _exit_of(build_parser().parse_args, argv, capsys)
-    assert "{gen,diam,rn-exact,bound,label,validate,verify,compare}" in out + err
+    assert "{diam,rn-exact,bound,label,validate,verify}" in out + err
     if argv[:1] in (["--help"], ["-h"]):
         for name, help_text, _add_arguments, _handler in COMMANDS:
             assert f"    {name}" in out and help_text in out

@@ -24,6 +24,21 @@ def test_vertex_counts(m, n, count):
     assert build_product_graph(params).graph.num_vertices == count
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("m", range(2, 7))
+def test_product_adjacency_follows_the_cartesian_rule(m, n):
+    # the rule read off coordinates alone: at one star position, grid
+    # neighbours; in one cell, the hub and each leaf
+    params = ProductParams(m, n)
+    coords = [vertex_coord(params, v) for v in range(params.num_vertices)]
+    rows, cols, stars = np.array([(c.row, c.col, c.star) for c in coords]).T
+    grid_steps = abs(rows[:, None] - rows) + abs(cols[:, None] - cols)
+    hub_and_leaf = (stars[:, None] == 0) != (stars == 0)
+    rule = np.where(stars[:, None] == stars, grid_steps == 1, (grid_steps == 0) & hub_and_leaf)
+    expected = tuple(tuple(np.flatnonzero(row).tolist()) for row in rule)
+    assert build_product_graph(params).graph.adjacency == expected
+
+
 def test_smallest_product_edge_count():
     # 4 mesh edges in each of 2 layers plus one star edge per cell
     g = build_product_graph(ProductParams(2, 1)).graph
