@@ -44,9 +44,30 @@ def test_cor3_diameter_is_read_one_way(capsys, n):
     assert [row.split(",")[4:6] for row in verdict_rows] == [[claimed, "1"]]
 
 
-def test_rn_exact_text_output(capsys):
-    code, out, err = run(capsys, "rn-exact", "--m", "2", "--n", "1")
-    assert (code, out, err) == (0, "rn(product m=2 n=1) = 10\n", "")
+# the product is the only family rn-exact names, by its size flags; `family`
+# holds the other flags beside them, which neither name a graph nor excuse
+# a missing size flag
+@pytest.mark.parametrize(
+    "family, flags, line",
+    [
+        ([], ["--m", "2", "--n", "2"], "rn(product m=2 n=2) = 22"),
+        ([], ["--n", "2", "--m", "2"], "rn(product m=2 n=2) = 22"),
+        (["--format", "text"], ["--m", "2", "--n", "2"], "rn(product m=2 n=2) = 22"),
+        (["--format", "text"], ["--m", "2", "--n", "1"], "rn(product m=2 n=1) = 10"),
+        ([], ["--m", "2", "--n", "1"], "rn(product m=2 n=1) = 10"),
+    ],
+)
+def test_rn_exact_names_each_family_and_its_missing_flags(capsys, family, flags, line):
+    code, out, err = run(capsys, "rn-exact", *family, *flags)
+    assert (code, out, err) == (0, line + "\n", "")
+    pairs = [flags[i : i + 2] for i in range(0, len(flags), 2)]
+    # each size flag left out in turn, then both
+    for missing in [[q] for q in pairs] + [pairs]:
+        kept = [f for p in pairs if p not in missing for f in p]
+        code, out, err = _exit_of(main, ["rn-exact", *family, *kept], capsys)
+        named = ", ".join(sorted(p[0] for p in missing))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: the following arguments are required: {named}\n"), err
 
 
 def test_rn_exact_node_limit_reports_best_found(capsys):
@@ -206,8 +227,12 @@ def test_verify_small_grid_csv(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "--odd-m", "x"],
+        ["verify", "--schemes", "row-major,"],
         ["verify", "--ns", "x"],
         ["verify", "--schemes", "bogus"],
+        ["verify", "--ns", "1,"],
+        ["verify", "--odd-m", "3,3.5"],
         ["verify", "--ns", "1,1"],
         ["verify", "--even-m", "2,2"],
         ["verify", "--odd-m", "3,3"],
@@ -230,6 +255,7 @@ def test_malformed_flag_value_exits_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["bound", "--m", "3", "--n", "2", "--indexing", "col-major"],
         ["rn-exact", "--m", "2", "--n", "1", "--indexing", "col-major"],
         ["validate", "--m", "2", "--n", "1", "--labeling", "lab.txt", "--indexing", "col-major"],
     ],
