@@ -2,17 +2,19 @@
 
 Subcommands: diam, rn-exact, bound, label, validate, verify, one row
 each in :data:`COMMANDS`. Every graph is the product P(m,m) x K_{1,n},
-named by ``--m`` and ``--n``. :func:`main` builds the parser on its
+named by ``--m`` and ``--n``; ``verify`` takes a grid of them, its mesh
+orders in one ``--ms`` list. :func:`main` builds the parser on its
 first call and reuses it; each parse returns a fresh namespace, so no
-call sees another's arguments. Results go to stdout or ``--out``;
-errors go to stderr. Exit codes: 0 success, 1 failed validation,
-malformed labeling file or runtime error, 2 usage error.
+call sees another's arguments. Results go to stdout; ``label --out``
+also writes the labeling file. Errors go to stderr. Exit codes: 0
+success, 1 failed validation, malformed labeling file or runtime error,
+2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache, partial
+from functools import cache
 
 from . import claims, formulas
 from .formats import format_labeling, parse_labeling, read_text, write_text
@@ -23,22 +25,15 @@ from .product import CellIndexing, ProductParams, build_product_graph
 from .search import DEFAULT_NODE_LIMIT, RnStatus, exact_rn
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_diam(args) -> int:
     params = ProductParams(args.m, args.n)
     observed = diameter(build_product_graph(params).graph)
     claimed = formulas.diam_formula(params)
     if args.format == "csv":
-        _emit(args, f"m,n,bfs_diameter,claimed\n{args.m},{args.n},{observed},{claimed}\n")
+        sys.stdout.write(f"m,n,bfs_diameter,claimed\n{args.m},{args.n},{observed},{claimed}\n")
         return 0
     note = "" if observed == claimed else f"  (claimed {claimed}: DEVIATION)"
-    _emit(args, f"diameter of product m={args.m} n={args.n}: {observed}{note}\n")
+    sys.stdout.write(f"diameter of product m={args.m} n={args.n}: {observed}{note}\n")
     return 0
 
 
@@ -47,10 +42,10 @@ def cmd_rn_exact(args) -> int:
     name = f"product m={args.m} n={args.n}"
     result = exact_rn(graph, node_limit=args.node_limit)
     if args.format == "csv":
-        _emit(args, f"graph,value,status,nodes\n{name},{result.value},{result.status.value},{result.nodes}\n")
+        sys.stdout.write(f"graph,value,status,nodes\n{name},{result.value},{result.status.value},{result.nodes}\n")
     else:
         qualifier = "" if result.status is RnStatus.EXACT else f" ({result.status.value}, best found)"
-        _emit(args, f"rn({name}) = {result.value}{qualifier}\n")
+        sys.stdout.write(f"rn({name}) = {result.value}{qualifier}\n")
     return 0
 
 
@@ -58,9 +53,9 @@ def cmd_bound(args) -> int:
     params = ProductParams(args.m, args.n)
     value = formulas.combined_bound(params)
     if args.format == "csv":
-        _emit(args, formulas.bounds_table_csv(formulas.bounds_table(params)))
+        sys.stdout.write(formulas.bounds_table_csv(formulas.bounds_table(params)))
         return 0
-    _emit(args, f"combined span bound for m={args.m} n={args.n}: {claims.render_fraction(value)}\n")
+    sys.stdout.write(f"combined span bound for m={args.m} n={args.n}: {claims.render_fraction(value)}\n")
     return 0
 
 
@@ -77,15 +72,7 @@ def cmd_label(args) -> int:
         f"({'valid' if built.consecutive_valid else 'invalid'})",
         f"claimed bound: {claims.render_fraction(bound)}",
     ]
-    if args.format == "csv":
-        sys.stdout.write(
-            "m,n,indexing,greedy_span,consecutive_span,consecutive_valid,bound\n"
-            f"{args.m},{args.n},{args.indexing.value},{built.greedy.span},"
-            f"{built.consecutive.span},{str(built.consecutive_valid).lower()},"
-            f"{claims.render_fraction(bound)}\n"
-        )
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -94,12 +81,6 @@ def cmd_validate(args) -> int:
     labeling = parse_labeling(read_text(args.labeling))
     dm = all_pairs_distances(graph)
     report = validate(graph, dm, labeling)
-    if args.format == "csv":
-        sys.stdout.write("valid,span,violations\n")
-        sys.stdout.write(
-            f"{str(report.valid).lower()},{labeling.span},{len(report.violations)}\n"
-        )
-        return 0 if report.valid else 1
     if report.valid:
         sys.stdout.write(f"valid labeling, span {labeling.span}\n")
         return 0
@@ -136,29 +117,27 @@ def _schemes(text: str) -> tuple[CellIndexing, ...]:
 
 
 def cmd_verify(args) -> int:
-    config = claims.VerifyConfig(
-        even_m=args.even_m, odd_m=args.odd_m, ns=args.ns, indexings=args.schemes
-    )
-    rows = claims.run_verification(config)
-    if args.format == "csv":
-        _emit(args, claims.verdicts_to_csv(rows))
-    else:
-        _emit(args, claims.verdicts_to_text(rows))
+    # split by parity here, so no order is filed under the wrong one
+    even_m = tuple(m for m in args.ms if m % 2 == 0)
+    odd_m = tuple(m for m in args.ms if m % 2)
+    config = claims.VerifyConfig(even_m=even_m, odd_m=odd_m, ns=args.ns, indexings=args.schemes)
+    render = claims.verdicts_to_csv if args.format == "csv" else claims.verdicts_to_text
+    sys.stdout.write(render(claims.run_verification(config)))
     return 0
 
 
-def _add_common(parser, m=False, n=False, out=False, fmt=False):
-    if m:
-        parser.add_argument("--m", type=int, required=True, help="mesh order (>= 2)")
-    if n:
-        parser.add_argument("--n", type=int, required=True, help="star leaf count (>= 1)")
-    if out:
-        parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    if fmt:
-        parser.add_argument("--format", choices=("text", "csv"), default="text")
+def _add_product(p) -> None:
+    p.add_argument("--m", type=int, required=True, help="mesh order (>= 2)")
+    p.add_argument("--n", type=int, required=True, help="star leaf count (>= 1)")
 
 
-_product_format_arguments = partial(_add_common, m=True, n=True, out=True, fmt=True)
+def _add_format(p) -> None:
+    p.add_argument("--format", choices=("text", "csv"), default="text")
+
+
+def _product_format_arguments(p) -> None:
+    _add_product(p)
+    _add_format(p)
 
 
 def _rn_exact_arguments(p) -> None:
@@ -167,7 +146,7 @@ def _rn_exact_arguments(p) -> None:
 
 
 def _label_arguments(p) -> None:
-    _add_common(p, m=True, n=True, fmt=True)
+    _add_product(p)
     p.add_argument(
         "--indexing", type=CellIndexing, default=CellIndexing.ROW_MAJOR, choices=list(CellIndexing),
         metavar="{" + ",".join(scheme.value for scheme in CellIndexing) + "}",
@@ -177,16 +156,17 @@ def _label_arguments(p) -> None:
 
 def _validate_arguments(p) -> None:
     p.add_argument("--labeling", required=True, help="labeling file")
-    _add_common(p, m=True, n=True, fmt=True)
+    _add_product(p)
 
 
 def _verify_arguments(p) -> None:
     grid = claims.VerifyConfig()
-    p.add_argument("--even-m", type=_int_list, default=grid.even_m, dest="even_m")
-    p.add_argument("--odd-m", type=_int_list, default=grid.odd_m, dest="odd_m")
+    p.add_argument(
+        "--ms", type=_int_list, default=grid.even_m + grid.odd_m, help="comma-separated mesh orders"
+    )
     p.add_argument("--ns", type=_int_list, default=grid.ns)
     p.add_argument("--schemes", type=_schemes, default=grid.indexings, help="comma-separated schemes")
-    _add_common(p, out=True, fmt=True)
+    _add_format(p)
 
 # One row per subcommand: name, help line, argument adder, handler.
 COMMANDS = (
@@ -208,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments, handler in COMMANDS:
-        # no flag prefixes: `verify --even 2` must not run as `--even-m 2`
+        # no flag prefixes: `verify --m 2` must not run as `--ms 2`
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         add_arguments(p)
         p.set_defaults(func=handler)

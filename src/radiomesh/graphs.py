@@ -18,8 +18,9 @@ adjacency with the BFS layer condition in a few numpy passes instead
 of a BFS from every vertex, so the distance and diameter claims read a
 matrix certified equal to BFS's.
 
-Construction is strict: simple undirected graphs only, validated on
-creation, and frozen afterwards. A product is made only by
+Construction is strict: a plain graph is made from an edge list, which
+:class:`Graph` checks on creation, and every graph is frozen
+afterwards. A product is made only by
 :func:`cartesian_product`, so its factors always match its adjacency;
 it is simple by construction and fixed by its factors, so its adjacency
 is laid out straight from the factors' on the first read of
@@ -29,7 +30,6 @@ product graph costs nothing per vertex until BFS, the certificate or
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import FrozenInstanceError
 from functools import reduce
@@ -52,14 +52,15 @@ class DisconnectedGraphError(Exception):
 class Graph:
     """Simple undirected graph on vertex ids ``0..num_vertices-1``.
 
-    ``adjacency[v]`` is the sorted tuple of neighbors of ``v``; a given
-    adjacency is checked by :func:`_check_adjacency`. Instances are
-    immutable: assigning an attribute raises.
+    ``Graph(num_vertices, edges)`` takes an edge list and rejects fewer
+    than one vertex, an id out of range, a self-loop and a repeated
+    edge. ``adjacency[v]`` is the sorted tuple of neighbors of ``v``.
+    Instances are immutable: assigning an attribute raises.
 
     ``factors`` is set only by :func:`cartesian_product`, to a product's
     two factors, whose vertex ids combine in mixed radix. Products of
     equal factors are equal, and a product also equals the same graph
-    built by :meth:`from_edges`. A product is fixed by its factors, so it
+    built from its edge list. A product is fixed by its factors, so it
     is made with no adjacency and lays its adjacency out from theirs, by
     :func:`_product_adjacency`, on the first read of ``.adjacency``, then
     keeps it. Only BFS, :func:`certify_distances`, :meth:`edges`,
@@ -70,11 +71,20 @@ class Graph:
     either is kept.
     """
 
-    def __init__(self, num_vertices: int, adjacency: tuple[tuple[int, ...], ...]):
-        if adjacency is None:
-            raise InvalidParameterError("a graph needs its adjacency; products come from cartesian_product")
-        _check_adjacency(num_vertices, adjacency)
-        self._fill(num_vertices, adjacency, ())
+    def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
+        if num_vertices <= 0:
+            raise InvalidParameterError("graph needs at least one vertex")
+        neighbors: list[set[int]] = [set() for _ in range(num_vertices)]
+        for u, v in edges:
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+                raise InvalidParameterError(f"edge ({u}, {v}) out of range")
+            if u == v:
+                raise InvalidParameterError(f"self-loop at vertex {u}")
+            if v in neighbors[u]:
+                raise InvalidParameterError(f"duplicate edge ({u}, {v})")
+            neighbors[u].add(v)
+            neighbors[v].add(u)
+        self._fill(num_vertices, tuple(tuple(sorted(s)) for s in neighbors), ())
 
     def _fill(self, num_vertices, adjacency, factors) -> None:
         object.__setattr__(self, "num_vertices", num_vertices)
@@ -108,25 +118,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(num_vertices={self.num_vertices}, factors={self.factors!r})"
 
-    @staticmethod
-    def from_edges(num_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list, rejecting loops and duplicates."""
-        if num_vertices <= 0:
-            raise InvalidParameterError("graph needs at least one vertex")
-        neighbors: list[set[int]] = [set() for _ in range(num_vertices)]
-        for u, v in edges:
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise InvalidParameterError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise InvalidParameterError(f"self-loop at vertex {u}")
-            if v in neighbors[u]:
-                raise InvalidParameterError(f"duplicate edge ({u}, {v})")
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        # the checks above leave a simple undirected graph, so
-        # _check_adjacency, several times the cost of this build, is skipped
-        return _unchecked(num_vertices, tuple(tuple(sorted(s)) for s in neighbors))
-
     @property
     def num_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
@@ -139,52 +130,30 @@ class Graph:
         return len(self.adjacency[v])
 
 
-def _unchecked(num_vertices: int, adjacency: tuple | None, factors: tuple[Graph, ...] = ()) -> Graph:
-    """A graph its maker built simple and undirected, so :func:`_check_adjacency` is skipped."""
-    g = object.__new__(Graph)
-    g._fill(num_vertices, adjacency, factors)
-    return g
+def _unchecked(num_vertices: int, factors: tuple[Graph, Graph]) -> Graph:
+    """The product of ``factors``, with no adjacency until it is read.
 
-
-def _check_adjacency(num_vertices: int, adjacency: Sequence[Sequence[int]]) -> None:
-    """Reject rows that are not the neighbor lists of a simple undirected graph.
-
-    Each row must be strictly ascending, in range and free of its own
-    vertex; then every edge must appear in both of its rows, looked up
-    by bisection in the other row.
+    Both factors are simple, so the product is too, and the edge checks
+    of :class:`Graph` are skipped; :func:`cartesian_product` is the only
+    caller.
     """
-    if num_vertices <= 0:
-        raise InvalidParameterError("graph needs at least one vertex")
-    if len(adjacency) != num_vertices:
-        raise InvalidParameterError(f"adjacency has {len(adjacency)} rows for {num_vertices} vertices")
-    for u, row in enumerate(adjacency):
-        if any(a >= b for a, b in zip(row, row[1:])):
-            raise InvalidParameterError(f"neighbors of vertex {u} are not strictly ascending")
-        for v in row[:1] + row[-1:]:  # the row ascends, so its ends bound it
-            if not 0 <= v < num_vertices:
-                raise InvalidParameterError(f"edge ({u}, {v}) out of range")
-        if u in row:
-            raise InvalidParameterError(f"self-loop at vertex {u}")
-    for u, row in enumerate(adjacency):
-        for v in row:
-            other = adjacency[v]
-            i = bisect_left(other, u)
-            if i == len(other) or other[i] != u:
-                raise InvalidParameterError(f"edge ({u}, {v}) has no reverse ({v}, {u})")
+    g = object.__new__(Graph)
+    g._fill(num_vertices, None, factors)
+    return g
 
 
 def build_path(m: int) -> Graph:
     """Path on ``m`` vertices: 0 - 1 - ... - m-1."""
     if m < 1:
         raise InvalidParameterError(f"path order must be >= 1, got {m}")
-    return Graph.from_edges(m, [(i, i + 1) for i in range(m - 1)])
+    return Graph(m, [(i, i + 1) for i in range(m - 1)])
 
 
 def build_star(n: int) -> Graph:
     """Star with hub 0 adjacent to the ``n`` leaves 1..n."""
     if n < 1:
         raise InvalidParameterError(f"star leaf count must be >= 1, got {n}")
-    return Graph.from_edges(n + 1, [(0, leaf) for leaf in range(1, n + 1)])
+    return Graph(n + 1, [(0, leaf) for leaf in range(1, n + 1)])
 
 
 def cartesian_product(factors: Sequence[Graph]) -> Graph:
@@ -201,7 +170,7 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
     for g in factors:
         if g.num_vertices == 0:
             raise InvalidParameterError("cartesian product factors must be non-empty")
-    return reduce(lambda a, b: _unchecked(a.num_vertices * b.num_vertices, None, (a, b)), factors)
+    return reduce(lambda a, b: _unchecked(a.num_vertices * b.num_vertices, (a, b)), factors)
 
 
 def _product_adjacency(a: Graph, b: Graph) -> tuple[tuple[int, ...], ...]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +44,9 @@ class LabelingContractError(ValueError):
 
 def _integer_entries(values) -> np.ndarray | None:
     """A new 1-D array of the entries of ``values``, or None unless each is an integer.
+
+    A scalar, or an array of other than one dimension, gives None before
+    anything takes its length.
 
     An integer is a Python or numpy integer, not a bool. The array is
     int64 when every entry fits, else an object array of exact Python
@@ -62,6 +65,8 @@ def _integer_entries(values) -> np.ndarray | None:
         if values.dtype.kind != "O":
             return None
         values = values.tolist()
+    elif not isinstance(values, Sequence):  # a scalar has no entries
+        return None
     kinds = set(map(type, values))
     if not all(issubclass(kind, (int, np.integer)) and not issubclass(kind, bool) for kind in kinds):
         return None
@@ -84,12 +89,11 @@ class OrderingPlan:
     sequence: np.ndarray
 
     def __post_init__(self):
-        n = len(self.sequence)
         seq = _integer_entries(self.sequence)
-        if seq is None or seq.dtype != np.int64 or n and (
+        if seq is None or seq.dtype != np.int64 or len(seq) and (
             seq.min() < 0
-            or seq.max() >= n
-            or not np.bincount(seq, minlength=n).all()
+            or seq.max() >= len(seq)
+            or not np.bincount(seq, minlength=len(seq)).all()
         ):
             raise InvalidParameterError("ordering is not a permutation of 0..N-1")
         seq.flags.writeable = False
@@ -122,13 +126,13 @@ class Labeling:
     graph: Graph | None = None
 
     def __post_init__(self):
-        if len(self.labels) == 0:
-            raise InvalidParameterError("labeling must cover at least one vertex")
         # a float or string label would be truncated, or fail to compare,
         # further on, and a bool would pass for 0 or 1
         labels = _integer_entries(self.labels)
         if labels is None:
             raise InvalidParameterError("labels must be integers")
+        if len(labels) == 0:
+            raise InvalidParameterError("labeling must cover at least one vertex")
         if labels.min() < 0:
             raise InvalidParameterError("labels must be non-negative")
         labels.flags.writeable = False
@@ -149,13 +153,6 @@ class Labeling:
     def span(self) -> int:
         """Largest minus smallest label, as a Python int, worked out on first read and kept."""
         return int(self.labels.max() - self.labels.min())
-
-    def canonical(self) -> "Labeling":
-        """Shift so the smallest label is 0."""
-        low = self.labels.min()
-        if low == 0:
-            return self
-        return Labeling(self.labels - low, self.graph)
 
 
 class Violation(NamedTuple):

@@ -104,7 +104,7 @@ def test_pair_bound_claim_against_inline_enumeration():
         span = max(labels.values())
         best = span if best is None else min(best, span)
 
-    row = pair_bound_claim(params, CellIndexing.ROW_MAJOR, dm)
+    row = pair_bound_claim(params, dm)
     assert row.claim_id == "Cor5.PairBound"
     assert row.observed == best
     assert row.expected == 8

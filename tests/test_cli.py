@@ -14,9 +14,9 @@ def run(capsys, *argv):
 
 
 def test_unwritable_out_path_reports_and_fails(capsys):
-    code, _, err = run(capsys, "bound", "--m", "2", "--n", "1", "--out", "/nonexistent/dir/b.txt")
+    code, _, err = run(capsys, "label", "--m", "2", "--n", "1", "--out", "/nonexistent/dir/l.txt")
     assert code == 1
-    assert "/nonexistent/dir/b.txt" in err
+    assert "/nonexistent/dir/l.txt" in err
 
 
 def test_diam_flags_single_leaf_deviation(capsys):
@@ -37,8 +37,7 @@ def test_cor3_diameter_is_read_one_way(capsys, n):
     bound_rows = [line for line in out.splitlines() if line.startswith("DiamCor3,")]
     assert bound_rows == [f"DiamCor3,4,{n},{claimed},1,true"]
     _, out, _ = run(
-        capsys, "verify", "--even-m", "4", "--odd-m", "", "--ns", n, "--schemes", "row-major",
-        "--format", "csv",
+        capsys, "verify", "--ms", "4", "--ns", n, "--schemes", "row-major", "--format", "csv",
     )
     verdict_rows = [line for line in out.splitlines() if line.startswith("Cor3.Diameter,")]
     assert [row.split(",")[4:6] for row in verdict_rows] == [[claimed, "1"]]
@@ -197,24 +196,10 @@ def test_other_ways_to_name_a_graph_are_usage_errors(argv, error, capsys):
     assert error in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["verify", "--even-m", "3"], "even_m needs even mesh orders, got [3]"),
-        (["verify", "--odd-m", "4"], "odd_m needs odd mesh orders, got [4]"),
-    ],
-)
-def test_a_mesh_order_of_the_wrong_parity_exits_2(argv, message, capsys):
-    # VerifyConfig owns the parity rule; main reports its ParityError
-    code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", f"radiomesh: {message}\n")
-
-
 def test_verify_small_grid_csv(capsys):
     code, out, _ = run(
         capsys,
-        "verify", "--even-m", "2", "--odd-m", "", "--ns", "1",
-        "--format", "csv",
+        "verify", "--ms", "2", "--ns", "1", "--format", "csv",
     )
     assert code == 0
     lines = out.splitlines()
@@ -227,17 +212,17 @@ def test_verify_small_grid_csv(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--odd-m", "x"],
+        ["verify", "--ms", "x"],
         ["verify", "--schemes", "row-major,"],
         ["verify", "--ns", "x"],
         ["verify", "--schemes", "bogus"],
         ["verify", "--ns", "1,"],
-        ["verify", "--odd-m", "3,3.5"],
+        ["verify", "--ms", "3,3.5"],
         ["verify", "--ns", "1,1"],
-        ["verify", "--even-m", "2,2"],
-        ["verify", "--odd-m", "3,3"],
+        ["verify", "--ms", "2,2"],
+        ["verify", "--ms", "3,3"],
         ["verify", "--schemes", "row-major,row-major"],
-        ["verify", "--even-m", "2,x"],
+        ["verify", "--ms", "2,x"],
     ],
 )
 def test_malformed_flag_value_exits_2(argv, capsys):
@@ -258,6 +243,14 @@ def test_malformed_flag_value_exits_2(argv, capsys):
         ["bound", "--m", "3", "--n", "2", "--indexing", "col-major"],
         ["rn-exact", "--m", "2", "--n", "1", "--indexing", "col-major"],
         ["validate", "--m", "2", "--n", "1", "--labeling", "lab.txt", "--indexing", "col-major"],
+        ["diam", "--m", "2", "--n", "1", "--out", "x"],
+        ["rn-exact", "--m", "2", "--n", "1", "--out", "x"],
+        ["bound", "--m", "2", "--n", "1", "--out", "x"],
+        ["verify", "--out", "x"],
+        ["label", "--m", "2", "--n", "1", "--format", "csv"],
+        ["validate", "--m", "2", "--n", "1", "--labeling", "lab.txt", "--format", "csv"],
+        ["verify", "--even-m", "2"],
+        ["verify", "--odd-m", "3"],
     ],
 )
 def test_flags_that_change_no_output_are_gone(argv, capsys):
@@ -267,12 +260,33 @@ def test_flags_that_change_no_output_are_gone(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
+# every flag each command takes, in the order its help lists them
+FLAGS = {
+    "diam": ["--m", "--n", "--format"],
+    "rn-exact": ["--m", "--n", "--format", "--node-limit"],
+    "bound": ["--m", "--n", "--format"],
+    "label": ["--m", "--n", "--indexing", "--out"],
+    "validate": ["--labeling", "--m", "--n"],
+    "verify": ["--ms", "--ns", "--schemes", "--format"],
+}
+
+
+def test_each_command_takes_exactly_its_flags():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    taken = {
+        name: [flag for action in parser._actions if action.dest != "help" for flag in action.option_strings]
+        for name, parser in commands.items()
+    }
+    assert taken == FLAGS
+    assert sum(map(len, taken.values())) == 21
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "--even", "2"], ["rn-exact", "--m", "2", "--n", "1", "--node", "5"]],
+    [["verify", "--m", "2"], ["rn-exact", "--m", "2", "--n", "1", "--node", "5"]],
 )
 def test_flag_prefixes_are_not_flags(argv, capsys):
-    # a unique prefix of --even-m or --node-limit is not taken for it
+    # a unique prefix of --ms or --node-limit is not taken for it
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -359,11 +373,11 @@ def _outcome(argv, capsys):
 # calls whose flags differ from one to the next, so a value left over
 # from an earlier parse would show in a later call's output
 SEQUENCE = [
-    ["label", "--m", "3", "--n", "2", "--format", "csv"],
+    ["label", "--m", "3", "--n", "2", "--indexing", "serpentine"],
     ["label", "--m", "3", "--n", "2"],
     ["label", "--m", "3"],
     ["bound", "--m", "3", "--n", "2"],
-    ["verify", "--even-m", "2", "--odd-m", "", "--ns", "1"],
+    ["verify", "--ms", "2", "--ns", "1"],
 ]
 
 

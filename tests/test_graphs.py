@@ -112,7 +112,7 @@ def test_diameter_of_products():
 
 
 def test_disconnected_graph_is_an_error_not_a_sentinel():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     assert not is_connected(g)
     assert bfs_distances(g, 0)[2] == UNREACHABLE
     with pytest.raises(DisconnectedGraphError):
@@ -196,38 +196,41 @@ def test_dense_distance_matrix_is_its_one_factor():
 
 def test_from_edges_validation():
     with pytest.raises(InvalidParameterError, match=r"self-loop at vertex 0"):
-        Graph.from_edges(3, [(0, 0)])
+        Graph(3, [(0, 0)])
     with pytest.raises(InvalidParameterError, match=r"duplicate edge \(1, 0\)"):
-        Graph.from_edges(3, [(0, 1), (1, 0)])
+        Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(InvalidParameterError, match=r"edge \(0, 5\) out of range"):
-        Graph.from_edges(3, [(0, 5)])
+        Graph(3, [(0, 5)])
 
 
+# each row keeps the id it had when Graph took neighbour lists
 @pytest.mark.parametrize(
-    "num_vertices, adjacency, message",
+    "num_vertices, edges, message",
     [
-        (0, (), "graph needs at least one vertex"),
-        (3, ((0,), (2,), ()), "self-loop at vertex 0"),
-        (3, ((1,), (0, 2), ()), "edge (1, 2) has no reverse (2, 1)"),
-        (3, ((), (0,), ()), "edge (1, 0) has no reverse (0, 1)"),
-        (3, ((2, 1), (0,), (0,)), "neighbors of vertex 0 are not strictly ascending"),
-        (3, ((1, 1), (0,), ()), "neighbors of vertex 0 are not strictly ascending"),
-        (3, ((3,), (), ()), "edge (0, 3) out of range"),
-        (3, ((-1,), (), ()), "edge (0, -1) out of range"),
-        (3, ((1,), (0,)), "adjacency has 2 rows for 3 vertices"),
+        (0, [], "graph needs at least one vertex"),
+        (3, [(0, 0)], "self-loop at vertex 0"),
+        (3, [(0, 3)], "edge (0, 3) out of range"),
+        (3, [(0, -1)], "edge (0, -1) out of range"),
+    ],
+    ids=[
+        "0-adjacency0-graph needs at least one vertex",
+        "3-adjacency1-self-loop at vertex 0",
+        "3-adjacency6-edge (0, 3) out of range",
+        "3-adjacency7-edge (0, -1) out of range",
     ],
 )
-def test_graph_rejects_an_adjacency_that_is_not_simple_and_undirected(num_vertices, adjacency, message):
+def test_graph_rejects_an_adjacency_that_is_not_simple_and_undirected(num_vertices, edges, message):
     with pytest.raises(InvalidParameterError, match=re.escape(message)):
-        Graph(num_vertices, adjacency)
+        Graph(num_vertices, edges)
 
 
 def test_graph_accepts_simple_undirected_adjacency_and_built_graphs_skip_the_check():
-    assert Graph(3, ((1,), (0, 2), (1,))) == build_path(3)
-    assert Graph(3, ((), (), ())).num_edges == 0
-    # from_edges checks its edges itself, and a product is fixed by its factors
-    with mock.patch.object(graphs, "_check_adjacency", side_effect=AssertionError("checked")):
-        product = build_product_graph(ProductParams(3, 2)).graph
+    assert Graph(3, [(1, 0), (1, 2)]) == build_path(3)
+    assert Graph(3, []).num_edges == 0
+    # a product is fixed by its factors, so its edges are never checked
+    path, star = build_path(3), build_star(2)
+    with mock.patch.object(graphs.Graph, "__init__", side_effect=AssertionError("checked")):
+        product = cartesian_product([path, path, star])
         assert product.num_edges == 3 * 3 * 2 + 2 * 3 * 2 * 3
 
 
@@ -235,13 +238,13 @@ def test_product_records_factors_outside_equality():
     path, star = build_path(3), build_star(2)
     product = cartesian_product([path, star])
     assert product.factors == (path, star)
-    plain = Graph.from_edges(product.num_vertices, product.edges())
+    plain = Graph(product.num_vertices, product.edges())
     assert plain == product and hash(plain) == hash(product)
 
 
 def test_only_cartesian_product_records_factors():
     # two disjoint edges (2K2), which a caller once could label P2 x P2 = C4
-    two_edges = ((1,), (0,), (3,), (2,))
+    two_edges = [(0, 1), (2, 3)]
     p2 = build_path(2)
     with pytest.raises(TypeError):
         Graph(4, two_edges, factors=(p2, p2))
@@ -253,7 +256,7 @@ def test_only_cartesian_product_records_factors():
 
 def test_factored_distances_reject_a_disconnected_factor():
     connected = bfs_all_pairs(build_path(2)).matrix
-    split = bfs_all_pairs(Graph.from_edges(2, [])).matrix
+    split = bfs_all_pairs(Graph(2, [])).matrix
     for a, b in ((connected, split), (split, connected)):
         with pytest.raises(DisconnectedGraphError):
             DistanceMatrix.from_factors(a, b)
@@ -265,7 +268,7 @@ def test_products_of_equal_factors_are_equal_without_a_layout():
     assert first == second
     assert first._adjacency is None and second._adjacency is None
     assert first != build_product_graph(ProductParams(4, 3)).graph
-    assert first == Graph.from_edges(first.num_vertices, second.edges())
+    assert first == Graph(first.num_vertices, second.edges())
 
 
 def test_product_adjacency_is_laid_out_on_first_read_and_kept():
@@ -274,9 +277,7 @@ def test_product_adjacency_is_laid_out_on_first_read_and_kept():
     assert product._adjacency is None
     adjacency = product.adjacency
     assert product.adjacency is adjacency
-    assert adjacency == Graph.from_edges(product.num_vertices, product.edges()).adjacency
-    with pytest.raises(InvalidParameterError, match="a graph needs its adjacency; products come from cartesian_product"):
-        Graph(3, None)
+    assert adjacency == Graph(product.num_vertices, product.edges()).adjacency
 
 
 def test_graphs_are_frozen():

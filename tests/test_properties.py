@@ -51,7 +51,7 @@ def connected_graph(draw, max_vertices):
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, nv)}
     extra = draw(st.sets(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))))
     edges |= {(min(p), max(p)) for p in extra if p[0] != p[1]}
-    return Graph.from_edges(nv, edges)
+    return Graph(nv, edges)
 
 
 # connected family graphs with at most 12 vertices
@@ -89,7 +89,7 @@ greedy_graphs = st.one_of(
     ),
     st.integers(1, 12).map(build_path),
     st.integers(1, 8).map(build_star),
-    st.integers(1, 8).map(lambda k: Graph.from_edges(k, itertools.combinations(range(k), 2))),
+    st.integers(1, 8).map(lambda k: Graph(k, itertools.combinations(range(k), 2))),
     connected_graph(10),
 )
 
@@ -393,17 +393,17 @@ def test_factored_product_distances_equal_bfs(m, n):
 # small simple graphs, connected or not, so UNREACHABLE entries occur
 small_graphs = st.integers(1, 5).flatmap(
     lambda nv: st.sets(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)))
-    .map(lambda pairs: Graph.from_edges(nv, {(min(p), max(p)) for p in pairs if p[0] != p[1]}))
+    .map(lambda pairs: Graph(nv, {(min(p), max(p)) for p in pairs if p[0] != p[1]}))
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_graphs, min_size=2, max_size=3))
-@example([Graph.from_edges(2, []), build_path(2)])  # a disconnected factor: the BFS route
+@example([Graph(2, []), build_path(2)])  # a disconnected factor: the BFS route
 def test_factored_distances_equal_bfs_on_random_products(factors):
     g = cartesian_product(factors)
     # the product's adjacency is laid out from the factors' adjacency
-    assert g.adjacency == Graph.from_edges(g.num_vertices, g.edges()).adjacency
+    assert g.adjacency == Graph(g.num_vertices, g.edges()).adjacency
     factored, bfs = all_pairs_distances(g), bfs_all_pairs(g)
     nv = g.num_vertices
     # the single and vectorised factor lookups, before any N x N matrix
@@ -480,7 +480,7 @@ def test_certificate_rejects_a_disconnected_graph(parts, fill):
     for part in parts:
         edges += [(u + offset, v + offset) for u, v in part.edges()]
         offset += part.num_vertices
-    g = Graph.from_edges(offset, edges)
+    g = Graph(offset, edges)
     bfs = bfs_all_pairs(g).matrix
     assert bfs.min() == UNREACHABLE
     assert not certify_distances(g, bfs)

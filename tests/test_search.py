@@ -89,7 +89,7 @@ def test_oracle_refuses_large_graphs():
 
 
 def test_search_rejects_disconnected():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         exact_rn(g)
 
