@@ -15,7 +15,7 @@ from radiomesh import ProductParams, build_construction_labeling
 from radiomesh import formulas as F
 from radiomesh.claims import VerifyConfig, run_verification, verdicts_to_text
 
-config = VerifyConfig(even_m=(2, 4), odd_m=(3, 5), ns=(1, 2), exact_vertex_limit=8)
+config = VerifyConfig(even_m=(2, 4), odd_m=(3, 5), ns=(1, 2))
 rows = run_verification(config)
 print(verdicts_to_text(rows))
 

@@ -16,12 +16,13 @@ and issues a verdict:
 A failure inside a claim is a programming error and propagates; it is
 never recorded as a verdict.
 
-Distances and diameters are read from the dense matrix built from the
-graph's factors, once :func:`~radiomesh.graphs.certify_distances` has
-checked it against the whole graph's adjacency with the BFS layer
-condition, which only the BFS matrix meets. No BFS of the whole graph
-runs on the verdict path; BFS stays the oracle the tests hold the
-certificate and the factored matrix to.
+Every claim at a grid point reads one matrix: the dense matrix built
+from the graph's factors, once :func:`~radiomesh.graphs.certify_distances`
+has checked it against the whole graph's adjacency with the BFS layer
+condition, which only the BFS matrix meets. Both span claims search a
+gap matrix of it with :func:`~radiomesh.search.minimize_span`. No BFS
+of the whole graph runs on the verdict path; BFS stays the oracle the
+tests hold the certificate and the factored matrix to.
 
 Verdict rows are pure data and sort deterministically, so a re-run with
 the same configuration reproduces the same table byte for byte (minus
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .product import (
     fiber_vertex_id,
     pair_offset,
 )
-from .search import RnStatus, exact_rn, gap_matrix, minimize_span
+from .search import RnStatus, gap_matrix, minimize_span
 
 
 class Verdict(Enum):
@@ -77,13 +78,18 @@ class ClaimVerdict:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Verification grid; defaults keep a full run well under a minute."""
+    """Verification grid; defaults keep a full run well under a minute.
+
+    Each grid point runs the distance claims under every
+    :class:`CellIndexing`, and settles its whole-graph bound by exact
+    search if it has at most ``exact_vertex_limit`` vertices: on any
+    grid, only the (2,1) and (2,2) products.
+    """
 
     even_m: tuple[int, ...] = (2, 4, 6)
     odd_m: tuple[int, ...] = (3, 5)
     ns: tuple[int, ...] = (1, 2, 3)
-    indexings: tuple[CellIndexing, ...] = tuple(CellIndexing)
-    exact_vertex_limit: int = 12
+    exact_vertex_limit: ClassVar[int] = 12
 
     def __post_init__(self) -> None:
         # the grid merges both lists, and each m is judged by its own
@@ -95,14 +101,11 @@ class VerifyConfig:
                 raise ParityError(f"{field} needs {kind} mesh orders, got {wrong}")
 
 
-def _equality_verdict(expected: Fraction, observed: Fraction) -> Verdict:
-    return Verdict.MATCH if expected == observed else Verdict.MISMATCH
-
-
 def _row(claim_id, params, indexing, expected, observed) -> ClaimVerdict:
-    verdict = (
-        Verdict.UNVERIFIABLE if observed is None else _equality_verdict(expected, observed)
-    )
+    if observed is None:
+        verdict = Verdict.UNVERIFIABLE
+    else:
+        verdict = Verdict.MATCH if expected == observed else Verdict.MISMATCH
     return ClaimVerdict(claim_id, params.m, params.n, indexing, expected, observed, verdict)
 
 
@@ -155,6 +158,12 @@ def distance_claims(
     return rows
 
 
+def _exact_span(dm: DistanceMatrix, vertices: list[int] | None = None) -> Fraction | None:
+    """The minimum span of the gap matrix over ``vertices``; None if the search ran out of budget."""
+    value, _labels, status, _nodes = minimize_span(gap_matrix(dm, vertices))
+    return Fraction(value) if status is RnStatus.EXACT else None
+
+
 def pair_bound_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
     """Claimed pair span versus the exact minimum span of the row-major pair system.
 
@@ -169,41 +178,33 @@ def pair_bound_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
         claim_id = "Cor8.PairBound"
         expected = formulas.cor8_pair_bound(params)
     first, other = _pair_fibers(params, CellIndexing.ROW_MAJOR)
-    req = gap_matrix(dm, vertices=first + other)
-    value, _labels, status, _nodes = minimize_span(req)
-    observed = Fraction(value) if status is RnStatus.EXACT else None
+    observed = _exact_span(dm, first + other)
     return _row(claim_id, params, CellIndexing.ROW_MAJOR.value, expected, observed)
 
 
-def _heuristic_upper_bound(pg: ProductGraph, dm: DistanceMatrix) -> int:
-    """Best deterministic greedy span: construction order and identity order."""
-    graph = pg.graph
-    construction = construction_ordering(pg.params, CellIndexing.ROW_MAJOR)
-    identity = OrderingPlan(np.arange(graph.num_vertices))
-    return min(greedy_assign(graph, dm, construction).span, greedy_assign(graph, dm, identity).span)
-
-
-def full_bound_claim(
-    pg: ProductGraph, dm: DistanceMatrix, config: VerifyConfig
-) -> ClaimVerdict:
+def full_bound_claim(pg: ProductGraph, dm: DistanceMatrix) -> ClaimVerdict:
     """Claimed whole-graph bound versus exact search or a refuting labeling.
 
-    Small instances are settled exactly. Larger ones fall back to the
-    sandwich: a valid labeling with span below the claimed lower bound
+    Instances of at most ``VerifyConfig.exact_vertex_limit`` vertices
+    are settled exactly. Larger ones, and a search that runs out of
+    budget, fall back to the sandwich: the best greedy span of the
+    construction and identity orders, if below the claimed lower bound,
     refutes it (the radio number cannot reach the claim); otherwise the
     claim stays Unverifiable at this scale.
     """
-    params = pg.params
+    params, graph = pg.params, pg.graph
     claim_id = "Thm18.Bound" if params.m % 2 else "Thm6.Bound"
     expected = formulas.combined_bound(params)
-    indexing = CellIndexing.ROW_MAJOR.value
-    if params.num_vertices <= config.exact_vertex_limit:
-        result = exact_rn(pg.graph, dm)
-        if result.status is RnStatus.EXACT:
-            return _row(claim_id, params, indexing, expected, Fraction(result.value))
-    upper = _heuristic_upper_bound(pg, dm)
-    observed = Fraction(upper) if upper < expected else None
-    return _row(claim_id, params, indexing, expected, observed)
+    observed = None
+    if params.num_vertices <= VerifyConfig.exact_vertex_limit:
+        observed = _exact_span(dm)
+    if observed is None:
+        construction = construction_ordering(params, CellIndexing.ROW_MAJOR)
+        identity = OrderingPlan(np.arange(graph.num_vertices))
+        upper = min(greedy_assign(graph, dm, plan).span for plan in (construction, identity))
+        if upper < expected:
+            observed = Fraction(upper)
+    return _row(claim_id, params, CellIndexing.ROW_MAJOR.value, expected, observed)
 
 
 def example_claims() -> list[ClaimVerdict]:
@@ -218,13 +219,12 @@ def example_claims() -> list[ClaimVerdict]:
 def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict]:
     """Adjudicate the whole grid; an error in any claim propagates.
 
-    Each m, n and scheme is taken once, however often the grid repeats
-    it. Each grid point's dense matrix, built from the factors, must pass
+    Each m and n is taken once, however often the grid repeats it.
+    Each grid point's dense matrix, built from the factors, must pass
     :func:`~radiomesh.graphs.certify_distances` against the whole
     graph's adjacency, which holds exactly when it equals the BFS matrix
-    entry for entry, or the run raises. The distance and diameter claims
-    read that certified matrix; its diameter is its largest entry, not
-    the sum of the factors' diameters the bounds use.
+    entry for entry, or the run raises. Every claim at the grid point
+    reads that certified matrix; the factored one only builds it.
     """
     rows: list[ClaimVerdict] = []
     for m in sorted(set(config.even_m + config.odd_m)):
@@ -232,17 +232,16 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict
             params = ProductParams(m, n)
             pg = build_product_graph(params)
             dm = all_pairs_distances(pg.graph)
-            # distance and diameter claims read the dense matrix once it is
-            # certified against the whole graph's adjacency, never the
-            # factored lookups the bounds use
+            # every claim reads the dense matrix once it is certified
+            # against the whole graph's adjacency
             if not certify_distances(pg.graph, dm.matrix):
                 raise RuntimeError(f"factored distances differ from BFS at m={m} n={n}")
             certified = DistanceMatrix(dm.matrix)
             rows.append(diameter_claim(params, certified))
-            for indexing in dict.fromkeys(config.indexings):
+            for indexing in CellIndexing:
                 rows.extend(distance_claims(params, indexing, certified))
-            rows.append(pair_bound_claim(params, dm))
-            rows.append(full_bound_claim(pg, dm, config))
+            rows.append(pair_bound_claim(params, certified))
+            rows.append(full_bound_claim(pg, certified))
     rows.extend(example_claims())
     rows.sort(key=ClaimVerdict.sort_key)
     return rows

@@ -92,35 +92,27 @@ def cmd_validate(args) -> int:
     return 1
 
 
-def _distinct_items(convert, what: str, text: str) -> tuple:
-    """A list flag's comma-separated ``text``, each item through ``convert``.
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated distinct integers; a blank value is the empty list.
 
-    An item ``convert`` rejects, or a repeated value, is a usage error.
+    An item that is not an integer, or a repeated value, is a usage error.
     """
+    if not text.strip():
+        return ()
     try:
-        values = tuple(convert(item) for item in text.split(","))
+        values = tuple(int(item) for item in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
     if len(set(values)) < len(values):
         raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
     return values
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    """Comma-separated distinct integers; a blank value is the empty list."""
-    return _distinct_items(int, "integers", text) if text.strip() else ()
-
-
-def _schemes(text: str) -> tuple[CellIndexing, ...]:
-    names = ",".join(scheme.value for scheme in CellIndexing)
-    return _distinct_items(CellIndexing, f"schemes from {{{names}}}", text)
 
 
 def cmd_verify(args) -> int:
     # split by parity here, so no order is filed under the wrong one
     even_m = tuple(m for m in args.ms if m % 2 == 0)
     odd_m = tuple(m for m in args.ms if m % 2)
-    config = claims.VerifyConfig(even_m=even_m, odd_m=odd_m, ns=args.ns, indexings=args.schemes)
+    config = claims.VerifyConfig(even_m=even_m, odd_m=odd_m, ns=args.ns)
     render = claims.verdicts_to_csv if args.format == "csv" else claims.verdicts_to_text
     sys.stdout.write(render(claims.run_verification(config)))
     return 0
@@ -165,7 +157,6 @@ def _verify_arguments(p) -> None:
         "--ms", type=_int_list, default=grid.even_m + grid.odd_m, help="comma-separated mesh orders"
     )
     p.add_argument("--ns", type=_int_list, default=grid.ns)
-    p.add_argument("--schemes", type=_schemes, default=grid.indexings, help="comma-separated schemes")
     _add_format(p)
 
 # One row per subcommand: name, help line, argument adder, handler.

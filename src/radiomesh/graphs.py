@@ -49,13 +49,25 @@ class DisconnectedGraphError(Exception):
     """The operation needs a connected graph and the input is not one."""
 
 
+def checked_int(name: str, value) -> int:
+    """``value`` as a Python int, for a Python or numpy integer that is not a bool.
+
+    A bool would pass for 0 or 1 and a float would fail only later, so
+    any other value raises InvalidParameterError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class Graph:
     """Simple undirected graph on vertex ids ``0..num_vertices-1``.
 
-    ``Graph(num_vertices, edges)`` takes an edge list and rejects fewer
-    than one vertex, an id out of range, a self-loop and a repeated
-    edge. ``adjacency[v]`` is the sorted tuple of neighbors of ``v``.
-    Instances are immutable: assigning an attribute raises.
+    ``Graph(num_vertices, edges)`` takes an edge list and rejects a
+    vertex count or id that is not an integer (see :func:`checked_int`),
+    fewer than one vertex, an id out of range, a self-loop and a
+    repeated edge. ``adjacency[v]`` is the sorted tuple of neighbors of
+    ``v``. Instances are immutable: assigning an attribute raises.
 
     ``factors`` is set only by :func:`cartesian_product`, to a product's
     two factors, whose vertex ids combine in mixed radix. Products of
@@ -72,10 +84,12 @@ class Graph:
     """
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
+        num_vertices = checked_int("vertex count", num_vertices)
         if num_vertices <= 0:
             raise InvalidParameterError("graph needs at least one vertex")
         neighbors: list[set[int]] = [set() for _ in range(num_vertices)]
         for u, v in edges:
+            u, v = checked_int("vertex id", u), checked_int("vertex id", v)
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise InvalidParameterError(f"edge ({u}, {v}) out of range")
             if u == v:
@@ -144,6 +158,7 @@ def _unchecked(num_vertices: int, factors: tuple[Graph, Graph]) -> Graph:
 
 def build_path(m: int) -> Graph:
     """Path on ``m`` vertices: 0 - 1 - ... - m-1."""
+    m = checked_int("path order", m)
     if m < 1:
         raise InvalidParameterError(f"path order must be >= 1, got {m}")
     return Graph(m, [(i, i + 1) for i in range(m - 1)])
@@ -151,6 +166,7 @@ def build_path(m: int) -> Graph:
 
 def build_star(n: int) -> Graph:
     """Star with hub 0 adjacent to the ``n`` leaves 1..n."""
+    n = checked_int("star leaf count", n)
     if n < 1:
         raise InvalidParameterError(f"star leaf count must be >= 1, got {n}")
     return Graph(n + 1, [(0, leaf) for leaf in range(1, n + 1)])
@@ -167,9 +183,6 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
     factors = list(factors)
     if len(factors) < 2:
         raise InvalidParameterError("cartesian product needs at least two factors")
-    for g in factors:
-        if g.num_vertices == 0:
-            raise InvalidParameterError("cartesian product factors must be non-empty")
     return reduce(lambda a, b: _unchecked(a.num_vertices * b.num_vertices, (a, b)), factors)
 
 

@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .graphs import Graph, InvalidParameterError, build_path, build_star, cartesian_product
+from .graphs import Graph, InvalidParameterError, build_path, build_star, cartesian_product, checked_int
 
 
 class ParityError(InvalidParameterError):
@@ -43,12 +41,9 @@ class ProductParams:
     n: int
 
     def __post_init__(self):
-        # a bool would pass for 0 or 1 and a float would fail only later;
         # a numpy integer is kept as a Python int
         for name, value in (("m", self.m), ("n", self.n)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, checked_int(name, value))
         if self.m < 2:
             raise InvalidParameterError(f"mesh order m must be >= 2, got {self.m}")
         if self.n < 1:

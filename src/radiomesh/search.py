@@ -5,11 +5,15 @@ branch-and-bound over vertex orderings (:func:`exact_rn`) and a brute
 force over every ordering (:func:`permutation_oracle`). Both use the
 fact that some optimal labeling is the greedy realization of the order
 of its vertices by label value, so minimizing greedy spans over
-orderings is exact.
+orderings is exact. They share no distance route either: the search
+reads :func:`~radiomesh.graphs.all_pairs_distances`, which sums factor
+distances on a product, and the oracle reads whole-graph BFS
+(:func:`~radiomesh.graphs.bfs_all_pairs`).
 
-The branch-and-bound core works on an explicit gap-requirement matrix,
-so callers can also pose induced-subset problems that keep the host
-graph's metric (see :func:`gap_matrix`).
+The branch-and-bound core, :func:`minimize_span`, works on an explicit
+gap-requirement matrix, so callers can also pose induced-subset
+problems that keep the host graph's metric (see :func:`gap_matrix`);
+the claims harness searches both span claims that way.
 """
 from __future__ import annotations
 
@@ -22,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, InvalidParameterError, all_pairs_distances
-from .labeling import Labeling, _check_matrix, required_gaps
+from .graphs import DistanceMatrix, Graph, InvalidParameterError, all_pairs_distances, bfs_all_pairs
+from .labeling import Labeling, required_gaps
 
 ORACLE_MAX_VERTICES = 9
 
@@ -72,9 +76,14 @@ def gap_matrix(dm: DistanceMatrix, vertices: Sequence[int] | None = None) -> lis
     Looked up by :func:`~radiomesh.labeling.required_gaps`, not from the
     N x N matrix. ``diam`` is the diameter of the whole matrix, so a
     subset poses the induced problem under the host metric, which is how
-    the per-pair bound claims are adjudicated.
+    the per-pair bound claims are adjudicated. An id outside
+    ``0..N-1`` raises InvalidParameterError naming the first one.
     """
-    ids = np.arange(dm.num_vertices) if vertices is None else np.asarray(vertices, dtype=np.intp)
+    nv = dm.num_vertices
+    ids = np.arange(nv) if vertices is None else np.asarray(vertices, dtype=np.intp)
+    outside = ids[(ids < 0) | (ids >= nv)]
+    if outside.size:
+        raise InvalidParameterError(f"vertex {outside[0]} outside 0..{nv - 1}")
     return required_gaps(dm, ids[:, None], ids[None, :]).tolist()
 
 
@@ -292,6 +301,12 @@ def minimize_span(
     of the unshifted fields and shifts it once, since a common shift
     keeps lexicographic order.
 
+    ``req`` must be square, with every entry off the diagonal at least
+    1, as every gap matrix of a graph is: the completion bound takes
+    unplaced labels to be distinct, so a smaller gap could prune the
+    optimum, and such a ``req`` raises InvalidParameterError. The
+    diagonal is never read.
+
     ``node_limit`` caps the nodes explored (``None`` means unlimited;
     a negative limit raises InvalidParameterError), so a truncated
     search is bit-reproducible on any machine. When the budget aborts
@@ -305,6 +320,12 @@ def minimize_span(
     nv = len(req)
     if nv == 0:
         raise InvalidParameterError("empty constraint system")
+    if any(len(row) != nv for row in req):
+        raise InvalidParameterError(f"gap matrix must be square, has {nv} rows")
+    # reach[v] is v's least gap to another vertex
+    reach = [min(row[:v] + row[v + 1 :], default=1) for v, row in enumerate(req)]
+    if min(reach) < 1:
+        raise InvalidParameterError(f"gaps between distinct vertices must be >= 1, got {min(reach)}")
 
     hint_value, hint_labels = _heuristic_hint(req)
     # the greedy threshold, then each completion in turn, which lowers it
@@ -327,8 +348,6 @@ def minimize_span(
     # shapes[mask] is that least mask and the orders its fields are read
     # in, each a tuple of positions in a node's floors list (see _shape)
     shapes: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
-    # reach[v] is v's least gap to another vertex; the diagonal is never read
-    reach = [min(row[:v] + row[v + 1 :], default=0) for v, row in enumerate(req)]
 
     def dfs(
         mask: int, unplaced: list[int], floors: list[int], key: tuple[int, ...], images: int
@@ -424,36 +443,29 @@ def minimize_span(
     return cutoff, best_labels, status, nodes
 
 
-def exact_rn(
-    g: Graph, dm: DistanceMatrix | None = None, node_limit: int | None = DEFAULT_NODE_LIMIT
-) -> RnResult:
+def exact_rn(g: Graph, node_limit: int | None = DEFAULT_NODE_LIMIT) -> RnResult:
     """Radio number of ``g`` by branch-and-bound; exact when the search finishes.
 
     Deterministic: children are explored in ascending vertex id, the
     witness is the first optimal completion in that order, and the
     budget counts nodes, not time.
     """
-    if dm is None:
-        dm = all_pairs_distances(g)
-    _check_matrix(g, dm)
-    req = gap_matrix(dm)  # raises DisconnectedGraphError via the diameter
+    req = gap_matrix(all_pairs_distances(g))  # raises DisconnectedGraphError via the diameter
     value, labels, status, nodes = minimize_span(req, node_limit)
     return RnResult(value, status, Labeling(labels, graph=g), nodes)
 
 
-def permutation_oracle(g: Graph, dm: DistanceMatrix | None = None) -> RnResult:
+def permutation_oracle(g: Graph) -> RnResult:
     """Radio number by enumerating every vertex ordering.
 
-    Deliberately simple so it can certify :func:`exact_rn`; refuses
-    graphs with more than ORACLE_MAX_VERTICES vertices.
+    Deliberately simple so it can certify :func:`exact_rn`, and reads
+    distances from whole-graph BFS, not the factored route the search
+    reads; refuses graphs with more than ORACLE_MAX_VERTICES vertices.
     """
     nv = g.num_vertices
     if nv > ORACLE_MAX_VERTICES:
         raise OracleSizeError(f"oracle limited to {ORACLE_MAX_VERTICES} vertices, got {nv}")
-    if dm is None:
-        dm = all_pairs_distances(g)
-    _check_matrix(g, dm)
-    req = gap_matrix(dm)
+    req = gap_matrix(bfs_all_pairs(g))
 
     best: int | None = None
     best_labels: list[int] | None = None

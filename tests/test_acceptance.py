@@ -107,7 +107,7 @@ def test_criterion_4_formula_determinism():
 
 
 def test_criterion_5_worked_example_adjudication():
-    config = VerifyConfig(even_m=(2,), odd_m=(), ns=(1,), exact_vertex_limit=8)
+    config = VerifyConfig(even_m=(2,), odd_m=(), ns=(1,))
     rows = {r.claim_id: r for r in run_verification(config)}
     ex31 = rows["Ex3.1.Value"]
     ex32 = rows["Ex3.2.Value"]
@@ -171,7 +171,7 @@ def test_criterion_7_distance_case_adjudication():
 def test_criterion_8_exact_bound_sanity_at_desk_scale():
     start = time.monotonic()
     assert F.thm6_even_bound(ProductParams(2, 2)) == 22
-    config = VerifyConfig(even_m=(2,), odd_m=(), ns=(2,), exact_vertex_limit=12)
+    config = VerifyConfig(even_m=(2,), odd_m=(), ns=(2,))
     rows = {r.claim_id: r for r in run_verification(config)}
     row = rows["Thm6.Bound"]
     elapsed = time.monotonic() - start

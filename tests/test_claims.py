@@ -34,7 +34,8 @@ from radiomesh.claims import (
 
 REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_verdicts.csv"
 
-SMALL = VerifyConfig(even_m=(2,), odd_m=(3,), ns=(1, 2), exact_vertex_limit=8)
+# n = 3 keeps the 12-vertex (2,2) product, and its 6,444,838-node search, out
+SMALL = VerifyConfig(even_m=(2,), odd_m=(3,), ns=(1, 3))
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +116,7 @@ def test_full_bound_claim_exact_at_eight_vertices():
     params = ProductParams(2, 1)
     pg = build_product_graph(params)
     dm = all_pairs_distances(pg.graph)
-    row = full_bound_claim(pg, dm, SMALL)
+    row = full_bound_claim(pg, dm)
     assert row.claim_id == "Thm6.Bound"
     assert row.expected == 16
     assert row.observed == 10  # exact radio number of the 8-vertex product
@@ -126,7 +127,7 @@ def test_full_bound_claim_falls_back_to_sandwich():
     params = ProductParams(3, 1)  # 18 vertices, above the exact limit
     pg = build_product_graph(params)
     dm = all_pairs_distances(pg.graph)
-    row = full_bound_claim(pg, dm, SMALL)
+    row = full_bound_claim(pg, dm)
     assert row.claim_id == "Thm18.Bound"
     if row.verdict is Verdict.MISMATCH:
         assert row.observed is not None and row.observed < row.expected
@@ -230,7 +231,7 @@ def test_a_mesh_order_of_the_wrong_parity_is_rejected(fields, message):
 def test_a_repeated_grid_value_is_taken_once():
     once = run_verification(VerifyConfig(even_m=(2,), odd_m=(), ns=(1,)))
     assert len(once) == 14
-    repeated = VerifyConfig(even_m=(2, 2), odd_m=(), ns=(1, 1), indexings=tuple(CellIndexing) * 2)
+    repeated = VerifyConfig(even_m=(2, 2), odd_m=(), ns=(1, 1))
     assert run_verification(repeated) == once
 
 

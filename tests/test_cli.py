@@ -36,9 +36,7 @@ def test_cor3_diameter_is_read_one_way(capsys, n):
     _, out, _ = run(capsys, "bound", "--m", "4", "--n", n, "--format", "csv")
     bound_rows = [line for line in out.splitlines() if line.startswith("DiamCor3,")]
     assert bound_rows == [f"DiamCor3,4,{n},{claimed},1,true"]
-    _, out, _ = run(
-        capsys, "verify", "--ms", "4", "--ns", n, "--schemes", "row-major", "--format", "csv",
-    )
+    _, out, _ = run(capsys, "verify", "--ms", "4", "--ns", n, "--format", "csv")
     verdict_rows = [line for line in out.splitlines() if line.startswith("Cor3.Diameter,")]
     assert [row.split(",")[4:6] for row in verdict_rows] == [[claimed, "1"]]
 
@@ -213,15 +211,15 @@ def test_verify_small_grid_csv(capsys):
     "argv",
     [
         ["verify", "--ms", "x"],
-        ["verify", "--schemes", "row-major,"],
+        ["verify", "--ms", "2,"],
         ["verify", "--ns", "x"],
-        ["verify", "--schemes", "bogus"],
+        ["verify", "--ns", "bogus"],
         ["verify", "--ns", "1,"],
         ["verify", "--ms", "3,3.5"],
         ["verify", "--ns", "1,1"],
         ["verify", "--ms", "2,2"],
         ["verify", "--ms", "3,3"],
-        ["verify", "--schemes", "row-major,row-major"],
+        ["verify", "--ns", "1,2.5"],
         ["verify", "--ms", "2,x"],
     ],
 )
@@ -251,6 +249,7 @@ def test_malformed_flag_value_exits_2(argv, capsys):
         ["validate", "--m", "2", "--n", "1", "--labeling", "lab.txt", "--format", "csv"],
         ["verify", "--even-m", "2"],
         ["verify", "--odd-m", "3"],
+        ["verify", "--schemes", "row-major"],
     ],
 )
 def test_flags_that_change_no_output_are_gone(argv, capsys):
@@ -267,7 +266,7 @@ FLAGS = {
     "bound": ["--m", "--n", "--format"],
     "label": ["--m", "--n", "--indexing", "--out"],
     "validate": ["--labeling", "--m", "--n"],
-    "verify": ["--ms", "--ns", "--schemes", "--format"],
+    "verify": ["--ms", "--ns", "--format"],
 }
 
 
@@ -278,7 +277,7 @@ def test_each_command_takes_exactly_its_flags():
         for name, parser in commands.items()
     }
     assert taken == FLAGS
-    assert sum(map(len, taken.values())) == 21
+    assert sum(map(len, taken.values())) == 20
 
 
 @pytest.mark.parametrize(

@@ -224,6 +224,33 @@ def test_graph_rejects_an_adjacency_that_is_not_simple_and_undirected(num_vertic
         Graph(num_vertices, edges)
 
 
+# one integer rule for every size and id: a Python or numpy int, not a bool
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph(3, [(0, 1.0)]),
+        lambda: Graph(2.5, []),
+        lambda: Graph(3, [(True, 2)]),
+        lambda: build_path(2.5),
+        lambda: build_path(True),
+        lambda: build_star(2.5),
+        lambda: build_star(True),
+    ],
+    ids=["float id", "float count", "bool id", "float path", "bool path", "float star", "bool star"],
+)
+def test_a_size_or_id_that_is_not_an_integer_is_rejected(build):
+    with pytest.raises(InvalidParameterError, match="must be an integer, got (2.5|1.0|True)"):
+        build()
+
+
+def test_numpy_integer_sizes_and_ids_are_kept_as_python_ints():
+    g = Graph(np.int64(2), [(np.int32(0), np.int64(1))])
+    assert g == build_path(2)
+    assert type(g.num_vertices) is int and type(g.adjacency[0][0]) is int
+    assert type(build_path(np.int64(3)).num_vertices) is int
+    assert type(build_star(np.int16(2)).num_vertices) is int
+
+
 def test_graph_accepts_simple_undirected_adjacency_and_built_graphs_skip_the_check():
     assert Graph(3, [(1, 0), (1, 2)]) == build_path(3)
     assert Graph(3, []).num_edges == 0

@@ -197,9 +197,13 @@ def _uncached_minimize_span(req, node_limit, checks=None):
     return best_val, best_labels, status, nodes
 
 
+def _below_one_off_the_diagonal(req):
+    return any(gap < 1 for v, row in enumerate(req) for x, gap in enumerate(row) if x != v)
+
+
 # Tables of 1 and 8 states fill and are emptied again and again. Gaps
-# up to 300 give large offsets; negative gaps (no graph has them) let
-# labels fall.
+# up to 300 give large offsets; gaps below 1 (no graph has them) are
+# rejected.
 @pytest.mark.parametrize("slots", [None, 1, 8])
 @settings(max_examples=150, deadline=None)
 @given(
@@ -207,15 +211,20 @@ def _uncached_minimize_span(req, node_limit, checks=None):
     st.one_of(st.none(), st.integers(0, 300)),
 )
 def test_minimize_span_matches_uncached_search(slots, req, node_limit):
+    if _below_one_off_the_diagonal(req):
+        with pytest.raises(InvalidParameterError, match="distinct vertices must be >= 1"):
+            minimize_span(req, node_limit)
+        return
     expected = _uncached_minimize_span(req, node_limit)
     with mock.patch.object(search, "_CACHE_SLOTS", slots or search._CACHE_SLOTS):
         assert minimize_span(req, node_limit) == expected
 
 
 def test_minimize_span_matches_uncached_search_past_a_key_field():
-    # negative gaps let labels fall, so an offset outgrows every gap; a
-    # key that truncated it would make two states share a key and
-    # miscount nodes
+    # negative gaps would let labels fall and an offset outgrow every
+    # gap, so the system is rejected. Lifted so every gap is at least 1,
+    # a floor minus the least floor stays below the gap that set it, and
+    # the search matches the uncached one.
     req = [
         [5, 3, 3, 3, -4, 7, -2, 5],
         [3, -8, 3, 0, -2, 2, -8, 0],
@@ -226,7 +235,10 @@ def test_minimize_span_matches_uncached_search_past_a_key_field():
         [-2, -8, 4, 4, -8, -6, -3, -6],
         [5, 0, 7, 4, -8, -1, -6, -6],
     ]
-    assert minimize_span(req, None) == _uncached_minimize_span(req, None)
+    with pytest.raises(InvalidParameterError, match="must be >= 1, got -8"):
+        minimize_span(req, None)
+    lifted = [[gap + 9 for gap in row] for row in req]
+    assert minimize_span(lifted, None) == _uncached_minimize_span(lifted, None)
 
 
 def test_minimize_span_matches_uncached_search_at_every_budget():

@@ -9,6 +9,7 @@ import pytest
 from radiomesh import (
     CellIndexing,
     DisconnectedGraphError,
+    DistanceMatrix,
     Graph,
     InvalidParameterError,
     OracleSizeError,
@@ -75,7 +76,7 @@ def test_search_agrees_with_oracle(name, graph):
 @pytest.mark.parametrize("name,graph", list(_small_graphs()))
 def test_witnesses_are_valid_and_tight(name, graph):
     dm = all_pairs_distances(graph)
-    for result in (permutation_oracle(graph, dm), exact_rn(graph, dm)):
+    for result in (permutation_oracle(graph), exact_rn(graph)):
         assert result.witness is not None
         assert validate(graph, dm, result.witness).valid
         assert result.witness.span == result.value
@@ -111,7 +112,7 @@ def test_search_is_deterministic():
 def test_exact_rn_lower_bounds_any_greedy_span():
     g = build_star(4)
     dm = all_pairs_distances(g)
-    rn = exact_rn(g, dm).value
+    rn = exact_rn(g).value
     for seq in [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 0, 4, 1, 3)]:
         assert rn <= greedy_assign(g, dm, OrderingPlan(seq)).span
 
@@ -120,7 +121,7 @@ def test_node_budget_below_one_branch_keeps_hint_witness():
     g = build_product_graph(ProductParams(3, 2)).graph  # 27 vertices
     dm = all_pairs_distances(g)
     # a complete branch takes 27 nodes, so 10 cannot finish one
-    result = exact_rn(g, dm, node_limit=10)
+    result = exact_rn(g, node_limit=10)
     assert result.status is RnStatus.UPPER_BOUND_ONLY
     assert result.nodes == 10
     assert result.witness is not None
@@ -154,7 +155,7 @@ def test_budgeted_search_past_a_byte_of_positions():
     # 300 unplaced vertices at the root: more floor positions than a byte holds
     g = build_path(300)
     dm = all_pairs_distances(g)
-    result = exact_rn(g, dm, node_limit=50)
+    result = exact_rn(g, node_limit=50)
     assert (result.status, result.nodes) == (RnStatus.UPPER_BOUND_ONLY, 50)
     assert validate(g, dm, result.witness).valid
     assert result.witness.span == result.value
@@ -172,16 +173,41 @@ def test_node_budget_yields_upper_bound_only():
     assert again.witness.labels.tolist() == truncated.witness.labels.tolist()
 
 
-def test_exact_rn_rejects_a_matrix_of_another_graph():
-    # P_4's matrix would pose P_4's system and tag its witness with P_3
-    with pytest.raises(InvalidParameterError, match="distance matrix covers 4 vertices, graph has 3"):
-        exact_rn(build_path(3), all_pairs_distances(build_path(4)))
+def test_the_oracle_reads_no_distances_the_search_reads(monkeypatch):
+    # the complete graph's metric in place of the cube's: the search,
+    # which reads it, finds 7, while the oracle reads BFS and keeps 10
+    g = build_product_graph(ProductParams(2, 1)).graph
+
+    def complete_metric(graph):
+        return DistanceMatrix(1 - np.eye(graph.num_vertices, dtype=np.int16))
+
+    monkeypatch.setattr(search, "all_pairs_distances", complete_metric)
+    assert permutation_oracle(g).value == KNOWN_RN["C4xK1,1"]
+    assert exact_rn(g).value == g.num_vertices - 1
 
 
-def test_permutation_oracle_rejects_a_matrix_of_another_graph():
-    # P_4's matrix would give rn = 5, where rn(P_3) = 3
-    with pytest.raises(InvalidParameterError, match="distance matrix covers 4 vertices, graph has 3"):
-        permutation_oracle(build_path(3), all_pairs_distances(build_path(4)))
+def test_gap_matrix_rejects_an_id_outside_the_graph():
+    dm = all_pairs_distances(build_path(3))
+    # -1 would read vertex 2's gaps as a numpy index, 5 numpy's IndexError
+    for vertices, first in (([-1, 0], -1), ([0, 5], 5), ([1, 3, -2], 3)):
+        with pytest.raises(InvalidParameterError, match=rf"^vertex {first} outside 0\.\.2$"):
+            gap_matrix(dm, vertices)
+    assert gap_matrix(dm, [2, 0]) == [[3, 1], [1, 3]]
+
+
+def test_minimize_span_rejects_a_gap_below_one_or_a_ragged_matrix():
+    # the sorted-floor bound takes unplaced labels to be distinct: with
+    # zero gaps it would report (4, [0, 0, 3, 4], EXACT) for this
+    # system, while the order 2, 3, 1, 0 realises span 3
+    zero_gaps = [[0, 3, 3, 0], [0, 0, 2, 3], [2, 3, 0, 1], [2, 0, 2, 0]]
+    with pytest.raises(InvalidParameterError, match="distinct vertices must be >= 1, got 0"):
+        minimize_span(zero_gaps)
+    with pytest.raises(InvalidParameterError, match="must be >= 1, got -2"):
+        minimize_span([[0, -2], [1, 0]])
+    with pytest.raises(InvalidParameterError, match="must be square"):
+        minimize_span([[0, 1], [1, 0, 1]])
+    # every gap at least 1: the diagonal is never read
+    assert minimize_span([[-5, 1], [1, 0]]) == (1, [0, 1], RnStatus.EXACT, 3)
 
 
 def test_gap_matrix_subset_keeps_host_metric():
@@ -235,19 +261,18 @@ def test_search_tree_of_row_major_pair_system_is_frozen():
 
 
 def test_search_tree_of_c4_x_k12_is_frozen():
-    g = build_product_graph(ProductParams(2, 2)).graph
-    dm = all_pairs_distances(g)
-    dm.matrix  # built before tracing, so the peak is the search's own
+    # the gap matrix is built before tracing, so the peak is the search's own
+    req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(2, 2)).graph))
     # a small search first makes the allocations a process pays once, so
     # the peak is the same run alone or after other tests
     exact_rn(build_product_graph(ProductParams(2, 1)).graph)
     tracemalloc.start()
     try:
-        result = exact_rn(g, dm)
+        value, _labels, status, nodes = minimize_span(req)
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (result.value, result.status, result.nodes) == (22, RnStatus.EXACT, 6_444_838)
+    assert (value, status, nodes) == (22, RnStatus.EXACT, 6_444_838)
     # measured 1.89 MB, nearly all of it the subtree table and the
     # per-mask canonical images, each a tuple of floor positions
     assert peak < 1_900_000
