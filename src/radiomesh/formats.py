@@ -9,12 +9,11 @@ layout :func:`format_labeling` writes: ASCII decimal fields of at most
 18 digits, ids 0..N-1 in order, spaces or tabs between fields, ``\\n``
 line ends, blank lines, and a comment only as the last line.
 :func:`read_text` reads with universal newlines, so a ``\\r\\n`` file
-read through it qualifies. The kernel checks and converts the text in
-pieces of about :data:`_CHUNK` characters, cut after a newline. Any
-other text (non-ASCII, a sign, an underscore, a longer number, a
-``\\r`` or another line break, a comment before the last line, ids out
-of order) and any file that breaks a rule takes one walk over the
-lines, which parses it or names its first bad line.
+read through it qualifies. Any other text (non-ASCII, a sign, an
+underscore, a longer number, a ``\\r`` or another line break, a comment
+before the last line, ids out of order) and any file that breaks a rule
+takes one walk over the lines, which parses it or names its first bad
+line.
 
 A file that breaks these rules raises :class:`FormatError`, naming the
 offending line when there is one.
@@ -22,7 +21,6 @@ offending line when there is one.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -40,88 +38,35 @@ def _ints(fields: list[str], lineno: int) -> list[int]:
         raise FormatError(f"line {lineno}: expected integers, got {' '.join(fields)!r}") from None
 
 
-# vertices per "%d %d\n" template of the labeling writer: bounds its temporaries
-_BLOCK = 1 << 12
-
-
 def format_labeling(labeling: Labeling) -> str:
     """Labeling file text: one ``<vertex_id> <label>`` line per vertex, then the span comment.
 
-    Written a block of vertices at a time, each block by one ``%``
-    fill of a ``"%d %d\\n"`` template.
+    Written by one ``%`` fill of a ``"%d %d\\n"`` template of N lines.
     """
     labels = labeling.labels
-    template = "%d %d\n" * _BLOCK
-    parts = []
-    for start in range(0, len(labels), _BLOCK):
-        block = labels[start : start + _BLOCK].tolist()
-        fields = [0] * (2 * len(block))
-        fields[0::2] = range(start, start + len(block))
-        fields[1::2] = block
-        if len(block) < _BLOCK:
-            template = "%d %d\n" * len(block)
-        parts.append(template % tuple(fields))
-    parts.append(f"# span {labeling.span}\n")
-    return "".join(parts)
+    fields = [0] * (2 * len(labels))
+    fields[0::2] = range(len(labels))
+    fields[1::2] = labels.tolist()
+    return ("%d %d\n" * len(labels)) % tuple(fields) + f"# span {labeling.span}\n"
 
 
-# characters per piece of the labeling parser's kernel: bounds its temporaries
-_CHUNK = 1 << 16
 # longest field the kernel converts: 10**18 - 1 still fits in int64
 _MAX_DIGITS = 18
-
-
-def _line_chunks(text: str) -> Iterator[str]:
-    """Pieces of ``text`` of about :data:`_CHUNK` characters, cut after a newline.
-
-    A newline always ends a line, so no line is split between pieces.
-    """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
-def _piece_fields(piece: str) -> np.ndarray | None:
-    """The fields of one ASCII piece as int64, id and label alternating, in file order.
-
-    The kernel: the piece's bytes are checked and converted in a few
-    array passes. It takes text whose lines are blank or two decimal
-    fields of at most :data:`_MAX_DIGITS` digits, between spaces and
-    tabs, each line ended by ``\\n``. It returns None for any other
-    text, a ``#`` or a ``\\r`` included: :func:`read_text` turns every
-    ``\\r\\n`` of a file into ``\\n``, so only text handed straight to
-    :func:`parse_labeling` holds one, and the line walk parses it.
-    """
-    # newlines at both ends: every field has a non-digit on either side
-    text = f"\n{piece}\n".encode("ascii")
-    data = np.frombuffer(text, dtype=np.uint8)
-    digit = data - 48 < 10  # uint8 wraps below "0"
-    newlines = np.flatnonzero(data == 10)
-    blanks = np.count_nonzero(data == 32) + np.count_nonzero(data == 9)
-    if np.count_nonzero(digit) + len(newlines) + blanks != len(data):
-        return None  # a character outside the alphabet
-    bounds = np.flatnonzero(digit[1:] != digit[:-1]) + 1
-    starts, ends = bounds[0::2], bounds[1::2]
-    fields_before = np.searchsorted(starts, newlines)
-    if ((np.diff(fields_before) | 2) != 2).any():
-        return None  # a line with a field count other than 0 or 2
-    if not len(starts):
-        return np.empty(0, dtype=np.int64)
-    if (ends - starts).max() > _MAX_DIGITS:
-        return None
-    return np.fromstring(text, dtype=np.int64, sep=" ")
 
 
 def _parse_in_bulk(text: str) -> tuple[np.ndarray, int | None] | None:
     """Labels by vertex id and declared span, for text laid out as :func:`format_labeling` writes it.
 
-    Takes ASCII text whose last line may be a comment and whose other
-    lines :func:`_piece_fields` takes, a piece at a time, with ids
-    0..N-1 in order and N >= 1. Returns None for any other text, a
-    malformed span comment included: the line walk then parses the
-    file or names its fault.
+    The kernel: the last line is read once, and if it is a comment it is
+    peeled off; the bytes of the rest are checked and converted in a few
+    array passes. It takes ASCII text whose other lines are blank or two
+    decimal fields of at most :data:`_MAX_DIGITS` digits, between spaces
+    and tabs, each line ended by ``\\n``, with ids 0..N-1 in order and
+    N >= 1. It returns None for any other text, a malformed span comment,
+    a ``#`` before the last line or a ``\\r`` included: the line walk
+    then parses the file or names its fault. :func:`read_text` turns
+    every ``\\r\\n`` of a file into ``\\n``, so only text handed straight
+    to :func:`parse_labeling` holds one.
     """
     if not text.isascii():
         return None
@@ -137,16 +82,25 @@ def _parse_in_bulk(text: str) -> tuple[np.ndarray, int | None] | None:
             except ValueError:
                 return None  # not exactly one integer after "span"
         text = text[:body_end]
-    pieces = [np.empty(0, dtype=np.int64)]
-    for piece in _line_chunks(text):
-        fields = _piece_fields(piece)
-        if fields is None:
-            return None
-        pieces.append(fields)
-    fields = np.concatenate(pieces)
+    # newlines at both ends: every field has a non-digit on either side
+    body = f"\n{text}\n".encode("ascii")
+    data = np.frombuffer(body, dtype=np.uint8)
+    digit = data - 48 < 10  # uint8 wraps below "0"
+    newlines = np.flatnonzero(data == 10)
+    blanks = np.count_nonzero(data == 32) + np.count_nonzero(data == 9)
+    if np.count_nonzero(digit) + len(newlines) + blanks != len(data):
+        return None  # a character outside the alphabet
+    bounds = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    fields_before = np.searchsorted(starts, newlines)
+    if ((np.diff(fields_before) | 2) != 2).any():
+        return None  # a line with a field count other than 0 or 2
+    if not len(starts) or (ends - starts).max() > _MAX_DIGITS:
+        return None  # no label line, or a field of more than _MAX_DIGITS digits
+    fields = np.fromstring(body, dtype=np.int64, sep=" ")
     vids, labels = fields[0::2], fields[1::2]
-    if not len(vids) or not np.array_equal(vids, np.arange(len(vids))):
-        return None  # no label line, or ids other than 0..N-1 in order
+    if not np.array_equal(vids, np.arange(len(vids))):
+        return None  # ids other than 0..N-1 in order
     return labels, declared_span
 
 

@@ -26,8 +26,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, InvalidParameterError, all_pairs_distances, bfs_all_pairs
-from .labeling import Labeling, required_gaps
+from .graphs import (
+    DistanceMatrix,
+    Graph,
+    InvalidParameterError,
+    all_pairs_distances,
+    bfs_all_pairs,
+    checked_int,
+)
+from .labeling import Labeling, _integer_entries, required_gaps
 
 ORACLE_MAX_VERTICES = 9
 
@@ -76,11 +83,16 @@ def gap_matrix(dm: DistanceMatrix, vertices: Sequence[int] | None = None) -> lis
     Looked up by :func:`~radiomesh.labeling.required_gaps`, not from the
     N x N matrix. ``diam`` is the diameter of the whole matrix, so a
     subset poses the induced problem under the host metric, which is how
-    the per-pair bound claims are adjudicated. An id outside
-    ``0..N-1`` raises InvalidParameterError naming the first one.
+    the per-pair bound claims are adjudicated. An id that is not an
+    integer (a bool, float or string included; see
+    :func:`~radiomesh.labeling._integer_entries`) raises
+    InvalidParameterError, and so does an id outside ``0..N-1``, naming
+    the first one.
     """
     nv = dm.num_vertices
-    ids = np.arange(nv) if vertices is None else np.asarray(vertices, dtype=np.intp)
+    ids = np.arange(nv) if vertices is None else _integer_entries(vertices)
+    if ids is None:
+        raise InvalidParameterError(f"vertex ids must be integers, got {vertices!r}")
     outside = ids[(ids < 0) | (ids >= nv)]
     if outside.size:
         raise InvalidParameterError(f"vertex {outside[0]} outside 0..{nv - 1}")
@@ -308,14 +320,15 @@ def minimize_span(
     diagonal is never read.
 
     ``node_limit`` caps the nodes explored (``None`` means unlimited;
-    a negative limit raises InvalidParameterError), so a truncated
+    a limit that is not an integer, see :func:`~radiomesh.graphs.checked_int`,
+    or is negative raises InvalidParameterError), so a truncated
     search is bit-reproducible on any machine. When the budget aborts
     the search before any branch completes, the greedy hint serves as
     the witness.
 
     Returns (value, labels_by_vertex, status, nodes_explored).
     """
-    if node_limit is not None and node_limit < 0:
+    if node_limit is not None and checked_int("node limit", node_limit) < 0:
         raise InvalidParameterError(f"node limit must be >= 0, got {node_limit}")
     nv = len(req)
     if nv == 0:

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -180,26 +178,9 @@ def _mutated_file(draw):
 
 
 @settings(max_examples=600, deadline=None)
-@given(
-    st.one_of(st.text(max_size=120), _labeling_text(), _mutated_file()),
-    st.sampled_from([1, 5, 64, formats._CHUNK]),
-)
-def test_labeling_parser_agrees_with_the_line_loop(text, chunk):
-    # small pieces put the bulk checks' piece boundaries between any two lines
-    with mock.patch.object(formats, "_CHUNK", chunk):
-        got = _outcome(parse_labeling, text)
-    assert got == _outcome(reference_parse_labeling, text)
-
-
-# "<id> 0" label lines of 9 characters that fill the parser's first piece exactly
-_FIRST_PIECE_LINES = -(-(formats._CHUNK + 1) // 9)
-
-
-def _across_pieces(middle: str) -> str:
-    """Label lines filling the first piece, then ``middle`` opening the second, then one more label line."""
-    lines = "".join(f"{vid:06d} 0\n" for vid in range(_FIRST_PIECE_LINES))
-    assert next(formats._line_chunks(lines + middle)) == lines
-    return f"{lines}{middle}{_FIRST_PIECE_LINES} 0\n"
+@given(st.one_of(st.text(max_size=120), _labeling_text(), _mutated_file()))
+def test_labeling_parser_agrees_with_the_line_loop(text):
+    assert _outcome(parse_labeling, text) == _outcome(reference_parse_labeling, text)
 
 
 @pytest.mark.parametrize(
@@ -228,13 +209,13 @@ def _across_pieces(middle: str) -> str:
         ("0 0\n# a note\r1 5\n", (0, 5)),
         ("0 0\r1 5\r\n1 5\n", "FormatError: line 3: duplicate vertex id 1"),
         ("0 0\n# span\x0b5\n", "FormatError: line 2: malformed span comment"),
-        # blank lines and comments that open the parser's second piece
-        pytest.param(_across_pieces("\n\n"), (0,) * (_FIRST_PIECE_LINES + 1), id="blank-lines-open-a-piece"),
-        pytest.param(_across_pieces("\r\n"), (0,) * (_FIRST_PIECE_LINES + 1), id="crlf-blank-line-opens-a-piece"),
-        pytest.param(_across_pieces("# a note\n"), (0,) * (_FIRST_PIECE_LINES + 1), id="comment-opens-a-piece"),
+        # blank lines and comments between label lines
+        pytest.param("0 0\n\n\n1 0\n", (0, 0), id="blank-lines-open-a-piece"),
+        pytest.param("0 0\n\r\n1 0\n", (0, 0), id="crlf-blank-line-opens-a-piece"),
+        pytest.param("0 0\n# a note\n1 0\n", (0, 0), id="comment-opens-a-piece"),
         pytest.param(
-            _across_pieces("# span 0\n# span 0\n"),
-            f"FormatError: line {_FIRST_PIECE_LINES + 2}: second span comment",
+            "0 0\n# span 0\n# span 0\n1 0\n",
+            "FormatError: line 3: second span comment",
             id="second-span-comment-in-a-later-piece",
         ),
     ],
@@ -300,25 +281,21 @@ def reference_format_labeling(labeling: Labeling) -> str:
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.one_of(st.integers(0, 10**18 - 1), st.integers(0, 2**70)), min_size=1, max_size=50),
-    st.sampled_from([1, 5, 64]),
-    st.sampled_from([3, formats._BLOCK]),
+    st.lists(st.one_of(st.integers(0, 10**18 - 1), st.integers(0, 2**70)), min_size=1, max_size=50)
 )
-@example([0, 5, 3], 1, 3)  # int64
-@example([2**70, 0, 2**63], 1, 3)  # object
-def test_labeling_round_trip(labels, chunk, block):
+@example([0, 5, 3])  # int64
+@example([2**70, 0, 2**63])  # object
+def test_labeling_round_trip(labels):
     labeling = Labeling(tuple(labels))
     # int64 when every label fits, else exact Python ints
     assert labeling.labels.dtype == (np.int64 if max(labels) < 2**63 else object)
     again = Labeling(tuple(labeling.labels.tolist()))
     assert again == labeling and hash(again) == hash(labeling)
-    with mock.patch.object(formats, "_BLOCK", block):
-        text = format_labeling(labeling)
+    text = format_labeling(labeling)
     assert text == reference_format_labeling(labeling)
-    with mock.patch.object(formats, "_CHUNK", chunk):
-        assert parse_labeling(text) == labeling
-        # the writer's text takes the kernel whenever its labels fit in 18 digits
-        assert (formats._parse_in_bulk(text) is None) == (max(labels) >= 10**18)
+    assert parse_labeling(text) == labeling
+    # the writer's text takes the kernel whenever its labels fit in 18 digits
+    assert (formats._parse_in_bulk(text) is None) == (max(labels) >= 10**18)
 
 
 @pytest.mark.parametrize(
@@ -329,13 +306,24 @@ def test_labeling_round_trip(labels, chunk, block):
         ("1499 7 7", "line 1500: expected '<vertex_id> <label>'"),
     ],
 )
-@pytest.mark.parametrize("chunk", [64, formats._CHUNK])
-def test_labeling_parser_names_one_bad_line_in_a_full_size_file(bad_line, message, chunk):
+def test_labeling_parser_names_one_bad_line_in_a_full_size_file(bad_line, message):
     built = build_construction_labeling(ProductParams(19, 5))
     lines = formats.format_labeling(built.greedy).splitlines()
     assert len(lines) == 2167
     lines[1499] = bad_line
-    with mock.patch.object(formats, "_CHUNK", chunk):
-        with pytest.raises(FormatError) as info:
-            parse_labeling("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as info:
+        parse_labeling("\n".join(lines) + "\n")
     assert str(info.value) == message
+
+
+def test_labeling_kernel_reads_a_file_longer_than_65536_characters():
+    # 9,600 label lines, about 112 KB, checked and converted in one pass
+    text = formats.format_labeling(build_construction_labeling(ProductParams(40, 5)).greedy)
+    assert len(text) > 65536
+    assert formats._parse_in_bulk(text) is not None
+    assert parse_labeling(text) == reference_parse_labeling(text)
+    lines = text.splitlines()
+    lines[9500] = "9500 x"
+    with pytest.raises(FormatError) as info:
+        parse_labeling("\n".join(lines) + "\n")
+    assert str(info.value) == "line 9501: expected integers, got '9500 x'"

@@ -140,6 +140,21 @@ def test_negative_node_budgets_are_rejected():
     assert minimize_span(req, 0)[2:] == (RnStatus.UPPER_BOUND_ONLY, 0)
 
 
+@pytest.mark.parametrize("node_limit", [2.5, True, "3", 3.0], ids=["float", "bool", "str", "integral-float"])
+def test_node_budgets_that_are_not_integers_are_rejected(node_limit):
+    # 2.5 would let the search report 3 nodes, True a budget of 1
+    with pytest.raises(InvalidParameterError, match="^node limit must be an integer"):
+        minimize_span([[0, 2], [2, 0]], node_limit)
+    with pytest.raises(InvalidParameterError, match="^node limit must be an integer"):
+        exact_rn(build_path(3), node_limit=node_limit)
+
+
+def test_numpy_integer_node_budgets_are_taken():
+    req = [[0, 2], [2, 0]]
+    assert minimize_span(req, np.int64(5)) == minimize_span(req, 5)
+    assert exact_rn(build_path(3), node_limit=np.int64(5)) == exact_rn(build_path(3), node_limit=5)
+
+
 def test_one_vertex_system_keeps_the_root_budget_check():
     # a zero budget stops at the root, as for every larger system
     assert minimize_span([[0]], 0) == (0, [0], RnStatus.UPPER_BOUND_ONLY, 0)
@@ -192,7 +207,20 @@ def test_gap_matrix_rejects_an_id_outside_the_graph():
     for vertices, first in (([-1, 0], -1), ([0, 5], 5), ([1, 3, -2], 3)):
         with pytest.raises(InvalidParameterError, match=rf"^vertex {first} outside 0\.\.2$"):
             gap_matrix(dm, vertices)
-    assert gap_matrix(dm, [2, 0]) == [[3, 1], [1, 3]]
+    for vertices in ([2, 0], (2, 0), [np.int64(2), 0], np.array([2, 0], dtype=np.uint8)):
+        assert gap_matrix(dm, vertices) == [[3, 1], [1, 3]]
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[0.7, 1], [True, 2], ["1", 0], np.array([0.0, 2.0]), np.array([[0, 1]]), 1],
+    ids=["float", "bool", "str", "float-array", "2-d-array", "scalar"],
+)
+def test_gap_matrix_rejects_ids_that_are_not_integers(vertices):
+    # a cast to intp would read these as [0, 1], [1, 2], [1, 0] and [0, 2]
+    dm = all_pairs_distances(build_path(3))
+    with pytest.raises(InvalidParameterError, match="^vertex ids must be integers"):
+        gap_matrix(dm, vertices)
 
 
 def test_minimize_span_rejects_a_gap_below_one_or_a_ragged_matrix():
