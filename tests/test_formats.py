@@ -306,9 +306,14 @@ def test_labeling_round_trip(labels):
         ("1499 7 7", "line 1500: expected '<vertex_id> <label>'"),
     ],
 )
-def test_labeling_parser_names_one_bad_line_in_a_full_size_file(bad_line, message):
+# every label raised by a constant: label fields 2-5 digits wide at 64, 5-6 at 65536
+@pytest.mark.parametrize("label_offset", [64, 65536])
+def test_labeling_parser_names_one_bad_line_in_a_full_size_file(bad_line, message, label_offset):
     built = build_construction_labeling(ProductParams(19, 5))
-    lines = formats.format_labeling(built.greedy).splitlines()
+    raised = Labeling(built.greedy.labels + label_offset)
+    text = formats.format_labeling(raised)
+    assert parse_labeling(text) == raised
+    lines = text.splitlines()
     assert len(lines) == 2167
     lines[1499] = bad_line
     with pytest.raises(FormatError) as info:
