@@ -3,12 +3,16 @@
 Two exact routes give all-pairs distances. :func:`bfs_all_pairs` runs
 breadth-first search from every vertex of the whole graph; it is the
 oracle the tests hold every other route to. :func:`all_pairs_distances`
-serves search, construction, validation and bounds: for a product of
-connected factors it keeps two factor matrices, since product distance
-is the sum of the factor distances (Kchikech, Khennoufa & Togni, DMGT
-28, 2008), and otherwise, a disconnected factor included, it falls back
-to BFS. For the same reason a connected product's diameter is the sum
-of its factors' diameters. A :class:`DistanceMatrix` answers single
+serves search, construction, validation and bounds. A product has two
+factors, and its distance is the sum of theirs (Kchikech, Khennoufa &
+Togni, DMGT 28, 2008; Hammack, Imrich & Klavzar, Handbook of Product
+Graphs, 2011), so for a product of connected factors it keeps the two
+factors' dense matrices, each worked out the same way down to BFS on
+the factors that are not products; with a disconnected factor it falls
+back to BFS on the whole graph. For the same reason a connected
+product's diameter is the sum of its factors' diameters. The
+mesh-by-star product is P_m x (P_m x S_n), so its factor matrices are
+m x m and m(n + 1) x m(n + 1). A :class:`DistanceMatrix` answers single
 and vectorised lookups from its factors, which is all that labeling,
 validation and the gap matrices read; the dense N x N matrix is built
 from the factors only when ``.matrix`` is first read, which only
@@ -33,7 +37,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import FrozenInstanceError
 from functools import reduce
-from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,6 +63,14 @@ def checked_int(name: str, value) -> int:
     return int(value)
 
 
+def _checked_vertex(name: str, value, num_vertices: int) -> int:
+    """``value`` as a vertex id 0..num_vertices-1, by :func:`checked_int` and a range check."""
+    value = checked_int(name, value)
+    if not 0 <= value < num_vertices:
+        raise InvalidParameterError(f"{name} {value} out of range")
+    return value
+
+
 class Graph:
     """Simple undirected graph on vertex ids ``0..num_vertices-1``.
 
@@ -70,7 +81,8 @@ class Graph:
     ``v``. Instances are immutable: assigning an attribute raises.
 
     ``factors`` is set only by :func:`cartesian_product`, to a product's
-    two factors, whose vertex ids combine in mixed radix. Products of
+    two factors, whose vertex ids combine in mixed radix; the second is
+    itself a product when more than two graphs were multiplied. Products of
     equal factors are equal, and a product also equals the same graph
     built from its edge list. A product is fixed by its factors, so it
     is made with no adjacency and lays its adjacency out from theirs, by
@@ -173,17 +185,21 @@ def build_star(n: int) -> Graph:
 
 
 def cartesian_product(factors: Sequence[Graph]) -> Graph:
-    """Cartesian product of two or more graphs, folded left to right.
+    """Cartesian product of two or more graphs, folded right to left.
 
     Vertices are tuples flattened in mixed radix (leftmost factor most
     significant); two tuples are adjacent iff they agree in all
     coordinates but one and differ by an edge there. Each fold records
-    its two factors; no adjacency is laid out until it is read.
+    its two factors, so ``cartesian_product([a, b, c]).factors`` is
+    ``(a, b x c)``: the mesh-by-star product is P_m x (P_m x S_n), whose
+    second factor is one mesh row of fibers. Mixed radix is associative,
+    so the fold order moves no vertex id. No adjacency is laid out until
+    it is read.
     """
     factors = list(factors)
     if len(factors) < 2:
         raise InvalidParameterError("cartesian product needs at least two factors")
-    return reduce(lambda a, b: _unchecked(a.num_vertices * b.num_vertices, (a, b)), factors)
+    return reduce(lambda b, a: _unchecked(a.num_vertices * b.num_vertices, (a, b)), reversed(factors))
 
 
 def _product_adjacency(a: Graph, b: Graph) -> tuple[tuple[int, ...], ...]:
@@ -217,8 +233,7 @@ def build_mesh(m: int) -> Graph:
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Hop counts from ``source``; UNREACHABLE marks unreached vertices."""
-    if not 0 <= source < g.num_vertices:
-        raise InvalidParameterError(f"source {source} out of range")
+    source = _checked_vertex("source", source, g.num_vertices)
     return np.array(_bfs_row(g.adjacency, source), dtype=np.int64)
 
 
@@ -264,12 +279,13 @@ def _sum_tables(da: np.ndarray, db: np.ndarray) -> np.ndarray:
 class DistanceMatrix:
     """All-pairs hop counts for one graph, kept as two factor matrices A, B.
 
-    Vertex u is the pair (u div |B|, u mod |B|), and d(u, v) is the A
-    entry of the first coordinates plus the B entry of the second;
+    A and B are the dense matrices of a product's two factors. Vertex u
+    is the pair (u div |B|, u mod |B|), and d(u, v) is the A entry of the
+    first coordinates plus the B entry of the second;
     :meth:`from_factors` takes only connected factors, so every sum is a
-    hop count. For the mesh-by-star product at (100, 10), N = 110,000,
-    A and B are 100 x 100 and 1100 x 1100, where an N x N matrix would
-    take 48 GB. A dense matrix M is the one-factor case:
+    hop count. For the mesh-by-star product P_m x (P_m x S_n) at
+    (100, 10), N = 110,000, A and B are 100 x 100 and 1100 x 1100, where
+    an N x N matrix would take 48 GB. A dense matrix M is the one-factor case:
     ``DistanceMatrix(M)`` has A = [[0]] and B = M, and reads UNREACHABLE
     where M does.
 
@@ -307,7 +323,7 @@ class DistanceMatrix:
         return self._matrix
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
-        u, v = pair
+        u, v = (_checked_vertex("vertex id", x, self.num_vertices) for x in pair)
         nb = len(self._b)
         return self._a.item(u // nb, v // nb) + self._b.item(u % nb, v % nb)
 
@@ -396,43 +412,31 @@ def certify_distances(g: Graph, matrix: np.ndarray) -> bool:
     return np.array_equal(least, matrix)
 
 
-def _leaves(g: Graph) -> list[Graph]:
-    """The factors of ``g`` that are not products, in mixed-radix order."""
-    return [leaf for f in g.factors for leaf in _leaves(f)] if g.factors else [g]
-
-
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Exact all-pairs hop counts from BFS on each non-product factor.
+    """Exact all-pairs hop counts, from BFS on the factors of a product.
 
-    Equal entry for entry to :func:`bfs_all_pairs`, UNREACHABLE included:
-    a graph with no factors, or a product any of whose leaf factors is
-    disconnected, gets :func:`bfs_all_pairs` itself. Mixed radix is
-    associative, so the leaf factors can be regrouped into any two runs;
-    they are split where the larger run has the fewest vertices
-    (P_m x (P_m x S_n) for a mesh-by-star product), and each run's
-    matrix is the sum of its leaves'. A leaf that occurs more
-    than once as the same object, like P_m in the mesh, is searched once.
-    The N x N matrix is built only if ``.matrix`` is read, and the
-    diameter is the sum of the two runs' diameters, so neither scans
-    N x N entries.
+    Equal entry for entry to :func:`bfs_all_pairs`, UNREACHABLE
+    included. A graph with no factors gets :func:`bfs_all_pairs` itself.
+    A product keeps its two factors' dense matrices, each worked out
+    the same way and cast to the dtype for the whole graph's N, so
+    P_m x (P_m x S_n) keeps P_m's matrix and the fiber row's. If either
+    factor is disconnected, the product gets :func:`bfs_all_pairs`, as
+    a sum with an UNREACHABLE term is not a distance. The N x N matrix
+    is built only if ``.matrix`` is read, and the diameter is the sum of
+    the two factors' diameters, so neither scans N x N entries.
     """
+    return _distances(g, _distance_dtype(g.num_vertices))
+
+
+def _distances(g: Graph, dtype: type) -> DistanceMatrix:
+    """:func:`all_pairs_distances` of ``g``, a product's factor matrices in ``dtype``."""
     if not g.factors:
         return bfs_all_pairs(g)
-    dtype = _distance_dtype(g.num_vertices)
-    leaves = _leaves(g)
-    # every leaf is held by g, so no id is reused while this runs
-    distinct = {id(leaf): leaf for leaf in leaves}
-    matrices = {key: bfs_all_pairs(leaf).matrix.astype(dtype, copy=False) for key, leaf in distinct.items()}
-    # checked on the leaves: a sum of their entries can hide a -1
-    if min(t.min() for t in matrices.values()) == UNREACHABLE:
+    a, b = (_distances(f, dtype).matrix.astype(dtype, copy=False) for f in g.factors)
+    try:
+        return DistanceMatrix.from_factors(a, b)
+    except DisconnectedGraphError:
         return bfs_all_pairs(g)
-    tables = [matrices[id(leaf)] for leaf in leaves]
-    sizes = [len(t) for t in tables]
-    split = min(range(len(tables)), key=lambda i: max(prod(sizes[:i]), prod(sizes[i:])))
-    one = np.zeros((1, 1), dtype=dtype)
-    return DistanceMatrix.from_factors(
-        reduce(_sum_tables, tables[:split], one), reduce(_sum_tables, tables[split:])
-    )
 
 
 def is_connected(g: Graph) -> bool:

@@ -81,6 +81,7 @@ def cells_of(t, m: int, indexing: CellIndexing):
 def cell_of(i: int, params: ProductParams, indexing: CellIndexing) -> tuple[int, int]:
     """Grid cell (row, col) addressed by t-index ``i`` under a scheme."""
     m = params.m
+    i = checked_int("t-index", i)
     if not 1 <= i <= m * m:
         raise InvalidParameterError(f"t-index {i} outside [1, {m * m}]")
     return cells_of(i, m, indexing)
@@ -89,6 +90,7 @@ def cell_of(i: int, params: ProductParams, indexing: CellIndexing) -> tuple[int,
 def vertex_id(params: ProductParams, row: int, col: int, star: int) -> int:
     """Flat id of coordinate (row, col, star)."""
     m, n = params.m, params.n
+    row, col, star = checked_int("row", row), checked_int("col", col), checked_int("star coordinate", star)
     if not (0 <= row < m and 0 <= col < m):
         raise InvalidParameterError(f"cell ({row}, {col}) outside the {m} x {m} grid")
     if not 0 <= star <= n:
@@ -98,6 +100,7 @@ def vertex_id(params: ProductParams, row: int, col: int, star: int) -> int:
 
 def vertex_coord(params: ProductParams, vid: int) -> VertexCoord:
     """Coordinate of a flat vertex id."""
+    vid = checked_int("vertex id", vid)
     if not 0 <= vid < params.num_vertices:
         raise InvalidParameterError(f"vertex id {vid} out of range")
     cell, star = divmod(vid, params.n + 1)
@@ -120,6 +123,7 @@ def fiber_vertex_id(params: ProductParams, indexing: CellIndexing, t_index: int,
 
     Position 1 is the hub; position k >= 2 is leaf k - 1.
     """
+    position = checked_int("fiber position", position)
     if not 1 <= position <= params.n + 1:
         raise InvalidParameterError(f"fiber position {position} outside [1, {params.n + 1}]")
     row, col = cell_of(t_index, params, indexing)

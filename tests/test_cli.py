@@ -119,9 +119,9 @@ def test_label_and_validate_never_lay_out_product_adjacency(tmp_path, capsys, mo
     code, out, _ = run(capsys, "validate", "--m", "12", "--n", "4", "--labeling", str(lab))
     assert code == 0 and out.startswith("valid labeling")
     assert laid_out == []
-    # the spy does see a read: the outer fold reads, and so lays out, the inner one
+    # the spy does see a read: P_12 x (P_12 x S_4) reads, and so lays out, its row of fibers
     assert build_product_graph(ProductParams(12, 4)).graph.degree(0) == 6
-    assert laid_out == [(144, 5), (12, 12)]
+    assert laid_out == [(12, 60), (12, 5)]
 
 
 def test_validate_rejects_broken_labeling(tmp_path, capsys):

@@ -20,6 +20,7 @@ from radiomesh import (
     cartesian_product,
     diameter,
     exact_rn,
+    gap_matrix,
     is_connected,
 )
 from radiomesh import graphs
@@ -167,14 +168,62 @@ def test_product_distances_allocate_little_beyond_the_matrix():
     assert np.array_equal(matrix, bfs_all_pairs(g).matrix)
 
 
-def test_each_distinct_leaf_factor_is_searched_once():
-    # the mesh is P_m x P_m with one path object, so BFS runs on the
-    # path and the star: two calls, not three
+def test_bfs_runs_only_on_the_leaf_factors():
+    # P_5 x (P_5 x S_3): each factor is searched on its own, the path
+    # once for each of its two places, and no product is ever searched
     g = build_product_graph(ProductParams(5, 3)).graph
     with mock.patch.object(graphs, "bfs_all_pairs", wraps=graphs.bfs_all_pairs) as spy:
         dm = all_pairs_distances(g)
-    assert [call.args[0].num_vertices for call in spy.call_args_list] == [5, 4]
+    searched = [call.args[0] for call in spy.call_args_list]
+    assert [leaf.num_vertices for leaf in searched] == [5, 5, 4]
+    assert not any(leaf.factors for leaf in searched)
     assert np.array_equal(dm.matrix, bfs_all_pairs(g).matrix)
+
+
+def test_cartesian_product_nests_to_the_right():
+    a, b, c = build_path(2), build_path(3), build_star(2)
+    g = cartesian_product([a, b, c])
+    assert g.factors[0] is a and g.factors[1].factors == (b, c)
+    assert cartesian_product([a, b, c, a]).factors[1].factors[1].factors == (c, a)
+
+
+# small rows, among them (2,2), (2,3) and (3,3) with n + 1 > m, where the
+# mesh-by-star product was once grouped as (P_m x P_m) x S_n; mixed radix
+# moves no id either way
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (2, 3), (3, 3), (4, 1)])
+def test_right_nested_product_equals_the_left_nested_one(m, n):
+    p, s = build_path(m), build_star(n)
+    nested = build_product_graph(ProductParams(m, n)).graph
+    left = cartesian_product([cartesian_product([p, p]), s])
+    assert nested.edges() == left.edges()
+    bfs = gap_matrix(bfs_all_pairs(left))
+    assert gap_matrix(all_pairs_distances(nested)) == bfs
+    assert gap_matrix(all_pairs_distances(left)) == bfs
+
+
+@pytest.mark.parametrize(
+    "lookup, message",
+    [
+        (lambda g, dm: bfs_distances(g, True), "source must be an integer, got True"),
+        (lambda g, dm: bfs_distances(g, 1.0), "source must be an integer, got 1.0"),
+        (lambda g, dm: dm[-1, 0], "vertex id -1 out of range"),
+        (lambda g, dm: dm[0, 3], "vertex id 3 out of range"),
+        (lambda g, dm: dm[True, 2], "vertex id must be an integer, got True"),
+        (lambda g, dm: dm[0, 2.0], "vertex id must be an integer, got 2.0"),
+    ],
+    ids=["bool source", "float source", "negative id", "id past N", "bool id", "float id"],
+)
+def test_distance_lookups_reject_ids_outside_the_graph(lookup, message):
+    g = build_path(3)
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        lookup(g, all_pairs_distances(g))
+
+
+def test_distance_lookups_take_numpy_integers():
+    g = build_path(3)
+    dm = all_pairs_distances(g)
+    assert dm[np.int64(0), np.uint8(2)] == 2 and type(dm[np.int64(0), 2]) is int
+    assert bfs_distances(g, np.int32(1)).tolist() == [1, 0, 1]
 
 
 def test_dense_diameter_allocates_no_matrix_sized_temporary():

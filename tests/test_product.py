@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from radiomesh import (
     CellIndexing,
     InvalidParameterError,
     ProductParams,
+    VertexCoord,
     build_product_graph,
     cell_of,
     fiber_vertex_id,
@@ -13,6 +16,7 @@ from radiomesh import (
 )
 
 ALL_SCHEMES = list(CellIndexing)
+RM = CellIndexing.ROW_MAJOR
 
 
 @pytest.mark.parametrize(
@@ -139,3 +143,44 @@ def test_fiber_vertex_addressing():
     assert fiber_vertex_id(params, CellIndexing.ROW_MAJOR, 1, 2) == vertex_id(params, 0, 0, 1)
     with pytest.raises(InvalidParameterError):
         fiber_vertex_id(params, CellIndexing.ROW_MAJOR, 1, 4)
+
+
+# the integer rule of graphs.checked_int, before each range check
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: cell_of(1.5, p, RM), "t-index must be an integer, got 1.5"),
+        (lambda p: vertex_id(p, 0.5, 0, 0), "row must be an integer, got 0.5"),
+        (lambda p: vertex_id(p, True, 0, 0), "row must be an integer, got True"),
+        (lambda p: vertex_coord(p, 2.5), "vertex id must be an integer, got 2.5"),
+        (lambda p: vertex_coord(p, "3"), "vertex id must be an integer, got '3'"),
+        (lambda p: fiber_vertex_id(p, RM, 1.5, 1), "t-index must be an integer, got 1.5"),
+        (lambda p: fiber_vertex_id(p, RM, 1, 1.0), "fiber position must be an integer, got 1.0"),
+        (lambda p: vertex_id(p, 0, 0, False), "star coordinate must be an integer, got False"),
+    ],
+    ids=[
+        "float t-index",
+        "float row",
+        "bool row",
+        "float vertex id",
+        "str vertex id",
+        "float fiber t-index",
+        "float fiber position",
+        "bool star",
+    ],
+)
+def test_addressing_rejects_ids_that_are_not_integers(call, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        call(ProductParams(3, 2))
+
+
+def test_addressing_takes_numpy_integers_as_int():
+    params = ProductParams(3, 2)
+    cell = cell_of(np.int64(4), params, CellIndexing.ROW_MAJOR)
+    assert cell == (1, 0) and all(type(x) is int for x in cell)
+    vid = vertex_id(params, np.int8(1), np.int64(2), np.int32(1))
+    assert vid == 16 and type(vid) is int
+    coord = vertex_coord(params, np.uint16(16))
+    assert coord == VertexCoord(1, 2, 1) and all(type(x) is int for x in (coord.row, coord.col, coord.star))
+    vid = fiber_vertex_id(params, CellIndexing.SERPENTINE, np.int64(5), np.int64(2))
+    assert vid == vertex_id(params, 1, 1, 1) and type(vid) is int

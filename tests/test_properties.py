@@ -1,5 +1,6 @@
 """Property-based checks over the small-graph corpus."""
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -410,8 +411,15 @@ small_graphs = st.integers(1, 5).flatmap(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(small_graphs, min_size=2, max_size=3))
+# up to four factors, so the right-nested products recurse two levels deep
+@given(
+    st.lists(small_graphs, min_size=2, max_size=4).filter(
+        lambda fs: math.prod(f.num_vertices for f in fs) <= 64
+    )
+)
 @example([Graph(2, []), build_path(2)])  # a disconnected factor: the BFS route
+@example([build_path(2), Graph(2, []), build_path(2)])  # disconnected inside the inner product
+@example([build_path(2), build_star(1), Graph(3, [(0, 1)]), build_path(2)])  # disconnected two levels down
 def test_factored_distances_equal_bfs_on_random_products(factors):
     g = cartesian_product(factors)
     # the product's adjacency is laid out from the factors' adjacency
