@@ -3,23 +3,30 @@
 
 Constructs paths, stars, meshes, and mesh-by-star products, then checks
 the structural facts everything else relies on: vertex counts, degrees,
-BFS distances, and diameter additivity across product factors.
+BFS distances, and diameter additivity across product factors. The
+family diameters, the additivity check and the sample row come from
+whole-graph BFS (``bfs_all_pairs``), the oracle the factored distances
+of the mesh-by-star products are held to.
 """
 import sys
 
 from radiomesh import (
     ProductParams,
     all_pairs_distances,
-    bfs_distances,
+    bfs_all_pairs,
     build_mesh,
     build_path,
     build_product_graph,
     build_star,
     cartesian_product,
-    diameter,
     vertex_coord,
     vertex_id,
 )
+
+
+def diameter(g):
+    return bfs_all_pairs(g).diameter
+
 
 print("== families ==")
 for m in (2, 3, 5):
@@ -57,7 +64,7 @@ print("\n== coordinates and a sample BFS row ==")
 params = ProductParams(2, 1)
 pg = build_product_graph(params)
 hub = vertex_id(params, 0, 0, 0)
-row = bfs_distances(pg.graph, hub)
+row = bfs_all_pairs(pg.graph).matrix[hub]
 for vid in range(pg.graph.num_vertices):
     c = vertex_coord(params, vid)
     print(f"vertex {vid} = (row {c.row}, col {c.col}, star {c.star}), dist from hub {row[vid]}")

@@ -3,8 +3,8 @@
 
 Runs the verification pipeline on a small grid and prints the verdict
 table: every claim instantiated at concrete (m, n), its cataloged value,
-the oracle value (BFS distance, BFS diameter, exact search, or exact
-arithmetic), and a Match / Mismatch / Unverifiable verdict.
+the oracle value (certified distance, certified diameter, exact search,
+or exact arithmetic), and a Match / Mismatch / Unverifiable verdict.
 
 The constructions behind the catalog depend on how fiber indices map to
 mesh cells, which is never pinned down, so distance claims run under

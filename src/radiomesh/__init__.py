@@ -15,14 +15,11 @@ from .graphs import (
     InvalidParameterError,
     all_pairs_distances,
     bfs_all_pairs,
-    bfs_distances,
     build_mesh,
     build_path,
     build_star,
     cartesian_product,
     certify_distances,
-    diameter,
-    is_connected,
 )
 from .labeling import (
     Labeling,
@@ -75,14 +72,11 @@ __all__ = [
     "InvalidParameterError",
     "all_pairs_distances",
     "bfs_all_pairs",
-    "bfs_distances",
     "build_mesh",
     "build_path",
     "build_star",
     "cartesian_product",
     "certify_distances",
-    "diameter",
-    "is_connected",
     "Labeling",
     "LabelingContractError",
     "OrderingPlan",

@@ -16,13 +16,16 @@ and issues a verdict:
 A failure inside a claim is a programming error and propagates; it is
 never recorded as a verdict.
 
-Every claim at a grid point reads one matrix: the dense matrix built
-from the graph's factors, once :func:`~radiomesh.graphs.certify_distances`
-has checked it against the whole graph's adjacency with the BFS layer
-condition, which only the BFS matrix meets. Both span claims search a
-gap matrix of it with :func:`~radiomesh.search.minimize_span`. No BFS
-of the whole graph runs on the verdict path; BFS stays the oracle the
-tests hold the certificate and the factored matrix to.
+Every claim at a grid point reads one :class:`DistanceMatrix`, the
+graph's factored distances, once
+:func:`~radiomesh.graphs.certify_distances` has checked them with the
+BFS layer condition, which only the BFS matrix meets, through the
+product's two factors (:func:`certified_distances`). Its diameter is
+the sum of the certified factors' diameters, and both span claims
+search a gap matrix of it with :func:`~radiomesh.search.minimize_span`.
+No N x N matrix is built and no BFS of the whole graph runs on the
+verdict path; BFS stays the oracle the tests hold the certificate and
+the factored matrix to.
 
 Verdict rows are pure data and sort deterministically, so a re-run with
 the same configuration reproduces the same table byte for byte (minus
@@ -110,7 +113,7 @@ def _row(claim_id, params, indexing, expected, observed) -> ClaimVerdict:
 
 
 def diameter_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
-    """Claimed diameter versus the largest entry of a certified distance matrix.
+    """Claimed diameter versus the diameter of certified distances.
 
     Stated without restriction on n, so the n = 1 instances (true
     diameter 2m - 1) surface as Mismatch rows rather than being skipped.
@@ -216,32 +219,37 @@ def example_claims() -> list[ClaimVerdict]:
     return rows
 
 
+def certified_distances(pg: ProductGraph) -> DistanceMatrix:
+    """The product's factored distances, once :func:`~radiomesh.graphs.certify_distances` accepts them.
+
+    The certificate holds exactly when they equal the BFS matrix entry
+    for entry; if it fails, this raises RuntimeError.
+    """
+    dm = all_pairs_distances(pg.graph)
+    if not certify_distances(pg.graph, dm):
+        raise RuntimeError(f"factored distances differ from BFS at m={pg.params.m} n={pg.params.n}")
+    return dm
+
+
 def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict]:
     """Adjudicate the whole grid; an error in any claim propagates.
 
     Each m and n is taken once, however often the grid repeats it.
-    Each grid point's dense matrix, built from the factors, must pass
-    :func:`~radiomesh.graphs.certify_distances` against the whole
-    graph's adjacency, which holds exactly when it equals the BFS matrix
-    entry for entry, or the run raises. Every claim at the grid point
-    reads that certified matrix; the factored one only builds it.
+    Every claim at a grid point reads its :func:`certified_distances`,
+    so a grid point whose factored distances fail the certificate
+    raises.
     """
     rows: list[ClaimVerdict] = []
     for m in sorted(set(config.even_m + config.odd_m)):
         for n in dict.fromkeys(config.ns):
             params = ProductParams(m, n)
             pg = build_product_graph(params)
-            dm = all_pairs_distances(pg.graph)
-            # every claim reads the dense matrix once it is certified
-            # against the whole graph's adjacency
-            if not certify_distances(pg.graph, dm.matrix):
-                raise RuntimeError(f"factored distances differ from BFS at m={m} n={n}")
-            certified = DistanceMatrix(dm.matrix)
-            rows.append(diameter_claim(params, certified))
+            dm = certified_distances(pg)
+            rows.append(diameter_claim(params, dm))
             for indexing in CellIndexing:
-                rows.extend(distance_claims(params, indexing, certified))
-            rows.append(pair_bound_claim(params, certified))
-            rows.append(full_bound_claim(pg, certified))
+                rows.extend(distance_claims(params, indexing, dm))
+            rows.append(pair_bound_claim(params, dm))
+            rows.append(full_bound_claim(pg, dm))
     rows.extend(example_claims())
     rows.sort(key=ClaimVerdict.sort_key)
     return rows

@@ -18,7 +18,7 @@ from functools import cache
 
 from . import claims, formulas
 from .formats import format_labeling, parse_labeling, read_text, write_text
-from .graphs import InvalidParameterError, all_pairs_distances, diameter
+from .graphs import InvalidParameterError, all_pairs_distances
 from .labeling import validate
 from .orderings import build_construction_labeling
 from .product import CellIndexing, ProductParams, build_product_graph
@@ -27,7 +27,7 @@ from .search import DEFAULT_NODE_LIMIT, RnStatus, exact_rn
 
 def cmd_diam(args) -> int:
     params = ProductParams(args.m, args.n)
-    observed = diameter(build_product_graph(params).graph)
+    observed = claims.certified_distances(build_product_graph(params)).diameter
     claimed = formulas.diam_formula(params)
     if args.format == "csv":
         sys.stdout.write(f"m,n,bfs_diameter,claimed\n{args.m},{args.n},{observed},{claimed}\n")
@@ -161,7 +161,7 @@ def _verify_arguments(p) -> None:
 
 # One row per subcommand: name, help line, argument adder, handler.
 COMMANDS = (
-    ("diam", "BFS diameter of a product graph", _product_format_arguments, cmd_diam),
+    ("diam", "certified diameter of a product graph", _product_format_arguments, cmd_diam),
     ("rn-exact", "exact radio number by search", _rn_exact_arguments, cmd_rn_exact),
     ("bound", "closed-form span bound(s) at (m, n)", _product_format_arguments, cmd_bound),
     ("label", "build the construction labeling", _label_arguments, cmd_label),

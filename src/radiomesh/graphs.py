@@ -3,24 +3,22 @@
 Two exact routes give all-pairs distances. :func:`bfs_all_pairs` runs
 breadth-first search from every vertex of the whole graph; it is the
 oracle the tests hold every other route to. :func:`all_pairs_distances`
-serves search, construction, validation and bounds. A product has two
-factors, and its distance is the sum of theirs (Kchikech, Khennoufa &
-Togni, DMGT 28, 2008; Hammack, Imrich & Klavzar, Handbook of Product
-Graphs, 2011), so for a product of connected factors it keeps the two
-factors' dense matrices, each worked out the same way down to BFS on
-the factors that are not products; with a disconnected factor it falls
-back to BFS on the whole graph. For the same reason a connected
-product's diameter is the sum of its factors' diameters. The
-mesh-by-star product is P_m x (P_m x S_n), so its factor matrices are
-m x m and m(n + 1) x m(n + 1). A :class:`DistanceMatrix` answers single
-and vectorised lookups from its factors, which is all that labeling,
-validation and the gap matrices read; the dense N x N matrix is built
-from the factors only when ``.matrix`` is first read, which only
-``claims.run_verification`` does. It passes that matrix to
-:func:`certify_distances`, which checks it against the whole graph's
-adjacency with the BFS layer condition in a few numpy passes instead
-of a BFS from every vertex, so the distance and diameter claims read a
-matrix certified equal to BFS's.
+serves every command: search, construction, validation, bounds and the
+claims. A product has two factors, and its distance is the sum of
+theirs (Kchikech, Khennoufa & Togni, DMGT 28, 2008; Hammack, Imrich &
+Klavzar, Handbook of Product Graphs, 2011, Cor. 5.2), so for a product
+of connected factors it keeps the two factors' dense matrices, each
+worked out the same way down to BFS on the factors that are not
+products; with a disconnected factor it falls back to BFS on the whole
+graph. For the same reason a connected product's diameter is the sum of
+its factors' diameters. The mesh-by-star product is P_m x (P_m x S_n),
+so its factor matrices are m x m and m(n + 1) x m(n + 1). A
+:class:`DistanceMatrix` answers single and vectorised lookups from its
+factors, which is all that labeling, validation, the gap matrices and
+the claims read. :func:`certify_distances` checks such a matrix against
+the graph with the BFS layer condition, a product through its two
+factors, so neither the verdicts nor the ``diam`` command build an
+N x N matrix or run a BFS of the whole graph.
 
 Construction is strict: a plain graph is made from an edge list, which
 :class:`Graph` checks on creation, and every graph is frozen
@@ -28,9 +26,9 @@ afterwards. A product is made only by
 :func:`cartesian_product`, so its factors always match its adjacency;
 it is simple by construction and fixed by its factors, so its adjacency
 is laid out straight from the factors' on the first read of
-``.adjacency`` and then kept. Labeling and validation never read it: a
-product graph costs nothing per vertex until BFS, the certificate or
-:meth:`Graph.edges` asks for its edges.
+``.adjacency`` and then kept. Labeling, validation and the certificate
+of a product never read it: a product graph costs nothing per vertex
+until BFS or :meth:`Graph.edges` asks for its edges.
 """
 from __future__ import annotations
 
@@ -87,11 +85,12 @@ class Graph:
     built from its edge list. A product is fixed by its factors, so it
     is made with no adjacency and lays its adjacency out from theirs, by
     :func:`_product_adjacency`, on the first read of ``.adjacency``, then
-    keeps it. Only BFS, :func:`certify_distances`, :meth:`edges`,
-    :meth:`degree`, :attr:`num_edges`, hashing and equality with a graph
-    of other factors read it; labeling and validation read none of
-    them. Sharing a graph between threads is safe: two first reads at
-    once may each lay out the adjacency, but they build equal tuples and
+    keeps it. Only BFS, :meth:`edges`, :meth:`degree`,
+    :attr:`num_edges`, hashing, equality with a graph of other factors
+    and the dense check of :func:`certify_distances` read it; labeling,
+    validation and the certificate of a product read none of them.
+    Sharing a graph between threads is safe: two first reads at once
+    may each lay out the adjacency, but they build equal tuples and
     either is kept.
     """
 
@@ -231,12 +230,6 @@ def build_mesh(m: int) -> Graph:
     return cartesian_product([p, p])
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Hop counts from ``source``; UNREACHABLE marks unreached vertices."""
-    source = _checked_vertex("source", source, g.num_vertices)
-    return np.array(_bfs_row(g.adjacency, source), dtype=np.int64)
-
-
 def _bfs_row(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
     """Hop counts from ``source`` as a list, UNREACHABLE where unreached."""
     # a Python list: reading and writing numpy elements one at a time
@@ -290,12 +283,13 @@ class DistanceMatrix:
     where M does.
 
     ``dm[u, v]`` and :meth:`pairs` read only the factors; labeling,
-    validation and the gap matrices use nothing but :meth:`pairs`.
-    :attr:`matrix` is the dense N x N matrix, built from the factors on
-    first access and then kept; only ``claims.run_verification`` reads
-    it, to certify it with :func:`certify_distances`. ``diameter`` is the
-    sum of the factors' diameters, and refuses to summarize a
-    disconnected graph.
+    validation, the gap matrices and the claims use nothing else, and
+    :func:`certify_distances` checks a product's two factors one at a
+    time. :attr:`matrix` is the dense N x N matrix, built from the
+    factors on first access and then kept; the dense check reads it,
+    which for the mesh-by-star product means the m(n + 1)-vertex fiber
+    row's, never the whole product's. ``diameter`` is the sum of the
+    factors' diameters, and refuses to summarize a disconnected graph.
     """
 
     __slots__ = ("_a", "_b", "_matrix", "_diameter", "_index")
@@ -373,8 +367,8 @@ def bfs_all_pairs(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(matrix)
 
 
-def certify_distances(g: Graph, matrix: np.ndarray) -> bool:
-    """Whether ``matrix`` is the hop-count matrix of ``g``, checked against its adjacency alone.
+def certify_distances(g: Graph, dm: DistanceMatrix) -> bool:
+    """Whether ``dm`` holds the hop counts of ``g``, checked against its adjacency alone.
 
     The certificate is the BFS layer condition: every entry is at least
     0, the diagonal is 0, and each off-diagonal entry D(u, w) is 1 plus
@@ -385,16 +379,36 @@ def certify_distances(g: Graph, matrix: np.ndarray) -> bool:
     - D >= d, because from w the neighbour that decreases D, one step
       at a time, reaches the only zero of row u, u itself, in D(u, w) steps.
 
-    The check gathers one neighbour slot at a time in the matrix's own
-    dtype, so it runs no search and allocates two N x N arrays of that
-    dtype. Neighbour rows are padded to the largest degree with the
-    vertex w itself. That adds D(u, w) to the entries whose least D(u, w)
-    must exceed by 1, which changes nothing where the condition holds,
-    and fails where D(u, w) would be the least, as D(u, w) is never
-    D(u, w) + 1; so an isolated vertex fails its column off the diagonal.
-    An overflowing ``+ 1`` wraps negative and never matches an entry.
+    A product made by :func:`cartesian_product`, with ``dm`` holding two
+    factor matrices A and B of its factors' sizes, is certified through
+    its factors, each in turn by this same function, so no N x N matrix
+    is read. That suffices, as D((u, v), (w, x)) = A(u, w) + B(v, x)
+    then meets the layer condition on the product:
+
+    - the factor certificates make A and B their factors' distances,
+      and both factors connected;
+    - the neighbours of (w, x) are (w', x) and (w, x') for the
+      neighbours w' of w and x' of x, as :func:`_product_adjacency` lays
+      them out, so a coordinate that differs from (u, v) has a
+      neighbour one step closer in its factor, and no neighbour is more
+      than one step closer.
+
+    Anything else, a graph given its edge list among them, gets the
+    dense check on ``dm.matrix``. It gathers one neighbour slot at a
+    time in the matrix's own dtype, so it runs no search and allocates
+    two N x N arrays of that dtype. Neighbour rows are padded to the
+    largest degree with the vertex w itself. That adds D(u, w) to the
+    entries whose least D(u, w) must exceed by 1, which changes nothing
+    where the condition holds, and fails where D(u, w) would be the
+    least, as D(u, w) is never D(u, w) + 1; so an isolated vertex fails
+    its column off the diagonal. An overflowing ``+ 1`` wraps negative
+    and never matches an entry.
     """
+    tables = (dm._a, dm._b)
+    if g.factors and [len(t) for t in tables] == [f.num_vertices for f in g.factors]:
+        return all(certify_distances(f, DistanceMatrix(t)) for f, t in zip(g.factors, tables))
     nv = g.num_vertices
+    matrix = dm.matrix
     # entries >= 0 follow from the rest, as a row's least entry off the
     # diagonal would be 1 plus a smaller one; one min() rejects
     # UNREACHABLE before any gather
@@ -422,8 +436,8 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     P_m x (P_m x S_n) keeps P_m's matrix and the fiber row's. If either
     factor is disconnected, the product gets :func:`bfs_all_pairs`, as
     a sum with an UNREACHABLE term is not a distance. The N x N matrix
-    is built only if ``.matrix`` is read, and the diameter is the sum of
-    the two factors' diameters, so neither scans N x N entries.
+    is built only if ``.matrix`` is read: the lookups, the diameter and
+    :func:`certify_distances` read the two factors alone.
     """
     return _distances(g, _distance_dtype(g.num_vertices))
 
@@ -437,18 +451,3 @@ def _distances(g: Graph, dtype: type) -> DistanceMatrix:
         return DistanceMatrix.from_factors(a, b)
     except DisconnectedGraphError:
         return bfs_all_pairs(g)
-
-
-def is_connected(g: Graph) -> bool:
-    return bool((bfs_distances(g, 0) != UNREACHABLE).all())
-
-
-def diameter(g: Graph) -> int:
-    """Exact diameter by BFS from every vertex; raises on disconnected input.
-
-    Keeps only the largest eccentricity, so memory stays O(N); the time
-    is still N pure-Python BFS runs.
-    """
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is disconnected; diameter undefined")
-    return max(int(bfs_distances(g, s).max()) for s in range(g.num_vertices))

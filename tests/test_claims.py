@@ -180,14 +180,21 @@ def test_claim_error_propagates_instead_of_becoming_a_row(monkeypatch):
 
 
 def test_factored_distances_disagreeing_with_bfs_raise(monkeypatch):
-    def perturbed(graph):
+    def dense(graph):
         matrix = all_pairs_distances(graph).matrix.copy()
         matrix[0, 1] += 1
         return DistanceMatrix(matrix)
 
-    monkeypatch.setattr(radiomesh.claims, "all_pairs_distances", perturbed)
-    with pytest.raises(RuntimeError, match="differ from BFS at m=2 n=1"):
-        run_verification(VerifyConfig(even_m=(2,), odd_m=(), ns=(1,)))
+    def factored(graph):
+        # the fiber row's factor, the dense check inside the factor certificate
+        a, b = (bfs_all_pairs(f).matrix.copy() for f in graph.factors)
+        b[0, 1] += 1
+        return DistanceMatrix.from_factors(a, b)
+
+    for perturbed in (dense, factored):
+        monkeypatch.setattr(radiomesh.claims, "all_pairs_distances", perturbed)
+        with pytest.raises(RuntimeError, match="differ from BFS at m=2 n=1"):
+            run_verification(VerifyConfig(even_m=(2,), odd_m=(), ns=(1,)))
 
 
 def test_verification_runs_no_bfs_on_the_whole_product(monkeypatch):

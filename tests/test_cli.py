@@ -1,8 +1,9 @@
 import re
+import sys
 
 import pytest
 
-from radiomesh import cli, graphs
+from radiomesh import claims, cli, graphs
 from radiomesh.cli import COMMANDS, build_parser, main
 from radiomesh.product import ProductParams, build_product_graph
 
@@ -122,6 +123,49 @@ def test_label_and_validate_never_lay_out_product_adjacency(tmp_path, capsys, mo
     # the spy does see a read: P_12 x (P_12 x S_4) reads, and so lays out, its row of fibers
     assert build_product_graph(ProductParams(12, 4)).graph.degree(0) == 6
     assert laid_out == [(12, 60), (12, 5)]
+
+
+def test_verify_and_diam_build_no_whole_product_matrix_or_adjacency(capsys, monkeypatch):
+    # each call is logged as it starts: ("point", N) for a grid point's
+    # all_pairs_distances, then the size of every dense table summed and
+    # every adjacency laid out until the next grid point
+    log = []
+    logged = {
+        graphs.all_pairs_distances: lambda g: ("point", g.num_vertices),
+        graphs._sum_tables: lambda da, db: ("table", len(da) * len(db)),
+        graphs._product_adjacency: lambda a, b: ("layout", a.num_vertices * b.num_vertices),
+    }
+    for name, module in list(sys.modules.items()):
+        if name.startswith("radiomesh"):
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in logged:
+                    def spy(*args, _real=value, _entry=logged[value]):
+                        log.append(_entry(*args))
+                        return _real(*args)
+
+                    monkeypatch.setattr(module, attr, spy)
+
+    def whole_product_sizes():
+        sizes, n = [], None
+        for kind, size in log:
+            if kind == "point":
+                n = size
+            elif size >= n:
+                sizes.append((kind, size))
+        return sizes
+
+    grid = claims.VerifyConfig()
+    claims.run_verification(grid)
+    # once per grid point, as perfbench's traced all_pairs_distances.calls counts
+    assert [kind for kind, _ in log].count("point") == len(grid.even_m + grid.odd_m) * len(grid.ns)
+    assert any(kind == "layout" for kind, _ in log)  # the fiber rows are laid out
+    assert whole_product_sizes() == []
+
+    log.clear()
+    code, out, _ = run(capsys, "diam", "--m", "19", "--n", "5", "--format", "csv")
+    assert code == 0 and out == "m,n,bfs_diameter,claimed\n19,5,38,38\n"
+    assert log[0] == ("point", 2166) and [kind for kind, _ in log].count("point") == 1
+    assert whole_product_sizes() == []
 
 
 def test_validate_rejects_broken_labeling(tmp_path, capsys):

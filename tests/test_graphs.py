@@ -13,15 +13,12 @@ from radiomesh import (
     InvalidParameterError,
     all_pairs_distances,
     bfs_all_pairs,
-    bfs_distances,
     build_mesh,
     build_path,
     build_star,
     cartesian_product,
-    diameter,
     exact_rn,
     gap_matrix,
-    is_connected,
 )
 from radiomesh import graphs
 from radiomesh.product import ProductParams, build_product_graph, vertex_id
@@ -33,9 +30,9 @@ def test_path_basics():
 
     p2 = build_path(2)
     assert p2.edges() == [(0, 1)]
-    assert diameter(p2) == 1
+    assert bfs_all_pairs(p2).diameter == 1
 
-    assert diameter(build_path(5)) == 4
+    assert bfs_all_pairs(build_path(5)).diameter == 4
 
 
 def test_path_rejects_zero():
@@ -45,14 +42,14 @@ def test_path_rejects_zero():
 
 def test_star_basics():
     s4 = build_star(4)
-    assert diameter(s4) == 2
+    assert bfs_all_pairs(s4).diameter == 2
     assert s4.degree(0) == 4
     assert all(s4.degree(leaf) == 1 for leaf in range(1, 5))
 
     # K_{1,1} is a single edge, K_{1,2} a path on three vertices
     assert build_star(1).edges() == [(0, 1)]
     s2 = build_star(2)
-    assert s2.num_edges == 2 and diameter(s2) == 2
+    assert s2.num_edges == 2 and bfs_all_pairs(s2).diameter == 2
 
 
 def test_star_rejects_zero():
@@ -89,35 +86,29 @@ def test_product_rejects_bad_factor_lists():
 
 
 def test_bfs_on_path_and_star():
-    assert bfs_distances(build_path(3), 0).tolist() == [0, 1, 2]
+    assert bfs_all_pairs(build_path(3)).matrix[0].tolist() == [0, 1, 2]
     # from a leaf of K_{1,3}: center at 1, the other leaves at 2
-    assert bfs_distances(build_star(3), 1).tolist() == [1, 0, 2, 2]
-
-
-def test_bfs_rejects_bad_source():
-    with pytest.raises(InvalidParameterError):
-        bfs_distances(build_path(3), 3)
+    assert bfs_all_pairs(build_star(3)).matrix[1].tolist() == [1, 0, 2, 2]
 
 
 def test_bfs_hub_to_hub_across_product():
     params = ProductParams(2, 1)
-    dist = bfs_distances(build_product_graph(params).graph, vertex_id(params, 0, 0, 0))
-    assert dist[vertex_id(params, 1, 1, 0)] == 2
+    bfs = bfs_all_pairs(build_product_graph(params).graph)
+    assert bfs[vertex_id(params, 0, 0, 0), vertex_id(params, 1, 1, 0)] == 2
 
 
 def test_diameter_of_products():
-    assert diameter(build_product_graph(ProductParams(4, 5)).graph) == 8
-    assert diameter(build_product_graph(ProductParams(5, 4)).graph) == 10
+    assert bfs_all_pairs(build_product_graph(ProductParams(4, 5)).graph).diameter == 8
+    assert bfs_all_pairs(build_product_graph(ProductParams(5, 4)).graph).diameter == 10
     # one-leaf stars only add 1 to the mesh diameter
-    assert diameter(build_product_graph(ProductParams(3, 1)).graph) == 5
+    assert bfs_all_pairs(build_product_graph(ProductParams(3, 1)).graph).diameter == 5
 
 
 def test_disconnected_graph_is_an_error_not_a_sentinel():
-    g = Graph(4, [(0, 1), (2, 3)])
-    assert not is_connected(g)
-    assert bfs_distances(g, 0)[2] == UNREACHABLE
+    bfs = bfs_all_pairs(Graph(4, [(0, 1), (2, 3)]))
+    assert bfs[0, 2] == UNREACHABLE
     with pytest.raises(DisconnectedGraphError):
-        diameter(g)
+        bfs.diameter
 
 
 @pytest.mark.parametrize("pm", [2, 3, 4, 5])
@@ -125,12 +116,13 @@ def test_disconnected_graph_is_an_error_not_a_sentinel():
 def test_diameter_additivity(pm, sn):
     path = build_path(pm)
     star = build_star(sn)
-    assert diameter(cartesian_product([path, star])) == diameter(path) + diameter(star)
+    product = bfs_all_pairs(cartesian_product([path, star]))
+    assert product.diameter == bfs_all_pairs(path).diameter + bfs_all_pairs(star).diameter
 
 
 def test_mesh_diameter():
     for m in (2, 3, 4):
-        assert diameter(build_mesh(m)) == 2 * (m - 1)
+        assert bfs_all_pairs(build_mesh(m)).diameter == 2 * (m - 1)
 
 
 def test_distance_matrix_symmetry():
@@ -204,26 +196,21 @@ def test_right_nested_product_equals_the_left_nested_one(m, n):
 @pytest.mark.parametrize(
     "lookup, message",
     [
-        (lambda g, dm: bfs_distances(g, True), "source must be an integer, got True"),
-        (lambda g, dm: bfs_distances(g, 1.0), "source must be an integer, got 1.0"),
-        (lambda g, dm: dm[-1, 0], "vertex id -1 out of range"),
-        (lambda g, dm: dm[0, 3], "vertex id 3 out of range"),
-        (lambda g, dm: dm[True, 2], "vertex id must be an integer, got True"),
-        (lambda g, dm: dm[0, 2.0], "vertex id must be an integer, got 2.0"),
+        (lambda dm: dm[-1, 0], "vertex id -1 out of range"),
+        (lambda dm: dm[0, 3], "vertex id 3 out of range"),
+        (lambda dm: dm[True, 2], "vertex id must be an integer, got True"),
+        (lambda dm: dm[0, 2.0], "vertex id must be an integer, got 2.0"),
     ],
-    ids=["bool source", "float source", "negative id", "id past N", "bool id", "float id"],
+    ids=["negative id", "id past N", "bool id", "float id"],
 )
 def test_distance_lookups_reject_ids_outside_the_graph(lookup, message):
-    g = build_path(3)
     with pytest.raises(InvalidParameterError, match=re.escape(message)):
-        lookup(g, all_pairs_distances(g))
+        lookup(all_pairs_distances(build_path(3)))
 
 
 def test_distance_lookups_take_numpy_integers():
-    g = build_path(3)
-    dm = all_pairs_distances(g)
+    dm = all_pairs_distances(build_path(3))
     assert dm[np.int64(0), np.uint8(2)] == 2 and type(dm[np.int64(0), 2]) is int
-    assert bfs_distances(g, np.int32(1)).tolist() == [1, 0, 1]
 
 
 def test_dense_diameter_allocates_no_matrix_sized_temporary():

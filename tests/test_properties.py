@@ -12,6 +12,7 @@ from radiomesh import (
     UNREACHABLE,
     CellIndexing,
     DisconnectedGraphError,
+    DistanceMatrix,
     Graph,
     InvalidParameterError,
     Labeling,
@@ -426,6 +427,9 @@ def test_factored_distances_equal_bfs_on_random_products(factors):
     assert g.adjacency == Graph(g.num_vertices, g.edges()).adjacency
     factored, bfs = all_pairs_distances(g), bfs_all_pairs(g)
     nv = g.num_vertices
+    # the certificate through the factors agrees with the dense check of
+    # BFS's matrix on the same edges, a plain graph with no factors
+    assert certify_distances(g, factored) == certify_distances(Graph(nv, g.edges()), bfs)
     # the single and vectorised factor lookups, before any N x N matrix
     us, vs = np.divmod(np.arange(nv * nv), nv)
     looked_up = factored.pairs(us, vs)
@@ -452,16 +456,19 @@ grid_products = st.sampled_from(
 @settings(max_examples=100, deadline=None)
 @given(connected_graph(12))
 def test_certificate_accepts_the_bfs_matrix(g):
-    assert certify_distances(g, bfs_all_pairs(g).matrix)
+    assert certify_distances(g, bfs_all_pairs(g))
 
 
 @pytest.mark.parametrize("m", _GRID.even_m + _GRID.odd_m)
 @pytest.mark.parametrize("n", _GRID.ns)
 def test_certificate_accepts_every_default_grid_product(m, n):
     g = build_product_graph(ProductParams(m, n)).graph
-    factored = all_pairs_distances(g).matrix
-    assert np.array_equal(factored, bfs_all_pairs(g).matrix)
+    factored, bfs = all_pairs_distances(g), bfs_all_pairs(g)
     assert certify_distances(g, factored)
+    # BFS's dense matrix takes the dense check, with or without the factors
+    assert certify_distances(g, bfs)
+    assert certify_distances(Graph(g.num_vertices, g.edges()), bfs)
+    assert np.array_equal(factored.matrix, bfs.matrix)
 
 
 @settings(max_examples=200, deadline=None)
@@ -474,7 +481,7 @@ def test_certificate_rejects_an_entry_changed_by_one_or_two(g, data):
     matrix[u, w] += delta
     if data.draw(st.booleans()) and u != w:
         matrix[w, u] += delta  # the same change, kept symmetric
-    assert not certify_distances(g, matrix)
+    assert not certify_distances(g, DistanceMatrix(matrix))
 
 
 @settings(max_examples=100, deadline=None)
@@ -485,10 +492,10 @@ def test_certificate_rejects_an_unreachable_entry_and_a_nonzero_diagonal(g, data
     u, w = data.draw(st.integers(0, nv - 1)), data.draw(st.integers(0, nv - 1))
     unreachable = bfs.copy()
     unreachable[u, w] = UNREACHABLE
-    assert not certify_distances(g, unreachable)
+    assert not certify_distances(g, DistanceMatrix(unreachable))
     diagonal = bfs.copy()
     diagonal[u, u] = data.draw(st.integers(1, 2 * nv))
-    assert not certify_distances(g, diagonal)
+    assert not certify_distances(g, DistanceMatrix(diagonal))
 
 
 @settings(max_examples=100, deadline=None)
@@ -503,19 +510,63 @@ def test_certificate_rejects_a_disconnected_graph(parts, fill):
     g = Graph(offset, edges)
     bfs = bfs_all_pairs(g).matrix
     assert bfs.min() == UNREACHABLE
-    assert not certify_distances(g, bfs)
+    assert not certify_distances(g, DistanceMatrix(bfs))
     # no matrix of entries >= 0 passes either: the layer condition
     # would walk every vertex to every other
-    assert not certify_distances(g, np.where(bfs == UNREACHABLE, fill, bfs).astype(bfs.dtype))
+    filled = np.where(bfs == UNREACHABLE, fill, bfs).astype(bfs.dtype)
+    assert not certify_distances(g, DistanceMatrix(filled))
 
 
 def test_certificate_rejects_another_graphs_matrix():
     path, star = build_path(4), build_star(3)
-    assert certify_distances(path, bfs_all_pairs(path).matrix)
-    assert certify_distances(star, bfs_all_pairs(star).matrix)
-    assert not certify_distances(path, bfs_all_pairs(star).matrix)
-    assert not certify_distances(star, bfs_all_pairs(path).matrix)
-    assert not certify_distances(path, bfs_all_pairs(build_path(3)).matrix)
+    assert certify_distances(path, bfs_all_pairs(path))
+    assert certify_distances(star, bfs_all_pairs(star))
+    assert not certify_distances(path, bfs_all_pairs(star))
+    assert not certify_distances(star, bfs_all_pairs(path))
+    assert not certify_distances(path, bfs_all_pairs(build_path(3)))
+    # a product's factor matrices of swapped sizes are P_4 x P_3's
+    g = cartesian_product([build_path(3), path])
+    p3, p4 = bfs_all_pairs(build_path(3)).matrix, bfs_all_pairs(path).matrix
+    assert certify_distances(g, DistanceMatrix.from_factors(p3, p4))
+    assert not certify_distances(g, DistanceMatrix.from_factors(p4, p3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 5), st.data())
+def test_factor_certificate_rejects_a_factor_entry_off_by_one(m, n, data):
+    g = build_product_graph(ProductParams(m, n)).graph
+    tables = [bfs_all_pairs(f).matrix.astype(np.int16) for f in g.factors]
+    assert certify_distances(g, DistanceMatrix.from_factors(*tables))
+    table = tables[data.draw(st.integers(0, 1))]
+    u, w = (data.draw(st.integers(0, len(table) - 1)) for _ in range(2))
+    # a 0 lowered would be UNREACHABLE, which from_factors refuses
+    table[u, w] += data.draw(st.sampled_from([-1, 1])) if table[u, w] else 1
+    assert not certify_distances(g, DistanceMatrix.from_factors(*tables))
+
+
+def test_certificate_rejects_a_star_whose_hub_is_not_vertex_0():
+    star, path = build_star(3), build_path(3)
+    true_star, p = bfs_all_pairs(star).matrix, bfs_all_pairs(path).matrix
+    moved = true_star[np.ix_([1, 0, 2, 3], [1, 0, 2, 3])]  # the hub is vertex 1
+    assert not certify_distances(star, DistanceMatrix(moved))
+    # as a factor, and inside the mesh-by-star product's fiber row
+    product = cartesian_product([path, star])
+    assert certify_distances(product, DistanceMatrix.from_factors(p, true_star))
+    assert not certify_distances(product, DistanceMatrix.from_factors(p, moved))
+    g = build_product_graph(ProductParams(3, 3)).graph
+    for star_table, certified in ((true_star, True), (moved, False)):
+        row = DistanceMatrix.from_factors(p, star_table).matrix
+        assert certify_distances(g, DistanceMatrix.from_factors(p, row)) is certified
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_products, st.data())
+def test_certificate_rejects_the_product_with_one_edge_dropped(g, data):
+    edges = g.edges()
+    drop = data.draw(st.integers(0, len(edges) - 1))
+    dropped = Graph(g.num_vertices, edges[:drop] + edges[drop + 1:])
+    assert not certify_distances(dropped, all_pairs_distances(g))
+
 
 
 @st.composite
