@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: diam, rn-exact, bound, label, validate, verify, one row
-each in :data:`COMMANDS`. Every graph is the product P(m,m) x K_{1,n},
+each in :data:`COMMANDS`, which names the flags it takes. Each flag is
+defined once, in :data:`FLAGS`. Every graph is the product P(m,m) x K_{1,n},
 named by ``--m`` and ``--n``; ``verify`` takes a grid of them, its mesh
 orders in one ``--ms`` list. :func:`main` builds the parser on its
 first call and reuses it; each parse returns a fresh namespace, so no
@@ -118,55 +119,32 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _add_product(p) -> None:
-    p.add_argument("--m", type=int, required=True, help="mesh order (>= 2)")
-    p.add_argument("--n", type=int, required=True, help="star leaf count (>= 1)")
-
-
-def _add_format(p) -> None:
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-
-
-def _product_format_arguments(p) -> None:
-    _add_product(p)
-    _add_format(p)
-
-
-def _rn_exact_arguments(p) -> None:
-    _product_format_arguments(p)
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT, help="search node budget")
-
-
-def _label_arguments(p) -> None:
-    _add_product(p)
-    p.add_argument(
-        "--indexing", type=CellIndexing, default=CellIndexing.ROW_MAJOR, choices=list(CellIndexing),
+# Each flag's add_argument keywords, stated once; a COMMANDS row names
+# the flags its subcommand takes, in the order its help lists them.
+FLAGS = {
+    "--m": dict(type=int, required=True, help="mesh order (>= 2)"),
+    "--n": dict(type=int, required=True, help="star leaf count (>= 1)"),
+    "--format": dict(choices=("text", "csv"), default="text"),
+    "--node-limit": dict(type=int, default=DEFAULT_NODE_LIMIT, help="search node budget"),
+    "--indexing": dict(
+        type=CellIndexing, default=CellIndexing.ROW_MAJOR, choices=list(CellIndexing),
         metavar="{" + ",".join(scheme.value for scheme in CellIndexing) + "}",
-    )
-    p.add_argument("--out", default=None, help="write the greedy labeling file here")
+    ),
+    "--out": dict(help="write the greedy labeling file here"),
+    "--labeling": dict(required=True, help="labeling file"),
+    "--ms": dict(type=_int_list, default=claims.VerifyConfig.even_m + claims.VerifyConfig.odd_m,
+                 help="comma-separated mesh orders"),
+    "--ns": dict(type=_int_list, default=claims.VerifyConfig.ns),
+}
 
-
-def _validate_arguments(p) -> None:
-    p.add_argument("--labeling", required=True, help="labeling file")
-    _add_product(p)
-
-
-def _verify_arguments(p) -> None:
-    grid = claims.VerifyConfig()
-    p.add_argument(
-        "--ms", type=_int_list, default=grid.even_m + grid.odd_m, help="comma-separated mesh orders"
-    )
-    p.add_argument("--ns", type=_int_list, default=grid.ns)
-    _add_format(p)
-
-# One row per subcommand: name, help line, argument adder, handler.
+# One row per subcommand: name, help line, flags, handler.
 COMMANDS = (
-    ("diam", "certified diameter of a product graph", _product_format_arguments, cmd_diam),
-    ("rn-exact", "exact radio number by search", _rn_exact_arguments, cmd_rn_exact),
-    ("bound", "closed-form span bound(s) at (m, n)", _product_format_arguments, cmd_bound),
-    ("label", "build the construction labeling", _label_arguments, cmd_label),
-    ("validate", "validate a labeling file against a product graph", _validate_arguments, cmd_validate),
-    ("verify", "adjudicate the claims catalog over a grid", _verify_arguments, cmd_verify),
+    ("diam", "certified diameter of a product graph", ("--m", "--n", "--format"), cmd_diam),
+    ("rn-exact", "exact radio number by search", ("--m", "--n", "--format", "--node-limit"), cmd_rn_exact),
+    ("bound", "closed-form span bound(s) at (m, n)", ("--m", "--n", "--format"), cmd_bound),
+    ("label", "build the construction labeling", ("--m", "--n", "--indexing", "--out"), cmd_label),
+    ("validate", "validate a labeling file against a product graph", ("--labeling", "--m", "--n"), cmd_validate),
+    ("verify", "adjudicate the claims catalog over a grid", ("--ms", "--ns", "--format"), cmd_verify),
 )
 
 
@@ -178,10 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments, handler in COMMANDS:
+    for name, help_text, flags, handler in COMMANDS:
         # no flag prefixes: `verify --m 2` must not run as `--ms 2`
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        add_arguments(p)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(func=handler)
     return parser
 

@@ -269,6 +269,14 @@ def _sum_tables(da: np.ndarray, db: np.ndarray) -> np.ndarray:
     return out.reshape(nv, nv)
 
 
+def _checked_table(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` itself, if it is a square 2-D numpy array of an integer dtype, not bool."""
+    shape, dtype = getattr(matrix, "shape", None), getattr(matrix, "dtype", None)
+    if dtype is None or dtype.kind not in "iu" or len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidParameterError(f"not a square integer distance matrix: {dtype} of shape {shape}")
+    return matrix
+
+
 class DistanceMatrix:
     """All-pairs hop counts for one graph, kept as two factor matrices A, B.
 
@@ -279,8 +287,9 @@ class DistanceMatrix:
     hop count. For the mesh-by-star product P_m x (P_m x S_n) at
     (100, 10), N = 110,000, A and B are 100 x 100 and 1100 x 1100, where
     an N x N matrix would take 48 GB. A dense matrix M is the one-factor case:
-    ``DistanceMatrix(M)`` has A = [[0]] and B = M, and reads UNREACHABLE
-    where M does.
+    ``DistanceMatrix(M)`` has A = [[0]] and B = M itself, uncopied, and
+    reads UNREACHABLE where M does. M must be a square 2-D numpy array
+    of an integer dtype, not bool, or InvalidParameterError is raised.
 
     ``dm[u, v]`` and :meth:`pairs` read only the factors; labeling,
     validation, the gap matrices and the claims use nothing else, and
@@ -295,18 +304,24 @@ class DistanceMatrix:
     __slots__ = ("_a", "_b", "_matrix", "_diameter", "_index")
 
     def __init__(self, matrix: np.ndarray):
+        self._b = _checked_table(matrix)
         self._a = np.zeros((1, 1), dtype=matrix.dtype)
-        self._b = matrix
         self._matrix: np.ndarray | None = None
         self._diameter: int | None = None
         self._index: tuple | None = None
 
     @classmethod
     def from_factors(cls, a: np.ndarray, b: np.ndarray) -> "DistanceMatrix":
-        """Distances of the product of connected graphs with matrices ``a`` and ``b`` (same dtype)."""
+        """Distances of the product of connected graphs with matrices ``a`` and ``b``.
+
+        Each factor is held to the dense matrix's checks, and the two must
+        share a dtype, the one :meth:`pairs` and :attr:`matrix` add in.
+        """
+        dm = cls(b)
+        if _checked_table(a).dtype != b.dtype:
+            raise InvalidParameterError(f"factor matrices must share a dtype, got {a.dtype} and {b.dtype}")
         if min(a.min(), b.min()) == UNREACHABLE:
             raise DisconnectedGraphError("a factor is disconnected; its sums are not distances")
-        dm = cls(b)
         dm._a = a
         return dm
 

@@ -313,11 +313,12 @@ def minimize_span(
     of the unshifted fields and shifts it once, since a common shift
     keeps lexicographic order.
 
-    ``req`` must be square, with every entry off the diagonal at least
+    ``req`` must be square, each entry a Python or numpy integer, not a
+    bool, float or string, and every entry off the diagonal at least
     1, as every gap matrix of a graph is: the completion bound takes
     unplaced labels to be distinct, so a smaller gap could prune the
-    optimum, and such a ``req`` raises InvalidParameterError. The
-    diagonal is never read.
+    optimum. Any other ``req`` raises InvalidParameterError. The
+    diagonal's values are never read.
 
     ``node_limit`` caps the nodes explored (``None`` means unlimited;
     a limit that is not an integer, see :func:`~radiomesh.graphs.checked_int`,
@@ -335,6 +336,11 @@ def minimize_span(
         raise InvalidParameterError("empty constraint system")
     if any(len(row) != nv for row in req):
         raise InvalidParameterError(f"gap matrix must be square, has {nv} rows")
+    rows = [_integer_entries(row) for row in req]
+    if any(row is None for row in rows):
+        raise InvalidParameterError("gaps must be integers, not bools, floats or strings")
+    # numpy integer gaps, or rows of a 2-D array, searched as lists of ints
+    req = [row.tolist() for row in rows]
     # reach[v] is v's least gap to another vertex
     reach = [min(row[:v] + row[v + 1 :], default=1) for v, row in enumerate(req)]
     if min(reach) < 1:

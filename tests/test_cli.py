@@ -324,6 +324,11 @@ def test_each_command_takes_exactly_its_flags():
     assert sum(map(len, taken.values())) == 20
 
 
+def test_every_defined_flag_is_taken_by_a_command():
+    # a flag left behind by a removed command would still be defined
+    assert {flag for _name, _help, flags, _handler in COMMANDS for flag in flags} == set(cli.FLAGS)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify", "--m", "2"], ["rn-exact", "--m", "2", "--n", "1", "--node", "5"]],
@@ -380,7 +385,7 @@ def test_top_level_usage_lists_every_command(argv, capsys, monkeypatch):
     assert (code, out, err) == _exit_of(build_parser().parse_args, argv, capsys)
     assert "{diam,rn-exact,bound,label,validate,verify}" in out + err
     if argv[:1] in (["--help"], ["-h"]):
-        for name, help_text, _add_arguments, _handler in COMMANDS:
+        for name, help_text, _flags, _handler in COMMANDS:
             assert f"    {name}" in out and help_text in out
 
 

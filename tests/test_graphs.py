@@ -230,6 +230,39 @@ def test_dense_distance_matrix_is_its_one_factor():
     assert dm.pairs(np.array([0, 1, 3]), np.array([2, 1, 0])).tolist() == [2, 0, 3]
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.zeros((2, 3), np.int16),
+        np.zeros(3, np.int16),
+        np.array([[0, 1.5], [1.5, 0]]),
+        np.zeros((2, 2), bool),
+        [[0, 1], [1, 0]],
+    ],
+    ids=["not square", "1-d", "float", "bool", "list"],
+)
+def test_distance_matrix_takes_only_square_integer_arrays(matrix):
+    # unchecked, these would read as 2, 3 and 2 vertices, the float's diameter as 1
+    with pytest.raises(InvalidParameterError, match="^not a square integer distance matrix"):
+        DistanceMatrix(matrix)
+    with pytest.raises(InvalidParameterError, match="^not a square integer distance matrix"):
+        DistanceMatrix.from_factors(matrix, np.zeros((1, 1), np.int16))
+
+
+def test_factor_matrices_must_share_a_dtype():
+    # summed in int16, .matrix would read 40001 as -25535
+    a = np.array([[0, 1], [1, 0]], np.int16)
+    b = np.array([[0, 40000], [40000, 0]], np.int64)
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(InvalidParameterError, match="^factor matrices must share a dtype"):
+            DistanceMatrix.from_factors(first, second)
+    dm = DistanceMatrix.from_factors(a.astype(np.int64), b)
+    assert dm[0, 3] == dm.matrix[0, 3] == 40001
+    for dtype in (np.int8, np.uint16, np.int32):
+        dense = np.array([[0, 1], [1, 0]], dtype)
+        assert DistanceMatrix(dense).matrix is dense
+
+
 def test_from_edges_validation():
     with pytest.raises(InvalidParameterError, match=r"self-loop at vertex 0"):
         Graph(3, [(0, 0)])

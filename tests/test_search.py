@@ -238,6 +238,26 @@ def test_minimize_span_rejects_a_gap_below_one_or_a_ragged_matrix():
     assert minimize_span([[-5, 1], [1, 0]]) == (1, [0, 1], RnStatus.EXACT, 3)
 
 
+@pytest.mark.parametrize(
+    "gap",
+    [1.5, True, "2", np.float64(2.0)],
+    ids=["float", "bool", "str", "numpy-float"],
+)
+def test_minimize_span_rejects_gaps_that_are_not_integers(gap):
+    # 1.5 would come back as an EXACT span of 1.5, True as one of 1
+    with pytest.raises(InvalidParameterError, match="^gaps must be integers"):
+        minimize_span([[0, gap], [gap, 0]])
+
+
+def test_minimize_span_takes_numpy_integer_gaps_as_python_ints():
+    req = [[0, 3, 1], [3, 0, 2], [1, 2, 0]]
+    expected = minimize_span(req)
+    for numpy_req in ([[np.int64(g) for g in row] for row in req], np.array(req, dtype=np.int64)):
+        result = minimize_span(numpy_req)
+        assert result == expected
+        assert type(result[0]) is int and all(type(label) is int for label in result[1])
+
+
 def test_gap_matrix_subset_keeps_host_metric():
     params = ProductParams(2, 1)
     dm = all_pairs_distances(build_product_graph(params).graph)
