@@ -6,12 +6,10 @@ certified diameter, exact span search, or exact rational evaluation),
 and issues a verdict:
 
 * ``Match``       - the catalog value equals the oracle value exactly.
-* ``Mismatch``    - they differ; for span bounds this includes the case
-                    where a concrete valid labeling undercuts the claimed
-                    bound, refuting it.
-* ``Unverifiable``- no oracle settled the claim: the node budget ran
-                    out, or the instance is above the exact-search size
-                    limit, and no valid labeling refutes the claim.
+* ``Mismatch``    - they differ.
+* ``Unverifiable``- no oracle settled the claim: the instance is above
+                    the exact-search size limit, or the search ran out
+                    of its node budget.
 
 A failure inside a claim is a programming error and propagates; it is
 never recorded as a verdict.
@@ -37,14 +35,10 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar, Iterable
-
-import numpy as np
+from typing import ClassVar, Iterable, Sequence
 
 from . import formulas
-from .graphs import DistanceMatrix, all_pairs_distances, certify_distances
-from .labeling import OrderingPlan, greedy_assign
-from .orderings import construction_ordering
+from .graphs import DistanceMatrix, InvalidParameterError, all_pairs_distances, certify_distances, checked_int
 from .product import (
     CellIndexing,
     ParityError,
@@ -83,10 +77,13 @@ class ClaimVerdict:
 class VerifyConfig:
     """Verification grid; defaults keep a full run well under a minute.
 
-    Each grid point runs the distance claims under every
-    :class:`CellIndexing`, and settles its whole-graph bound by exact
-    search if it has at most ``exact_vertex_limit`` vertices: on any
-    grid, only the (2,1) and (2,2) products.
+    Each field takes a sequence of integers (see
+    :func:`~radiomesh.graphs.checked_int`) and is stored as a tuple;
+    anything else raises InvalidParameterError. Each grid point runs the
+    distance claims under every :class:`CellIndexing`, and settles its
+    whole-graph bound by exact search if it has at most
+    ``exact_vertex_limit`` vertices, on any grid only the (2,1) and
+    (2,2) products; every larger product leaves that bound Unverifiable.
     """
 
     even_m: tuple[int, ...] = (2, 4, 6)
@@ -95,6 +92,11 @@ class VerifyConfig:
     exact_vertex_limit: ClassVar[int] = 12
 
     def __post_init__(self) -> None:
+        for field in ("even_m", "odd_m", "ns"):
+            values = getattr(self, field)
+            if not isinstance(values, Sequence):
+                raise InvalidParameterError(f"{field} must be a sequence of integers, got {values!r}")
+            object.__setattr__(self, field, tuple(checked_int(f"{field} entry", v) for v in values))
         # the grid merges both lists, and each m is judged by its own
         # parity's claims, so a misfiled order would run unasked-for claims
         for field, parity in (("even_m", 0), ("odd_m", 1)):
@@ -185,28 +187,16 @@ def pair_bound_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
     return _row(claim_id, params, CellIndexing.ROW_MAJOR.value, expected, observed)
 
 
-def full_bound_claim(pg: ProductGraph, dm: DistanceMatrix) -> ClaimVerdict:
-    """Claimed whole-graph bound versus exact search or a refuting labeling.
+def full_bound_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
+    """Claimed whole-graph bound versus the exact radio number.
 
     Instances of at most ``VerifyConfig.exact_vertex_limit`` vertices
-    are settled exactly. Larger ones, and a search that runs out of
-    budget, fall back to the sandwich: the best greedy span of the
-    construction and identity orders, if below the claimed lower bound,
-    refutes it (the radio number cannot reach the claim); otherwise the
-    claim stays Unverifiable at this scale.
+    are settled by exact search; a larger instance, or a search that
+    runs out of budget, leaves the claim Unverifiable.
     """
-    params, graph = pg.params, pg.graph
     claim_id = "Thm18.Bound" if params.m % 2 else "Thm6.Bound"
     expected = formulas.combined_bound(params)
-    observed = None
-    if params.num_vertices <= VerifyConfig.exact_vertex_limit:
-        observed = _exact_span(dm)
-    if observed is None:
-        construction = construction_ordering(params, CellIndexing.ROW_MAJOR)
-        identity = OrderingPlan(np.arange(graph.num_vertices))
-        upper = min(greedy_assign(graph, dm, plan).span for plan in (construction, identity))
-        if upper < expected:
-            observed = Fraction(upper)
+    observed = _exact_span(dm) if params.num_vertices <= VerifyConfig.exact_vertex_limit else None
     return _row(claim_id, params, CellIndexing.ROW_MAJOR.value, expected, observed)
 
 
@@ -249,7 +239,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict
             for indexing in CellIndexing:
                 rows.extend(distance_claims(params, indexing, dm))
             rows.append(pair_bound_claim(params, dm))
-            rows.append(full_bound_claim(pg, dm))
+            rows.append(full_bound_claim(params, dm))
     rows.extend(example_claims())
     rows.sort(key=ClaimVerdict.sort_key)
     return rows

@@ -62,12 +62,13 @@ def cmd_bound(args) -> int:
 
 def cmd_label(args) -> int:
     params = ProductParams(args.m, args.n)
-    built = build_construction_labeling(params, args.indexing)
+    indexing = CellIndexing(args.indexing)
+    built = build_construction_labeling(params, indexing)
     bound = formulas.combined_bound(params)
     if args.out:
         write_text(args.out, format_labeling(built.greedy))
     lines = [
-        f"construction labeling for m={args.m} n={args.n} indexing={args.indexing.value}",
+        f"construction labeling for m={args.m} n={args.n} indexing={indexing.value}",
         f"greedy span: {built.greedy.span} (valid)",
         f"consecutive-only span: {built.consecutive.span} "
         f"({'valid' if built.consecutive_valid else 'invalid'})",
@@ -126,10 +127,7 @@ FLAGS = {
     "--n": dict(type=int, required=True, help="star leaf count (>= 1)"),
     "--format": dict(choices=("text", "csv"), default="text"),
     "--node-limit": dict(type=int, default=DEFAULT_NODE_LIMIT, help="search node budget"),
-    "--indexing": dict(
-        type=CellIndexing, default=CellIndexing.ROW_MAJOR, choices=list(CellIndexing),
-        metavar="{" + ",".join(scheme.value for scheme in CellIndexing) + "}",
-    ),
+    "--indexing": dict(choices=[scheme.value for scheme in CellIndexing], default="row-major"),
     "--out": dict(help="write the greedy labeling file here"),
     "--labeling": dict(required=True, help="labeling file"),
     "--ms": dict(type=_int_list, default=claims.VerifyConfig.even_m + claims.VerifyConfig.odd_m,

@@ -224,6 +224,7 @@ def _product_adjacency(a: Graph, b: Graph) -> tuple[tuple[int, ...], ...]:
 
 def build_mesh(m: int) -> Graph:
     """Square mesh (m x m grid graph), the product of two order-m paths."""
+    m = checked_int("mesh order", m)
     if m < 2:
         raise InvalidParameterError(f"mesh order must be >= 2, got {m}")
     p = build_path(m)
@@ -270,10 +271,12 @@ def _sum_tables(da: np.ndarray, db: np.ndarray) -> np.ndarray:
 
 
 def _checked_table(matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` itself, if it is a square 2-D numpy array of an integer dtype, not bool."""
+    """``matrix`` itself, if it is a square 2-D numpy array of an integer dtype, not bool, and not 0 x 0."""
     shape, dtype = getattr(matrix, "shape", None), getattr(matrix, "dtype", None)
     if dtype is None or dtype.kind not in "iu" or len(shape) != 2 or shape[0] != shape[1]:
         raise InvalidParameterError(f"not a square integer distance matrix: {dtype} of shape {shape}")
+    if not shape[0]:
+        raise InvalidParameterError("distance matrix needs at least one vertex")
     return matrix
 
 
@@ -289,7 +292,8 @@ class DistanceMatrix:
     an N x N matrix would take 48 GB. A dense matrix M is the one-factor case:
     ``DistanceMatrix(M)`` has A = [[0]] and B = M itself, uncopied, and
     reads UNREACHABLE where M does. M must be a square 2-D numpy array
-    of an integer dtype, not bool, or InvalidParameterError is raised.
+    of an integer dtype, not bool, with at least one row, or
+    InvalidParameterError is raised.
 
     ``dm[u, v]`` and :meth:`pairs` read only the factors; labeling,
     validation, the gap matrices and the claims use nothing else, and

@@ -87,7 +87,7 @@ def gap_matrix(dm: DistanceMatrix, vertices: Sequence[int] | None = None) -> lis
     integer (a bool, float or string included; see
     :func:`~radiomesh.labeling._integer_entries`) raises
     InvalidParameterError, and so does an id outside ``0..N-1``, naming
-    the first one.
+    the first one, or a repeated id, naming the least one.
     """
     nv = dm.num_vertices
     ids = np.arange(nv) if vertices is None else _integer_entries(vertices)
@@ -96,6 +96,10 @@ def gap_matrix(dm: DistanceMatrix, vertices: Sequence[int] | None = None) -> lis
     outside = ids[(ids < 0) | (ids >= nv)]
     if outside.size:
         raise InvalidParameterError(f"vertex {outside[0]} outside 0..{nv - 1}")
+    values, counts = np.unique(ids, return_counts=True)
+    repeated = values[counts > 1]
+    if repeated.size:
+        raise InvalidParameterError(f"vertex {repeated[0]} repeated")
     return required_gaps(dm, ids[:, None], ids[None, :]).tolist()
 
 

@@ -1,8 +1,10 @@
 import itertools
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radiomesh.claims
@@ -10,6 +12,7 @@ import radiomesh.graphs
 from radiomesh import (
     CellIndexing,
     DistanceMatrix,
+    InvalidParameterError,
     ParityError,
     ProductParams,
     all_pairs_distances,
@@ -114,25 +117,22 @@ def test_pair_bound_claim_against_inline_enumeration():
 
 def test_full_bound_claim_exact_at_eight_vertices():
     params = ProductParams(2, 1)
-    pg = build_product_graph(params)
-    dm = all_pairs_distances(pg.graph)
-    row = full_bound_claim(pg, dm)
+    dm = all_pairs_distances(build_product_graph(params).graph)
+    row = full_bound_claim(params, dm)
     assert row.claim_id == "Thm6.Bound"
     assert row.expected == 16
     assert row.observed == 10  # exact radio number of the 8-vertex product
     assert row.verdict is Verdict.MISMATCH
 
 
-def test_full_bound_claim_falls_back_to_sandwich():
-    params = ProductParams(3, 1)  # 18 vertices, above the exact limit
-    pg = build_product_graph(params)
-    dm = all_pairs_distances(pg.graph)
-    row = full_bound_claim(pg, dm)
-    assert row.claim_id == "Thm18.Bound"
-    if row.verdict is Verdict.MISMATCH:
-        assert row.observed is not None and row.observed < row.expected
-    else:
-        assert row.verdict is Verdict.UNVERIFIABLE and row.observed is None
+@pytest.mark.parametrize("m, n, claim_id", [(3, 1, "Thm18.Bound"), (2, 3, "Thm6.Bound")])
+def test_full_bound_claim_above_the_exact_limit_is_unverifiable(m, n, claim_id):
+    # 18 and 16 vertices: no search runs, and no greedy span stands in for one
+    params = ProductParams(m, n)
+    assert params.num_vertices > VerifyConfig.exact_vertex_limit
+    row = full_bound_claim(params, all_pairs_distances(build_product_graph(params).graph))
+    assert row.claim_id == claim_id and row.expected == radiomesh.formulas.combined_bound(params)
+    assert row.verdict is Verdict.UNVERIFIABLE and row.observed is None
 
 
 def test_example_claims_preserve_both_values():
@@ -233,6 +233,28 @@ def test_a_mesh_order_of_the_wrong_parity_is_rejected(fields, message):
     # the odd claims instead of failing
     with pytest.raises(ParityError, match=message):
         VerifyConfig(**fields, ns=(1,))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"even_m": ("2",)}, "even_m entry must be an integer, got '2'"),
+        ({"odd_m": (3.0,)}, "odd_m entry must be an integer, got 3.0"),
+        ({"ns": (True,)}, "ns entry must be an integer, got True"),
+        ({"ns": 5}, "ns must be a sequence of integers, got 5"),
+    ],
+)
+def test_grid_fields_take_sequences_of_integers(fields, message):
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        VerifyConfig(**fields)
+
+
+def test_grid_fields_are_stored_as_tuples():
+    config = VerifyConfig(even_m=[2], odd_m=(), ns=[np.int64(1)])
+    assert (config.even_m, config.odd_m, config.ns) == ((2,), (), (1,))
+    assert type(config.ns[0]) is int
+    assert config.even_m + config.odd_m == (2,)
+    assert run_verification(config) == run_verification(VerifyConfig(even_m=(2,), odd_m=(), ns=(1,)))
 
 
 def test_a_repeated_grid_value_is_taken_once():

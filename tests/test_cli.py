@@ -265,6 +265,7 @@ def test_verify_small_grid_csv(capsys):
         ["verify", "--ms", "3,3"],
         ["verify", "--ns", "1,2.5"],
         ["verify", "--ms", "2,x"],
+        ["label", "--m", "2", "--n", "1", "--indexing", "bogus"],
     ],
 )
 def test_malformed_flag_value_exits_2(argv, capsys):
@@ -277,6 +278,16 @@ def test_malformed_flag_value_exits_2(argv, capsys):
     # value"; each of ours raises ArgumentTypeError with a plain message instead
     assert re.search(r"(?<!\w)_\w", err) is None, err
     assert re.search(r"invalid \S+ value", err) is None, err
+
+
+def test_an_unknown_indexing_names_the_three_schemes(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["label", "--m", "2", "--n", "1", "--indexing", "bogus"])
+    assert excinfo.value.code == 2
+    # the error line itself, not only the usage line above it
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert "invalid choice: 'bogus'" in error, error
+    assert all(scheme in error for scheme in ("row-major", "col-major", "serpentine")), error
 
 
 @pytest.mark.parametrize(

@@ -42,13 +42,6 @@ def test_thm6_even_bound(params, expected):
     assert F.thm6_even_bound(params) == expected
 
 
-def test_thm6_equals_pair_count_times_pair_bound():
-    for m in range(2, 11, 2):
-        for n in range(1, 7):
-            params = P(m, n)
-            assert F.thm6_even_bound(params) == Fraction(m * m, 2) * F.cor5_pair_bound(params)
-
-
 @pytest.mark.parametrize(
     "params,expected",
     [(P(3, 2), 9), (P(5, 5), 36), (P(5, 4), 29)],
@@ -79,11 +72,29 @@ def test_path_span_components():
     assert F.span_f4(P(3, 2)) == 4
 
 
-def test_f3_splits_into_f1_plus_f2():
-    for m in range(3, 10, 2):
-        for n in range(2, 7):
-            params = P(m, n)
-            assert F.cor13_span_f3(params) == F.span_f1(params) + F.span_f2(params)
+# (mesh parity, least n, evaluated form, second stated form) of each
+# catalog entry whose two forms are algebraically the same; only the
+# first is evaluated by formulas
+SECOND_FORMS = {
+    "thm6-pairwise": (
+        0, 1, F.thm6_even_bound, lambda m, n: Fraction(m * m, 2) * F.cor5_pair_bound(P(m, n)),
+    ),
+    "thm9-expanded": (
+        1, 1, lambda p: F.thm9_gstar_bound(p).statement,
+        lambda m, n: Fraction(m**3 * n - 4 * m * m * n + 4 * m * m + m * n - 4 * m, 4),
+    ),
+    "cor13-f1-plus-f2": (1, 2, F.cor13_span_f3, lambda m, n: F.span_f1(P(m, n)) + F.span_f2(P(m, n))),
+    "thm16-closing": (
+        1, 1, F.thm16_bound, lambda m, n: Fraction(2 * m - 5 * m * n) + Fraction(3 * m * m * n + 3 * n, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("parity, least_n, evaluated, second", SECOND_FORMS.values(), ids=SECOND_FORMS)
+def test_second_stated_forms_equal_the_evaluated_ones(parity, least_n, evaluated, second):
+    for m in range(2 + parity, 52, 2):
+        for n in range(least_n, 51):
+            assert evaluated(P(m, n)) == second(m, n), (m, n)
 
 
 def test_f2_needs_two_leaves():

@@ -249,6 +249,19 @@ def test_distance_matrix_takes_only_square_integer_arrays(matrix):
         DistanceMatrix.from_factors(matrix, np.zeros((1, 1), np.int16))
 
 
+def test_distance_matrix_needs_at_least_one_vertex():
+    # unchecked, .diameter and from_factors' connectivity check would
+    # raise numpy's ValueError on an empty min()
+    empty, one = np.zeros((0, 0), np.int16), np.zeros((1, 1), np.int16)
+    for make in (
+        lambda: DistanceMatrix(empty),
+        lambda: DistanceMatrix.from_factors(empty, one),
+        lambda: DistanceMatrix.from_factors(one, empty),
+    ):
+        with pytest.raises(InvalidParameterError, match="^distance matrix needs at least one vertex$"):
+            make()
+
+
 def test_factor_matrices_must_share_a_dtype():
     # summed in int16, .matrix would read 40001 as -25535
     a = np.array([[0, 1], [1, 0]], np.int16)
@@ -310,6 +323,12 @@ def test_graph_rejects_an_adjacency_that_is_not_simple_and_undirected(num_vertic
 def test_a_size_or_id_that_is_not_an_integer_is_rejected(build):
     with pytest.raises(InvalidParameterError, match="must be an integer, got (2.5|1.0|True)"):
         build()
+
+
+@pytest.mark.parametrize("m", ["3", 2.5, True], ids=["str", "float", "bool"])
+def test_mesh_order_is_held_to_the_integer_rule_before_its_range(m):
+    with pytest.raises(InvalidParameterError, match=f"^mesh order must be an integer, got {re.escape(repr(m))}$"):
+        build_mesh(m)
 
 
 def test_numpy_integer_sizes_and_ids_are_kept_as_python_ints():

@@ -211,6 +211,16 @@ def test_gap_matrix_rejects_an_id_outside_the_graph():
         assert gap_matrix(dm, vertices) == [[3, 1], [1, 3]]
 
 
+def test_gap_matrix_rejects_a_repeated_id():
+    # unchecked, [0, 0] on P3 would give [[3, 3], [3, 3]], two copies of
+    # one vertex that need a gap from each other, which minimize_span
+    # would report as EXACT with span 3
+    dm = all_pairs_distances(build_path(3))
+    for vertices, named in (([0, 0], 0), ([2, 1, 2, 1], 1), (np.array([1, 0, 1]), 1)):
+        with pytest.raises(InvalidParameterError, match=rf"^vertex {named} repeated$"):
+            gap_matrix(dm, vertices)
+
+
 @pytest.mark.parametrize(
     "vertices",
     [[0.7, 1], [True, 2], ["1", 0], np.array([0.0, 2.0]), np.array([[0, 1]]), 1],
