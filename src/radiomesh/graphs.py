@@ -9,9 +9,11 @@ theirs (Kchikech, Khennoufa & Togni, DMGT 28, 2008; Hammack, Imrich &
 Klavzar, Handbook of Product Graphs, 2011, Cor. 5.2), so for a product
 of connected factors it keeps the two factors' dense matrices, each
 worked out the same way down to BFS on the factors that are not
-products; with a disconnected factor it falls back to BFS on the whole
-graph. For the same reason a connected product's diameter is the sum of
-its factors' diameters. The mesh-by-star product is P_m x (P_m x S_n),
+products, and each distinct factor once per call, so the one P_m in
+both places of the mesh-by-star product is searched once; with a
+disconnected factor it falls back to BFS on the whole graph. For the
+same reason a connected product's diameter is the sum of its factors'
+diameters. The mesh-by-star product is P_m x (P_m x S_n),
 so its factor matrices are m x m and m(n + 1) x m(n + 1). A
 :class:`DistanceMatrix` answers single and vectorised lookups from its
 factors, which is all that labeling, validation, the gap matrices and
@@ -446,26 +448,39 @@ def certify_distances(g: Graph, dm: DistanceMatrix) -> bool:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Exact all-pairs hop counts, from BFS on the factors of a product.
+    """Exact all-pairs hop counts, from BFS on each distinct factor of a product once.
 
     Equal entry for entry to :func:`bfs_all_pairs`, UNREACHABLE
     included. A graph with no factors gets :func:`bfs_all_pairs` itself.
     A product keeps its two factors' dense matrices, each worked out
     the same way and cast to the dtype for the whole graph's N, so
-    P_m x (P_m x S_n) keeps P_m's matrix and the fiber row's. If either
-    factor is disconnected, the product gets :func:`bfs_all_pairs`, as
-    a sum with an UNREACHABLE term is not a distance. The N x N matrix
-    is built only if ``.matrix`` is read: the lookups, the diameter and
-    :func:`certify_distances` read the two factors alone.
+    P_m x (P_m x S_n) keeps P_m's matrix and the fiber row's. A factor
+    object met again within the call, as the one P_m is in both places,
+    reuses the matrix worked out the first time, so that P_m's BFS runs
+    once. If either factor is disconnected, the product gets
+    :func:`bfs_all_pairs`, as a sum with an UNREACHABLE term is not a
+    distance. The N x N matrix is built only if ``.matrix`` is read: the
+    lookups, the diameter and :func:`certify_distances` read the two
+    factors alone.
     """
-    return _distances(g, _distance_dtype(g.num_vertices))
+    return _distances(g, _distance_dtype(g.num_vertices), {})
 
 
-def _distances(g: Graph, dtype: type) -> DistanceMatrix:
-    """:func:`all_pairs_distances` of ``g``, a product's factor matrices in ``dtype``."""
+def _distances(g: Graph, dtype: type, seen: dict[int, np.ndarray]) -> DistanceMatrix:
+    """:func:`all_pairs_distances` of ``g``, a product's factor matrices in ``dtype``.
+
+    ``seen`` maps the ``id`` of each factor worked out so far in this
+    call to its dense matrix in ``dtype``. It is keyed on identity, not
+    on :class:`Graph` equality, which would lay out a product's
+    adjacency; ``g`` holds every factor, so no id is reused while the
+    dict lives.
+    """
     if not g.factors:
         return bfs_all_pairs(g)
-    a, b = (_distances(f, dtype).matrix.astype(dtype, copy=False) for f in g.factors)
+    for f in g.factors:
+        if id(f) not in seen:
+            seen[id(f)] = _distances(f, dtype, seen).matrix.astype(dtype, copy=False)
+    a, b = (seen[id(f)] for f in g.factors)
     try:
         return DistanceMatrix.from_factors(a, b)
     except DisconnectedGraphError:

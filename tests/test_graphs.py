@@ -160,16 +160,42 @@ def test_product_distances_allocate_little_beyond_the_matrix():
     assert np.array_equal(matrix, bfs_all_pairs(g).matrix)
 
 
-def test_bfs_runs_only_on_the_leaf_factors():
-    # P_5 x (P_5 x S_3): each factor is searched on its own, the path
-    # once for each of its two places, and no product is ever searched
-    g = build_product_graph(ProductParams(5, 3)).graph
+def _searched(g):
+    """``all_pairs_distances(g)`` and the graphs it ran BFS on, in order."""
     with mock.patch.object(graphs, "bfs_all_pairs", wraps=graphs.bfs_all_pairs) as spy:
         dm = all_pairs_distances(g)
-    searched = [call.args[0] for call in spy.call_args_list]
-    assert [leaf.num_vertices for leaf in searched] == [5, 5, 4]
+    return dm, [call.args[0] for call in spy.call_args_list]
+
+
+def test_bfs_runs_only_on_the_leaf_factors():
+    # P_5 x (P_5 x S_3) is built from one P_5 object in both places:
+    # each distinct factor is searched once, on its own, so the path
+    # once and the star once, and no product is ever searched
+    g = build_product_graph(ProductParams(5, 3)).graph
+    dm, searched = _searched(g)
+    assert [leaf.num_vertices for leaf in searched] == [5, 4]
     assert not any(leaf.factors for leaf in searched)
     assert np.array_equal(dm.matrix, bfs_all_pairs(g).matrix)
+
+
+def test_equal_but_distinct_factors_are_each_searched():
+    # reuse goes by identity, so two equal path objects are two searches,
+    # and comparing them lays out no product adjacency
+    g = cartesian_product([build_path(5), build_path(5), build_star(3)])
+    dm, searched = _searched(g)
+    assert [leaf.num_vertices for leaf in searched] == [5, 5, 4]
+    assert g._adjacency is None and g.factors[1]._adjacency is None
+    assert np.array_equal(dm.matrix, bfs_all_pairs(g).matrix)
+
+
+def test_a_repeated_disconnected_factor_falls_back_to_whole_graph_bfs():
+    split = Graph(2, [])
+    g = cartesian_product([split, split])
+    dm, searched = _searched(g)
+    assert searched == [split, g]
+    expected = bfs_all_pairs(g).matrix
+    assert (expected == UNREACHABLE).any()
+    assert np.array_equal(dm.matrix, expected)
 
 
 def test_cartesian_product_nests_to_the_right():

@@ -1,0 +1,52 @@
+"""Published radio numbers as outside oracles for the exact search.
+
+The minimum label is 0, as everywhere in radiomesh. Paths and cycles
+are from Liu & Zhu, "Multilevel distance labelings for paths and
+cycles", SIAM J. Discrete Math. 19 (2005). In a star K_{1,s} the s
+leaves need distinct labels and the hub a gap of 2 to each, so the hub
+goes at 0 and the leaves at 2..s + 1: rn(K_{1,s}) = s + 1 for s >= 2.
+P_10 and C_10..C_13 lie above the 9-vertex ceiling of
+:func:`~radiomesh.permutation_oracle`, so there nothing else in the
+repo checks :func:`~radiomesh.exact_rn`.
+"""
+import pytest
+
+from radiomesh import (
+    Graph,
+    RnStatus,
+    all_pairs_distances,
+    build_path,
+    build_star,
+    exact_rn,
+    validate,
+)
+
+
+def path_rn(n):
+    k, odd = divmod(n, 2)
+    return 2 * k * k + 2 if odd else 2 * k * k - 2 * k + 1
+
+
+def cycle_rn(n):
+    k, r = divmod(n, 4)
+    phi = k + 1 if r == 1 else k + 2
+    return phi * (n - 2) // 2 + 1 if n % 2 == 0 else phi * (n - 1) // 2
+
+
+def build_cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+CASES = (
+    [pytest.param(build_path(n), path_rn(n), id=f"P{n}") for n in range(4, 11)]
+    + [pytest.param(build_cycle(n), cycle_rn(n), id=f"C{n}") for n in range(4, 14)]
+    + [pytest.param(build_star(s), s + 1, id=f"K1,{s}") for s in range(2, 9)]
+)
+
+
+@pytest.mark.parametrize("g, published", CASES)
+def test_exact_rn_equals_the_published_radio_number(g, published):
+    result = exact_rn(g)
+    assert (result.value, result.status) == (published, RnStatus.EXACT)
+    assert result.witness.span == published
+    assert validate(g, all_pairs_distances(g), result.witness).valid
