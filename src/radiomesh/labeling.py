@@ -48,7 +48,10 @@ def _integer_entries(values) -> np.ndarray | None:
     A scalar, or an array of other than one dimension, gives None before
     anything takes its length.
 
-    An integer is a Python or numpy integer, not a bool. The array is
+    An integer is a Python or numpy integer, not a bool. ``bytes`` and
+    ``bytearray`` give None too, like a ``str``, though they iterate to
+    ints: they hold text or binary data, and ``np.array`` would read
+    ``bytes`` as one string but a ``bytearray`` as its ints. The array is
     int64 when every entry fits, else an object array of exact Python
     ints. An integer array is copied in one cast. A sequence, or an
     object array, has its entry types gathered once first: ``np.array``
@@ -65,8 +68,8 @@ def _integer_entries(values) -> np.ndarray | None:
         if values.dtype.kind != "O":
             return None
         values = values.tolist()
-    elif not isinstance(values, Sequence):  # a scalar has no entries
-        return None
+    elif not isinstance(values, Sequence) or isinstance(values, (bytes, bytearray)):
+        return None  # a scalar has no entries; bytes count as text, like a str
     kinds = set(map(type, values))
     if not all(issubclass(kind, (int, np.integer)) and not issubclass(kind, bool) for kind in kinds):
         return None

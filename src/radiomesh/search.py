@@ -47,9 +47,10 @@ DEFAULT_NODE_LIMIT = 20_000_000
 # emptied before the next insert, and the search's per-mask table of
 # least images and field orders with it. A state is stored only after it
 # was entered, having passed its bound, so a child whose key is stored
-# passes too and is never sorted. The (2,2) search stores 7,763 states
-# up to its 16 automorphisms, and the least images of 2,510 masks, so
-# only budgeted searches far beyond the verify grid fill it.
+# passes too and is never sorted. The (2,2) search stores 8,225 states,
+# each keyed by one image under its 16 automorphisms, and the least
+# images of 2,541 masks, so only budgeted searches far beyond the verify
+# grid fill it.
 _CACHE_SLOTS = 1 << 16
 
 # Caps on the automorphism enumeration of minimize_span: permutations kept
@@ -84,8 +85,8 @@ def gap_matrix(dm: DistanceMatrix, vertices: Sequence[int] | None = None) -> lis
     N x N matrix. ``diam`` is the diameter of the whole matrix, so a
     subset poses the induced problem under the host metric, which is how
     the per-pair bound claims are adjudicated. An id that is not an
-    integer (a bool, float or string included; see
-    :func:`~radiomesh.labeling._integer_entries`) raises
+    integer (a bool, float or string included, and ids given as
+    bytes; see :func:`~radiomesh.labeling._integer_entries`) raises
     InvalidParameterError, and so does an id outside ``0..N-1``, naming
     the first one, or a repeated id, naming the least one.
     """
@@ -205,30 +206,26 @@ def _image_columns(group: list[list[int]]) -> list[int]:
     return [sum(1 << p[x] + i * nv for i, p in enumerate(group)) for x in range(nv)]
 
 
-def _shape(
-    mask: int, images: int, group: list[list[int]]
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The least image of a placed set and the orders its fields are read in.
+def _shape(mask: int, images: int, group: list[list[int]]) -> tuple[int, list[int]]:
+    """The least image of a placed set and the order its fields are read in.
 
     ``images`` packs the images of ``mask`` under ``group`` as
     :func:`_image_columns` does. Returns the least image mask and, for
-    each permutation mapping ``mask`` to it, the positions in a node's
-    floors list (the unplaced vertices in ascending id) of the image
-    state's fields, which follow ascending image id; each distinct order
-    once.
+    the first permutation in ``group`` mapping ``mask`` to it, the
+    positions in a node's floors list (the unplaced vertices in
+    ascending id) of the image state's fields, which follow ascending
+    image id.
     """
     nv = len(group[0])
     full = (1 << nv) - 1
     masks = [images >> i * nv & full for i in range(len(group))]
     least = min(masks)
+    p = group[masks.index(least)]
     unplaced = [x for x in range(nv) if not mask >> x & 1]
-    reaching = [p for p, image in zip(group, masks) if image == least]
     # a permutation maps the unplaced set onto the image's unplaced set,
     # so sorting the unplaced vertices by their images reads the fields
     # in image order
-    positions = range(len(unplaced))
-    orders = {tuple(sorted(positions, key=[p[x] for x in unplaced].__getitem__)) for p in reaching}
-    return least, tuple(orders)
+    return least, sorted(range(len(unplaced)), key=[p[x] for x in unplaced].__getitem__)
 
 
 def minimize_span(
@@ -294,35 +291,34 @@ def minimize_span(
     count are those of the uncached tree: ``nodes`` and ``node_limit``
     count the nodes of that tree, not the nodes actually visited.
 
-    The table is keyed by a canonical state under automorphisms of
+    The table is keyed by one image of the state under automorphisms of
     ``req`` (see :func:`_automorphisms`). An automorphism maps a state to
     one whose children are the images of its children with the same
     floors, so with the cutoff fixed the subtree size, the sum over the
     children of 1 plus the size of each child that passes its bound,
     is the same for both: it does not depend on child order, and the
-    bound depends only on the multiset of floors. The canonical key is
-    the key of one image chosen by a rule that sees only the set of
-    images, and the key is one-to-one, so equal keys mean states that
-    are images of each other. That holds for any subset of the
-    automorphisms, so the enumeration's caps cost hits, never
-    correctness. Which image masks are least, and where each such image
-    reads its floors from, depend only on the placed mask, so a second
-    dict keyed by the mask keeps them (see :func:`_shape`); it is
-    emptied with the table. Each node carries the images of its placed
-    set under the group, packed in one int, and a child ORs in the
-    column of the vertex it places (see :func:`_image_columns`), so a
-    mask the dict lacks is resolved from its parent's images. Most masks
-    have one such order, and their key is built from it directly, with
-    no ``min`` over orders; a key with several orders takes the ``min``
-    of the unshifted fields and shifts it once, since a common shift
-    keeps lexicographic order.
+    bound depends only on the multiset of floors. The image is the one
+    under the first permutation in the group that maps the placed set
+    to its least image, and the key spells that image state out, its
+    fields in ascending image id. The key is one-to-one, so equal keys
+    mean states that are images of each other; the image need not be
+    a canonical one, so two images of one state may take different
+    keys, which costs hits, never correctness. That holds for any
+    subset of the automorphisms, so the enumeration's caps cost hits
+    too. The least image mask, and where its image reads its floors
+    from, depend only on the placed mask, so a second dict keyed by the
+    mask keeps them (see :func:`_shape`); it is emptied with the table.
+    Each node carries the images of its placed set under the group,
+    packed in one int, and a child ORs in the column of the vertex it
+    places (see :func:`_image_columns`), so a mask the dict lacks is
+    resolved from its parent's images.
 
     ``req`` must be square, each entry a Python or numpy integer, not a
-    bool, float or string, and every entry off the diagonal at least
-    1, as every gap matrix of a graph is: the completion bound takes
-    unplaced labels to be distinct, so a smaller gap could prune the
-    optimum. Any other ``req`` raises InvalidParameterError. The
-    diagonal's values are never read.
+    bool, float or string, no row given as bytes, and every entry off
+    the diagonal at least 1, as every gap matrix of a graph is: the
+    completion bound takes unplaced labels to be distinct, so a smaller
+    gap could prune the optimum. Any other ``req`` raises
+    InvalidParameterError. The diagonal's values are never read.
 
     ``node_limit`` caps the nodes explored (``None`` means unlimited;
     a limit that is not an integer, see :func:`~radiomesh.graphs.checked_int`,
@@ -361,16 +357,16 @@ def minimize_span(
     # A state key is the tuple (cutoff - base, placed mask, fields): one
     # field, a floor minus base, per unplaced vertex in ascending id. The
     # mask fixes how many fields there are, so the key is one-to-one.
-    # A node is keyed by its image, under the permutations in ``group``,
-    # with the smallest placed mask and, of those, the smallest fields.
+    # A node is keyed by its image under the first permutation in
+    # ``group`` that gives the smallest placed mask.
     cache: dict[tuple[int, ...], int] = {}
     group = _automorphisms(req)
     # a node carries its placed set's images under ``group`` packed in
     # one int; a child ORs in the column of the vertex it places
     columns = _image_columns(group)
-    # shapes[mask] is that least mask and the orders its fields are read
-    # in, each a tuple of positions in a node's floors list (see _shape)
-    shapes: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
+    # shapes[mask] is that least mask and the order its fields are read
+    # in, a list of positions in a node's floors list (see _shape)
+    shapes: dict[int, tuple[int, list[int]]] = {}
 
     def dfs(
         mask: int, unplaced: list[int], floors: list[int], key: tuple[int, ...], images: int
@@ -416,12 +412,8 @@ def minimize_span(
             entry = shapes.get(below)
             if entry is None:
                 entry = shapes[below] = _shape(below, images | columns[v], group)
-            least, orders = entry
-            if len(orders) == 1:
-                child_key = (cutoff - base, least, *[child[j] - base for j in orders[0]])
-            else:
-                fields = min([child[j] for j in order] for order in orders)
-                child_key = (cutoff - base, least, *[f - base for f in fields])
+            least, order = entry
+            child_key = (cutoff - base, least, *[child[j] - base for j in order])
             size = cache.get(child_key)
             if size is None:
                 # a stored state passed this same bound when it was

@@ -98,6 +98,8 @@ def test_labels_must_be_non_negative():
         np.arange(4).reshape(2, 2),
         5,
         np.array(5),
+        b"\x01\x02",
+        bytearray(b"\x01\x02"),
     ],
     ids=[
         "float",
@@ -117,6 +119,8 @@ def test_labels_must_be_non_negative():
         "2-d-array",
         "scalar",
         "0-d-array",
+        "bytes",
+        "bytearray",
     ],
 )
 def test_labels_must_be_integers(labels):
@@ -208,6 +212,8 @@ def test_ordering_plan_must_be_permutation():
         (0, 1, 2**64),
         3,
         np.array(3),
+        b"\x00\x01",
+        bytearray(b"\x00\x01"),
     ],
     ids=[
         "duplicate",
@@ -227,6 +233,8 @@ def test_ordering_plan_must_be_permutation():
         "above-int64",
         "scalar",
         "0-d-array",
+        "bytes",
+        "bytearray",
     ],
 )
 def test_ordering_plan_rejects_every_non_permutation(sequence):

@@ -223,8 +223,17 @@ def test_gap_matrix_rejects_a_repeated_id():
 
 @pytest.mark.parametrize(
     "vertices",
-    [[0.7, 1], [True, 2], ["1", 0], np.array([0.0, 2.0]), np.array([[0, 1]]), 1],
-    ids=["float", "bool", "str", "float-array", "2-d-array", "scalar"],
+    [
+        [0.7, 1],
+        [True, 2],
+        ["1", 0],
+        np.array([0.0, 2.0]),
+        np.array([[0, 1]]),
+        1,
+        b"\x00\x01",
+        bytearray(b"\x00\x01"),
+    ],
+    ids=["float", "bool", "str", "float-array", "2-d-array", "scalar", "bytes", "bytearray"],
 )
 def test_gap_matrix_rejects_ids_that_are_not_integers(vertices):
     # a cast to intp would read these as [0, 1], [1, 2], [1, 0] and [0, 2]
@@ -249,14 +258,21 @@ def test_minimize_span_rejects_a_gap_below_one_or_a_ragged_matrix():
 
 
 @pytest.mark.parametrize(
-    "gap",
-    [1.5, True, "2", np.float64(2.0)],
-    ids=["float", "bool", "str", "numpy-float"],
+    "req",
+    [
+        [[0, 1.5], [1.5, 0]],
+        [[0, True], [True, 0]],
+        [[0, "2"], ["2", 0]],
+        [[0, np.float64(2.0)], [np.float64(2.0), 0]],
+        [b"\x00\x01", b"\x01\x00"],
+        [bytearray(b"\x00\x01"), bytearray(b"\x01\x00")],
+    ],
+    ids=["float", "bool", "str", "numpy-float", "bytes-rows", "bytearray-rows"],
 )
-def test_minimize_span_rejects_gaps_that_are_not_integers(gap):
+def test_minimize_span_rejects_gaps_that_are_not_integers(req):
     # 1.5 would come back as an EXACT span of 1.5, True as one of 1
     with pytest.raises(InvalidParameterError, match="^gaps must be integers"):
-        minimize_span([[0, gap], [gap, 0]])
+        minimize_span(req)
 
 
 def test_minimize_span_takes_numpy_integer_gaps_as_python_ints():
@@ -322,17 +338,21 @@ def test_search_tree_of_c4_x_k12_is_frozen():
     # the gap matrix is built before tracing, so the peak is the search's own
     req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(2, 2)).graph))
     # a small search first makes the allocations a process pays once, so
-    # the peak is the same run alone or after other tests
-    exact_rn(build_product_graph(ProductParams(2, 1)).graph)
+    # the peak is the same run alone or after other tests; the witnesses
+    # are pinned too, as a key matching a state that is not an image of
+    # the stored one could skip the first optimal completion
+    small = exact_rn(build_product_graph(ProductParams(2, 1)).graph)
+    assert small.witness.labels.tolist() == [0, 3, 9, 6, 7, 10, 4, 1]
     tracemalloc.start()
     try:
-        value, _labels, status, nodes = minimize_span(req)
+        value, labels, status, nodes = minimize_span(req)
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (value, status, nodes) == (22, RnStatus.EXACT, 6_444_838)
-    # measured 1.89 MB, nearly all of it the subtree table and the
-    # per-mask canonical images, each a tuple of floor positions
+    assert labels == [0, 8, 4, 18, 14, 10, 12, 20, 16, 6, 2, 22]
+    # measured 1.78 MB, nearly all of it the subtree table and the
+    # per-mask least images, each with a list of floor positions
     assert peak < 1_900_000
 
 
@@ -412,32 +432,32 @@ def test_automorphisms_keep_the_diagonal():
 
 
 def _direct_shape(mask, group):
-    """Least image of a placed set and its field orders, each image built whole."""
+    """Least image of a placed set, each image built whole, and the field
+    order of the first permutation reaching it, read off that permutation."""
     nv = len(group[0])
     unplaced = [x for x in range(nv) if not mask >> x & 1]
     images = [sum(1 << p[x] for x in range(nv) if mask >> x & 1) for p in group]
     least = min(images)
+    p = group[images.index(least)]
+    source = {p[x]: x for x in unplaced}
     kept = [y for y in range(nv) if not least >> y & 1]
-    orders = set()
-    for p, image in zip(group, images):
-        if image == least:
-            source = {p[x]: x for x in unplaced}
-            orders.add(tuple(unplaced.index(source[y]) for y in kept))
-    return least, orders
+    return images, least, [unplaced.index(source[y]) for y in kept]
 
 
 @pytest.mark.parametrize("mn,steps,order", [((2, 1), None, 48), ((2, 2), None, 16), ((2, 1), 100, 5)])
 def test_shapes_derived_from_parent_images_match_the_whole_group(mn, steps, order):
     # the search ORs one column into its parent's packed images per
     # placed vertex; every placed set with two or more vertices left
-    # must get the least image and image orders the whole group gives,
-    # under a capped enumeration too (five of the cube's 48, no group)
+    # must get the whole group's images, its least image, and the order
+    # of the first permutation that reaches it, under a capped
+    # enumeration too (five of the cube's 48, no group)
     req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(*mn)).graph))
     nv = len(req)
     with mock.patch.object(search, "_GROUP_STEPS", steps or search._GROUP_STEPS):
         group = _automorphisms(req)
     assert len(group) == order
     columns = _image_columns(group)
+    full = (1 << nv) - 1
     images = [0] * (1 << nv)
     for mask in range(1, 1 << nv):
         lowest = mask & -mask
@@ -445,11 +465,9 @@ def test_shapes_derived_from_parent_images_match_the_whole_group(mn, steps, orde
     for mask in range(1 << nv):
         if nv - bin(mask).count("1") < 2:
             continue
-        least, orders = _shape(mask, images[mask], group)
-        assert len(set(orders)) == len(orders)
-        assert (least, set(orders)) == _direct_shape(mask, group)
-
-
+        whole, least, fields = _direct_shape(mask, group)
+        assert [images[mask] >> i * nv & full for i in range(len(group))] == whole
+        assert _shape(mask, images[mask], group) == (least, fields)
 def _visits(req):
     """Calls of the search's inner dfs during one unlimited minimize_span."""
     calls = 0
@@ -469,7 +487,7 @@ def _visits(req):
 
 def test_symmetric_states_share_one_walk():
     # the cube's 48 automorphisms cut the nodes visited (342 with the
-    # identity alone, 34 with the group) while the counted tree stays put
+    # identity alone, 38 with the group) while the counted tree stays put
     req = gap_matrix(all_pairs_distances(build_product_graph(ProductParams(2, 1)).graph))
     with mock.patch.object(search, "_GROUP_LIMIT", 1):
         plain = _visits(req)
@@ -485,4 +503,4 @@ def test_huge_unread_gaps_keep_states_shared():
         row[v] = 1 << 60
     assert len(_automorphisms(huge)) == 48
     assert minimize_span(huge, None) == minimize_span(req, None)
-    assert _visits(huge) == _visits(req) == 34
+    assert _visits(huge) == _visits(req) == 38
