@@ -78,12 +78,13 @@ class VerifyConfig:
     """Verification grid; defaults keep a full run well under a minute.
 
     Each field takes a sequence of integers (see
-    :func:`~radiomesh.graphs.checked_int`) and is stored as a tuple;
-    anything else raises InvalidParameterError. Each grid point runs the
-    distance claims under every :class:`CellIndexing`, and settles its
-    whole-graph bound by exact search if it has at most
-    ``exact_vertex_limit`` vertices, on any grid only the (2,1) and
-    (2,2) products; every larger product leaves that bound Unverifiable.
+    :func:`~radiomesh.graphs.checked_int`), not ``bytes`` or
+    ``bytearray``, and is stored as a tuple; anything else raises
+    InvalidParameterError. Each grid point runs the distance claims
+    under every :class:`CellIndexing`, and settles its whole-graph bound
+    by exact search if it has at most ``exact_vertex_limit`` vertices,
+    on any grid only the (2,1) and (2,2) products; every larger product
+    leaves that bound Unverifiable.
     """
 
     even_m: tuple[int, ...] = (2, 4, 6)
@@ -94,7 +95,8 @@ class VerifyConfig:
     def __post_init__(self) -> None:
         for field in ("even_m", "odd_m", "ns"):
             values = getattr(self, field)
-            if not isinstance(values, Sequence):
+            # bytes iterate to ints but hold text or binary data, not a grid
+            if isinstance(values, (bytes, bytearray)) or not isinstance(values, Sequence):
                 raise InvalidParameterError(f"{field} must be a sequence of integers, got {values!r}")
             object.__setattr__(self, field, tuple(checked_int(f"{field} entry", v) for v in values))
         # the grid merges both lists, and each m is judged by its own

@@ -35,8 +35,8 @@ until BFS or :meth:`Graph.edges` asks for its edges.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import FrozenInstanceError
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,6 +71,7 @@ def _checked_vertex(name: str, value, num_vertices: int) -> int:
     return value
 
 
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Graph:
     """Simple undirected graph on vertex ids ``0..num_vertices-1``.
 
@@ -91,10 +92,15 @@ class Graph:
     :attr:`num_edges`, hashing, equality with a graph of other factors
     and the dense check of :func:`certify_distances` read it; labeling,
     validation and the certificate of a product read none of them.
-    Sharing a graph between threads is safe: two first reads at once
-    may each lay out the adjacency, but they build equal tuples and
-    either is kept.
+    Sharing a graph between threads is safe: ``adjacency`` is a
+    :class:`~functools.cached_property`, whose first reads are
+    serialised on Python 3.10 and 3.11; from 3.12 two first reads at
+    once may each lay out the adjacency, but they build equal tuples
+    and either is kept.
     """
+
+    num_vertices: int
+    factors: tuple[Graph, Graph] | tuple[()]
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
         num_vertices = checked_int("vertex count", num_vertices)
@@ -111,24 +117,13 @@ class Graph:
                 raise InvalidParameterError(f"duplicate edge ({u}, {v})")
             neighbors[u].add(v)
             neighbors[v].add(u)
-        self._fill(num_vertices, tuple(tuple(sorted(s)) for s in neighbors), ())
+        # the adjacency goes where its cached_property would keep it
+        adjacency = tuple(tuple(sorted(s)) for s in neighbors)
+        vars(self).update(num_vertices=num_vertices, factors=(), adjacency=adjacency)
 
-    def _fill(self, num_vertices, adjacency, factors) -> None:
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "_adjacency", adjacency)
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @property
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        if self._adjacency is None:
-            object.__setattr__(self, "_adjacency", _product_adjacency(*self.factors))
-        return self._adjacency
+        return _product_adjacency(*self.factors)
 
     def __eq__(self, other):
         if self is other:
@@ -165,7 +160,7 @@ def _unchecked(num_vertices: int, factors: tuple[Graph, Graph]) -> Graph:
     caller.
     """
     g = object.__new__(Graph)
-    g._fill(num_vertices, None, factors)
+    vars(g).update(num_vertices=num_vertices, factors=factors)
     return g
 
 
@@ -300,21 +295,18 @@ class DistanceMatrix:
     ``dm[u, v]`` and :meth:`pairs` read only the factors; labeling,
     validation, the gap matrices and the claims use nothing else, and
     :func:`certify_distances` checks a product's two factors one at a
-    time. :attr:`matrix` is the dense N x N matrix, built from the
-    factors on first access and then kept; the dense check reads it,
-    which for the mesh-by-star product means the m(n + 1)-vertex fiber
-    row's, never the whole product's. ``diameter`` is the sum of the
-    factors' diameters, and refuses to summarize a disconnected graph.
+    time. :attr:`matrix` is the dense N x N matrix, a
+    :class:`~functools.cached_property` summed from the factors on the
+    first read and kept in the instance ``__dict__``; the dense check
+    reads it, which for the mesh-by-star product means the
+    m(n + 1)-vertex fiber row's, never the whole product's. ``diameter``
+    is the sum of the factors' diameters, cached the same way, and
+    refuses to summarize a disconnected graph.
     """
-
-    __slots__ = ("_a", "_b", "_matrix", "_diameter", "_index")
 
     def __init__(self, matrix: np.ndarray):
         self._b = _checked_table(matrix)
         self._a = np.zeros((1, 1), dtype=matrix.dtype)
-        self._matrix: np.ndarray | None = None
-        self._diameter: int | None = None
-        self._index: tuple | None = None
 
     @classmethod
     def from_factors(cls, a: np.ndarray, b: np.ndarray) -> "DistanceMatrix":
@@ -331,11 +323,9 @@ class DistanceMatrix:
         dm._a = a
         return dm
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = _sum_tables(self._a, self._b)
-        return self._matrix
+        return _sum_tables(self._a, self._b)
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         u, v = (_checked_vertex("vertex id", x, self.num_vertices) for x in pair)
@@ -346,31 +336,31 @@ class DistanceMatrix:
         """``d(u, v)`` over ``us`` and ``vs`` broadcast together, in the matrix's dtype.
 
         Each factor is read flat: u's row starts at offset ``oa[u]`` and
-        v is column ``ia[v]``. These per-vertex arrays are worked out on
-        the first call and kept.
+        v is column ``ia[v]``. These per-vertex arrays are the
+        ``_pairs_index`` cached property, worked out on the first call.
         """
-        if self._index is None:
-            na, nb = len(self._a), len(self._b)
-            ia = np.repeat(np.arange(na), nb)
-            ib = np.tile(np.arange(nb), na)
-            self._index = (self._a.ravel(), ia * na, ia, self._b.ravel(), ib * nb, ib)
-        fa, oa, ia, fb, ob, ib = self._index
+        fa, oa, ia, fb, ob, ib = self._pairs_index
         return fa.take(oa.take(us) + ia.take(vs)) + fb.take(ob.take(us) + ib.take(vs))
+
+    @cached_property
+    def _pairs_index(self) -> tuple[np.ndarray, ...]:
+        na, nb = len(self._a), len(self._b)
+        ia = np.repeat(np.arange(na), nb)
+        ib = np.tile(np.arange(nb), na)
+        return self._a.ravel(), ia * na, ia, self._b.ravel(), ib * nb, ib
 
     @property
     def num_vertices(self) -> int:
         return len(self._a) * len(self._b)
 
-    @property
+    @cached_property
     def diameter(self) -> int:
-        if self._diameter is None:
-            # min() allocates nothing; an == UNREACHABLE mask would be a
-            # whole factor. The farthest pair takes each factor's farthest
-            # pair at once, so the diameter is the sum of the factors'.
-            if min(self._a.min(), self._b.min()) == UNREACHABLE:
-                raise DisconnectedGraphError("graph is disconnected; diameter undefined")
-            self._diameter = int(self._a.max()) + int(self._b.max())
-        return self._diameter
+        # min() allocates nothing; an == UNREACHABLE mask would be a
+        # whole factor. The farthest pair takes each factor's farthest
+        # pair at once, so the diameter is the sum of the factors'.
+        if min(self._a.min(), self._b.min()) == UNREACHABLE:
+            raise DisconnectedGraphError("graph is disconnected; diameter undefined")
+        return int(self._a.max()) + int(self._b.max())
 
 
 def _distance_dtype(num_vertices: int) -> type:

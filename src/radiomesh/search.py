@@ -272,8 +272,10 @@ def minimize_span(
     the bound's first term, its least floor plus ``k - 2``, then probed
     in the subtree table (below), and only a child the table misses has
     its floors sorted for the full bound. The root, which has no parent,
-    keeps its own budget and bound checks, a one-vertex system's
-    included.
+    keeps its own budget check, a one-vertex system's included; its
+    bound, N - 1, always passes: every gap is at least 1, so the greedy
+    hint's N labels are distinct, its span is at least N - 1, and the
+    cutoff at least N.
 
     A subtree that completes no labeling keeps its cutoff fixed, so its
     shape depends only on the placed set and on ``cutoff`` and the
@@ -436,13 +438,12 @@ def minimize_span(
             cache[key] = nodes - start
         return True
 
-    # the root's budget and bound checks; its nv floors are all 0
+    # the root's budget check; its nv floors are all 0, so its bound,
+    # nv - 1, is below the cutoff
     if limit <= 0:
         status = RnStatus.UPPER_BOUND_ONLY
-    elif nv - 1 >= cutoff:
-        status = RnStatus.EXACT
     elif nv == 1:
-        # the root's one vertex passed the bound, so placing it completes
+        # placing the root's one vertex completes
         nodes, cutoff, best_labels = 1, 0, [0]
         status = RnStatus.EXACT
     else:

@@ -242,6 +242,8 @@ def test_a_mesh_order_of_the_wrong_parity_is_rejected(fields, message):
         ({"odd_m": (3.0,)}, "odd_m entry must be an integer, got 3.0"),
         ({"ns": (True,)}, "ns entry must be an integer, got True"),
         ({"ns": 5}, "ns must be a sequence of integers, got 5"),
+        ({"even_m": b"\x02"}, "even_m must be a sequence of integers, got b'\\x02'"),
+        ({"ns": bytearray(b"\x01")}, "ns must be a sequence of integers, got bytearray(b'\\x01')"),
     ],
 )
 def test_grid_fields_take_sequences_of_integers(fields, message):

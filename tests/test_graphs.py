@@ -184,7 +184,7 @@ def test_equal_but_distinct_factors_are_each_searched():
     g = cartesian_product([build_path(5), build_path(5), build_star(3)])
     dm, searched = _searched(g)
     assert [leaf.num_vertices for leaf in searched] == [5, 5, 4]
-    assert g._adjacency is None and g.factors[1]._adjacency is None
+    assert "adjacency" not in vars(g) and "adjacency" not in vars(g.factors[1])
     assert np.array_equal(dm.matrix, bfs_all_pairs(g).matrix)
 
 
@@ -407,7 +407,7 @@ def test_products_of_equal_factors_are_equal_without_a_layout():
     first = build_product_graph(ProductParams(4, 2)).graph
     second = build_product_graph(ProductParams(4, 2)).graph
     assert first == second
-    assert first._adjacency is None and second._adjacency is None
+    assert "adjacency" not in vars(first) and "adjacency" not in vars(second)
     assert first != build_product_graph(ProductParams(4, 3)).graph
     assert first == Graph(first.num_vertices, second.edges())
 
@@ -415,7 +415,7 @@ def test_products_of_equal_factors_are_equal_without_a_layout():
 def test_product_adjacency_is_laid_out_on_first_read_and_kept():
     path, star = build_path(3), build_star(2)
     product = cartesian_product([path, star])
-    assert product._adjacency is None
+    assert "adjacency" not in vars(product)
     adjacency = product.adjacency
     assert product.adjacency is adjacency
     assert adjacency == Graph(product.num_vertices, product.edges()).adjacency
@@ -429,4 +429,4 @@ def test_graphs_are_frozen():
                 setattr(g, name, None)
             with pytest.raises(AttributeError):
                 delattr(g, name)
-    assert lazy._adjacency is None and lazy.num_vertices == 4
+    assert "adjacency" not in vars(lazy) and lazy.num_vertices == 4

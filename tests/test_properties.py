@@ -116,9 +116,9 @@ def test_greedy_assign_matches_naive_max_over_placed(case):
 
 
 @st.composite
-def gap_system(draw, gaps=(1, 30)):
+def gap_system(draw, gaps=(1, 30), max_vertices=9):
     """A random symmetric gap-requirement matrix with entries in the ``gaps`` range."""
-    nv = draw(st.integers(1, 9))
+    nv = draw(st.integers(1, max_vertices))
     upper = draw(st.lists(st.integers(*gaps), min_size=nv * nv, max_size=nv * nv))
     return [[upper[min(i, j) * nv + max(i, j)] for j in range(nv)] for i in range(nv)]
 
@@ -143,6 +143,44 @@ def test_chain_labels_match_cubic_reference(case):
         labels[pick] = forced[pick]
     expected = [labels[v] for v in range(len(req))]
     assert _chain_labels(req, start) == expected
+
+
+# Every gap off the diagonal is at least 1, so greedy labels are distinct
+# and the root's bound, N - 1, never reaches the hint's cutoff; asymmetric
+# systems too.
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([(1, 1), (1, 2), (1, 30)]).flatmap(gap_system),
+        st.integers(1, 9).flatmap(
+            lambda nv: st.lists(
+                st.lists(st.integers(1, 3), min_size=nv, max_size=nv), min_size=nv, max_size=nv
+            )
+        ),
+    )
+)
+def test_the_greedy_hint_spans_at_least_n_minus_one(req):
+    assert _heuristic_hint(req)[0] >= len(req) - 1
+
+
+node_limits = st.one_of(st.none(), st.integers(0, 1000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(1, 2), (1, 5), (1, 30)]).flatmap(lambda gaps: gap_system(gaps, max_vertices=7)),
+    node_limits,
+    node_limits,
+)
+def test_a_larger_budget_never_gives_a_worse_span(req, first, second):
+    # None is the unlimited budget, larger than any other
+    small, large = sorted((first, second), key=lambda b: math.inf if b is None else b)
+    result = minimize_span(req, small)
+    larger = minimize_span(req, large)
+    assert larger[0] <= result[0]
+    if result[2] is RnStatus.EXACT:
+        # a search that finished under the smaller budget never met it
+        assert larger == result
 
 
 def _uncached_minimize_span(req, node_limit, checks=None):
@@ -605,7 +643,7 @@ def test_gap_matrix_equals_the_dense_definition(case):
         return
     req = gap_matrix(dm, vertices)
     # looked up pair by pair: the dense matrix is not built
-    assert dm._matrix is None
+    assert "matrix" not in vars(dm)
     v = list(range(dm.num_vertices)) if vertices is None else vertices
     assert req == (dm.diameter + 1 - dm.matrix[np.ix_(v, v)]).tolist()
     if vertices == []:
