@@ -10,12 +10,12 @@ Klavzar, Handbook of Product Graphs, 2011, Cor. 5.2), so for a product
 of connected factors it keeps the two factors' dense matrices, each
 worked out the same way down to BFS on the factors that are not
 products, and each distinct factor once per call, so the one P_m in
-both places of the mesh-by-star product is searched once; with a
-disconnected factor it falls back to BFS on the whole graph. For the
-same reason a connected product's diameter is the sum of its factors'
-diameters. The mesh-by-star product is P_m x (P_m x S_n),
-so its factor matrices are m x m and m(n + 1) x m(n + 1). A
-:class:`DistanceMatrix` answers single and vectorised lookups from its
+both places of the mesh-by-star product is searched once. A product
+with a disconnected factor is refused, as a sum with an UNREACHABLE
+term is not a distance. For the same reason a connected product's
+diameter is the sum of its factors' diameters. The mesh-by-star
+product is P_m x (P_m x S_n), so its factor matrices are m x m and
+m(n + 1) x m(n + 1). A :class:`DistanceMatrix` answers single and vectorised lookups from its
 factors, which is all that labeling, validation, the gap matrices and
 the claims read. :func:`certify_distances` checks such a matrix against
 the graph with the BFS layer condition, a product through its two
@@ -250,13 +250,11 @@ def _sum_tables(da: np.ndarray, db: np.ndarray) -> np.ndarray:
 
     Entry ((u, v), (w, x)) is d_a(u, w) + d_b(v, x). Both graphs must be
     connected: a sum with an UNREACHABLE term is not a distance. A
-    one-vertex factor adds nothing, so the other matrix comes back as it
-    is.
+    one-vertex first factor adds nothing, so ``db`` comes back as it is,
+    which keeps a dense matrix its own :attr:`DistanceMatrix.matrix`.
     """
     if len(da) == 1:
         return db
-    if len(db) == 1:
-        return da
     na, nb = len(da), len(db)
     nv = na * nb
     # row (u, v) of the product is d_a(u, .) with each entry repeated nb
@@ -267,13 +265,20 @@ def _sum_tables(da: np.ndarray, db: np.ndarray) -> np.ndarray:
     return out.reshape(nv, nv)
 
 
-def _checked_table(matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` itself, if it is a square 2-D numpy array of an integer dtype, not bool, and not 0 x 0."""
+def _checked_table(matrix: np.ndarray, plus: int = 0) -> np.ndarray:
+    """``matrix`` itself, if it is a square 2-D numpy array of an integer dtype, not bool, and not 0 x 0.
+
+    Its dtype must also hold its largest entry plus ``plus`` plus one:
+    the gaps diam + 1 - d and the certificate's D + 1 are worked out in
+    that dtype, so a narrower one would wrap or overflow.
+    """
     shape, dtype = getattr(matrix, "shape", None), getattr(matrix, "dtype", None)
     if dtype is None or dtype.kind not in "iu" or len(shape) != 2 or shape[0] != shape[1]:
         raise InvalidParameterError(f"not a square integer distance matrix: {dtype} of shape {shape}")
     if not shape[0]:
         raise InvalidParameterError("distance matrix needs at least one vertex")
+    if (largest := int(matrix.max()) + plus) >= np.iinfo(dtype).max:
+        raise InvalidParameterError(f"{dtype} cannot hold the largest distance {largest} plus one")
     return matrix
 
 
@@ -289,8 +294,8 @@ class DistanceMatrix:
     an N x N matrix would take 48 GB. A dense matrix M is the one-factor case:
     ``DistanceMatrix(M)`` has A = [[0]] and B = M itself, uncopied, and
     reads UNREACHABLE where M does. M must be a square 2-D numpy array
-    of an integer dtype, not bool, with at least one row, or
-    InvalidParameterError is raised.
+    of an integer dtype, not bool, with at least one row, whose dtype
+    holds its largest entry plus one, or InvalidParameterError is raised.
 
     ``dm[u, v]`` and :meth:`pairs` read only the factors; labeling,
     validation, the gap matrices and the claims use nothing else, and
@@ -313,11 +318,13 @@ class DistanceMatrix:
         """Distances of the product of connected graphs with matrices ``a`` and ``b``.
 
         Each factor is held to the dense matrix's checks, and the two must
-        share a dtype, the one :meth:`pairs` and :attr:`matrix` add in.
+        share a dtype, the one :meth:`pairs` and :attr:`matrix` add in,
+        which must hold the sum of their largest entries plus one.
         """
         dm = cls(b)
         if _checked_table(a).dtype != b.dtype:
             raise InvalidParameterError(f"factor matrices must share a dtype, got {a.dtype} and {b.dtype}")
+        _checked_table(a, plus=int(b.max()))
         if min(a.min(), b.min()) == UNREACHABLE:
             raise DisconnectedGraphError("a factor is disconnected; its sums are not distances")
         dm._a = a
@@ -412,8 +419,8 @@ def certify_distances(g: Graph, dm: DistanceMatrix) -> bool:
     entries whose least D(u, w) must exceed by 1, which changes nothing
     where the condition holds, and fails where D(u, w) would be the
     least, as D(u, w) is never D(u, w) + 1; so an isolated vertex fails
-    its column off the diagonal. An overflowing ``+ 1`` wraps negative
-    and never matches an entry.
+    its column off the diagonal. The ``+ 1`` cannot overflow, as a
+    :class:`DistanceMatrix`'s dtype holds its largest entry plus one.
     """
     tables = (dm._a, dm._b)
     if g.factors and [len(t) for t in tables] == [f.num_vertices for f in g.factors]:
@@ -440,16 +447,17 @@ def certify_distances(g: Graph, dm: DistanceMatrix) -> bool:
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """Exact all-pairs hop counts, from BFS on each distinct factor of a product once.
 
-    Equal entry for entry to :func:`bfs_all_pairs`, UNREACHABLE
-    included. A graph with no factors gets :func:`bfs_all_pairs` itself.
-    A product keeps its two factors' dense matrices, each worked out
-    the same way and cast to the dtype for the whole graph's N, so
-    P_m x (P_m x S_n) keeps P_m's matrix and the fiber row's. A factor
-    object met again within the call, as the one P_m is in both places,
-    reuses the matrix worked out the first time, so that P_m's BFS runs
-    once. If either factor is disconnected, the product gets
-    :func:`bfs_all_pairs`, as a sum with an UNREACHABLE term is not a
-    distance. The N x N matrix is built only if ``.matrix`` is read: the
+    Equal entry for entry to :func:`bfs_all_pairs` on every graph it
+    accepts. A graph with no factors gets :func:`bfs_all_pairs` itself,
+    UNREACHABLE entries included. A product keeps its two factors' dense
+    matrices, each worked out the same way and cast to the dtype for the
+    whole graph's N, so P_m x (P_m x S_n) keeps P_m's matrix and the
+    fiber row's. A factor object met again within the call, as the one
+    P_m is in both places, reuses the matrix worked out the first time,
+    so that P_m's BFS runs once. If either factor is disconnected, DisconnectedGraphError is
+    raised, as a sum with an UNREACHABLE term is not a distance;
+    :func:`bfs_all_pairs` still gives such a product's UNREACHABLE
+    entries. The N x N matrix is built only if ``.matrix`` is read: the
     lookups, the diameter and :func:`certify_distances` read the two
     factors alone.
     """
@@ -463,15 +471,12 @@ def _distances(g: Graph, dtype: type, seen: dict[int, np.ndarray]) -> DistanceMa
     call to its dense matrix in ``dtype``. It is keyed on identity, not
     on :class:`Graph` equality, which would lay out a product's
     adjacency; ``g`` holds every factor, so no id is reused while the
-    dict lives.
+    dict lives. A disconnected factor is refused by
+    :meth:`DistanceMatrix.from_factors`, before any BFS of a product.
     """
     if not g.factors:
         return bfs_all_pairs(g)
     for f in g.factors:
         if id(f) not in seen:
             seen[id(f)] = _distances(f, dtype, seen).matrix.astype(dtype, copy=False)
-    a, b = (seen[id(f)] for f in g.factors)
-    try:
-        return DistanceMatrix.from_factors(a, b)
-    except DisconnectedGraphError:
-        return bfs_all_pairs(g)
+    return DistanceMatrix.from_factors(*(seen[id(f)] for f in g.factors))

@@ -127,21 +127,14 @@ def _chain_labels(req: list[list[int]], start: int) -> list[int]:
 
 
 def _heuristic_hint(req: list[list[int]]) -> tuple[int, list[int]]:
-    """Best deterministic greedy span over the identity order and chain starts.
+    """Best deterministic greedy span over chain starts, ties to the lowest start.
 
-    Each order is N placements of O(N) list work; starts are capped on
-    inputs beyond the search's intended size.
+    Each chain is N placements of O(N) list work; starts are capped on
+    inputs beyond the search's intended size. The identity order needs
+    no pass of its own: it is the search's first branch.
     """
-    nv = len(req)
-    # the identity order: each vertex's label is its floor against the lower ids
-    best = [0] * nv
-    for v in range(1, nv):
-        best[v] = max(0, *[best[u] + req[u][v] for u in range(v)])
-    starts = range(nv) if nv <= 16 else range(8)
-    for start in starts:
-        candidate = _chain_labels(req, start)
-        if max(candidate) < max(best):
-            best = candidate
+    starts = range(len(req) if len(req) <= 16 else 8)
+    best = min((_chain_labels(req, start) for start in starts), key=max)
     return max(best), best
 
 
@@ -466,7 +459,9 @@ def exact_rn(g: Graph, node_limit: int | None = DEFAULT_NODE_LIMIT) -> RnResult:
     witness is the first optimal completion in that order, and the
     budget counts nodes, not time.
     """
-    req = gap_matrix(all_pairs_distances(g))  # raises DisconnectedGraphError via the diameter
+    # a disconnected graph raises DisconnectedGraphError: a product in
+    # all_pairs_distances, any other graph at the diameter
+    req = gap_matrix(all_pairs_distances(g))
     value, labels, status, nodes = minimize_span(req, node_limit)
     return RnResult(value, status, Labeling(labels, graph=g), nodes)
 

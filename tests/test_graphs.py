@@ -188,14 +188,15 @@ def test_equal_but_distinct_factors_are_each_searched():
     assert np.array_equal(dm.matrix, bfs_all_pairs(g).matrix)
 
 
-def test_a_repeated_disconnected_factor_falls_back_to_whole_graph_bfs():
+def test_a_repeated_disconnected_factor_is_refused_after_bfs_of_the_leaf():
+    # a sum with an UNREACHABLE term is not a distance, so the product is
+    # refused once its one leaf is searched, and is never searched whole
     split = Graph(2, [])
     g = cartesian_product([split, split])
-    dm, searched = _searched(g)
-    assert searched == [split, g]
-    expected = bfs_all_pairs(g).matrix
-    assert (expected == UNREACHABLE).any()
-    assert np.array_equal(dm.matrix, expected)
+    with mock.patch.object(graphs, "bfs_all_pairs", wraps=graphs.bfs_all_pairs) as spy:
+        with pytest.raises(DisconnectedGraphError):
+            all_pairs_distances(g)
+    assert [call.args[0] for call in spy.call_args_list] == [split]
 
 
 def test_cartesian_product_nests_to_the_right():
@@ -300,6 +301,20 @@ def test_factor_matrices_must_share_a_dtype():
     for dtype in (np.int8, np.uint16, np.int32):
         dense = np.array([[0, 1], [1, 0]], dtype)
         assert DistanceMatrix(dense).matrix is dense
+    # a shared dtype must still hold the largest sum plus one: P_100's
+    # int8 table summed with itself reaches 198, which int8 reads as -58
+    p100 = bfs_all_pairs(build_path(100)).matrix.astype(np.int8)
+    with pytest.raises(InvalidParameterError, match="^int8 cannot hold the largest distance 198 plus one$"):
+        DistanceMatrix.from_factors(p100, p100)
+    # and a dense table its diameter plus one, which the gaps add in its
+    # dtype: P_129's table in int8 and P_257's in uint8 would make
+    # greedy_assign and gap_matrix raise numpy's OverflowError
+    for m, dtype in ((129, np.int8), (257, np.uint8)):
+        dense = bfs_all_pairs(build_path(m)).matrix.astype(dtype)
+        with pytest.raises(InvalidParameterError, match=f"^{np.dtype(dtype)} cannot hold the largest distance"):
+            DistanceMatrix(dense)
+    dense = bfs_all_pairs(build_path(127)).matrix.astype(np.int8)
+    assert DistanceMatrix(dense).diameter == 126
 
 
 def test_from_edges_validation():

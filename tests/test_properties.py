@@ -28,6 +28,7 @@ from radiomesh import (
     cell_of,
     certify_distances,
     consecutive_only_assign,
+    exact_rn,
     gap_matrix,
     greedy_assign,
     validate,
@@ -43,6 +44,7 @@ from radiomesh.search import (
     _chain_labels,
     _heuristic_hint,
     minimize_span,
+    permutation_oracle,
 )
 
 
@@ -181,6 +183,18 @@ def test_a_larger_budget_never_gives_a_worse_span(req, first, second):
     if result[2] is RnStatus.EXACT:
         # a search that finished under the smaller budget never met it
         assert larger == result
+
+
+@settings(max_examples=75, deadline=None)
+@given(connected_graph(7))
+def test_exact_rn_equals_the_permutation_oracle_with_its_witness(g):
+    # both return the greedy labeling of the lexicographically first
+    # optimal visit order: the oracle keeps the first strictly better
+    # permutation, and the search's first optimal completion, children in
+    # ascending id, is never pruned by the hint's threshold
+    result, oracle = exact_rn(g), permutation_oracle(g)
+    assert result.status is RnStatus.EXACT
+    assert (result.value, result.witness) == (oracle.value, oracle.witness)
 
 
 def _uncached_minimize_span(req, node_limit, checks=None):
@@ -456,14 +470,25 @@ small_graphs = st.integers(1, 5).flatmap(
         lambda fs: math.prod(f.num_vertices for f in fs) <= 64
     )
 )
-@example([Graph(2, []), build_path(2)])  # a disconnected factor: the BFS route
+@example([Graph(2, []), build_path(2)])  # a disconnected factor: refused
 @example([build_path(2), Graph(2, []), build_path(2)])  # disconnected inside the inner product
 @example([build_path(2), build_star(1), Graph(3, [(0, 1)]), build_path(2)])  # disconnected two levels down
+@example([build_path(3), build_path(1)])  # a one-vertex second factor, summed like any other
 def test_factored_distances_equal_bfs_on_random_products(factors):
     g = cartesian_product(factors)
     # the product's adjacency is laid out from the factors' adjacency
     assert g.adjacency == Graph(g.num_vertices, g.edges()).adjacency
-    factored, bfs = all_pairs_distances(g), bfs_all_pairs(g)
+    bfs = bfs_all_pairs(g)
+    if bfs.matrix.min() == UNREACHABLE:
+        # a sum with an UNREACHABLE term is not a distance, and no
+        # matrix of a disconnected graph meets the certificate
+        with pytest.raises(DisconnectedGraphError):
+            all_pairs_distances(g)
+        assert not certify_distances(g, bfs)
+        with pytest.raises(DisconnectedGraphError):
+            bfs.diameter
+        return
+    factored = all_pairs_distances(g)
     nv = g.num_vertices
     # the certificate through the factors agrees with the dense check of
     # BFS's matrix on the same edges, a plain graph with no factors
@@ -476,12 +501,7 @@ def test_factored_distances_equal_bfs_on_random_products(factors):
     assert [factored[u, v] for u in range(nv) for v in range(nv)] == bfs.matrix.ravel().tolist()
     assert np.array_equal(factored.matrix, bfs.matrix)
     # the factored diameter is the factors' sum, BFS's is the matrix maximum
-    if bfs.matrix.min() == UNREACHABLE:
-        for dm in (factored, bfs):
-            with pytest.raises(DisconnectedGraphError):
-                dm.diameter
-    else:
-        assert factored.diameter == bfs.diameter
+    assert factored.diameter == bfs.diameter
 
 
 # every product the default verify grid builds
