@@ -345,6 +345,13 @@ class DistanceMatrix:
         Each factor is read flat: u's row starts at offset ``oa[u]`` and
         v is column ``ia[v]``. These per-vertex arrays are the
         ``_pairs_index`` cached property, worked out on the first call.
+
+        The ids are not range-checked: a negative id wraps, as in
+        ``dm.pairs([-1], [0])``, which reads d(N - 1, 0), and an id of N
+        or more raises a bare IndexError. Callers check first:
+        :func:`~radiomesh.search.gap_matrix` and
+        :class:`~radiomesh.labeling.OrderingPlan` check their ids, and
+        ``validate``'s come from ``argsort``.
         """
         fa, oa, ia, fb, ob, ib = self._pairs_index
         return fa.take(oa.take(us) + ia.take(vs)) + fb.take(ob.take(us) + ib.take(vs))
@@ -439,8 +446,8 @@ def certify_distances(g: Graph, dm: DistanceMatrix) -> bool:
     least = matrix[:, slots[:, 0]]
     for k in range(1, width):
         np.minimum(least, matrix[:, slots[:, k]], out=least)
-    np.fill_diagonal(least, -1)  # so the diagonal must read 0
     least += 1
+    np.fill_diagonal(least, 0)  # so the diagonal must read 0
     return np.array_equal(least, matrix)
 
 

@@ -11,7 +11,7 @@ up, which need not be valid.
 Distinct vertices are at distance at least 1, so no pair needs a gap
 above diam. Both ``validate`` and ``greedy_assign`` use this to look up
 only the pairs whose labels lie within one diameter of each other, by
-the same label-window scan. ``greedy_assign`` starts from the
+one scan, :func:`_short_pairs`. ``greedy_assign`` starts from the
 consecutive-only labels and repairs the pairs they leave short. All
 three, and the exact search's gap matrices, take the gap requirement
 from :func:`required_gaps`, which reads ``DistanceMatrix.pairs``, so a
@@ -181,8 +181,8 @@ def _check_fit(g: Graph, labeling: Labeling) -> None:
 
 
 def _check_matrix(g: Graph, dm: DistanceMatrix) -> None:
-    # the label windows read dm only at the pairs they pick, so a matrix
-    # of another size would go unnoticed
+    # the short-pair scan reads dm only at the pairs it picks, so a
+    # matrix of another size would go unnoticed
     if dm.num_vertices != g.num_vertices:
         raise InvalidParameterError(
             f"distance matrix covers {dm.num_vertices} vertices, graph has {g.num_vertices}"
@@ -194,22 +194,29 @@ def required_gaps(dm: DistanceMatrix, us: np.ndarray, vs: np.ndarray) -> np.ndar
     return dm.diameter + 1 - dm.pairs(us, vs)
 
 
-def _label_window(ranked: np.ndarray, diam: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Position pairs (p, p + k) of ascending ``ranked`` whose gap is below diam.
+def _short_pairs(dm: DistanceMatrix, ids: np.ndarray, ranked: np.ndarray, first: int) -> tuple[np.ndarray, ...] | None:
+    """Positions p < q of ascending ``ranked``, ``ids[p]`` the vertex at p, whose gap is short.
 
-    Entry k - 1 holds offset k: the positions p, the positions p + k and
-    their gaps. A gap at offset k is at least the gap at offset k - 1
-    from the same start, so the first offset with no gap below diam
-    ends the scan, and no later offset has an entry.
+    Returns p, q, the gap ``ranked[q] - ranked[p]`` and the requirement
+    of each pair whose gap is below it, or None if none is. Offset k
+    pairs each position with the one k places later, from k = ``first``.
+    No pair needs a gap above diam, and a gap at offset k is at least
+    the gap at offset k - 1 from the same start, so the first offset
+    with no gap below diam ends the scan. Its pairs are looked up at once.
     """
-    window = []
-    for k in range(1, len(ranked)):
+    parts = []
+    for k in range(first, len(ranked)):
         gaps = ranked[k:] - ranked[:-k]
-        close = np.flatnonzero(gaps < diam)
+        close = np.flatnonzero(gaps < dm.diameter)
         if close.size == 0:
             break
-        window.append((close, close + k, gaps[close]))
-    return window
+        parts.append((close, close + k, gaps[close]))
+    if not parts:
+        return None
+    low, high, gaps = (np.concatenate(column) for column in zip(*parts))
+    required = required_gaps(dm, ids[low], ids[high])
+    short = np.flatnonzero(gaps < required)
+    return tuple(a[short] for a in (low, high, gaps, required)) if short.size else None
 
 
 def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport:
@@ -219,31 +226,20 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
     failed report shows exactly which constraints broke rather than just
     a boolean.
 
-    Only pairs inside a label window are looked up. Distinct vertices
-    are at distance at least 1, so no pair needs a gap above diam, and a
-    pair whose labels differ by diam or more cannot break. With the
-    labels sorted, offset k pairs each vertex with the one k places
-    later, and :func:`_label_window` stops at the first offset with no
-    gap below diam. The window's pairs are then looked up at once. When
-    only neighbours in label order lie within diam, as in the
-    construction labelings, that is one sort and two passes over the
-    labels; all labels equal is still every pair.
+    A pair whose labels differ by diam or more cannot break, so
+    :func:`_short_pairs` scans the sorted labels from offset 1 and looks
+    up only the pairs within diam. When only neighbours in label order
+    lie within diam, as in the construction labelings, that is one sort
+    and two passes over the labels; all labels equal is still every pair.
     """
     _check_fit(g, labeling)
     _check_matrix(g, dm)
-    labels = labeling.labels
-    order = np.argsort(labels)
-    window = _label_window(labels[order], dm.diameter)
-    if not window:
+    order = np.argsort(labeling.labels)
+    short = _short_pairs(dm, order, labeling.labels[order], 1)
+    if short is None:
         return ValidityReport(True, ())
-    # one factor lookup for the whole window
-    low, high, actual = (np.concatenate(parts) for parts in zip(*window))
+    low, high, actual, required = short
     u, v = order[low], order[high]
-    required = required_gaps(dm, u, v)
-    bad = np.flatnonzero(actual < required)
-    if bad.size == 0:
-        return ValidityReport(True, ())
-    u, v, required, actual = u[bad], v[bad], required[bad], actual[bad]
     u, v = np.minimum(u, v), np.maximum(u, v)
     by_pair = np.lexsort((v, u))
     columns = (a[by_pair].tolist() for a in (u, v, required, actual))
@@ -270,23 +266,20 @@ def _consecutive_steps(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> tupl
 def _greedy_along(dm: DistanceMatrix, order: np.ndarray, along: np.ndarray) -> np.ndarray:
     """Greedy labels along the plan, from its :func:`_consecutive_steps`.
 
-    Returns ``along`` itself when no pair asks for an extra, so a caller
-    can tell that the consecutive-only labeling is the greedy one.
+    The candidates are :func:`_short_pairs` of ``along``. Returns
+    ``along`` itself when no pair asks for an extra, so a caller can
+    tell that the consecutive-only labeling is the greedy one.
     """
     # offset 1 holds the consecutive pairs, which ask for no extra
-    window = _label_window(along, dm.diameter)[1:]
-    if not window:
+    short = _short_pairs(dm, order, along, 2)
+    if short is None:
         return along
-    low, high, gaps = (np.concatenate(parts) for parts in zip(*window))
-    short = required_gaps(dm, order[low], order[high]) - gaps
-    keep = np.flatnonzero(short > 0)
-    if keep.size == 0:
-        return along
-    keep = keep[np.argsort(high[keep], kind="stable")]
+    low, high, gaps, required = short
+    by_high = np.argsort(high, kind="stable")
     # marks: the positions given an extra so far, ascending; totals[k]
     # is the sum of the extras up to marks[k] (the sentinel -1 has 0)
     marks, totals = [-1], [0]
-    candidates = zip(high[keep].tolist(), low[keep].tolist(), short[keep].tolist())
+    candidates = zip(high[by_high].tolist(), low[by_high].tolist(), (required - gaps)[by_high].tolist())
     for i, group in groupby(candidates, key=itemgetter(0)):
         done = totals[-1]
         extra = max(s - done + totals[bisect_right(marks, j) - 1] for _, j, s in group)
@@ -321,8 +314,8 @@ def greedy_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> Labeling:
     negative, so only a pair whose consecutive-only gap ``C_i - C_j`` is
     below r can ask for more than 0: a violation of the consecutive-only
     labeling. No pair needs a gap above diam, so those pairs lie in the
-    label window of C, which rises along the plan and is scanned like
-    ``validate``'s sorted labels, in one factor lookup. Only these
+    label window of C, which rises along the plan and goes through
+    ``validate``'s kernel, :func:`_short_pairs`. Only these
     candidates are walked in Python, in plan order: each position's
     extra is the most its candidates still ask for, given the extras
     already made. When there is no candidate, the consecutive-only

@@ -38,6 +38,7 @@ from radiomesh import (
 from radiomesh import search
 from radiomesh.claims import VerifyConfig
 from radiomesh.formats import FormatError, format_labeling, parse_labeling
+from radiomesh.labeling import _short_pairs
 from radiomesh.search import (
     RnStatus,
     _automorphisms,
@@ -440,6 +441,35 @@ def test_validate_is_shift_invariant(case, shift):
     assert validate(g, dm, shifted).valid
 
 
+@st.composite
+def ranked_vertices(draw):
+    """A connected graph, its vertices in some order, and ascending labels
+    for them with repeats, as int64 or as an object array above int64."""
+    g = draw(connected_graph(8))
+    ids = np.array(draw(st.permutations(range(g.num_vertices))), dtype=np.intp)
+    ranked = np.cumsum(draw(st.lists(st.integers(0, 4), min_size=len(ids), max_size=len(ids))))
+    if draw(st.booleans()):
+        ranked = np.array([2**70 + int(x) for x in ranked], dtype=object)
+    return g, ids, ranked
+
+
+@settings(max_examples=150, deadline=None)
+@given(ranked_vertices(), st.sampled_from([1, 2, 3]))
+def test_short_pairs_match_a_double_loop(case, first):
+    g, ids, ranked = case
+    dm = all_pairs_distances(g)
+    expected = []
+    for p in range(len(ranked)):
+        for q in range(p + first, len(ranked)):
+            gap, required = ranked[q] - ranked[p], dm.diameter + 1 - dm[int(ids[p]), int(ids[q])]
+            if gap < required:
+                expected.append((p, q, int(gap), required))
+    short = _short_pairs(dm, ids, ranked, first)
+    assert (short is None) == (not expected)
+    if short is not None:
+        assert sorted(zip(*(a.tolist() for a in short))) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(corpus)
 def test_bfs_distances_are_symmetric(g):
@@ -540,6 +570,21 @@ def test_certificate_rejects_an_entry_changed_by_one_or_two(g, data):
     if data.draw(st.booleans()) and u != w:
         matrix[w, u] += delta  # the same change, kept symmetric
     assert not certify_distances(g, DistanceMatrix(matrix))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int8, np.int16])
+def test_certificate_takes_every_integer_dtype(dtype):
+    path = build_path(5)
+    dense = bfs_all_pairs(path).matrix.astype(dtype)
+    assert certify_distances(path, DistanceMatrix(dense))
+    g = build_product_graph(ProductParams(3, 2)).graph
+    tables = [bfs_all_pairs(f).matrix.astype(dtype) for f in g.factors]
+    assert certify_distances(g, DistanceMatrix.from_factors(*tables))
+    # one entry raised, in the dense table and in a factor
+    dense[1, 3] += 1
+    assert not certify_distances(path, DistanceMatrix(dense))
+    tables[1][0, 2] += 1
+    assert not certify_distances(g, DistanceMatrix.from_factors(*tables))
 
 
 @settings(max_examples=100, deadline=None)
