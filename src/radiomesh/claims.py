@@ -25,6 +25,13 @@ No N x N matrix is built and no BFS of the whole graph runs on the
 verdict path; BFS stays the oracle the tests hold the certificate and
 the factored matrix to.
 
+No claim holds a verdict id, a formula or a parity rule of its own:
+each takes its (verdict id, claimed value) from :mod:`.formulas` by the
+case after the id's dot, ``Diameter``, ``PairBound`` or ``Bound``
+through :func:`~radiomesh.formulas.checked_claim` and the distance
+cases through :func:`~radiomesh.formulas.pair_distances`, and a missing
+catalog entry raises.
+
 Verdict rows are pure data and sort deterministically, so a re-run with
 the same configuration reproduces the same table byte for byte (minus
 the timestamp comment).
@@ -122,8 +129,8 @@ def diameter_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
     Stated without restriction on n, so the n = 1 instances (true
     diameter 2m - 1) surface as Mismatch rows rather than being skipped.
     """
-    expected = Fraction(formulas.diam_formula(params))
-    return _row("Cor3.Diameter", params, "-", expected, Fraction(dm.diameter))
+    claim_id, expected = formulas.checked_claim(params, "Diameter")
+    return _row(claim_id, params, "-", expected, Fraction(dm.diameter))
 
 
 def _pair_fibers(params: ProductParams, indexing: CellIndexing) -> tuple[list[int], list[int]]:
@@ -178,12 +185,7 @@ def pair_bound_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
     full-graph diameter and full-graph distances, matching how the
     telescoped pair sums are formed.
     """
-    if params.m % 2 == 0:
-        claim_id = "Cor5.PairBound"
-        expected = Fraction(formulas.cor5_pair_bound(params))
-    else:
-        claim_id = "Cor8.PairBound"
-        expected = formulas.cor8_pair_bound(params)
+    claim_id, expected = formulas.checked_claim(params, "PairBound")
     first, other = _pair_fibers(params, CellIndexing.ROW_MAJOR)
     observed = _exact_span(dm, first + other)
     return _row(claim_id, params, CellIndexing.ROW_MAJOR.value, expected, observed)
@@ -196,18 +198,17 @@ def full_bound_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
     are settled by exact search; a larger instance, or a search that
     runs out of budget, leaves the claim Unverifiable.
     """
-    claim_id = "Thm18.Bound" if params.m % 2 else "Thm6.Bound"
-    expected = formulas.combined_bound(params)
+    claim_id, expected = formulas.checked_claim(params, "Bound")
     observed = _exact_span(dm) if params.num_vertices <= VerifyConfig.exact_vertex_limit else None
     return _row(claim_id, params, CellIndexing.ROW_MAJOR.value, expected, observed)
 
 
 def example_claims() -> list[ClaimVerdict]:
-    """The worked-example figures versus what their formulas evaluate to."""
+    """The worked-example figures versus the whole-graph bound they instantiate."""
     rows = []
     for claim_id, m, n, stated in formulas.WORKED_EXAMPLES:
         params = ProductParams(m, n)
-        rows.append(_row(claim_id, params, "-", Fraction(stated), formulas.combined_bound(params)))
+        rows.append(_row(claim_id, params, "-", Fraction(stated), formulas.checked_claim(params, "Bound")[1]))
     return rows
 
 
@@ -248,11 +249,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[ClaimVerdict
 
 
 def render_fraction(value: Fraction | None) -> str:
-    if value is None:
-        return "unavailable"
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return "unavailable" if value is None else str(value)
 
 
 VERDICT_CSV_HEADER = "claim_id,m,n,indexing,expected_num,expected_den,observed,verdict"

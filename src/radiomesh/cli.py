@@ -64,15 +64,14 @@ def cmd_label(args) -> int:
     params = ProductParams(args.m, args.n)
     indexing = CellIndexing(args.indexing)
     built = build_construction_labeling(params, indexing)
-    bound = formulas.combined_bound(params)
-    if args.out:
+    if args.out is not None:
         write_text(args.out, format_labeling(built.greedy))
     lines = [
         f"construction labeling for m={args.m} n={args.n} indexing={indexing.value}",
         f"greedy span: {built.greedy.span} (valid)",
         f"consecutive-only span: {built.consecutive.span} "
         f"({'valid' if built.consecutive_valid else 'invalid'})",
-        f"claimed bound: {claims.render_fraction(bound)}",
+        f"claimed bound: {claims.render_fraction(formulas.combined_bound(params))}",
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -110,6 +109,13 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _path(text: str) -> str:
+    """A file path; the empty path would name the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 def cmd_verify(args) -> int:
     # split by parity here, so no order is filed under the wrong one
     even_m = tuple(m for m in args.ms if m % 2 == 0)
@@ -128,7 +134,7 @@ FLAGS = {
     "--format": dict(choices=("text", "csv"), default="text"),
     "--node-limit": dict(type=int, default=DEFAULT_NODE_LIMIT, help="search node budget"),
     "--indexing": dict(choices=[scheme.value for scheme in CellIndexing], default="row-major"),
-    "--out": dict(help="write the greedy labeling file here"),
+    "--out": dict(type=_path, help="write the greedy labeling file here"),
     "--labeling": dict(required=True, help="labeling file"),
     "--ms": dict(type=_int_list, default=claims.VerifyConfig.even_m + claims.VerifyConfig.odd_m,
                  help="comma-separated mesh orders"),

@@ -10,10 +10,15 @@ hold the two equal. None of these evaluators look at a graph: ground
 truth comes from BFS and search elsewhere.
 
 Each claimed value is held here once: :data:`CATALOG` lists every
-bound-table entry with the mesh parity and least n it is stated for,
-:func:`pair_distances` gives the cross-pair distance case tables, and
-:data:`WORKED_EXAMPLES` the stated worked-example figures. The claims,
-the CLI and the demos read them from here.
+bound-table entry with the verdict id it is checked under, if any, and
+the mesh parity and least n it is stated for, :func:`pair_distances`
+gives the cross-pair distance case tables, and :data:`WORKED_EXAMPLES`
+the stated worked-example figures. The claims, the CLI and the demos
+read them from here. Which entries apply at (m, n) is decided once, by
+:func:`applicable`, for the bound table and the claims alike; a claim
+finds its entry by the case after its verdict id's dot
+(:func:`checked_claim`), as the distance claims find theirs in
+:func:`pair_distances`.
 """
 from __future__ import annotations
 
@@ -195,10 +200,8 @@ def thm18_odd_bound(params: ProductParams) -> Fraction:
 
 
 def combined_bound(params: ProductParams) -> Fraction:
-    """Parity dispatch to the whole-graph bound."""
-    if params.m % 2 == 0:
-        return Fraction(thm6_even_bound(params))
-    return thm18_odd_bound(params)
+    """The whole-graph bound stated for m's parity: Thm6's for even m, Thm18's for odd m."""
+    return checked_claim(params, "Bound")[1]
 
 
 @dataclass(frozen=True)
@@ -234,26 +237,45 @@ WORKED_EXAMPLES = (
 )
 
 
-# (id, mesh parity the entry is stated for or None for both, least n,
-# evaluator), in bounds-table order. Cor15's last-row interior pair has
-# the same closed form as Cor8's phase-1 pair.
+# (id, verdict id the entry is checked under or None, mesh parity the
+# entry is stated for or None for both, least n, evaluator), in
+# bounds-table order. Cor15's last-row interior pair has the same
+# closed form as Cor8's phase-1 pair.
 CATALOG = (
-    ("DiamCor3", None, 1, diam_formula),
-    ("Cor5PairBound", 0, 1, cor5_pair_bound),
-    ("Thm6EvenBound", 0, 1, thm6_even_bound),
-    ("Cor8PairBound", 1, 1, cor8_pair_bound),
-    ("Thm9GStar", 1, 1, lambda params: thm9_gstar_bound(params).statement),
-    ("SpanF1", 1, 1, span_f1),
-    ("SpanF2", 1, 2, span_f2),
-    ("Cor13SpanF3", 1, 2, cor13_span_f3),
-    ("SpanF4", 1, 1, span_f4),
-    ("Thm14GStarStar", 1, 1, thm14_bound),
-    ("Cor15GI", 1, 1, cor8_pair_bound),
-    ("Thm16GStarStarStar", 1, 1, thm16_bound),
-    ("Thm17GDblStar", 1, 1, thm17_bound),
-    ("Thm18OddBound", 1, 1, thm18_odd_bound),
-    ("Eq58Combined", None, 1, combined_bound),
+    ("DiamCor3", "Cor3.Diameter", None, 1, diam_formula),
+    ("Cor5PairBound", "Cor5.PairBound", 0, 1, cor5_pair_bound),
+    ("Thm6EvenBound", "Thm6.Bound", 0, 1, thm6_even_bound),
+    ("Cor8PairBound", "Cor8.PairBound", 1, 1, cor8_pair_bound),
+    ("Thm9GStar", None, 1, 1, lambda params: thm9_gstar_bound(params).statement),
+    ("SpanF1", None, 1, 1, span_f1),
+    ("SpanF2", None, 1, 2, span_f2),
+    ("Cor13SpanF3", None, 1, 2, cor13_span_f3),
+    ("SpanF4", None, 1, 1, span_f4),
+    ("Thm14GStarStar", None, 1, 1, thm14_bound),
+    ("Cor15GI", None, 1, 1, cor8_pair_bound),
+    ("Thm16GStarStarStar", None, 1, 1, thm16_bound),
+    ("Thm17GDblStar", None, 1, 1, thm17_bound),
+    ("Thm18OddBound", "Thm18.Bound", 1, 1, thm18_odd_bound),
+    ("Eq58Combined", None, None, 1, combined_bound),
 )
+
+
+def applicable(params: ProductParams) -> list[tuple]:
+    """(id, verdict id, evaluator) of each :data:`CATALOG` entry stated for m's parity and n, in order."""
+    return [(bound_id, verdict_id, evaluate) for bound_id, verdict_id, parity, least_n, evaluate in CATALOG
+            if parity in (None, params.m % 2) and params.n >= least_n]
+
+
+def checked_claim(params: ProductParams, case: str) -> tuple[str, Fraction]:
+    """(verdict id, claimed value) of the applicable entry checked under an id ending in ``.case``.
+
+    Raises LookupError when no applicable entry is checked under such an
+    id, so a claim never makes a row without its catalog entry.
+    """
+    for _, verdict_id, evaluate in applicable(params):
+        if verdict_id is not None and verdict_id.partition(".")[2] == case:
+            return verdict_id, Fraction(evaluate(params))
+    raise LookupError(f"no catalog entry is checked as {case!r} at m={params.m} n={params.n}")
 
 
 @dataclass(frozen=True)
@@ -269,13 +291,9 @@ class BoundsRow:
 
 
 def bounds_table(params: ProductParams) -> list[BoundsRow]:
-    """Every :data:`CATALOG` entry applicable at (m, n), as exact fractions."""
-    m, n = params.m, params.n
-    return [
-        BoundsRow(bound_id, m, n, Fraction(evaluate(params)))
-        for bound_id, parity, least_n, evaluate in CATALOG
-        if parity in (None, m % 2) and n >= least_n
-    ]
+    """Every :data:`CATALOG` entry :func:`applicable` at (m, n), as exact fractions."""
+    return [BoundsRow(bound_id, params.m, params.n, Fraction(evaluate(params)))
+            for bound_id, _, evaluate in applicable(params)]
 
 
 def bounds_table_csv(rows: Iterable[BoundsRow]) -> str:

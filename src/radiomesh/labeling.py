@@ -266,9 +266,8 @@ def _consecutive_steps(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> tupl
 def _greedy_along(dm: DistanceMatrix, order: np.ndarray, along: np.ndarray) -> np.ndarray:
     """Greedy labels along the plan, from its :func:`_consecutive_steps`.
 
-    The candidates are :func:`_short_pairs` of ``along``. Returns
-    ``along`` itself when no pair asks for an extra, so a caller can
-    tell that the consecutive-only labeling is the greedy one.
+    The candidates are :func:`_short_pairs` of ``along``; when there is
+    none, the greedy labels are ``along``.
     """
     # offset 1 holds the consecutive pairs, which ask for no extra
     short = _short_pairs(dm, order, along, 2)
@@ -334,14 +333,3 @@ def consecutive_only_assign(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) ->
     """
     return _by_vertex(g, *_consecutive_steps(g, dm, plan))
 
-
-def greedy_and_consecutive(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> tuple[Labeling, Labeling]:
-    """``greedy_assign`` and ``consecutive_only_assign`` of ``plan`` from one consecutive pass.
-
-    When the greedy labels are the consecutive-only ones, both are the
-    same :class:`Labeling`.
-    """
-    order, along = _consecutive_steps(g, dm, plan)
-    consecutive = _by_vertex(g, order, along)
-    greedy = _greedy_along(dm, order, along)
-    return (consecutive if greedy is along else _by_vertex(g, order, greedy)), consecutive

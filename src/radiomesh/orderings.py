@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import all_pairs_distances
-from .labeling import Labeling, OrderingPlan, greedy_and_consecutive, validate
+from .labeling import Labeling, OrderingPlan, consecutive_only_assign, greedy_assign, validate
 from .product import (
     CellIndexing,
     ParityError,
@@ -167,13 +167,14 @@ def build_construction_labeling(
 ) -> ConstructionLabelings:
     """Run both assignments over the construction ordering of the graph ``params`` fixes.
 
-    Both labelings come from one consecutive pass over the ordering. The
-    greedy labeling is valid by construction; the consecutive-only
-    labeling is validated and reported as-is.
+    The consecutive-only labeling is validated and reported as-is; the
+    greedy labeling is valid by construction. The two are separate
+    :class:`Labeling` objects, equal when no pair of the consecutive-only
+    labeling is short.
     """
     plan = construction_ordering(params, indexing)
     graph = build_product_graph(params).graph
     dm = all_pairs_distances(graph)
-    greedy, consecutive = greedy_and_consecutive(graph, dm, plan)
+    consecutive = consecutive_only_assign(graph, dm, plan)
     verdict = validate(graph, dm, consecutive)
-    return ConstructionLabelings(plan, greedy, consecutive, verdict.valid)
+    return ConstructionLabelings(plan, greedy_assign(graph, dm, plan), consecutive, verdict.valid)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import re
 import time
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import radiomesh.claims
+import radiomesh.formulas
 import radiomesh.graphs
+import radiomesh.search
 from radiomesh import (
     CellIndexing,
     DistanceMatrix,
@@ -133,6 +136,32 @@ def test_full_bound_claim_above_the_exact_limit_is_unverifiable(m, n, claim_id):
     row = full_bound_claim(params, all_pairs_distances(build_product_graph(params).graph))
     assert row.claim_id == claim_id and row.expected == radiomesh.formulas.combined_bound(params)
     assert row.verdict is Verdict.UNVERIFIABLE and row.observed is None
+
+
+def test_a_budget_cut_search_leaves_the_span_claims_unverifiable(monkeypatch):
+    # a search stopped by its node budget holds an upper bound, not the
+    # minimum span, so neither span claim may read it as observed
+    params = ProductParams(2, 2)
+    dm = all_pairs_distances(build_product_graph(params).graph)
+    cut = functools.partial(radiomesh.search.minimize_span, node_limit=10)
+    assert cut(radiomesh.search.gap_matrix(dm))[2] is not radiomesh.search.RnStatus.EXACT
+    monkeypatch.setattr(radiomesh.claims, "minimize_span", cut)
+    for claim in (pair_bound_claim, full_bound_claim):
+        row = claim(params, dm)
+        assert row.verdict is Verdict.UNVERIFIABLE and row.observed is None, row
+
+
+@pytest.mark.parametrize("m, verdict_id", [(2, "Cor5.PairBound"), (3, "Cor8.PairBound")])
+def test_a_claim_without_its_catalog_entry_raises(m, verdict_id, monkeypatch):
+    # the pair claim at m's parity with that entry's verdict id taken away
+    catalog = tuple(
+        (row[0], None, *row[2:]) if row[1] == verdict_id else row for row in radiomesh.formulas.CATALOG
+    )
+    monkeypatch.setattr(radiomesh.formulas, "CATALOG", catalog)
+    params = ProductParams(m, 1)
+    dm = all_pairs_distances(build_product_graph(params).graph)
+    with pytest.raises(LookupError, match=f"no catalog entry is checked as 'PairBound' at m={m} n=1"):
+        pair_bound_claim(params, dm)
 
 
 def test_example_claims_preserve_both_values():

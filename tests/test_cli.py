@@ -53,6 +53,7 @@ def test_cor3_diameter_is_read_one_way(capsys, n):
         (["--format", "text"], ["--m", "2", "--n", "2"], "rn(product m=2 n=2) = 22"),
         (["--format", "text"], ["--m", "2", "--n", "1"], "rn(product m=2 n=1) = 10"),
         ([], ["--m", "2", "--n", "1"], "rn(product m=2 n=1) = 10"),
+        (["--format", "csv"], ["--m", "2", "--n", "1"], "graph,value,status,nodes\nproduct m=2 n=1,10,exact,1879"),
     ],
 )
 def test_rn_exact_names_each_family_and_its_missing_flags(capsys, family, flags, line):
@@ -251,6 +252,13 @@ def test_verify_small_grid_csv(capsys):
     assert any(line.startswith("Cor3.Diameter,2,1,-,4,1,3,Mismatch") for line in lines)
 
 
+@pytest.mark.parametrize("flag", ["--ms", "--ns"])
+def test_a_blank_grid_list_leaves_only_the_worked_examples(flag, capsys):
+    code, out, _ = run(capsys, "verify", flag, " ", "--format", "csv")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[2:]] == ["Ex3.1.Value", "Ex3.2.Value"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -266,6 +274,8 @@ def test_verify_small_grid_csv(capsys):
         ["verify", "--ns", "1,2.5"],
         ["verify", "--ms", "2,x"],
         ["label", "--m", "2", "--n", "1", "--indexing", "bogus"],
+        # the empty path would name the working directory
+        ["label", "--m", "2", "--n", "1", "--out", ""],
     ],
 )
 def test_malformed_flag_value_exits_2(argv, capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,64 @@ def test_combined_bound_matches_parity_evaluators():
                 else F.thm18_odd_bound(params)
             )
             assert F.combined_bound(params) == direct
+
+
+# (id, evaluator, mesh parity) of each catalog entry stated for one parity
+SINGLE_PARITY = [(row[0], row[4], row[2]) for row in F.CATALOG if row[2] is not None]
+
+
+@pytest.mark.parametrize("bound_id, evaluate, parity", SINGLE_PARITY, ids=[row[0] for row in SINGLE_PARITY])
+def test_a_single_parity_entry_refuses_the_other_parity(bound_id, evaluate, parity):
+    for m in (3 - parity, 5 - parity):
+        with pytest.raises(ParityError, match=f"mesh order must be {('even', 'odd')[parity]}, got {m}"):
+            evaluate(P(m, 2))
+
+
+@pytest.mark.parametrize("bound_id, evaluate", [(row[0], row[4]) for row in F.CATALOG if row[3] == 2])
+def test_an_entry_stated_from_two_leaves_refuses_one(bound_id, evaluate):
+    with pytest.raises(InvalidParameterError, match="needs n >= 2"):
+        evaluate(P(5, 1))
+
+
+def test_catalog_names_the_verdict_id_of_each_checked_entry():
+    assert all(len(row) == 5 for row in F.CATALOG)
+    assert {row[0]: row[1] for row in F.CATALOG if row[1] is not None} == {
+        "DiamCor3": "Cor3.Diameter",
+        "Cor5PairBound": "Cor5.PairBound",
+        "Thm6EvenBound": "Thm6.Bound",
+        "Cor8PairBound": "Cor8.PairBound",
+        "Thm18OddBound": "Thm18.Bound",
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_claimed_case_has_one_applicable_entry(m, n):
+    params = P(m, n)
+    checked = [verdict_id for _, verdict_id, _ in F.applicable(params) if verdict_id is not None]
+    assert sorted(verdict_id.partition(".")[2] for verdict_id in checked) == ["Bound", "Diameter", "PairBound"]
+    assert [row.bound_id for row in F.bounds_table(params)] == [bound_id for bound_id, _, _ in F.applicable(params)]
+
+
+@pytest.mark.parametrize(
+    "params, case, expected",
+    [
+        (P(4, 5), "Diameter", ("Cor3.Diameter", 8)),
+        (P(4, 5), "PairBound", ("Cor5.PairBound", 33)),
+        (P(5, 5), "PairBound", ("Cor8.PairBound", 36)),
+        (P(4, 5), "Bound", ("Thm6.Bound", 264)),
+        (P(5, 5), "Bound", ("Thm18.Bound", 549)),
+    ],
+)
+def test_checked_claim_reads_the_entry_by_the_case_after_the_dot(params, case, expected):
+    claim_id, value = F.checked_claim(params, case)
+    assert (claim_id, value) == expected and type(value) is Fraction
+
+
+@pytest.mark.parametrize("case", ["Value", "BothCenters", "", "Cor3.Diameter"])
+def test_checked_claim_without_an_entry_raises(case):
+    with pytest.raises(LookupError, match=f"no catalog entry is checked as {re.escape(repr(case))} at m=4 n=2"):
+        F.checked_claim(P(4, 2), case)
 
 
 def test_even_pair_distance_cases():

@@ -366,9 +366,13 @@ def test_a_size_or_id_that_is_not_an_integer_is_rejected(build):
         build()
 
 
-@pytest.mark.parametrize("m", ["3", 2.5, True], ids=["str", "float", "bool"])
-def test_mesh_order_is_held_to_the_integer_rule_before_its_range(m):
-    with pytest.raises(InvalidParameterError, match=f"^mesh order must be an integer, got {re.escape(repr(m))}$"):
+@pytest.mark.parametrize(
+    "m, rule",
+    [("3", "be an integer"), (2.5, "be an integer"), (True, "be an integer"), (1, "be >= 2")],
+    ids=["str", "float", "bool", "below-range"],
+)
+def test_mesh_order_is_held_to_the_integer_rule_before_its_range(m, rule):
+    with pytest.raises(InvalidParameterError, match=f"^mesh order must {rule}, got {re.escape(repr(m))}$"):
         build_mesh(m)
 
 

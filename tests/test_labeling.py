@@ -78,6 +78,12 @@ def test_labels_must_be_non_negative():
         Labeling((0, -1))
 
 
+@pytest.mark.parametrize("labels", [[], (), np.array([], dtype=np.int64)], ids=["list", "tuple", "array"])
+def test_a_labeling_covers_at_least_one_vertex(labels):
+    with pytest.raises(InvalidParameterError, match="^labeling must cover at least one vertex$"):
+        Labeling(labels)
+
+
 @pytest.mark.parametrize(
     "labels",
     [
@@ -369,7 +375,7 @@ def test_greedy_is_consecutive_exactly_when_consecutive_is_valid(indexing):
             assert built.consecutive_valid == (built.greedy == built.consecutive)
             if not built.consecutive_valid:
                 invalid.append((m, n))
-            # the shared consecutive pass gives what separate calls give
+            # the construction's labelings are what separate calls give
             consecutive = consecutive_only_assign(graph, dm, built.ordering)
             assert built.greedy == greedy_assign(graph, dm, built.ordering)
             assert built.consecutive == consecutive
@@ -385,14 +391,10 @@ def test_greedy_is_consecutive_exactly_when_consecutive_is_valid(indexing):
     assert invalid == (expected if indexing is CellIndexing.SERPENTINE else [])
 
 
-def test_construction_labelings_share_one_consecutive_pass():
+def test_greedy_assign_lays_out_no_consecutive_only_labeling():
     params = ProductParams(7, 3)
     graph = build_product_graph(params).graph
     dm = all_pairs_distances(graph)
-    with mock.patch.object(labeling, "_consecutive_steps", wraps=labeling._consecutive_steps) as steps:
-        build_construction_labeling(params, CellIndexing.SERPENTINE)
-        assert steps.call_count == 1
-    # greedy_assign on its own lays out no consecutive-only labeling
     with mock.patch.object(labeling, "_by_vertex", wraps=labeling._by_vertex) as by_vertex:
         greedy_assign(graph, dm, construction_ordering(params))
         assert by_vertex.call_count == 1
