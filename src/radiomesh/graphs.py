@@ -395,10 +395,12 @@ def bfs_all_pairs(g: Graph) -> DistanceMatrix:
 def certify_distances(g: Graph, dm: DistanceMatrix) -> bool:
     """Whether ``dm`` holds the hop counts of ``g``, checked against its adjacency alone.
 
-    The certificate is the BFS layer condition: every entry is at least
-    0, the diagonal is 0, and each off-diagonal entry D(u, w) is 1 plus
-    the least D(u, v) over the neighbours v of w. Only the true distance
-    matrix d meets it, so a disconnected graph has none:
+    A matrix of another size than ``g`` is refused first, before any
+    dense form of it is built. The certificate is the BFS layer
+    condition: every entry is at least 0, the diagonal is 0, and each
+    off-diagonal entry D(u, w) is 1 plus the least D(u, v) over the
+    neighbours v of w. Only the true distance matrix d meets it, so a
+    disconnected graph has none:
 
     - D <= d, by induction along a shortest path from u to w;
     - D >= d, because from w the neighbour that decreases D, one step
@@ -429,15 +431,16 @@ def certify_distances(g: Graph, dm: DistanceMatrix) -> bool:
     its column off the diagonal. The ``+ 1`` cannot overflow, as a
     :class:`DistanceMatrix`'s dtype holds its largest entry plus one.
     """
+    if dm.num_vertices != g.num_vertices:
+        return False
     tables = (dm._a, dm._b)
     if g.factors and [len(t) for t in tables] == [f.num_vertices for f in g.factors]:
         return all(certify_distances(f, DistanceMatrix(t)) for f, t in zip(g.factors, tables))
-    nv = g.num_vertices
     matrix = dm.matrix
     # entries >= 0 follow from the rest, as a row's least entry off the
     # diagonal would be 1 plus a smaller one; one min() rejects
     # UNREACHABLE before any gather
-    if matrix.shape != (nv, nv) or matrix.min() < 0:
+    if matrix.min() < 0:
         return False
     adjacency = g.adjacency
     width = max(1, *map(len, adjacency))  # an edgeless graph gets one slot

@@ -5,10 +5,11 @@ branch-and-bound over vertex orderings (:func:`exact_rn`) and a brute
 force over every ordering (:func:`permutation_oracle`). Both use the
 fact that some optimal labeling is the greedy realization of the order
 of its vertices by label value, so minimizing greedy spans over
-orderings is exact. They share no distance route either: the search
-reads :func:`~radiomesh.graphs.all_pairs_distances`, which sums factor
-distances on a product, and the oracle reads whole-graph BFS
-(:func:`~radiomesh.graphs.bfs_all_pairs`).
+orderings is exact. They share no distance route and no gap lookup
+either: the search reads :func:`~radiomesh.graphs.all_pairs_distances`,
+which sums factor distances on a product, through :func:`gap_matrix`,
+and the oracle takes its gaps straight from the matrix of whole-graph
+BFS (:func:`~radiomesh.graphs.bfs_all_pairs`).
 
 The branch-and-bound core, :func:`minimize_span`, works on an explicit
 gap-requirement matrix, so callers can also pose induced-subset
@@ -469,39 +470,34 @@ def exact_rn(g: Graph, node_limit: int | None = DEFAULT_NODE_LIMIT) -> RnResult:
 def permutation_oracle(g: Graph) -> RnResult:
     """Radio number by enumerating every vertex ordering.
 
-    Deliberately simple so it can certify :func:`exact_rn`, and reads
-    distances from whole-graph BFS, not the factored route the search
-    reads; refuses graphs with more than ORACLE_MAX_VERTICES vertices.
+    Deliberately simple so it can certify :func:`exact_rn`, with which
+    it shares no distance route and no gap lookup: it takes its gaps
+    ``diam + 1 - d`` straight from whole-graph BFS, not through
+    :func:`gap_matrix` and the factored route the search reads. The
+    witness is the first optimal ordering in lexicographic order.
+    Refuses graphs with more than ORACLE_MAX_VERTICES vertices.
     """
     nv = g.num_vertices
     if nv > ORACLE_MAX_VERTICES:
         raise OracleSizeError(f"oracle limited to {ORACLE_MAX_VERTICES} vertices, got {nv}")
-    req = gap_matrix(bfs_all_pairs(g))
+    dm = bfs_all_pairs(g)
+    req = (dm.diameter + 1 - dm.matrix).tolist()
 
-    best: int | None = None
-    best_labels: list[int] | None = None
+    best, best_labels = math.inf, []
     labels = [0] * nv
     for perm in itertools.permutations(range(nv)):
-        labels[perm[0]] = 0
-        final = 0
-        aborted = False
-        for i in range(1, nv):
-            v = perm[i]
+        for i, v in enumerate(perm):
             row = req[v]
             value = 0
-            for j in range(i):
-                u = perm[j]
+            for u in perm[:i]:
                 candidate = labels[u] + row[u]
                 if candidate > value:
                     value = candidate
             # labels only grow along the order, so >= best can never win
-            if best is not None and value >= best:
-                aborted = True
+            if value >= best:
                 break
             labels[v] = value
-            final = value
-        if not aborted and (best is None or final < best):
-            best = final
-            best_labels = labels.copy()
-    assert best is not None and best_labels is not None
+        else:
+            # every label, the last and largest included, is below best
+            best, best_labels = value, labels.copy()
     return RnResult(best, RnStatus.EXACT, Labeling(best_labels, graph=g))

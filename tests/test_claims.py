@@ -39,6 +39,12 @@ from radiomesh.claims import (
 )
 
 REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_verdicts.csv"
+# ``radiomesh verify --format csv`` past the default grid, less its
+# "# generated" line; CI compares the command's output with these files
+GRID_CSVS = {
+    "verify_m7-10_n4.csv": VerifyConfig(even_m=(8, 10), odd_m=(7, 9), ns=(4,)),
+    "verify_m50-51_n10.csv": VerifyConfig(even_m=(50,), odd_m=(51,), ns=(10,)),
+}
 
 # n = 3 keeps the 12-vertex (2,2) product, and its 6,444,838-node search, out
 SMALL = VerifyConfig(even_m=(2,), odd_m=(3,), ns=(1, 3))
@@ -295,7 +301,41 @@ def test_a_repeated_grid_value_is_taken_once():
     assert run_verification(repeated) == once
 
 
+def _moved_rows(reference: str, csv: str) -> str:
+    """Each row of two verdict CSVs that differs, as ``claim_id m n indexing: old -> new``."""
+
+    def keyed(text: str) -> dict[tuple[str, ...], str]:
+        rows = (line.split(",") for line in text.splitlines()[1:])
+        return {tuple(row[:4]): ",".join(row[4:]) for row in rows}
+
+    old, new = keyed(reference), keyed(csv)
+    return "\n".join(
+        f"{' '.join(key)}: {old.get(key, 'absent')} -> {new.get(key, 'absent')}"
+        for key in dict.fromkeys([*old, *new])
+        if old.get(key) != new.get(key)
+    )
+
+
 def test_csv_matches_reference_rows_byte_for_byte():
     # the reference table covers the default grid
-    rows = run_verification(VerifyConfig())
-    assert verdicts_to_csv(rows, timestamp=False) == REFERENCE_CSV.read_text(encoding="utf-8")
+    csv = verdicts_to_csv(run_verification(VerifyConfig()), timestamp=False)
+    reference = REFERENCE_CSV.read_text(encoding="utf-8")
+    assert csv == reference, _moved_rows(reference, csv)
+
+
+@pytest.mark.parametrize("name", list(GRID_CSVS))
+def test_csv_past_the_default_grid_matches_its_reference(name):
+    csv = verdicts_to_csv(run_verification(GRID_CSVS[name]), timestamp=False)
+    reference = (Path(__file__).parent / "reference" / name).read_text(encoding="utf-8")
+    assert csv == reference, _moved_rows(reference, csv)
+
+
+def test_moved_rows_name_each_changed_added_and_dropped_row():
+    header = "claim_id,m,n,indexing,expected_num,expected_den,observed,verdict\n"
+    reference = header + "A,2,1,-,5,1,5,Match\nB,2,1,row,3,1,3,Match\nC,2,1,-,4,1,,Unverifiable\n"
+    csv = header + "A,2,1,-,5,1,5,Match\nB,2,1,row,3,1,4,Mismatch\nD,2,1,-,1,1,1,Match\n"
+    assert _moved_rows(reference, csv) == (
+        "B 2 1 row: 3,1,3,Match -> 3,1,4,Mismatch\n"
+        "C 2 1 -: 4,1,,Unverifiable -> absent\n"
+        "D 2 1 -: absent -> 1,1,1,Match"
+    )

@@ -634,6 +634,13 @@ def test_certificate_rejects_another_graphs_matrix():
     assert not certify_distances(g, DistanceMatrix.from_factors(p4, p3))
 
 
+def test_certificate_refuses_a_matrix_of_another_size_before_any_dense_read():
+    # the (4,2) product's distances, N = 48, kept as two factor matrices
+    dm = all_pairs_distances(build_product_graph(ProductParams(4, 2)).graph)
+    assert not certify_distances(build_path(6), dm)
+    assert "matrix" not in vars(dm)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 8), st.integers(1, 5), st.data())
 def test_factor_certificate_rejects_a_factor_entry_off_by_one(m, n, data):

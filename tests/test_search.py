@@ -46,6 +46,20 @@ KNOWN_RN = {
     "C4xK1,1": 10,
 }
 
+# the oracle's witness labels by vertex id, the first optimal ordering's
+ORACLE_WITNESSES = {
+    "P2": [0, 1],
+    "P3": [0, 3, 1],
+    "P4": [3, 0, 5, 2],
+    "P5": [0, 5, 10, 2, 7],
+    "K1,1": [0, 1],
+    "K1,2": [0, 2, 3],
+    "K1,3": [0, 2, 3, 4],
+    "K1,4": [0, 2, 3, 4, 5],
+    "C4": [0, 3, 4, 1],
+    "C4xK1,1": [0, 3, 9, 6, 7, 10, 4, 1],
+}
+
 
 def _small_graphs():
     yield "P2", build_path(2)
@@ -62,7 +76,9 @@ def _small_graphs():
 
 @pytest.mark.parametrize("name,graph", list(_small_graphs()))
 def test_oracle_matches_frozen_values(name, graph):
-    assert permutation_oracle(graph).value == KNOWN_RN[name]
+    oracle = permutation_oracle(graph)
+    assert oracle.value == KNOWN_RN[name]
+    assert oracle.witness.labels.tolist() == ORACLE_WITNESSES[name]
 
 
 @pytest.mark.parametrize("name,graph", list(_small_graphs()))
@@ -199,6 +215,16 @@ def test_the_oracle_reads_no_distances_the_search_reads(monkeypatch):
     monkeypatch.setattr(search, "all_pairs_distances", complete_metric)
     assert permutation_oracle(g).value == KNOWN_RN["C4xK1,1"]
     assert exact_rn(g).value == g.num_vertices - 1
+
+
+def test_the_oracle_shares_no_gap_lookup_with_the_search(monkeypatch):
+    # every gap 1, as on the complete graph: the search, which reads
+    # gap_matrix, finds 7, while the oracle takes its gaps from BFS
+    g = build_product_graph(ProductParams(2, 1)).graph
+    n = g.num_vertices
+    monkeypatch.setattr(search, "gap_matrix", lambda dm, vertices=None: [[1] * n] * n)
+    assert exact_rn(g).value == n - 1
+    assert permutation_oracle(g).value == KNOWN_RN["C4xK1,1"]
 
 
 def test_gap_matrix_rejects_an_id_outside_the_graph():
