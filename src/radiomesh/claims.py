@@ -1,9 +1,12 @@
 """Claim adjudication: catalog values versus computed ground truth.
 
-Each claim instantiates one catalog entry at concrete (m, n), computes
-the corresponding observable with an oracle (a certified distance, a
-certified diameter, exact span search, or exact rational evaluation),
-and issues a verdict:
+Each claim instantiates one catalog entry at concrete (m, n) and
+computes the corresponding observable with an oracle (a certified
+distance, a certified diameter, exact span search, or exact rational
+evaluation). Its row stores the claimed and the observed value; the
+verdict is a property of those two, :attr:`ClaimVerdict.verdict`, the
+one place in the package a claimed value is compared with an observed
+one:
 
 * ``Match``       - the catalog value equals the oracle value exactly.
 * ``Mismatch``    - they differ.
@@ -66,7 +69,12 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class ClaimVerdict:
-    """One catalog claim instantiated and adjudicated at concrete parameters."""
+    """One catalog claim instantiated at concrete parameters, with its oracle value.
+
+    The row stores only what was claimed and what was observed; its
+    :attr:`verdict` is read from those two, so no row can carry a
+    verdict that disagrees with its own values.
+    """
 
     claim_id: str
     m: int
@@ -74,7 +82,13 @@ class ClaimVerdict:
     indexing: str
     expected: Fraction
     observed: Fraction | None
-    verdict: Verdict
+
+    @property
+    def verdict(self) -> Verdict:
+        """Unverifiable without an observed value, else Match exactly when it equals the claim."""
+        if self.observed is None:
+            return Verdict.UNVERIFIABLE
+        return Verdict.MATCH if self.expected == self.observed else Verdict.MISMATCH
 
     def sort_key(self):
         return (self.claim_id, self.m, self.n, self.indexing)
@@ -115,14 +129,6 @@ class VerifyConfig:
                 raise ParityError(f"{field} needs {kind} mesh orders, got {wrong}")
 
 
-def _row(claim_id, params, indexing, expected, observed) -> ClaimVerdict:
-    if observed is None:
-        verdict = Verdict.UNVERIFIABLE
-    else:
-        verdict = Verdict.MATCH if expected == observed else Verdict.MISMATCH
-    return ClaimVerdict(claim_id, params.m, params.n, indexing, expected, observed, verdict)
-
-
 def diameter_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
     """Claimed diameter versus the diameter of certified distances.
 
@@ -130,7 +136,7 @@ def diameter_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
     diameter 2m - 1) surface as Mismatch rows rather than being skipped.
     """
     claim_id, expected = formulas.checked_claim(params, "Diameter")
-    return _row(claim_id, params, "-", expected, Fraction(dm.diameter))
+    return ClaimVerdict(claim_id, params.m, params.n, "-", expected, Fraction(dm.diameter))
 
 
 def _pair_fibers(params: ProductParams, indexing: CellIndexing) -> tuple[list[int], list[int]]:
@@ -168,7 +174,7 @@ def distance_claims(
     rows = []
     for claim_id, expected in formulas.pair_distances(params.m).items():
         u, v = pairs[claim_id.partition(".")[2]]
-        rows.append(_row(claim_id, params, indexing.value, expected, Fraction(dm[u, v])))
+        rows.append(ClaimVerdict(claim_id, params.m, params.n, indexing.value, expected, Fraction(dm[u, v])))
     return rows
 
 
@@ -188,7 +194,7 @@ def pair_bound_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
     claim_id, expected = formulas.checked_claim(params, "PairBound")
     first, other = _pair_fibers(params, CellIndexing.ROW_MAJOR)
     observed = _exact_span(dm, first + other)
-    return _row(claim_id, params, CellIndexing.ROW_MAJOR.value, expected, observed)
+    return ClaimVerdict(claim_id, params.m, params.n, CellIndexing.ROW_MAJOR.value, expected, observed)
 
 
 def full_bound_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
@@ -200,7 +206,7 @@ def full_bound_claim(params: ProductParams, dm: DistanceMatrix) -> ClaimVerdict:
     """
     claim_id, expected = formulas.checked_claim(params, "Bound")
     observed = _exact_span(dm) if params.num_vertices <= VerifyConfig.exact_vertex_limit else None
-    return _row(claim_id, params, CellIndexing.ROW_MAJOR.value, expected, observed)
+    return ClaimVerdict(claim_id, params.m, params.n, CellIndexing.ROW_MAJOR.value, expected, observed)
 
 
 def example_claims() -> list[ClaimVerdict]:
@@ -208,7 +214,7 @@ def example_claims() -> list[ClaimVerdict]:
     rows = []
     for claim_id, m, n, stated in formulas.WORKED_EXAMPLES:
         params = ProductParams(m, n)
-        rows.append(_row(claim_id, params, "-", Fraction(stated), formulas.checked_claim(params, "Bound")[1]))
+        rows.append(ClaimVerdict(claim_id, m, n, "-", Fraction(stated), formulas.checked_claim(params, "Bound")[1]))
     return rows
 
 

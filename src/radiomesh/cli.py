@@ -28,13 +28,12 @@ from .search import DEFAULT_NODE_LIMIT, RnStatus, exact_rn
 
 def cmd_diam(args) -> int:
     params = ProductParams(args.m, args.n)
-    observed = claims.certified_distances(build_product_graph(params)).diameter
-    claimed = formulas.diam_formula(params)
+    row = claims.diameter_claim(params, claims.certified_distances(build_product_graph(params)))
     if args.format == "csv":
-        sys.stdout.write(f"m,n,bfs_diameter,claimed\n{args.m},{args.n},{observed},{claimed}\n")
+        sys.stdout.write(f"m,n,bfs_diameter,claimed\n{args.m},{args.n},{row.observed},{row.expected}\n")
         return 0
-    note = "" if observed == claimed else f"  (claimed {claimed}: DEVIATION)"
-    sys.stdout.write(f"diameter of product m={args.m} n={args.n}: {observed}{note}\n")
+    note = "" if row.verdict is claims.Verdict.MATCH else f"  (claimed {row.expected}: DEVIATION)"
+    sys.stdout.write(f"diameter of product m={args.m} n={args.n}: {row.observed}{note}\n")
     return 0
 
 

@@ -167,8 +167,13 @@ class Violation(NamedTuple):
 
 @dataclass(frozen=True)
 class ValidityReport:
-    valid: bool
+    """The violating pairs of a labeling; it is valid exactly when there are none."""
+
     violations: tuple[Violation, ...]
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
 
 def _check_fit(g: Graph, labeling: Labeling) -> None:
@@ -237,13 +242,13 @@ def validate(g: Graph, dm: DistanceMatrix, labeling: Labeling) -> ValidityReport
     order = np.argsort(labeling.labels)
     short = _short_pairs(dm, order, labeling.labels[order], 1)
     if short is None:
-        return ValidityReport(True, ())
+        return ValidityReport(())
     low, high, actual, required = short
     u, v = order[low], order[high]
     u, v = np.minimum(u, v), np.maximum(u, v)
     by_pair = np.lexsort((v, u))
     columns = (a[by_pair].tolist() for a in (u, v, required, actual))
-    return ValidityReport(False, tuple(map(Violation._make, zip(*columns))))
+    return ValidityReport(tuple(map(Violation._make, zip(*columns))))
 
 
 def _consecutive_steps(g: Graph, dm: DistanceMatrix, plan: OrderingPlan) -> tuple[np.ndarray, np.ndarray]:

@@ -73,9 +73,16 @@ class RnStatus(Enum):
 
 @dataclass(frozen=True)
 class RnResult:
+    """A span, its status, and a valid labeling of that span.
+
+    The witness is never None: :func:`minimize_span` falls back to its
+    hint's labels when the budget runs out before any completion, and
+    the first ordering :func:`permutation_oracle` tries always completes.
+    """
+
     value: int
     status: RnStatus
-    witness: Labeling | None
+    witness: Labeling
     nodes: int = 0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import re
@@ -66,6 +67,21 @@ def test_match_means_exact_equality(small_rows):
             assert row.observed == row.expected
         if row.observed is None:
             assert row.verdict is Verdict.UNVERIFIABLE
+
+
+@pytest.mark.parametrize(
+    "expected, observed, verdict",
+    [
+        (Fraction(3), Fraction(3), Verdict.MATCH),
+        (Fraction(3), Fraction(4), Verdict.MISMATCH),
+        (Fraction(3, 2), Fraction(1), Verdict.MISMATCH),
+        (Fraction(3), None, Verdict.UNVERIFIABLE),
+    ],
+    ids=["equal", "unequal", "fraction", "unobserved"],
+)
+def test_a_row_reads_its_verdict_from_its_claimed_and_observed_values(expected, observed, verdict):
+    assert ClaimVerdict("X.Y", 2, 1, "-", expected, observed).verdict is verdict
+    assert "verdict" not in [f.name for f in dataclasses.fields(ClaimVerdict)]
 
 
 def test_diameter_claim_flags_single_leaf_deviation():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from radiomesh import claims, cli, graphs
+from radiomesh import claims, cli, formulas, graphs
 from radiomesh.cli import COMMANDS, build_parser, main
 from radiomesh.product import ProductParams, build_product_graph
 
@@ -40,6 +40,22 @@ def test_cor3_diameter_is_read_one_way(capsys, n):
     _, out, _ = run(capsys, "verify", "--ms", "4", "--ns", n, "--format", "csv")
     verdict_rows = [line for line in out.splitlines() if line.startswith("Cor3.Diameter,")]
     assert [row.split(",")[4:6] for row in verdict_rows] == [[claimed, "1"]]
+
+
+def test_diam_judges_the_diameter_by_the_catalog_claim(capsys, monkeypatch):
+    # a catalog whose DiamCor3 claims the true n = 1 diameter 2m - 1: diam
+    # reads the claim and its verdict from claims.diameter_claim
+    def diameter(params):
+        return 2 * params.m - (params.n == 1)
+
+    catalog = tuple(
+        (*row[:4], diameter) if row[0] == "DiamCor3" else row for row in formulas.CATALOG
+    )
+    monkeypatch.setattr(formulas, "CATALOG", catalog)
+    code, out, _ = run(capsys, "diam", "--m", "4", "--n", "1")
+    assert code == 0 and out == "diameter of product m=4 n=1: 7\n"
+    code, out, _ = run(capsys, "diam", "--m", "4", "--n", "1", "--format", "csv")
+    assert code == 0 and out == "m,n,bfs_diameter,claimed\n4,1,7,7\n"
 
 
 # the product is the only family rn-exact names, by its size flags; `family`

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from unittest import mock
 
@@ -14,6 +15,8 @@ from radiomesh import (
     LabelingContractError,
     OrderingPlan,
     ProductParams,
+    ValidityReport,
+    Violation,
     all_pairs_distances,
     build_construction_labeling,
     build_path,
@@ -47,6 +50,12 @@ def test_p3_valid_and_invalid(p3):
     assert not report.valid
     # the adjacent pair (0, 1) needs a gap of diam + 1 - 1 = 2
     assert (0, 1, 2, 1) in report.violations
+
+
+def test_a_report_is_valid_exactly_when_it_holds_no_violation():
+    assert ValidityReport(()).valid
+    assert not ValidityReport((Violation(0, 1, 3, 1),)).valid
+    assert [f.name for f in dataclasses.fields(ValidityReport)] == ["violations"]
 
 
 def test_star_labeling_hub_zero():

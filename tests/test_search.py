@@ -456,7 +456,6 @@ def test_automorphisms_keep_the_diagonal():
     assert _automorphisms(req) == [[0, 1, 2, 3], [0, 3, 2, 1]]
 
 
-
 def _direct_shape(mask, group):
     """Least image of a placed set, each image built whole, and the field
     order of the first permutation reaching it, read off that permutation."""
@@ -494,6 +493,8 @@ def test_shapes_derived_from_parent_images_match_the_whole_group(mn, steps, orde
         whole, least, fields = _direct_shape(mask, group)
         assert [images[mask] >> i * nv & full for i in range(len(group))] == whole
         assert _shape(mask, images[mask], group) == (least, fields)
+
+
 def _visits(req):
     """Calls of the search's inner dfs during one unlimited minimize_span."""
     calls = 0
